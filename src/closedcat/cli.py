@@ -59,7 +59,7 @@ def _budget(args) -> SizeBudget:
 
 
 def _caps(args) -> ArityCaps:
-    return ArityCaps(args.arity_cap)
+    return ArityCaps() if args.arity_cap is None else ArityCaps(args.arity_cap)
 
 
 def _load_target(spec: str):
@@ -92,6 +92,8 @@ def _check_target(name: str, kind: str, payload, info, args) -> Report:
     def run(tag, fn):
         try:
             rep.extend(fn(), prefix=f"{name}/")
+        except FormatError:
+            raise  # malformed input: exit 2 from main, not a FAIL line
         except KernelError as exc:
             rep.add_fail(f"{name}/{tag}/error", type(exc).__name__, str(exc)[:200])
 
@@ -112,7 +114,7 @@ def _check_target(name: str, kind: str, payload, info, args) -> Report:
     m, w, uw = payload
     # Registry instances may declare their own arity horizon (partial
     # tensors); an explicit --arity-cap overrides it.
-    icaps = info.caps if info is not None and args.arity_cap == 3 else caps
+    icaps = info.caps if info is not None and args.arity_cap is None else caps
     if axioms:
         run("mc", lambda: check_multicategory_axioms(m, icaps))
         if w is not None:
@@ -267,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=4096, help="max hom-set size")
     common.add_argument(
-        "--arity-cap", type=int, default=3, help="max total arity checked"
+        "--arity-cap",
+        type=int,
+        default=None,
+        help="max total arity checked (default 3, or the registry instance's own)",
     )
     common.add_argument("--format", choices=["text", "json"], default="text")
     common.add_argument("--out", default=None, help="write output to a file")

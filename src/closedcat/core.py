@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, FormatError
 from .report import Report
 
 ObjId = Hashable
@@ -132,7 +132,12 @@ class TabularCategory(Category):
             raise ValueError(
                 f"cannot compose {self.show_mor(f)} with {self.show_mor(g)}"
             )
-        return self._compose[(f, g)]
+        try:
+            return self._compose[(f, g)]
+        except KeyError:
+            raise FormatError(
+                f'{self.name}: compose table has no entry "{f};{g}"'
+            ) from None
 
     def dom(self, f):
         return self._ends[f][0]

@@ -26,4 +26,5 @@ class StrictnessError(KernelError):
 
 
 class FormatError(KernelError):
-    """Malformed interchange file."""
+    """Malformed interchange file or structure table: a missing or
+    wrong-typed entry.  The command line exits 2 on it."""

@@ -71,22 +71,54 @@ def _strip(doc: dict) -> dict:
     return {k: v for k, v in doc.items() if not k.startswith("_")}
 
 
+def _names(label: str, v, many: bool = False):
+    """A file value that must be a name, or a list of names when ``many``;
+    anything else raises a FormatError that says where it sits."""
+    if many:
+        ok = isinstance(v, list) and all(isinstance(x, str) for x in v)
+    else:
+        ok = isinstance(v, str)
+    if not ok:
+        want = "a list of names" if many else "a name"
+        raise FormatError(f"{label} must be {want}, got {json.dumps(v)}")
+    return v
+
+
+def _entries(doc: dict, *path: str, many: bool = False):
+    """The entries of the table at ``doc[path[0]][path[1]]...``, each value
+    checked by ``_names`` under its key in the file's own syntax."""
+    table = doc
+    for depth, part in enumerate(path, 1):
+        table = table[part]
+        if not isinstance(table, dict):
+            raise FormatError(
+                f"{'.'.join(path[:depth])} must be an object, got {json.dumps(table)}"
+            )
+    # One pass over the value types in C; only a bad table is walked in
+    # Python, to name the entry.
+    if many or not set(map(type, table.values())) <= {str}:
+        label = ".".join(path)
+        for key, v in table.items():
+            _names(f'{label} entry "{key}"', v, many)
+    return table.items()
+
+
 def category_from_json(doc: dict) -> TabularCategory:
     try:
         hom = {}
-        for key, fs in doc["hom"].items():
+        for key, fs in _entries(doc, "hom", many=True):
             x, y = key.split(",")
-            hom[(x, y)] = list(fs)
+            hom[(x, y)] = fs
         compose = {}
-        for key, h in doc["compose"].items():
+        for key, h in _entries(doc, "compose"):
             f, g = key.split(";")
             compose[(f, g)] = h
         return TabularCategory(
             doc.get("name", "category"),
-            list(doc["objects"]),
+            _names("objects", doc["objects"], many=True),
             hom,
             compose,
-            dict(doc["id"]),
+            dict(_entries(doc, "id")),
         )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed category file: {exc}") from exc
@@ -153,26 +185,26 @@ def closed_from_json(doc: dict) -> ClosedStructure:
     cat = category_from_json(doc)
     try:
         hom2_obj = {}
-        for key, o in doc["hom2"]["obj"].items():
+        for key, o in _entries(doc, "hom2", "obj"):
             x, y = key.split(",")
             hom2_obj[(x, y)] = o
         hom2_mor = {}
-        for key, h in doc["hom2"]["mor"].items():
+        for key, h in _entries(doc, "hom2", "mor"):
             f, g = key.split(",")
             hom2_mor[(f, g)] = h
         L = {}
-        for key, h in doc["L"].items():
+        for key, h in _entries(doc, "L"):
             x, y, z = key.split(",")
             L[(x, y, z)] = h
         return tabular_closed(
             doc.get("name", "closed"),
             cat,
-            doc["unit"],
+            _names("unit", doc["unit"]),
             hom2_obj,
             hom2_mor,
-            dict(doc["i"]),
-            dict(doc["i_inv"]),
-            dict(doc["j"]),
+            dict(_entries(doc, "i")),
+            dict(_entries(doc, "i_inv")),
+            dict(_entries(doc, "j")),
             L,
         )
     except (KeyError, ValueError) as exc:
@@ -219,7 +251,7 @@ def multicat_to_json(
                 for fs in _it.product(*choices):
                     try:
                         out = m.compose(fs, g)
-                    except (ValueError, BudgetExceeded):
+                    except (ValueError, BudgetExceeded, FormatError):
                         continue  # outside this structure's tabulated horizon
                     if out in mname.names:
                         key = ",".join(mname(f) for f in fs) + "|" + mname(g)
@@ -255,36 +287,37 @@ def multicat_from_json(
 ) -> tuple[TabularMulticategory, ClosednessWitness | None, UnitWitness | None]:
     try:
         hom = {}
-        for key, fs in doc["hom"].items():
+        for key, fs in _entries(doc, "hom", many=True):
             left, y = key.split(";")
             xs = tuple(p for p in left.split(",") if p)
-            hom[(xs, y)] = list(fs)
+            hom[(xs, y)] = fs
         compose = {}
-        for key, h in doc["compose"].items():
+        for key, h in _entries(doc, "compose"):
             left, g = key.split("|")
             fs = tuple(p for p in left.split(",") if p)
             compose[(fs, g)] = h
         m = TabularMulticategory(
             doc.get("name", "multicategory"),
-            list(doc["objects"]),
+            _names("objects", doc["objects"], many=True),
             hom,
             compose,
-            dict(doc["id"]),
+            dict(_entries(doc, "id")),
         )
         witness = None
         if "hom_obj" in doc:
             hom_obj1 = {}
-            for key, o in doc["hom_obj"].items():
+            for key, o in _entries(doc, "hom_obj"):
                 x, z = key.split(";")
                 hom_obj1[(x, z)] = o
             ev1 = {}
-            for key, e in doc.get("ev", {}).items():
+            for key, e in _entries(doc, "ev") if "ev" in doc else ():
                 x, z = key.split(";")
                 ev1[(x, z)] = e
             witness = ClosednessWitness(m, hom_obj1, ev1)
         unit = None
         if "unit" in doc:
-            unit = UnitWitness(doc["unit"]["unit"], doc["unit"]["u"])
+            block = dict(_entries(doc, "unit"))
+            unit = UnitWitness(block["unit"], block["u"])
         return m, witness, unit
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed multicategory file: {exc}") from exc
@@ -330,18 +363,18 @@ def v_category_from_json(doc: dict, base) -> "object":
 
     try:
         hom_obj = {}
-        for key, o in doc["hom_obj"].items():
+        for key, o in _entries(doc, "hom_obj"):
             x, y = key.split(",")
             hom_obj[(x, y)] = o
         L = {}
-        for key, m in doc["L"].items():
+        for key, m in _entries(doc, "L"):
             x, y, z = key.split(",")
             L[(x, y, z)] = m
-        j = dict(doc["j"])
+        j = dict(_entries(doc, "j"))
         return VCategory(
             doc.get("name", "v-category"),
             base,
-            tuple(doc["objects"]),
+            tuple(_names("objects", doc["objects"], many=True)),
             lambda x, y: hom_obj[(x, y)],
             j.__getitem__,
             lambda x, y, z: L[(x, y, z)],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import Category, MorId, ObjId
-from .errors import BudgetExceeded, StrictnessError
+from .errors import BudgetExceeded, FormatError, StrictnessError
 from .report import Report
 
 Profile = tuple  # tuple[ObjId, ...]
@@ -118,7 +118,8 @@ class TabularMulticategory(Multicategory):
     def compose(self, fs, g):
         key = (tuple(fs), g)
         if key not in self._compose:
-            raise ValueError(f"composition not tabulated for {key!r}")
+            entry = ",".join(map(str, key[0])) + f"|{g}"
+            raise FormatError(f'{self.name}: compose table has no entry "{entry}"')
         return self._compose[key]
 
     def dom(self, f):

@@ -123,8 +123,11 @@ class SetMor:
         return self._map == other._map
 
     def __hash__(self):
+        # Hash exactly what __eq__ compares. HF hashes are cached at
+        # construction, so this never walks the nested tables; hf_key is
+        # reserved for ordering output.
         self._materialize()
-        return hash((obj_key(self.dom), obj_key(self.cod), hf.hf_key(self.table_value())))
+        return hash((self.dom, self.cod, frozenset(self._map.items())))
 
     def __str__(self):
         try:

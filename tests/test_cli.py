@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from closedcat.interchange import REPORT_SCHEMA
 
@@ -50,6 +51,48 @@ def test_parse_error_exits_two(tmp_path):
     assert "error" in out.stderr.lower()
     out2 = run_cli("check", "file:/does/not/exist.json")
     assert out2.returncode == 2
+
+
+def _edited_fixture(tmp_path, fixture, edit):
+    doc = json.loads((ROOT / "fixtures" / fixture).read_text())
+    edit(doc)
+    target = tmp_path / fixture
+    target.write_text(json.dumps(doc))
+    return target
+
+
+def _assert_one_error_line(out, entry):
+    assert out.returncode == 2, out.stdout + out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    assert f'"{entry}"' in lines[0]
+
+
+@pytest.mark.parametrize(
+    "fixture,entry",
+    [("broken-compose.json", "m0;m0"), ("z2mc-badcompose.json", "m0,m0,m0|m6")],
+)
+def test_missing_composite_exits_two_naming_the_entry(tmp_path, fixture, entry):
+    target = _edited_fixture(tmp_path, fixture, lambda doc: doc["compose"].pop(entry))
+    _assert_one_error_line(run_cli("check", f"file:{target}"), entry)
+
+
+def test_wrong_typed_table_value_exits_two_naming_the_key(tmp_path):
+    target = _edited_fixture(
+        tmp_path, "broken-compose.json", lambda doc: doc["hom"].update({"o0,o1": 5})
+    )
+    _assert_one_error_line(run_cli("check", f"file:{target}"), "o0,o1")
+
+
+def test_explicit_arity_cap_overrides_the_instance_cap():
+    # freemon3 declares cap 1; an explicit --arity-cap 3 must still apply
+    out = run_cli("check", "--suite", "axioms", "instance:freemon3")
+    assert out.returncode == 0, out.stdout
+    out3 = run_cli(
+        "check", "--suite", "axioms", "--arity-cap", "3", "instance:freemon3"
+    )
+    assert out3.returncode == 1
+    assert "freemon3/mc/error" in out3.stdout
 
 
 def test_unknown_instance_exits_two():

@@ -2,6 +2,8 @@
 abstract structure, and every registry instance serializes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +117,43 @@ def test_every_registry_instance_serializes_and_roundtrips():
             doc = roundtrip_doc(interchange.multicat_to_json(m, caps, w, uw))
             m2, w2, uw2 = interchange.multicat_from_json(doc)
             assert roundtrip_doc(interchange.multicat_to_json(m2, caps, w2, uw2)) == doc, name
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+@pytest.mark.parametrize(
+    "fixture,parse,edit,named",
+    [
+        (
+            "broken-compose.json",
+            interchange.category_from_json,
+            lambda d: d["hom"].update({"o0,o1": 5}),
+            'hom entry "o0,o1"',
+        ),
+        (
+            "broken-j.json",
+            interchange.closed_from_json,
+            lambda d: d["hom2"]["obj"].update({"o0,o0": ["o0"]}),
+            'hom2.obj entry "o0,o0"',
+        ),
+        (
+            "broken-j.json",
+            interchange.closed_from_json,
+            lambda d: d.update(unit=0),
+            "unit must be a name",
+        ),
+        (
+            "z2mc-badcompose.json",
+            interchange.multicat_from_json,
+            lambda d: d["compose"].update({"m0,m0,m0|m6": None}),
+            'compose entry "m0,m0,m0|m6"',
+        ),
+    ],
+    ids=["category-hom", "closed-hom2", "closed-unit", "multicat-compose"],
+)
+def test_wrong_typed_values_name_their_entry(fixture, parse, edit, named):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    edit(doc)
+    with pytest.raises(FormatError, match=re.escape(named)):
+        parse(doc)

@@ -135,3 +135,39 @@ def test_finset1_degenerates_to_terminal():
         cat.identity(unit),
     )
     assert check_cf_axioms(embed).ok
+
+
+def _forbid_hf_key(monkeypatch):
+    """From here on the canonical sort key raises: hashing must not use it."""
+
+    def refuse(v):
+        raise AssertionError("hf_key called")
+
+    monkeypatch.setattr(hf, "hf_key", refuse)
+
+
+def test_rule_backed_and_table_backed_copies_hash_equal(sets2, monkeypatch):
+    # L sends g to a table of tables (rule-backed), i sends a point to a
+    # one-entry table (table-backed); each gets an equal table-backed copy.
+    # Materializing walks the domain in sorted order, so it happens before
+    # hf_key is forbidden.
+    x = hf.fset([A0, A1])
+    pairs = [
+        (f, SetMor.from_table(f.dom, f.cod, f.mapping()))
+        for f in (sets2.L(x, x, x), sets2.i(x))
+    ]
+    _forbid_hf_key(monkeypatch)
+    for f, copy in pairs:
+        assert f is not copy and f == copy
+        assert hash(f) == hash(copy)
+        assert len({f, copy}) == 1
+
+
+def test_equal_tables_with_other_codomain_are_distinct(monkeypatch):
+    one = hf.fset([A0])
+    f = SetMor.from_table(one, one, {A0: A0})
+    g = SetMor.from_table(one, hf.fset([A0, A1]), {A0: A0})
+    _forbid_hf_key(monkeypatch)
+    assert f.mapping() == g.mapping()
+    assert f != g
+    assert len({f, g}) == 2
