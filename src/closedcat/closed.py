@@ -30,7 +30,7 @@ from .core import (
     check_natural,
     guard_objects,
 )
-from .errors import BudgetExceeded, NotBijective
+from .errors import BudgetExceeded, FormatError, NotBijective
 from .report import Report
 
 
@@ -77,17 +77,33 @@ def tabular_closed(
     j: dict,
     L: dict,
 ) -> ClosedStructure:
+    hom2_obj = _Table(name, "hom2.obj", hom2_obj)
+    hom2_mor = _Table(name, "hom2.mor", hom2_mor)
+    L = _Table(name, "L", L)
     return ClosedStructure(
         name,
         cat,
         unit,
         lambda x, y: hom2_obj[(x, y)],
         lambda f, g: hom2_mor[(f, g)],
-        i.__getitem__,
-        i_inv.__getitem__,
-        j.__getitem__,
+        _Table(name, "i", i).__getitem__,
+        _Table(name, "i_inv", i_inv).__getitem__,
+        _Table(name, "j", j).__getitem__,
         lambda x, y, z: L[(x, y, z)],
     )
+
+
+class _Table(dict):
+    """A structure table whose missing entries raise a FormatError naming
+    them in the file's own key syntax, when a check first needs them."""
+
+    def __init__(self, name: str, label: str, entries: dict):
+        super().__init__(entries)
+        self.name, self.label = name, label
+
+    def __missing__(self, key):
+        entry = ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+        raise FormatError(f'{self.name}: {self.label} table has no entry "{entry}"')
 
 
 def gamma(cs: ClosedStructure, f: MorId) -> MorId:

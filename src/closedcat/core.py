@@ -95,6 +95,16 @@ class Category:
                     yield f
 
 
+def require_declared_identities(name: str, identity: dict, declared) -> None:
+    """Every identity names a morphism of some hom-set; otherwise raise a
+    FormatError naming the entry of the id table."""
+    for x, f in identity.items():
+        if f not in declared:
+            raise FormatError(
+                f'{name}: id entry "{x}" names undeclared morphism "{f}"'
+            )
+
+
 class TabularCategory(Category):
     """Category given by explicit finite tables."""
 
@@ -117,6 +127,7 @@ class TabularCategory(Category):
                 if f in self._ends:
                     raise ValueError(f"morphism id {f!r} used in two hom-sets")
                 self._ends[f] = (x, y)
+        require_declared_identities(name, self._identity, self._ends)
 
     def objects(self):
         return self._objects

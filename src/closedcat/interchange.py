@@ -103,21 +103,27 @@ def _entries(doc: dict, *path: str, many: bool = False):
     return table.items()
 
 
+def _keyed(doc: dict, *path: str, sep: str, parts: int, many: bool = False):
+    """The entries of a table whose keys join ``parts`` names with ``sep``,
+    as (tuple of key parts, value); a key with another number of parts
+    raises a FormatError naming it."""
+    for key, v in _entries(doc, *path, many=many):
+        split = tuple(key.split(sep))
+        if len(split) != parts:
+            raise FormatError(
+                f'{".".join(path)} key "{key}" must have {parts} parts '
+                f'separated by "{sep}"'
+            )
+        yield split, v
+
+
 def category_from_json(doc: dict) -> TabularCategory:
     try:
-        hom = {}
-        for key, fs in _entries(doc, "hom", many=True):
-            x, y = key.split(",")
-            hom[(x, y)] = fs
-        compose = {}
-        for key, h in _entries(doc, "compose"):
-            f, g = key.split(";")
-            compose[(f, g)] = h
         return TabularCategory(
             doc.get("name", "category"),
             _names("objects", doc["objects"], many=True),
-            hom,
-            compose,
+            dict(_keyed(doc, "hom", sep=",", parts=2, many=True)),
+            dict(_keyed(doc, "compose", sep=";", parts=2)),
             dict(_entries(doc, "id")),
         )
     except (KeyError, ValueError) as exc:
@@ -184,28 +190,16 @@ def closed_from_json(doc: dict) -> ClosedStructure:
         return info.build()
     cat = category_from_json(doc)
     try:
-        hom2_obj = {}
-        for key, o in _entries(doc, "hom2", "obj"):
-            x, y = key.split(",")
-            hom2_obj[(x, y)] = o
-        hom2_mor = {}
-        for key, h in _entries(doc, "hom2", "mor"):
-            f, g = key.split(",")
-            hom2_mor[(f, g)] = h
-        L = {}
-        for key, h in _entries(doc, "L"):
-            x, y, z = key.split(",")
-            L[(x, y, z)] = h
         return tabular_closed(
             doc.get("name", "closed"),
             cat,
             _names("unit", doc["unit"]),
-            hom2_obj,
-            hom2_mor,
+            dict(_keyed(doc, "hom2", "obj", sep=",", parts=2)),
+            dict(_keyed(doc, "hom2", "mor", sep=",", parts=2)),
             dict(_entries(doc, "i")),
             dict(_entries(doc, "i_inv")),
             dict(_entries(doc, "j")),
-            L,
+            dict(_keyed(doc, "L", sep=",", parts=3)),
         )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed closed-category file: {exc}") from exc
@@ -287,15 +281,11 @@ def multicat_from_json(
 ) -> tuple[TabularMulticategory, ClosednessWitness | None, UnitWitness | None]:
     try:
         hom = {}
-        for key, fs in _entries(doc, "hom", many=True):
-            left, y = key.split(";")
-            xs = tuple(p for p in left.split(",") if p)
-            hom[(xs, y)] = fs
+        for (left, y), fs in _keyed(doc, "hom", sep=";", parts=2, many=True):
+            hom[(tuple(p for p in left.split(",") if p), y)] = fs
         compose = {}
-        for key, h in _entries(doc, "compose"):
-            left, g = key.split("|")
-            fs = tuple(p for p in left.split(",") if p)
-            compose[(fs, g)] = h
+        for (left, g), h in _keyed(doc, "compose", sep="|", parts=2):
+            compose[(tuple(p for p in left.split(",") if p), g)] = h
         m = TabularMulticategory(
             doc.get("name", "multicategory"),
             _names("objects", doc["objects"], many=True),
@@ -305,14 +295,8 @@ def multicat_from_json(
         )
         witness = None
         if "hom_obj" in doc:
-            hom_obj1 = {}
-            for key, o in _entries(doc, "hom_obj"):
-                x, z = key.split(";")
-                hom_obj1[(x, z)] = o
-            ev1 = {}
-            for key, e in _entries(doc, "ev") if "ev" in doc else ():
-                x, z = key.split(";")
-                ev1[(x, z)] = e
+            hom_obj1 = dict(_keyed(doc, "hom_obj", sep=";", parts=2))
+            ev1 = dict(_keyed(doc, "ev", sep=";", parts=2)) if "ev" in doc else {}
             witness = ClosednessWitness(m, hom_obj1, ev1)
         unit = None
         if "unit" in doc:
@@ -362,14 +346,8 @@ def v_category_from_json(doc: dict, base) -> "object":
     from .enriched import VCategory
 
     try:
-        hom_obj = {}
-        for key, o in _entries(doc, "hom_obj"):
-            x, y = key.split(",")
-            hom_obj[(x, y)] = o
-        L = {}
-        for key, m in _entries(doc, "L"):
-            x, y, z = key.split(",")
-            L[(x, y, z)] = m
+        hom_obj = dict(_keyed(doc, "hom_obj", sep=",", parts=2))
+        L = dict(_keyed(doc, "L", sep=",", parts=3))
         j = dict(_entries(doc, "j"))
         return VCategory(
             doc.get("name", "v-category"),

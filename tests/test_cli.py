@@ -84,6 +84,58 @@ def test_wrong_typed_table_value_exits_two_naming_the_key(tmp_path):
     _assert_one_error_line(run_cli("check", f"file:{target}"), "o0,o1")
 
 
+@pytest.mark.parametrize(
+    "table,entry",
+    [
+        ("L", "o0,o0,o0"),
+        ("i", "o0"),
+        ("i_inv", "o0"),
+        ("j", "o0"),
+        ("hom2.mor", "m0,m0"),
+    ],
+)
+def test_missing_closed_entry_exits_two_naming_the_entry(tmp_path, table, entry):
+    def edit(doc):
+        *outer, last = table.split(".")
+        for part in outer:
+            doc = doc[part]
+        doc[last].pop(entry)
+
+    out = run_cli("check", f"file:{_edited_fixture(tmp_path, 'broken-j.json', edit)}")
+    _assert_one_error_line(out, entry)
+    assert f"{table} table has no entry" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "fixture,table,key,bad_key",
+    [
+        ("broken-compose.json", "hom", "o0,o0", "o0"),
+        ("broken-compose.json", "compose", "m0;m0", "m0;m0;m0"),
+        ("broken-j.json", "L", "o0,o0,o0", "o0,o0"),
+        ("z2mc-badcompose.json", "compose", "m0,m0,m0|m6", "m0,m0,m0"),
+    ],
+)
+def test_key_with_wrong_number_of_parts_exits_two_naming_it(
+    tmp_path, fixture, table, key, bad_key
+):
+    def edit(doc):
+        doc[table][bad_key] = doc[table].pop(key)
+
+    out = run_cli("check", f"file:{_edited_fixture(tmp_path, fixture, edit)}")
+    _assert_one_error_line(out, bad_key)
+    assert f'{table} key "{bad_key}"' in out.stderr
+
+
+@pytest.mark.parametrize("fixture", ["broken-compose.json", "z2mc-badcompose.json"])
+def test_undeclared_identity_exits_two_naming_the_entry(tmp_path, fixture):
+    target = _edited_fixture(
+        tmp_path, fixture, lambda doc: doc["id"].update({"o0": "m9"})
+    )
+    out = run_cli("check", f"file:{target}")
+    _assert_one_error_line(out, "o0")
+    assert '"m9"' in out.stderr
+
+
 def test_explicit_arity_cap_overrides_the_instance_cap():
     # freemon3 declares cap 1; an explicit --arity-cap 3 must still apply
     out = run_cli("check", "--suite", "axioms", "instance:freemon3")

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from closedcat import instances
+from closedcat import instances, multicat
 from closedcat.core import TabularCategory
 from closedcat.errors import BudgetExceeded, StrictnessError
 from closedcat.multicat import (
@@ -14,6 +14,7 @@ from closedcat.multicat import (
     MultiFunctor,
     MultiNat,
     StrictMonoidalCategory,
+    TabularMulticategory,
     check_multicategory_axioms,
     check_multifunctor,
     check_multinat,
@@ -186,19 +187,87 @@ def test_heyting2mc_axioms():
         assert len(m.hom(xs, y)) == expect
 
 
-def test_monoidal_construction_reflects_broken_axioms():
-    # a corrupted base category yields a multicategory that fails its own
-    # axiom suite at matching loci (the construction does not repair)
+def _broken_derived():
     from closedcat.multicat import MonoidalMulticategory
 
     base = instances.build_broken_compose()
     smc = StrictMonoidalCategory(
         base, lambda x, y: "g", lambda a, b: base.compose(a, b), "g"
     )
-    m = MonoidalMulticategory(smc, "broken-derived")
-    rep = check_multicategory_axioms(m, ArityCaps(2))
+    return MonoidalMulticategory(smc, "broken-derived")
+
+
+def test_monoidal_construction_reflects_broken_axioms():
+    # a corrupted base category yields a multicategory that fails its own
+    # axiom suite at matching loci (the construction does not repair)
+    rep = check_multicategory_axioms(_broken_derived(), ArityCaps(2))
     assert not rep.ok
     assert "mc/assoc" in {it.check for it in rep.failures()}
+
+
+def _assert_gate_matches_walk(m, caps):
+    """The report of check_multicategory_axioms equals the one whose
+    mc/assoc comes from the exhaustive walk alone."""
+    gated = check_multicategory_axioms(m, caps).render_text()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multicat, "_assoc_holds", lambda m, caps: False)
+        walked = check_multicategory_axioms(m, caps).render_text()
+    assert gated == walked
+
+
+MULTICATS = sorted(n for n, i in instances.REGISTRY.items() if i.kind == "multicat")
+
+
+@pytest.mark.parametrize("name", MULTICATS)
+def test_assoc_gate_matches_walk_on_registry(name):
+    info = instances.get(name)
+    caps = ArityCaps(2) if name.startswith("truncadd") else info.caps
+    _assert_gate_matches_walk(info.build()[0], caps)
+
+
+def test_assoc_gate_matches_walk_on_broken_derived():
+    _assert_gate_matches_walk(_broken_derived(), ArityCaps(2))
+
+
+def _single_entry_corruptions(tab: TabularMulticategory, keys):
+    """Every table that differs from tab in one composite of keys, set to
+    another morphism of the same hom-set."""
+    for key in keys:
+        out = tab._compose[key]
+        for alt in tab._hom[tab._sig[out]]:
+            if alt != out:
+                yield TabularMulticategory(
+                    f"{tab.name}[{key}:={alt}]",
+                    tab.objects(),
+                    tab._hom,
+                    {**tab._compose, key: alt},
+                    tab._identity,
+                )
+
+
+@pytest.mark.parametrize("name,count", [("z2", 62), ("truncadd-badev", 384)])
+def test_assoc_gate_matches_walk_on_corruptions(name, count):
+    caps = ArityCaps(2)
+    tab = tabularize_multicat(instances.get(name).build()[0], caps)
+    mutants = list(_single_entry_corruptions(tab, tab._compose))
+    assert len(mutants) == count
+    for mutant in mutants:
+        _assert_gate_matches_walk(mutant, caps)
+
+
+def test_assoc_gate_matches_walk_on_three_entry_corruptions():
+    # Below cap 3 no composite has three non-identity inputs, and the
+    # one-slot triples see every composite of two; a corrupted composite
+    # of three is seen only by the decomposition into one-slot composites.
+    caps = ArityCaps(3)
+    tab = tabularize_multicat(instances.get("z2").build()[0], caps)
+    (unit,) = tab._identity.values()
+    (gen,) = (f for f in tab.hom(("g",), "g") if f != unit)
+    keys = [k for k in tab._compose if k[0] == (gen, gen, gen)]
+    mutants = list(_single_entry_corruptions(tab, keys))
+    assert len(mutants) == 2
+    for mutant in mutants:
+        _assert_gate_matches_walk(mutant, caps)
 
 
 MONOID_TABLES = {
