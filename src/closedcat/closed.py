@@ -13,7 +13,7 @@ the instance's decidable morphism equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from . import hf
@@ -28,7 +28,9 @@ from .core import (
     TabularCategory,
     check_functor,
     check_natural,
+    entry_name,
     guard_objects,
+    require_declared,
 )
 from .errors import BudgetExceeded, FormatError, NotBijective
 from .report import Report
@@ -57,6 +59,11 @@ class ClosedStructure:
     # compose transported morphisms between nested hom objects, where the
     # search space is not enumerable.  Every use is verified against gamma.
     gamma_inv: Callable[[MorId, ObjId, ObjId], MorId] | None = None
+    # The tables of gamma_inverse, one per hom-set (X, Y), built on first
+    # use and freed with the structure.
+    ginv_tables: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     # und(1_X, g) and und(f, 1_Y): the one-sided hom actions.
     def cov(self, x: ObjId, g: MorId) -> MorId:
@@ -77,6 +84,10 @@ def tabular_closed(
     j: dict,
     L: dict,
 ) -> ClosedStructure:
+    declared = set(cat.all_morphisms())
+    tables = {"hom2.mor": hom2_mor, "i": i, "i_inv": i_inv, "j": j, "L": L}
+    for label, table in tables.items():
+        require_declared(name, label, table, declared)
     hom2_obj = _Table(name, "hom2.obj", hom2_obj)
     hom2_mor = _Table(name, "hom2.mor", hom2_mor)
     L = _Table(name, "L", L)
@@ -102,8 +113,9 @@ class _Table(dict):
         self.name, self.label = name, label
 
     def __missing__(self, key):
-        entry = ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
-        raise FormatError(f'{self.name}: {self.label} table has no entry "{entry}"')
+        raise FormatError(
+            f'{self.name}: {self.label} table has no entry "{entry_name(key)}"'
+        )
 
 
 def gamma(cs: ClosedStructure, f: MorId) -> MorId:
@@ -113,20 +125,13 @@ def gamma(cs: ClosedStructure, f: MorId) -> MorId:
     return cs.cat.compose(cs.j(x), cs.cov(x, f))
 
 
-# Inverse-of-gamma tables, built once per hom-set.  Keyed by structure
-# identity (structures are immutable); the structure itself is kept in the
-# value so the id stays valid.
-_GINV_TABLES: dict = {}
-
-
 def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
     """The unique f in hom(X,Y) with gamma(f) = g, by exhaustive search.
 
     Raises NotBijective when zero or several preimages exist, which
     signals that the structure violates CC5.
     """
-    key = (id(cs), x, y)
-    entry = _GINV_TABLES.get(key)
+    entry = cs.ginv_tables.get((x, y))
     if entry is None:
         table: dict = {}
         collisions = set()
@@ -135,9 +140,8 @@ def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
             if img in table:
                 collisions.add(img)
             table[img] = f
-        entry = (cs, table, collisions)
-        _GINV_TABLES[key] = entry
-    _, table, collisions = entry
+        entry = cs.ginv_tables[(x, y)] = (table, collisions)
+    table, collisions = entry
     if g in collisions or g not in table:
         found = 0 if g not in table else 2
         raise NotBijective(

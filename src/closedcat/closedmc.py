@@ -25,8 +25,8 @@ from .multicat import (
     MultiNat,
     Profile,
     _flat,
+    _composables,
     _guard_hom,
-    _inner_profiles,
 )
 from .report import Report
 
@@ -301,19 +301,10 @@ def verify_internal_lemmas(
     m = w.m
     objs = sorted(m.objects(), key=m.obj_key)
 
-    def composableses():
-        # (fs, g) pairs with total arity within caps
-        for ys, z in m.signatures(caps):
-            if not ys:
-                continue
-            for g in m.hom(ys, z):
-                for doms in _inner_profiles(m, ys, caps.max_arity):
-                    choices = [m.hom(doms[i], ys[i]) for i in range(len(ys))]
-                    for fs in itertools.product(*choices):
-                        yield fs, g
-
     bad_a, bad_b, bad_c, bad_d = [], [], [], []
-    for fs, g in composableses():
+    for g, doms, fs in _composables(m, caps):
+        if not doms:
+            continue  # nullary g: nothing to curry
         z = m.cod(g)
         ys = m.dom(g)
         whole = m.compose(fs, g)

@@ -95,14 +95,37 @@ class Category:
                     yield f
 
 
-def require_declared_identities(name: str, identity: dict, declared) -> None:
-    """Every identity names a morphism of some hom-set; otherwise raise a
-    FormatError naming the entry of the id table."""
-    for x, f in identity.items():
+def entry_name(key) -> str:
+    """A table key in the file's syntax: tuple parts joined by ","."""
+    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
+def require_declared(
+    name: str, label: str, table: dict, declared, show=entry_name
+) -> None:
+    """Every value of ``table`` names a declared morphism; otherwise raise
+    a FormatError naming the entry that holds the first undeclared value,
+    its key written by ``show``.  A table that passes costs one
+    membership pass over its values."""
+    if all(map(declared.__contains__, table.values())):
+        return
+    for key, f in table.items():
         if f not in declared:
             raise FormatError(
-                f'{name}: id entry "{x}" names undeclared morphism "{f}"'
+                f'{name}: {label} entry "{show(key)}" names undeclared morphism "{f}"'
             )
+
+
+def require_declared_identities(
+    name: str, objects, identity: dict, declared
+) -> None:
+    """Every object has an id entry and every identity names a morphism
+    of some hom-set; otherwise raise a FormatError naming the object or
+    the entry of the id table."""
+    for x in objects:
+        if x not in identity:
+            raise FormatError(f'{name}: id table has no entry "{x}"')
+    require_declared(name, "id", identity, declared)
 
 
 class TabularCategory(Category):
@@ -127,7 +150,12 @@ class TabularCategory(Category):
                 if f in self._ends:
                     raise ValueError(f"morphism id {f!r} used in two hom-sets")
                 self._ends[f] = (x, y)
-        require_declared_identities(name, self._identity, self._ends)
+        require_declared(
+            name, "compose", self._compose, self._ends, lambda k: f"{k[0]};{k[1]}"
+        )
+        require_declared_identities(
+            name, self._objects, self._identity, self._ends
+        )
 
     def objects(self):
         return self._objects

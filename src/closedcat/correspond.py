@@ -501,7 +501,7 @@ class RepresentingMulticat(Multicategory):
         self._functors: dict[Profile, VFunctor] = {}
         self._hom: dict[tuple[Profile, ObjId], tuple[RepresentingMorphism, ...]] = {}
         self._index: dict[tuple[Profile, ObjId, tuple], RepresentingMorphism] = {}
-        self._compose_memo: dict = {}
+        self._whiskered: dict[tuple[Profile, MorId], MorId] = {}
         for xs in self.profiles(caps.max_arity):
             for y in objs:
                 self._enumerate(xs, y)
@@ -562,37 +562,37 @@ class RepresentingMulticat(Multicategory):
         comps = {a: w.cat.identity(w.hom2_obj(x, a)) for a in self._objs}
         return self._lookup((x,), x, comps)
 
+    def whisker(self, xs: Profile, alpha: MorId) -> MorId:
+        """The composite left hom functor at xs applied to alpha, memoized
+        per structure: composites revisit few (xs, alpha) pairs."""
+        key = (xs, alpha)
+        if key not in self._whiskered:
+            self._whiskered[key] = self.functor_of(xs).mor_action(alpha)
+        return self._whiskered[key]
+
     def compose(self, fs, g: RepresentingMorphism):
-        key = (tuple(fs), g)
-        if key in self._compose_memo:
-            return self._compose_memo[key]
         if tuple(f.cod for f in fs) != g.dom:
             raise ValueError("profile mismatch")
-        w = self.base
-        wcat = w.cat
+        wcat = self.base.cat
         # Tensor the inner families left to right, then compose vertically
         # after g.
         acc_profile: Profile = ()
         acc_target: Profile = ()
         acc_comps = {a: wcat.identity(a) for a in self._objs}
         for f in fs:
-            t_prime = self.functor_of(f.dom)
             s = self.functor_of(acc_profile)
-            new = {}
-            for a in self._objs:
-                beta = dict(f.components)[s.obj_map(a)]
-                alpha = acc_comps[a]
-                new[a] = wcat.compose(beta, t_prime.mor_action(alpha))
-            acc_comps = new
+            beta = dict(f.components)
+            acc_comps = {
+                a: wcat.compose(
+                    beta[s.obj_map(a)], self.whisker(f.dom, acc_comps[a])
+                )
+                for a in self._objs
+            }
             acc_profile = acc_profile + (f.cod,)
             acc_target = acc_target + f.dom
-        comps = {
-            a: wcat.compose(dict(g.components)[a], acc_comps[a])
-            for a in self._objs
-        }
-        out = self._lookup(acc_target, g.cod, comps)
-        self._compose_memo[key] = out
-        return out
+        top = dict(g.components)
+        comps = {a: wcat.compose(top[a], acc_comps[a]) for a in self._objs}
+        return self._lookup(acc_target, g.cod, comps)
 
     def dom(self, f: RepresentingMorphism):
         return f.dom

@@ -22,8 +22,14 @@ import json
 from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
 from .core import Category, DEFAULT_BUDGET, SizeBudget, TabularCategory, guard_objects
-from .errors import FormatError
-from .multicat import ArityCaps, DEFAULT_CAPS, Multicategory, TabularMulticategory
+from .errors import BudgetExceeded, FormatError
+from .multicat import (
+    ArityCaps,
+    DEFAULT_CAPS,
+    Multicategory,
+    TabularMulticategory,
+    _composables,
+)
 
 
 class _Namer:
@@ -216,40 +222,30 @@ def multicat_to_json(
     objs = sorted(m.objects(), key=m.obj_key)
     for x in objs:
         oname(x)
-    from .errors import BudgetExceeded as _BE
+
+    def hom_within(xs, y):
+        try:
+            return m.hom(xs, y)
+        except BudgetExceeded:
+            return ()  # signature outside this structure's horizon
 
     hom = {}
-    sigs = []
     for xs, y in m.signatures(caps):
-        try:
-            fs = sorted(m.hom(xs, y), key=m.mor_key)
-        except _BE:
-            continue  # signature outside this structure's horizon
-        sigs.append((xs, y))
+        fs = sorted(hom_within(xs, y), key=m.mor_key)
         if not fs:
             continue  # empty hom-sets stay implicit
         key = ",".join(oname(x) for x in xs) + ";" + oname(y)
         hom[key] = [mname(f) for f in fs]
     compose = {}
-    from .errors import BudgetExceeded
-    from .multicat import _inner_profiles
-    import itertools as _it
-
-    for ys, z in sigs:
-        for g in m.hom(ys, z):
-            for doms in _inner_profiles(m, ys, caps.max_arity):
-                try:
-                    choices = [m.hom(doms[i], ys[i]) for i in range(len(ys))]
-                except BudgetExceeded:
-                    continue
-                for fs in _it.product(*choices):
-                    try:
-                        out = m.compose(fs, g)
-                    except (ValueError, BudgetExceeded, FormatError):
-                        continue  # outside this structure's tabulated horizon
-                    if out in mname.names:
-                        key = ",".join(mname(f) for f in fs) + "|" + mname(g)
-                        compose[key] = mname(out)
+    names = mname.names
+    for g, _, fs in _composables(m, caps, hom_within):
+        try:
+            out = m.compose(fs, g)
+        except (ValueError, BudgetExceeded, FormatError):
+            continue  # outside this structure's tabulated horizon
+        if out in names:
+            key = ",".join(map(names.__getitem__, fs)) + "|" + names[g]
+            compose[key] = names[out]
     doc = {
         "kind": "multicategory",
         "name": m.name,

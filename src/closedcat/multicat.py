@@ -15,7 +15,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Category, MorId, ObjId, require_declared_identities
+from .core import (
+    Category,
+    MorId,
+    ObjId,
+    require_declared,
+    require_declared_identities,
+)
 from .errors import BudgetExceeded, FormatError, KernelError, StrictnessError
 from .report import Report
 
@@ -85,6 +91,12 @@ class Multicategory:
         return tuple(self.identity(x) for x in xs)
 
 
+def _compose_entry(key) -> str:
+    """A composite's key (fs, g) in the file's syntax "f1,f2|g"."""
+    fs, g = key
+    return ",".join(map(str, fs)) + f"|{g}"
+
+
 class TabularMulticategory(Multicategory):
     def __init__(
         self,
@@ -105,7 +117,10 @@ class TabularMulticategory(Multicategory):
                 if f in self._sig:
                     raise ValueError(f"morphism id {f!r} used in two hom-sets")
                 self._sig[f] = (xs, y)
-        require_declared_identities(name, self._identity, self._sig)
+        require_declared(name, "compose", self._compose, self._sig, _compose_entry)
+        require_declared_identities(
+            name, self._objects, self._identity, self._sig
+        )
 
     def objects(self):
         return self._objects
@@ -119,8 +134,9 @@ class TabularMulticategory(Multicategory):
     def compose(self, fs, g):
         key = (tuple(fs), g)
         if key not in self._compose:
-            entry = ",".join(map(str, key[0])) + f"|{g}"
-            raise FormatError(f'{self.name}: compose table has no entry "{entry}"')
+            raise FormatError(
+                f'{self.name}: compose table has no entry "{_compose_entry(key)}"'
+            )
         return self._compose[key]
 
     def dom(self, f):
@@ -353,6 +369,45 @@ def _inner_profiles(m: Multicategory, ys: Profile, cap: int):
             yield (p,) + tail
 
 
+def _composables(m: Multicategory, caps: ArityCaps, hom=None):
+    """Every composable (g, doms, fs) within caps, in canonical order:
+    signatures (ys, z), then g in hom(ys, z), then the domain tuples doms
+    of ``_inner_profiles(m, ys, caps.max_arity)``, then fs in the product
+    of the hom-sets hom(doms[i], ys[i]).
+
+    ``hom`` (default ``m.hom``) is called once per signature.  A domain
+    tuple is dropped at its first slot with an empty hom-set; such a tuple
+    has no fs, so the sequence is that of the plain nest."""
+    sigs = list(m.signatures(caps))
+    homs = dict(zip(sigs, itertools.starmap(hom or m.hom, sigs)))
+    profiles = list(m.profiles(caps.max_arity))  # in increasing length
+
+    def slots(ys, room):
+        """(doms, hom-sets) for the inputs ys, total arity within room."""
+        if not ys:
+            yield (), ()
+            return
+        for d in profiles:
+            if len(d) > room:
+                break
+            fs = homs[(d, ys[0])]
+            if fs:
+                for doms, choices in slots(ys[1:], room - len(d)):
+                    yield (d,) + doms, (fs,) + choices
+
+    by_inputs: dict = {}
+    for ys, z in sigs:
+        gs = homs[(ys, z)]
+        if not gs:
+            continue
+        if ys not in by_inputs:
+            by_inputs[ys] = list(slots(ys, caps.max_arity))
+        for g in gs:
+            for doms, choices in by_inputs[ys]:
+                for fs in itertools.product(*choices):
+                    yield g, doms, fs
+
+
 def check_multicategory_axioms(
     m: Multicategory, caps: ArityCaps = DEFAULT_CAPS
 ) -> Report:
@@ -399,39 +454,30 @@ def _assoc_loci(m: Multicategory, caps: ArityCaps) -> list[str]:
     """Exhaustive two-level associativity: every (g, fs, hs) within caps,
     one locus per failing triple, in canonical order."""
     bad = []
-    for ys, z in m.signatures(caps):
-        for g in _guard_hom(m, ys, z, caps):
-            for doms in _inner_profiles(m, ys, caps.max_arity):
-                fs_choices = [
-                    _guard_hom(m, doms[i], ys[i], caps) for i in range(len(ys))
-                ]
-                for fs in itertools.product(*fs_choices):
-                    mid = m.compose(fs, g)
-                    flat_xs = tuple(x for d in doms for x in d)
-                    for inner_doms in _inner_profiles(
-                        m, flat_xs, caps.max_arity
-                    ):
-                        hs_choices = [
-                            _guard_hom(m, inner_doms[i], flat_xs[i], caps)
-                            for i in range(len(flat_xs))
-                        ]
-                        for hs in itertools.product(*hs_choices):
-                            lhs = m.compose(hs, mid)
-                            split = []
-                            k = 0
-                            for d in doms:
-                                split.append(hs[k : k + len(d)])
-                                k += len(d)
-                            inner = tuple(
-                                m.compose(split[i], fs[i])
-                                for i in range(len(fs))
-                            )
-                            rhs = m.compose(inner, g)
-                            if lhs != rhs:
-                                bad.append(
-                                    f"g={m.show_mor(g)} fs="
-                                    + ",".join(map(m.show_mor, fs))
-                                )
+    guarded = lambda xs, y: _guard_hom(m, xs, y, caps)  # noqa: E731
+    for g, doms, fs in _composables(m, caps, guarded):
+        mid = m.compose(fs, g)
+        flat_xs = tuple(x for d in doms for x in d)
+        for inner_doms in _inner_profiles(m, flat_xs, caps.max_arity):
+            hs_choices = [
+                _guard_hom(m, inner_doms[i], flat_xs[i], caps)
+                for i in range(len(flat_xs))
+            ]
+            for hs in itertools.product(*hs_choices):
+                lhs = m.compose(hs, mid)
+                split = []
+                k = 0
+                for d in doms:
+                    split.append(hs[k : k + len(d)])
+                    k += len(d)
+                inner = tuple(
+                    m.compose(split[i], fs[i]) for i in range(len(fs))
+                )
+                rhs = m.compose(inner, g)
+                if lhs != rhs:
+                    bad.append(
+                        f"g={m.show_mor(g)} fs=" + ",".join(map(m.show_mor, fs))
+                    )
     return bad
 
 
@@ -558,23 +604,14 @@ def check_multifunctor(
     _flat(rep, "mf/identity", "F(1)=1", bad)
 
     bad = []
-    for ys, z in src.signatures(caps):
-        for g in _guard_hom(src, ys, z, caps):
-            for doms in _inner_profiles(src, ys, caps.max_arity):
-                fs_choices = [
-                    _guard_hom(src, doms[i], ys[i], caps)
-                    for i in range(len(ys))
-                ]
-                for fs in itertools.product(*fs_choices):
-                    lhs = F.mor_map(src.compose(fs, g))
-                    rhs = tgt.compose(
-                        tuple(F.mor_map(f) for f in fs), F.mor_map(g)
-                    )
-                    if lhs != rhs:
-                        bad.append(
-                            f"g={src.show_mor(g)} fs="
-                            + ",".join(map(src.show_mor, fs))
-                        )
+    guarded = lambda xs, y: _guard_hom(src, xs, y, caps)  # noqa: E731
+    for g, _, fs in _composables(src, caps, guarded):
+        lhs = F.mor_map(src.compose(fs, g))
+        rhs = tgt.compose(tuple(F.mor_map(f) for f in fs), F.mor_map(g))
+        if lhs != rhs:
+            bad.append(
+                f"g={src.show_mor(g)} fs=" + ",".join(map(src.show_mor, fs))
+            )
     _flat(rep, "mf/compose", "F((fs).g)=(F(fs)).F(g)", bad)
     return rep
 
@@ -611,14 +648,10 @@ def tabularize_multicat(
             names[f] = f"m{len(names)}"
             hom[(xs, y)].append(names[f])
     compose: dict[tuple[tuple, str], str] = {}
-    for ys, z in m.signatures(caps):
-        for g in m.hom(ys, z):
-            for doms in _inner_profiles(m, ys, caps.max_arity):
-                fs_choices = [m.hom(doms[i], ys[i]) for i in range(len(ys))]
-                for fs in itertools.product(*fs_choices):
-                    out = m.compose(fs, g)
-                    if out in names:
-                        compose[(tuple(names[f] for f in fs), names[g])] = names[out]
+    for g, _, fs in _composables(m, caps):
+        out = m.compose(fs, g)
+        if out in names:
+            compose[(tuple(names[f] for f in fs), names[g])] = names[out]
     identity = {x: names[m.identity(x)] for x in m.objects()}
     return TabularMulticategory(
         f"{m.name}#tab", list(m.objects()), hom, compose, identity

@@ -136,6 +136,38 @@ def test_undeclared_identity_exits_two_naming_the_entry(tmp_path, fixture):
     assert '"m9"' in out.stderr
 
 
+@pytest.mark.parametrize(
+    "fixture,table,entry",
+    [
+        ("broken-compose.json", "compose", "m0;m0"),
+        ("z2mc-badcompose.json", "compose", "m0,m0,m0|m6"),
+        ("broken-j.json", "L", "o0,o0,o0"),
+        ("broken-j.json", "hom2.mor", "m0,m0"),
+        ("broken-j.json", "i", "o0"),
+        ("broken-j.json", "i_inv", "o0"),
+        ("broken-j.json", "j", "o0"),
+    ],
+)
+def test_undeclared_value_exits_two_naming_its_entry(tmp_path, fixture, table, entry):
+    def edit(doc):
+        *outer, last = table.split(".")
+        for part in outer:
+            doc = doc[part]
+        doc[last][entry] = "m99"
+
+    out = run_cli("check", f"file:{_edited_fixture(tmp_path, fixture, edit)}")
+    _assert_one_error_line(out, entry)
+    assert f'{table} entry "{entry}" names undeclared morphism "m99"' in out.stderr
+
+
+@pytest.mark.parametrize("fixture", ["broken-compose.json", "z2mc-badcompose.json"])
+def test_identity_table_missing_an_object_exits_two_naming_it(tmp_path, fixture):
+    target = _edited_fixture(tmp_path, fixture, lambda doc: doc["id"].pop("o0"))
+    out = run_cli("check", f"file:{target}")
+    _assert_one_error_line(out, "o0")
+    assert 'id table has no entry "o0"' in out.stderr
+
+
 def test_explicit_arity_cap_overrides_the_instance_cap():
     # freemon3 declares cap 1; an explicit --arity-cap 3 must still apply
     out = run_cli("check", "--suite", "axioms", "instance:freemon3")

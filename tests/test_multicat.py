@@ -313,3 +313,62 @@ def test_commutative_monoids_give_closed_multicategories(name):
         m, {("g", "g"): "g"}, {("g", "g"): MMor(("g", "g"), "g", f"x{unit}")}
     )
     assert check_closedness(w, caps).ok
+
+
+def _nested_walk(m, caps, hom=None):
+    """The plain nest that ``_composables`` replaces, kept as its oracle:
+    every domain tuple, empty hom-sets included, every hom-set fetched
+    where it is used."""
+    hom = hom or m.hom
+    for ys, z in m.signatures(caps):
+        for g in hom(ys, z):
+            for doms in multicat._inner_profiles(m, ys, caps.max_arity):
+                choices = [hom(doms[i], ys[i]) for i in range(len(ys))]
+                for fs in itertools.product(*choices):
+                    yield g, doms, fs
+
+
+def _assert_walk_matches_oracle(m, caps):
+    calls = []
+
+    def hom(xs, y):
+        calls.append((xs, y))
+        return m.hom(xs, y)
+
+    assert list(multicat._composables(m, caps, hom)) == list(_nested_walk(m, caps))
+    assert sorted(calls) == sorted(set(m.signatures(caps)))  # once each
+
+
+@pytest.mark.parametrize("name", MULTICATS)
+def test_composables_match_nested_walk_on_registry(name):
+    info = instances.get(name)
+    _assert_walk_matches_oracle(info.build()[0], info.caps)
+
+
+@pytest.fixture(scope="module")
+def representing():
+    from closedcat.correspond import build_representing_multicategory
+
+    return {
+        name: build_representing_multicategory(instances.get(name).build(), CAPS).mcv
+        for name in ["heyting2", "z2closed"]
+    }
+
+
+@pytest.mark.parametrize("name", ["heyting2", "z2closed"])
+def test_composables_match_nested_walk_on_representing(representing, name):
+    # at the arity cap of the represent-reload benchmark
+    _assert_walk_matches_oracle(representing[name], ArityCaps(4))
+
+
+def test_multicat_to_json_through_nested_walk(representing):
+    # the dump of rep(heyting2), where most domain tuples meet an empty
+    # hom-set, is the one the plain nest builds
+    from closedcat import interchange
+
+    m = representing["heyting2"]
+    doc = interchange.multicat_to_json(m, CAPS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interchange, "_composables", _nested_walk)
+        assert interchange.multicat_to_json(m, CAPS) == doc
+    assert len(doc["compose"]) > 0

@@ -135,3 +135,20 @@ def test_representation_requires_hom_closed_objects():
     cs = instances.get("finset").build()
     with pytest.raises(KernelError):
         build_representing_multicategory(cs, CAPS)
+
+
+def test_whiskering_memo_changes_no_composite(bundles):
+    # every composite of the dump equals the one computed with each
+    # whiskering evaluated afresh
+    from closedcat import interchange
+    from closedcat.correspond import RepresentingMulticat
+
+    doc = interchange.multicat_to_json(bundles["heyting2"].mcv, CAPS)
+    fresh = build_representing_multicategory(instances.get("heyting2").build(), CAPS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            RepresentingMulticat,
+            "whisker",
+            lambda self, xs, alpha: self.functor_of(xs).mor_action(alpha),
+        )
+        assert interchange.multicat_to_json(fresh.mcv, CAPS) == doc
