@@ -11,8 +11,11 @@ Verbs:
   instance   list registry instances or dump one as a file
 
 Exit status: 0 when every executed check passed, 1 when any check failed,
-2 on parse or input errors.  Output is deterministic: two runs over the
-same inputs and flags produce byte-identical reports.
+2 on parse or input errors and on kernel errors raised outside a check
+(a construction whose input violates its premises, e.g. a gamma that is
+not bijective); inside ``check`` a kernel error is a FAIL line of the
+check that raised it.  Output is deterministic: two runs over the same
+inputs and flags produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -322,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (FormatError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KernelError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -84,6 +84,10 @@ def tabular_closed(
     j: dict,
     L: dict,
 ) -> ClosedStructure:
+    objects = set(cat.objects())
+    if unit not in objects:
+        raise FormatError(f'{name}: unit names undeclared object "{unit}"')
+    require_declared(name, "hom2.obj", hom2_obj, objects, what="object")
     declared = set(cat.all_morphisms())
     tables = {"hom2.mor": hom2_mor, "i": i, "i_inv": i_inv, "j": j, "L": L}
     for label, table in tables.items():
@@ -126,11 +130,22 @@ def gamma(cs: ClosedStructure, f: MorId) -> MorId:
 
 
 def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
-    """The unique f in hom(X,Y) with gamma(f) = g, by exhaustive search.
+    """The unique f in hom(X,Y) with gamma(f) = g.
 
+    A supplied closed form ``cs.gamma_inv`` answers when present, and its
+    answer is checked against gamma; otherwise the answer is looked up in
+    the structure's table of gamma on hom(X,Y), built on first use.
     Raises NotBijective when zero or several preimages exist, which
-    signals that the structure violates CC5.
+    signals that the structure violates CC5, or when the closed form
+    disagrees with gamma.
     """
+    if cs.gamma_inv is not None:
+        f = cs.gamma_inv(g, x, y)
+        if gamma(cs, f) != g:
+            raise NotBijective(
+                f"{cs.name}: supplied gamma inverse disagrees with gamma"
+            )
+        return f
     entry = cs.ginv_tables.get((x, y))
     if entry is None:
         table: dict = {}
@@ -165,13 +180,6 @@ def check_cc_axioms(
     objs = guard_objects(cat, budget)
     u = cs.unit
 
-    def item(check, anchor, failures):
-        if failures:
-            for locus in failures:
-                rep.add_fail(check, anchor, locus)
-        else:
-            rep.add_pass(check, anchor)
-
     bad = []
     for x in objs:
         fwd, back = cs.i(x), cs.i_inv(x)
@@ -179,7 +187,7 @@ def check_cc_axioms(
             back, fwd
         ) != cat.identity(cs.hom2_obj(u, x)):
             bad.append(cat.show_obj(x))
-    item("cc/i-iso", "i two-sided inverse", bad)
+    rep.law("cc/i-iso", "i two-sided inverse", bad)
 
     bad = []
     for x in objs:
@@ -187,7 +195,7 @@ def check_cc_axioms(
             for f in cat.hom(x, y):
                 if cat.compose(cs.i(x), cs.cov(u, f)) != cat.compose(f, cs.i(y)):
                     bad.append(f"f={cat.show_mor(f)}")
-    item("cc/i-natural", "naturality of i", bad)
+    rep.law("cc/i-natural", "naturality of i", bad)
 
     bad = []
     for x in objs:
@@ -197,7 +205,7 @@ def check_cc_axioms(
                 rhs = cat.compose(cs.j(y), cs.contra(f, y))
                 if lhs != rhs:
                     bad.append(f"f={cat.show_mor(f)}")
-    item("cc/j-dinatural", "dinaturality of j", bad)
+    rep.law("cc/j-dinatural", "dinaturality of j", bad)
 
     bad = []
     for x in objs:
@@ -205,7 +213,7 @@ def check_cc_axioms(
             cs.hom2_obj(x, x)
         ):
             bad.append(cat.show_obj(x))
-    item("cc/hom2-identity", "und(1,1)=1", bad)
+    rep.law("cc/hom2-identity", "und(1,1)=1", bad)
 
     bad = []
     for a, b, c, d in itertools.product(objs, repeat=4):
@@ -216,7 +224,7 @@ def check_cc_axioms(
                 route2 = cat.compose(cs.cov(a, g), cs.contra(f, d))
                 if both != route1 or both != route2:
                     bad.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
-    item("cc/hom2-exchange", "und(f,g)=und(f,1);und(1,g)", bad)
+    rep.law("cc/hom2-exchange", "und(f,g)=und(f,1);und(1,g)", bad)
 
     bad = []
     for a in objs:
@@ -236,7 +244,7 @@ def check_cc_axioms(
                                 bad.append(
                                     f"contra w={cat.show_obj(w)} g={cat.show_mor(g)}"
                                 )
-    item("cc/hom2-compose", "functoriality of und(-,-)", bad)
+    rep.law("cc/hom2-compose", "functoriality of und(-,-)", bad)
 
     bad = []
     for x, y, z, z2 in itertools.product(objs, repeat=4):
@@ -246,7 +254,7 @@ def check_cc_axioms(
             rhs = cat.compose(cs.cov(y, g), cs.L(x, y, z2))
             if lhs != rhs:
                 bad.append(f"X={cat.show_obj(x)} g={cat.show_mor(g)}")
-    item("cc/L-natural-cov", "naturality of L in Z", bad)
+    rep.law("cc/L-natural-cov", "naturality of L in Z", bad)
 
     bad = []
     for x, y, y2, z in itertools.product(objs, repeat=4):
@@ -257,7 +265,7 @@ def check_cc_axioms(
             )
             if lhs != rhs:
                 bad.append(f"X={cat.show_obj(x)} f={cat.show_mor(f)}")
-    item("cc/L-natural-contra", "naturality of L in Y", bad)
+    rep.law("cc/L-natural-contra", "naturality of L in Y", bad)
 
     bad = []
     for x in objs:
@@ -275,7 +283,7 @@ def check_cc_axioms(
                         )
                         if lhs != rhs:
                             bad.append(f"h={cat.show_mor(h)} Y={cat.show_obj(y)}")
-    item("cc/L-dinatural", "dinaturality of L in X", bad)
+    rep.law("cc/L-dinatural", "dinaturality of L in X", bad)
 
     bad = []
     for x in objs:
@@ -283,7 +291,7 @@ def check_cc_axioms(
             lhs = cat.compose(cs.j(y), cs.L(x, y, y))
             if lhs != cs.j(cs.hom2_obj(x, y)):
                 bad.append(_pairs_locus(cs, x, y))
-    item("cc/CC1", "CC1", bad)
+    rep.law("cc/CC1", "CC1", bad)
 
     bad = []
     for x in objs:
@@ -291,7 +299,7 @@ def check_cc_axioms(
             lhs = cat.compose(cs.L(x, x, y), cs.contra(cs.j(x), cs.hom2_obj(x, y)))
             if lhs != cs.i(cs.hom2_obj(x, y)):
                 bad.append(_pairs_locus(cs, x, y))
-    item("cc/CC2", "CC2", bad)
+    rep.law("cc/CC2", "CC2", bad)
 
     bad = []
     for x, y, uu, v in itertools.product(objs, repeat=4):
@@ -309,7 +317,7 @@ def check_cc_axioms(
         )
         if top != bottom:
             bad.append(_pairs_locus(cs, x, y, uu, v))
-    item("cc/CC3", "CC3", bad)
+    rep.law("cc/CC3", "CC3", bad)
 
     bad = []
     for y in objs:
@@ -319,7 +327,7 @@ def check_cc_axioms(
             )
             if lhs != cs.cov(y, cs.i(z)):
                 bad.append(_pairs_locus(cs, y, z))
-    item("cc/CC4", "CC4", bad)
+    rep.law("cc/CC4", "CC4", bad)
 
     bad = []
     for x in objs:
@@ -330,7 +338,7 @@ def check_cc_axioms(
                 map(cat.mor_key, images)
             ) != sorted(map(cat.mor_key, target)):
                 bad.append(_pairs_locus(cs, x, y))
-    item("cc/CC5", "CC5 (gamma bijective)", bad)
+    rep.law("cc/CC5", "CC5 (gamma bijective)", bad)
 
     return rep
 
@@ -350,11 +358,7 @@ def verify_derived_cc_theorems(
     for x in objs:
         if cs.i(cs.hom2_obj(u, x)) != cs.cov(u, cs.i(x)):
             bad.append(cat.show_obj(x))
-    if bad:
-        for b in bad:
-            rep.add_fail("derived/i-on-unit-hom", "i on und(1,X)", b)
-    else:
-        rep.add_pass("derived/i-on-unit-hom", "i on und(1,X)")
+    rep.law("derived/i-on-unit-hom", "i on und(1,X)", bad)
 
     rep.add(
         "derived/j-unit",
@@ -368,11 +372,7 @@ def verify_derived_cc_theorems(
         for f in cat.hom(u, x):
             if cat.compose(gamma(cs, f), cs.i_inv(x)) != f:
                 bad.append(f"f={cat.show_mor(f)}")
-    if bad:
-        for b in bad:
-            rep.add_fail("derived/gamma-section", "gamma then post-inverse-i", b)
-    else:
-        rep.add_pass("derived/gamma-section", "gamma then post-inverse-i")
+    rep.law("derived/gamma-section", "gamma then post-inverse-i", bad)
 
     bad = []
     for x in objs:
@@ -382,11 +382,7 @@ def verify_derived_cc_theorems(
                     lhs = cat.compose(gamma(cs, f), cs.L(x, y, z))
                     if lhs != gamma(cs, cs.cov(x, f)):
                         bad.append(f"X={cat.show_obj(x)} f={cat.show_mor(f)}")
-    if bad:
-        for b in bad:
-            rep.add_fail("derived/gamma-L-square", "gamma/L square", b)
-    else:
-        rep.add_pass("derived/gamma-L-square", "gamma/L square")
+    rep.law("derived/gamma-L-square", "gamma/L square", bad)
 
     bad_cov, bad_contra = [], []
     for x, y, z in itertools.product(objs, repeat=3):
@@ -397,18 +393,8 @@ def verify_derived_cc_theorems(
                     bad_cov.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
                 if gf != cat.compose(gamma(cs, g), cs.contra(f, z)):
                     bad_contra.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
-    if bad_cov:
-        for b in bad_cov:
-            rep.add_fail("derived/gamma-compose-cov", "gamma(f.g)=gamma(f);und(1,g)", b)
-    else:
-        rep.add_pass("derived/gamma-compose-cov", "gamma(f.g)=gamma(f);und(1,g)")
-    if bad_contra:
-        for b in bad_contra:
-            rep.add_fail(
-                "derived/gamma-compose-contra", "gamma(f.g)=gamma(g);und(f,1)", b
-            )
-    else:
-        rep.add_pass("derived/gamma-compose-contra", "gamma(f.g)=gamma(g);und(f,1)")
+    rep.law("derived/gamma-compose-cov", "gamma(f.g)=gamma(f);und(1,g)", bad_cov)
+    rep.law("derived/gamma-compose-contra", "gamma(f.g)=gamma(g);und(f,1)", bad_contra)
 
     return rep
 
@@ -475,11 +461,7 @@ def check_cf_axioms(F: ClosedFunctor, budget: SizeBudget = DEFAULT_BUDGET) -> Re
                 )
                 if lhs != rhs:
                     bad.append(f"f={C.cat.show_mor(f)} g={C.cat.show_mor(g)}")
-    if bad:
-        for b in bad:
-            rep.add_fail("cf/phi-hat-natural", "naturality of phi-hat", b)
-    else:
-        rep.add_pass("cf/phi-hat-natural", "naturality of phi-hat")
+    rep.law("cf/phi-hat-natural", "naturality of phi-hat", bad)
 
     bad = []
     for x in objs:
@@ -488,7 +470,7 @@ def check_cf_axioms(F: ClosedFunctor, budget: SizeBudget = DEFAULT_BUDGET) -> Re
         )
         if lhs != D.j(F.phi.obj_map(x)):
             bad.append(C.cat.show_obj(x))
-    _flat(rep, "cf/CF1", "CF1", bad)
+    rep.law("cf/CF1", "CF1", bad)
 
     bad = []
     for x in objs:
@@ -499,7 +481,7 @@ def check_cf_axioms(F: ClosedFunctor, budget: SizeBudget = DEFAULT_BUDGET) -> Re
         )
         if lhs != D.i(F.phi.obj_map(x)):
             bad.append(C.cat.show_obj(x))
-    _flat(rep, "cf/CF2", "CF2", bad)
+    rep.law("cf/CF2", "CF2", bad)
 
     bad = []
     for x, y, z in itertools.product(objs, repeat=3):
@@ -516,16 +498,8 @@ def check_cf_axioms(F: ClosedFunctor, budget: SizeBudget = DEFAULT_BUDGET) -> Re
         )
         if lhs != rhs:
             bad.append(_pairs_locus(C, x, y, z))
-    _flat(rep, "cf/CF3", "CF3", bad)
+    rep.law("cf/CF3", "CF3", bad)
     return rep
-
-
-def _flat(rep: Report, check: str, anchor: str, failures: list[str]) -> None:
-    if failures:
-        for locus in failures:
-            rep.add_fail(check, anchor, locus)
-    else:
-        rep.add_pass(check, anchor)
 
 
 def check_cn_axioms(
@@ -554,7 +528,7 @@ def check_cn_axioms(
             )
             if lhs != rhs:
                 bad.append(_pairs_locus(C, x, y))
-    _flat(rep, "cn/CN2", "CN2", bad)
+    rep.law("cn/CN2", "CN2", bad)
     return rep
 
 
@@ -732,39 +706,10 @@ def ek_normalize(
             pts = sorted(cat.hom(u, cs.hom2_obj(x, y)), key=cat.mor_key)
             homs[(x, y)] = [WMor(x, y, p) for p in pts]
 
-    # Memoized inverse-of-gamma per hom-set; building the table also checks
-    # injectivity, so CC5 violations surface as NotBijective here too.
-    # A supplied closed-form inverse short-circuits the search (needed when
-    # the hom-set is not enumerable) but is still checked against gamma.
-    ginv_maps: dict[tuple[ObjId, ObjId], dict[MorId, MorId]] = {}
-
-    def g_inv_at(point: MorId, x: ObjId, y: ObjId) -> MorId:
-        if cs.gamma_inv is not None:
-            f = cs.gamma_inv(point, x, y)
-            if gamma(cs, f) != point:
-                raise NotBijective(
-                    f"{cs.name}: supplied gamma inverse disagrees with gamma"
-                )
-            return f
-        table = ginv_maps.get((x, y))
-        if table is None:
-            table = {}
-            for f in cat.hom(x, y):
-                img = gamma(cs, f)
-                if img in table:
-                    raise NotBijective(
-                        f"{cs.name}: gamma not injective on hom({x},{y})"
-                    )
-                table[img] = f
-            ginv_maps[(x, y)] = table
-        if point not in table:
-            raise NotBijective(
-                f"{cs.name}: no gamma preimage in hom({x},{y})"
-            )
-        return table[point]
-
+    # CC5 violations surface as NotBijective when a point without a unique
+    # preimage is transported.
     def g_inv(m: WMor) -> MorId:
-        return g_inv_at(m.point, m.dom, m.cod)
+        return gamma_inverse(cs, m.point, m.dom, m.cod)
 
     def compose_rule(f: WMor, g: WMor) -> WMor:
         # Composition by transport along gamma.  The defining formula
@@ -907,7 +852,7 @@ def check_ek_axioms(
             direct = hf.fset(ek.elt_atom(m) for m in cat.hom(x, y))
             if via_c != direct:
                 bad.append(_pairs_locus(w, x, y))
-    _flat(rep, "ek/CC0-objects", "CC0 on objects", bad)
+    rep.law("ek/CC0-objects", "CC0 on objects", bad)
 
     bad = []
     for x, y, uu, v in itertools.product(objs, repeat=4):
@@ -922,7 +867,7 @@ def check_ek_axioms(
                 }
                 if dict(via_c.mapping()) != table:
                     bad.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
-    _flat(rep, "ek/CC0-morphisms", "CC0 on morphisms", bad)
+    rep.law("ek/CC0-morphisms", "CC0 on morphisms", bad)
 
     bad = []
     for x in objs:
@@ -930,7 +875,7 @@ def check_ek_axioms(
         got = i_img.apply(ek.elt_atom(cat.identity(x)))
         if got != ek.elt_atom(w.j(x)):
             bad.append(cat.show_obj(x))
-    _flat(rep, "ek/CC5'", "CC5' (identity goes to j)", bad)
+    rep.law("ek/CC5'", "CC5' (identity goes to j)", bad)
 
     if ek.base is not None:
         # Composition in the normalized category is implemented by
@@ -942,26 +887,14 @@ def check_ek_axioms(
             for f in cat.hom(x, y):
                 for g in cat.hom(y, z):
                     gl = base.cat.compose(g.point, base.L(x, y, z))
-                    if base.gamma_inv is not None:
-                        step = base.gamma_inv(
-                            gl, base.hom2_obj(x, y), base.hom2_obj(x, z)
-                        )
-                        if gamma(base, step) != gl:
-                            step = None
-                    else:
-                        step = gamma_inverse(
-                            base, gl, base.hom2_obj(x, y), base.hom2_obj(x, z)
-                        )
-                    want = (
-                        None
-                        if step is None
-                        else base.cat.compose(f.point, step)
+                    step = gamma_inverse(
+                        base, gl, base.hom2_obj(x, y), base.hom2_obj(x, z)
                     )
-                    if want is None or cat.compose(f, g).point != want:
+                    if cat.compose(f, g).point != base.cat.compose(f.point, step):
                         bad.append(
                             f"f={cat.show_mor(f)} g={cat.show_mor(g)}"
                         )
-        _flat(rep, "ek/compose-formula", "composition via gamma-inverse of g.L", bad)
+        rep.law("ek/compose-formula", "composition via gamma-inverse of g.L", bad)
 
     rep.extend(check_functor(ek.C_functor, budget))
     return rep

@@ -24,7 +24,6 @@ from .multicat import (
     MultiFunctor,
     MultiNat,
     Profile,
-    _flat,
     _composables,
     _guard_hom,
 )
@@ -127,7 +126,7 @@ def check_closedness(
     for z in sorted(m.objects(), key=m.obj_key):
         if w.hom_obj((), z) != z or w.ev((), z) != m.identity(z):
             bad.append(m.show_obj(z))
-    _flat(rep, "closed/nullary-convention", "und(;Z)=Z, ev=1", bad)
+    rep.law("closed/nullary-convention", "und(;Z)=Z, ev=1", bad)
 
     bad = []
     for xs, z in m.signatures(caps):
@@ -139,7 +138,7 @@ def check_closedness(
                 map(m.mor_key, images)
             ) != sorted(map(m.mor_key, target)):
                 bad.append(f"({','.join(map(str, xs))};{','.join(map(str, ys))};{z})")
-    _flat(rep, "closed/phi-bijective", "currying map bijective", bad)
+    rep.law("closed/phi-bijective", "currying map bijective", bad)
     return rep
 
 
@@ -179,7 +178,7 @@ def check_nary_factorization(
                 two = uncurry(w, one, head, z)
                 if two != uncurry(w, g, xs, z):
                     bad.append(f"g={m.show_mor(g)} xs={xs}")
-    _flat(rep, "closed/phi-factorization", "staged currying agrees", bad)
+    rep.law("closed/phi-factorization", "staged currying agrees", bad)
     return rep
 
 
@@ -264,7 +263,7 @@ def build_internal_category(
         rhs = m.compose((m.identity(w.hom_obj((x,), y)), mu[(y, z, v)]), mu[(x, y, v)])
         if lhs != rhs:
             bad.append(f"{x},{y},{z},{v}")
-    _flat(rep, "internal/mu-assoc", "associativity of mu", bad)
+    rep.law("internal/mu-assoc", "associativity of mu", bad)
 
     bad = []
     for x, y in itertools.product(objs, repeat=2):
@@ -273,7 +272,7 @@ def build_internal_category(
         right = m.compose((m.identity(hxy), unit1[y]), mu[(x, y, y)])
         if left != m.identity(hxy) or right != m.identity(hxy):
             bad.append(f"{x},{y}")
-    _flat(rep, "internal/mu-unit", "unit laws for mu", bad)
+    rep.law("internal/mu-unit", "unit laws for mu", bad)
 
     bad = []
     for x, y, z in itertools.product(objs, repeat=3):
@@ -284,9 +283,40 @@ def build_internal_category(
         )
         if lhs != mu[(x, y, z)]:
             bad.append(f"{x},{y},{z}")
-    _flat(rep, "internal/L-equation", "(1,L).ev = mu", bad)
+    rep.law("internal/L-equation", "(1,L).ev = mu", bad)
 
     return InternalCategory(w, mu, unit1, LX), rep
+
+
+def L_identity_loci(w: ClosednessWitness, ic: InternalCategory) -> list[str]:
+    """Objects X, Y at which L fails to preserve the internal identity:
+    (unit1_Y).L_XYY = unit1_und(X;Y)."""
+    m = w.m
+    objs = sorted(m.objects(), key=m.obj_key)
+    bad = []
+    for x in objs:
+        for y in objs:
+            lhs = m.compose((ic.unit1[y],), ic.LX[(x, y, y)])
+            if lhs != ic.unit1[w.hom_obj((x,), y)]:
+                bad.append(f"{x},{y}")
+    return bad
+
+
+def L_compose_loci(w: ClosednessWitness, ic: InternalCategory) -> list[str]:
+    """Objects X, Y, Z, V at which L fails to preserve the internal
+    composition: (mu_YZV).L_XYV = (L_XYZ, L_XZV).mu at the hom objects."""
+    m = w.m
+    objs = sorted(m.objects(), key=m.obj_key)
+    bad = []
+    for x, y, z, v in itertools.product(objs, repeat=4):
+        lhs = m.compose((ic.mu[(y, z, v)],), ic.LX[(x, y, v)])
+        rhs = m.compose(
+            (ic.LX[(x, y, z)], ic.LX[(x, z, v)]),
+            ic.mu[(w.hom_obj((x,), y), w.hom_obj((x,), z), w.hom_obj((x,), v))],
+        )
+        if lhs != rhs:
+            bad.append(f"{x},{y},{z},{v}")
+    return bad
 
 
 def verify_internal_lemmas(
@@ -340,10 +370,10 @@ def verify_internal_lemmas(
             )
             if got != curry1(w, whole, caps):
                 bad_d.append(f"g={m.show_mor(g)}")
-    _flat(rep, "lemma/curry-split-nullary", "curried composite, nullary head", bad_a)
-    _flat(rep, "lemma/curry-split-unary", "curried composite, unary head", bad_b)
-    _flat(rep, "lemma/curry-split-general", "curried composite via mu", bad_c)
-    _flat(rep, "lemma/curry-postcompose", "curried postcomposition", bad_d)
+    rep.law("lemma/curry-split-nullary", "curried composite, nullary head", bad_a)
+    rep.law("lemma/curry-split-unary", "curried composite, unary head", bad_b)
+    rep.law("lemma/curry-split-general", "curried composite via mu", bad_c)
+    rep.law("lemma/curry-postcompose", "curried postcomposition", bad_d)
 
     unary = [
         f
@@ -364,7 +394,7 @@ def verify_internal_lemmas(
                 )
                 if lhs != rhs:
                     bad.append(f"f={m.show_mor(f)} g={m.show_mor(g)}")
-    _flat(rep, "lemma/hom-cov-compose", "und(W;f.g)=und(W;f);und(W;g)", bad)
+    rep.law("lemma/hom-cov-compose", "und(W;f.g)=und(W;f);und(W;g)", bad)
 
     bad = []
     for f in unary:
@@ -379,7 +409,7 @@ def verify_internal_lemmas(
                 )
                 if lhs != rhs:
                     bad.append(f"f={m.show_mor(f)} g={m.show_mor(g)}")
-    _flat(rep, "lemma/hom-contra-compose", "und(f.g;Z)=und(g;Z);und(f;Z)", bad)
+    rep.law("lemma/hom-contra-compose", "und(f.g;Z)=und(g;Z);und(f;Z)", bad)
 
     bad = []
     for f in unary:
@@ -396,33 +426,14 @@ def verify_internal_lemmas(
             )
             if lhs != rhs:
                 bad.append(f"f={m.show_mor(f)} g={m.show_mor(g)}")
-    _flat(rep, "lemma/hom-mixed", "contravariant and covariant actions commute", bad)
+    rep.law("lemma/hom-mixed", "contravariant and covariant actions commute", bad)
 
-    bad = []
-    for x in objs:
-        for y in objs:
-            if m.compose((ic.unit1[y],), ic.LX[(x, y, y)]) != ic.unit1[
-                w.hom_obj((x,), y)
-            ]:
-                bad.append(f"{x},{y}")
-    _flat(rep, "lemma/L-functor-identities", "L preserves identities", bad)
-
-    bad = []
-    for x, y, z, v in itertools.product(objs, repeat=4):
-        lhs = m.compose((ic.mu[(y, z, v)],), ic.LX[(x, y, v)])
-        rhs = m.compose(
-            (ic.LX[(x, y, z)], ic.LX[(x, z, v)]),
-            ic.mu[
-                (
-                    w.hom_obj((x,), y),
-                    w.hom_obj((x,), z),
-                    w.hom_obj((x,), v),
-                )
-            ],
-        )
-        if lhs != rhs:
-            bad.append(f"{x},{y},{z},{v}")
-    _flat(rep, "lemma/L-functor-compose", "L preserves composition", bad)
+    rep.law(
+        "lemma/L-functor-identities", "L preserves identities", L_identity_loci(w, ic)
+    )
+    rep.law(
+        "lemma/L-functor-compose", "L preserves composition", L_compose_loci(w, ic)
+    )
 
     bad = []
     for x in objs:
@@ -435,7 +446,7 @@ def verify_internal_lemmas(
                 w.hom_obj((x,), z)
             ):
                 bad.append(f"{x},{z}")
-    _flat(rep, "lemma/hom-identity", "und(1;Z)=1 and und(X;1)=1", bad)
+    rep.law("lemma/hom-identity", "und(1;Z)=1 and und(X;1)=1", bad)
     return rep
 
 
@@ -482,7 +493,7 @@ def verify_closing_lemmas(
                 )
                 if lhs != rhs:
                     bad.append(f"g={m.show_mor(g)}")
-    _flat(rep, "closing/phi-square", "currying square for the comparison", bad)
+    rep.law("closing/phi-square", "currying square for the comparison", bad)
 
     if ic_src is None:
         ic_src, _ = build_internal_category(w_src, caps)
@@ -495,7 +506,7 @@ def verify_closing_lemmas(
         lhs = d.compose((F.mor_map(ic_src.unit1[x]),), t)
         if lhs != ic_tgt.unit1[F.obj_map(x)]:
             bad.append(str(x))
-    _flat(rep, "closing/preserves-identities", "comparison preserves identities", bad)
+    rep.law("closing/preserves-identities", "comparison preserves identities", bad)
 
     bad = []
     for x, y, z in itertools.product(objs, repeat=3):
@@ -511,7 +522,7 @@ def verify_closing_lemmas(
         )
         if lhs != rhs:
             bad.append(f"{x},{y},{z}")
-    _flat(rep, "closing/preserves-mu", "comparison preserves composition", bad)
+    rep.law("closing/preserves-mu", "comparison preserves composition", bad)
     return rep
 
 
@@ -537,7 +548,7 @@ def verify_closing_composite(
         rhs = e.compose((G.mor_map(mid),), outer)
         if lhs != rhs:
             bad.append(f"xs={xs} z={z}")
-    _flat(rep, "closing/composite", "comparison of a composite", bad)
+    rep.law("closing/composite", "comparison of a composite", bad)
     return rep
 
 
@@ -573,7 +584,7 @@ def verify_closing_multinat(
         )
         if lhs != rhs:
             bad.append(f"xs={xs} z={z}")
-    _flat(rep, "closing/multinat-hexagon", "comparison square for 2-cells", bad)
+    rep.law("closing/multinat-hexagon", "comparison square for 2-cells", bad)
     return rep
 
 
@@ -592,6 +603,22 @@ def unit_contraction(
     return m.compose((uw.u, m.identity(h)), w.ev((uw.unit,), x))
 
 
+def contraction_inverses(
+    w: ClosednessWitness, uw: UnitWitness, x: ObjId, caps: ArityCaps
+) -> list[MorId]:
+    """Every two-sided inverse X -> und(unit;X) of the unit contraction at
+    X, by exhaustive search in canonical order."""
+    m = w.m
+    h = w.hom_obj((uw.unit,), x)
+    t = unit_contraction(w, uw, x)
+    return [
+        g
+        for g in _guard_hom(m, (x,), h, caps)
+        if m.compose((t,), g) == m.identity(h)
+        and m.compose((g,), t) == m.identity(x)
+    ]
+
+
 def check_unit_object(
     w: ClosednessWitness, uw: UnitWitness, caps: ArityCaps = DEFAULT_CAPS
 ) -> Report:
@@ -602,17 +629,10 @@ def check_unit_object(
     m = w.m
     bad = []
     for x in sorted(m.objects(), key=m.obj_key):
-        h = w.hom_obj((uw.unit,), x)
-        t = unit_contraction(w, uw, x)
-        inv = [
-            g
-            for g in _guard_hom(m, (x,), h, caps)
-            if m.compose((t,), g) == m.identity(h)
-            and m.compose((g,), t) == m.identity(x)
-        ]
+        inv = contraction_inverses(w, uw, x, caps)
         if len(inv) != 1:
             bad.append(f"X={m.show_obj(x)} ({len(inv)} inverses)")
-    _flat(rep, "unit/contraction-iso", "evaluation against u invertible", bad)
+    rep.law("unit/contraction-iso", "evaluation against u invertible", bad)
     return rep
 
 

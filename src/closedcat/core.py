@@ -101,19 +101,36 @@ def entry_name(key) -> str:
 
 
 def require_declared(
-    name: str, label: str, table: dict, declared, show=entry_name
+    name: str, label: str, table: dict, declared, show=entry_name, what="morphism"
 ) -> None:
-    """Every value of ``table`` names a declared morphism; otherwise raise
-    a FormatError naming the entry that holds the first undeclared value,
-    its key written by ``show``.  A table that passes costs one
-    membership pass over its values."""
+    """Every value of ``table`` names a declared morphism (or ``what``);
+    otherwise raise a FormatError naming the entry that holds the first
+    undeclared value, its key written by ``show``.  A table that passes
+    costs one membership pass over its values."""
     if all(map(declared.__contains__, table.values())):
         return
     for key, f in table.items():
         if f not in declared:
             raise FormatError(
-                f'{name}: {label} entry "{show(key)}" names undeclared morphism "{f}"'
+                f'{name}: {label} entry "{show(key)}" names undeclared {what} "{f}"'
             )
+
+
+def require_declared_keys(
+    name: str, label: str, table: dict, objects: set, parts=tuple, show=entry_name
+) -> None:
+    """Every object ``parts(key)`` lists for a key of ``table`` is
+    declared; otherwise raise a FormatError naming the first key with an
+    undeclared object, written by ``show``.  A table that passes costs
+    one membership pass over its keys."""
+    if all(objects.issuperset(parts(key)) for key in table):
+        return
+    for key in table:
+        for x in parts(key):
+            if x not in objects:
+                raise FormatError(
+                    f'{name}: {label} key "{show(key)}" names undeclared object "{x}"'
+                )
 
 
 def require_declared_identities(
@@ -144,6 +161,7 @@ class TabularCategory(Category):
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._compose = dict(compose)
         self._identity = dict(identity)
+        require_declared_keys(name, "hom", self._hom, set(self._objects))
         self._ends: dict[MorId, tuple[ObjId, ObjId]] = {}
         for (x, y), fs in self._hom.items():
             for f in fs:
@@ -255,7 +273,7 @@ def check_category_axioms(
     rep = Report(f"category axioms: {cat.name}")
     objs = guard_objects(cat, budget)
 
-    ok_ends = True
+    bad = []
     for x in objs:
         for y in objs:
             fs = cat.hom(x, y)
@@ -263,14 +281,8 @@ def check_category_axioms(
                 raise BudgetExceeded(f"hom({x},{y}) exceeds budget")
             for f in fs:
                 if cat.dom(f) != x or cat.cod(f) != y:
-                    ok_ends = False
-                    rep.add_fail(
-                        "category/endpoints",
-                        "dom/cod",
-                        f"{cat.show_mor(f)} filed under hom({x},{y})",
-                    )
-    if ok_ends:
-        rep.add_pass("category/endpoints", "dom/cod")
+                    bad.append(f"{cat.show_mor(f)} filed under hom({x},{y})")
+    rep.law("category/endpoints", "dom/cod", bad)
 
     ok = True
     for x in objs:
@@ -294,7 +306,7 @@ def check_category_axioms(
     if ok:
         rep.add_pass("category/identity", "1;f=f=f;1")
 
-    ok = True
+    bad = []
     for x, y, z, w in itertools.product(objs, repeat=4):
         for f in cat.hom(x, y):
             for g in cat.hom(y, z):
@@ -302,14 +314,10 @@ def check_category_axioms(
                     lhs = cat.compose(cat.compose(f, g), h)
                     rhs = cat.compose(f, cat.compose(g, h))
                     if lhs != rhs:
-                        ok = False
-                        rep.add_fail(
-                            "category/assoc",
-                            "(f;g);h=f;(g;h)",
-                            f"f={cat.show_mor(f)} g={cat.show_mor(g)} h={cat.show_mor(h)}",
+                        bad.append(
+                            f"f={cat.show_mor(f)} g={cat.show_mor(g)} h={cat.show_mor(h)}"
                         )
-    if ok:
-        rep.add_pass("category/assoc", "(f;g);h=f;(g;h)")
+    rep.law("category/assoc", "(f;g);h=f;(g;h)", bad)
     return rep
 
 
@@ -318,40 +326,30 @@ def check_functor(F: Functor, budget: SizeBudget = DEFAULT_BUDGET) -> Report:
     src, tgt = F.source, F.target
     objs = guard_objects(src, budget)
 
-    ok = True
+    bad = []
     for x in objs:
         for y in objs:
             for f in src.hom(x, y):
                 ff = F.mor_map(f)
                 if tgt.dom(ff) != F.obj_map(x) or tgt.cod(ff) != F.obj_map(y):
-                    ok = False
-                    rep.add_fail("functor/endpoints", "F(f):FX->FY", src.show_mor(f))
-    if ok:
-        rep.add_pass("functor/endpoints", "F(f):FX->FY")
+                    bad.append(src.show_mor(f))
+    rep.law("functor/endpoints", "F(f):FX->FY", bad)
 
-    ok = True
+    bad = []
     for x in objs:
         if F.mor_map(src.identity(x)) != tgt.identity(F.obj_map(x)):
-            ok = False
-            rep.add_fail("functor/identity", "F(1)=1", src.show_obj(x))
-    if ok:
-        rep.add_pass("functor/identity", "F(1)=1")
+            bad.append(src.show_obj(x))
+    rep.law("functor/identity", "F(1)=1", bad)
 
-    ok = True
+    bad = []
     for x, y, z in itertools.product(objs, repeat=3):
         for f in src.hom(x, y):
             for g in src.hom(y, z):
                 lhs = F.mor_map(src.compose(f, g))
                 rhs = tgt.compose(F.mor_map(f), F.mor_map(g))
                 if lhs != rhs:
-                    ok = False
-                    rep.add_fail(
-                        "functor/compose",
-                        "F(f;g)=F(f);F(g)",
-                        f"f={src.show_mor(f)} g={src.show_mor(g)}",
-                    )
-    if ok:
-        rep.add_pass("functor/compose", "F(f;g)=F(f);F(g)")
+                    bad.append(f"f={src.show_mor(f)} g={src.show_mor(g)}")
+    rep.law("functor/compose", "F(f;g)=F(f);F(g)", bad)
     return rep
 
 
@@ -363,21 +361,15 @@ def check_natural(
     F, G = t.source, t.target
     src, tgt = F.source, F.target
     objs = guard_objects(src, budget)
-    ok = True
+    bad = []
     for x in objs:
         for y in objs:
             for f in src.hom(x, y):
                 lhs = tgt.compose(F.mor_map(f), t.components(y))
                 rhs = tgt.compose(t.components(x), G.mor_map(f))
                 if lhs != rhs:
-                    ok = False
-                    rep.add_fail(
-                        "natural/square",
-                        "F(f);t=t;G(f)",
-                        f"f={src.show_mor(f)}",
-                    )
-    if ok:
-        rep.add_pass("natural/square", "F(f);t=t;G(f)")
+                    bad.append(f"f={src.show_mor(f)}")
+    rep.law("natural/square", "F(f);t=t;G(f)", bad)
     return rep
 
 

@@ -32,9 +32,12 @@ from .closed import (
 from .closedmc import (
     ClosednessWitness,
     InternalCategory,
+    L_compose_loci,
+    L_identity_loci,
     UnitWitness,
     bar,
     build_internal_category,
+    contraction_inverses,
     curry1,
     hom_action_contra,
     hom_action_cov,
@@ -60,8 +63,6 @@ from .multicat import (
     MultiNat,
     Multicategory,
     Profile,
-    _flat,
-    _guard_hom,
 )
 from .report import Report
 
@@ -104,25 +105,6 @@ class UnderlyingCategory(Category):
         return self._m.show_mor(f)
 
 
-def _contraction_inverse(
-    w: ClosednessWitness, uw: UnitWitness, x: ObjId, caps: ArityCaps
-) -> MorId:
-    m = w.m
-    h = w.hom_obj((uw.unit,), x)
-    t = unit_contraction(w, uw, x)
-    hits = [
-        g
-        for g in _guard_hom(m, (x,), h, caps)
-        if m.compose((t,), g) == m.identity(h)
-        and m.compose((g,), t) == m.identity(x)
-    ]
-    if len(hits) != 1:
-        raise NotBijective(
-            f"{m.name}: unit contraction at {m.show_obj(x)} has {len(hits)} inverses"
-        )
-    return hits[0]
-
-
 def underlying_closed_category(
     w: ClosednessWitness,
     uw: UnitWitness,
@@ -138,7 +120,15 @@ def underlying_closed_category(
     cat = UnderlyingCategory(m)
     objs = cat.objects()
 
-    i = {x: _contraction_inverse(w, uw, x, caps) for x in objs}
+    i = {}
+    for x in objs:
+        hits = contraction_inverses(w, uw, x, caps)
+        if len(hits) != 1:
+            raise NotBijective(
+                f"{m.name}: unit contraction at {m.show_obj(x)} "
+                f"has {len(hits)} inverses"
+            )
+        i[x] = hits[0]
     i_inv = {x: unit_contraction(w, uw, x) for x in objs}
     j = {x: bar(w, uw, ic.unit1[x], caps) for x in objs}
 
@@ -184,13 +174,11 @@ def verify_u_construction(
     objs = sorted(m.objects(), key=m.obj_key)
     unit = uw.unit
 
-    bad = []
-    for x in objs:
-        for y in objs:
-            lhs = m.compose((ic.unit1[y],), ic.LX[(x, y, y)])
-            if lhs != ic.unit1[w.hom_obj((x,), y)]:
-                bad.append(f"{x},{y}")
-    _flat(rep, "u/CC1-internal-identities", "CC1 via L preserving identities", bad)
+    rep.law(
+        "u/CC1-internal-identities",
+        "CC1 via L preserving identities",
+        L_identity_loci(w, ic),
+    )
 
     bad = []
     for x in objs:
@@ -199,18 +187,13 @@ def verify_u_construction(
             lhs = m.compose((ic.unit1[x], m.identity(hxy)), ic.mu[(x, x, y)])
             if lhs != m.identity(hxy):
                 bad.append(f"{x},{y}")
-    _flat(rep, "u/CC2-unit-law", "CC2 via the identity axiom for mu", bad)
+    rep.law("u/CC2-unit-law", "CC2 via the identity axiom for mu", bad)
 
-    bad = []
-    for x, y, z, v in itertools.product(objs, repeat=4):
-        lhs = m.compose((ic.mu[(y, z, v)],), ic.LX[(x, y, v)])
-        rhs = m.compose(
-            (ic.LX[(x, y, z)], ic.LX[(x, z, v)]),
-            ic.mu[(w.hom_obj((x,), y), w.hom_obj((x,), z), w.hom_obj((x,), v))],
-        )
-        if lhs != rhs:
-            bad.append(f"{x},{y},{z},{v}")
-    _flat(rep, "u/CC3-internal-functoriality", "CC3 via L preserving composition", bad)
+    rep.law(
+        "u/CC3-internal-functoriality",
+        "CC3 via L preserving composition",
+        L_compose_loci(w, ic),
+    )
 
     bad = []
     for y in objs:
@@ -224,7 +207,7 @@ def verify_u_construction(
             rhs = hom_action_contra(w, ty, z, caps)
             if lhs != rhs:
                 bad.append(f"{y},{z}")
-    _flat(rep, "u/CC4-contraction", "CC4 via the unit contraction", bad)
+    rep.law("u/CC4-contraction", "CC4 via the unit contraction", bad)
 
     bad = []
     ucs = underlying_closed_category(w, uw, caps, ic)
@@ -236,7 +219,7 @@ def verify_u_construction(
                 back = uncurry(w, nullary, (x,), y)
                 if back != f:
                     bad.append(f"f={m.show_mor(f)}")
-    _flat(rep, "u/CC5-gamma-factorization", "CC5 via the currying factorization", bad)
+    rep.law("u/CC5-gamma-factorization", "CC5 via the currying factorization", bad)
     return rep
 
 
@@ -673,7 +656,7 @@ def check_representation(
         target = sorted(a.name for a in ek.C_functor.obj_map(T.obj_map(y)).elements)
         if len(set(names)) != len(names) or sorted(names) != target:
             bad.append(f"({xs};{y})")
-    _flat(rep, "repr/gamma-bijective", "families correspond to elements", bad)
+    rep.law("repr/gamma-bijective", "families correspond to elements", bad)
 
     bad = []
     for x in mcv.objects():
@@ -682,7 +665,7 @@ def check_representation(
             want = ek.elt_atom(w.cat.identity(w.hom2_obj(x, z))).name
             if ev.gamma_name != want:
                 bad.append(f"{x},{z}")
-    _flat(rep, "repr/ev-coordinate", "evaluation represents the identity", bad)
+    rep.law("repr/ev-coordinate", "evaluation represents the identity", bad)
 
     bad = []
     for xs, z in mcv.signatures(caps):
@@ -695,7 +678,7 @@ def check_representation(
                 img = uncurry(bundle.witness, g, (x,), z)
                 if img.gamma_name != g.gamma_name:
                     bad.append(f"g={mcv.show_mor(g)}")
-    _flat(rep, "repr/gamma-currying", "bijection commutes with currying", bad)
+    rep.law("repr/gamma-currying", "bijection commutes with currying", bad)
     return rep
 
 
@@ -739,7 +722,7 @@ def verify_essential_surjectivity(
             tgt = list(mcv.hom((x,), y))
             if len(set(imgs)) != len(imgs) or len(imgs) != len(tgt):
                 bad.append(f"{x},{y}")
-    _flat(rep, "surj/hom-bijective", "comparison bijective on hom-sets", bad)
+    rep.law("surj/hom-bijective", "comparison bijective on hom-sets", bad)
 
     bad = []
     for x in objs:
@@ -750,5 +733,5 @@ def verify_essential_surjectivity(
     for x, y, z in itertools.product(objs, repeat=3):
         if ucs.L(x, y, z) != l_of(w.L(x, y, z)):
             bad.append(f"L at {x},{y},{z}")
-    _flat(rep, "surj/structure-identified", "i, j, L are the expected families", bad)
+    rep.law("surj/structure-identified", "i, j, L are the expected families", bad)
     return rep

@@ -94,7 +94,7 @@ def check_v_category(A: VCategory, budget: SizeBudget = DEFAULT_BUDGET) -> Repor
             lhs = cat.compose(A.j(y), A.L(x, y, y))
             if lhs != cs.j(A.hom_obj(x, y)):
                 bad.append(f"{x},{y}")
-    _flat(rep, "vc/unit-left", "j then L lands on base j", bad)
+    rep.law("vc/unit-left", "j then L lands on base j", bad)
 
     bad = []
     for x in objs:
@@ -104,7 +104,7 @@ def check_v_category(A: VCategory, budget: SizeBudget = DEFAULT_BUDGET) -> Repor
             )
             if lhs != cs.i(A.hom_obj(x, y)):
                 bad.append(f"{x},{y}")
-    _flat(rep, "vc/unit-right", "L against j lands on i", bad)
+    rep.law("vc/unit-right", "L against j lands on i", bad)
 
     bad = []
     for x, y, uu, v in itertools.product(objs, repeat=4):
@@ -122,7 +122,7 @@ def check_v_category(A: VCategory, budget: SizeBudget = DEFAULT_BUDGET) -> Repor
         )
         if top != bottom:
             bad.append(f"{x},{y},{uu},{v}")
-    _flat(rep, "vc/pentagon", "enriched associativity pentagon", bad)
+    rep.law("vc/pentagon", "enriched associativity pentagon", bad)
     return rep
 
 
@@ -137,7 +137,7 @@ def check_v_functor(F: VFunctor, budget: SizeBudget = DEFAULT_BUDGET) -> Report:
         lhs = cat.compose(A.j(x), F.hom_map(x, x))
         if lhs != B.j(F.obj_map(x)):
             bad.append(str(x))
-    _flat(rep, "vf/identities", "hom map preserves identities", bad)
+    rep.law("vf/identities", "hom map preserves identities", bad)
 
     bad = []
     for x, y, z in itertools.product(A.objects, repeat=3):
@@ -153,7 +153,7 @@ def check_v_functor(F: VFunctor, budget: SizeBudget = DEFAULT_BUDGET) -> Report:
         )
         if lhs != rhs:
             bad.append(f"{x},{y},{z}")
-    _flat(rep, "vf/composition", "hom map respects L", bad)
+    rep.law("vf/composition", "hom map respects L", bad)
     return rep
 
 
@@ -178,7 +178,7 @@ def _vnat_report(F: VFunctor, G: VFunctor, comp: dict) -> Report:
         for b in F.source.objects:
             if not _vnat_square_ok(F, G, comp, a, b):
                 bad.append(f"{a},{b}")
-    _flat(rep, "vn/square", "enriched naturality square", bad)
+    rep.law("vn/square", "enriched naturality square", bad)
     return rep
 
 
@@ -362,11 +362,3 @@ def check_gamma_repr_bijective(
         f"W={cs.cat.show_obj(w)} ({len(fams)} families, {len(target)} elements)",
     )
     return rep
-
-
-def _flat(rep: Report, check: str, anchor: str, failures: list) -> None:
-    if failures:
-        for locus in failures:
-            rep.add_fail(check, anchor, locus)
-    else:
-        rep.add_pass(check, anchor)

@@ -21,6 +21,7 @@ from .core import (
     ObjId,
     require_declared,
     require_declared_identities,
+    require_declared_keys,
 )
 from .errors import BudgetExceeded, FormatError, KernelError, StrictnessError
 from .report import Report
@@ -97,6 +98,12 @@ def _compose_entry(key) -> str:
     return ",".join(map(str, fs)) + f"|{g}"
 
 
+def _hom_entry(key) -> str:
+    """A hom-set's key (xs, y) in the file's syntax "x1,x2;y"."""
+    xs, y = key
+    return ",".join(map(str, xs)) + f";{y}"
+
+
 class TabularMulticategory(Multicategory):
     def __init__(
         self,
@@ -111,6 +118,14 @@ class TabularMulticategory(Multicategory):
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._compose = dict(compose)
         self._identity = dict(identity)
+        require_declared_keys(
+            name,
+            "hom",
+            self._hom,
+            set(self._objects),
+            lambda k: (*k[0], k[1]),
+            _hom_entry,
+        )
         self._sig: dict[MorId, tuple[Profile, ObjId]] = {}
         for (xs, y), fs in self._hom.items():
             for f in fs:
@@ -167,7 +182,7 @@ def check_strict_monoidal(smc: StrictMonoidalCategory) -> Report:
     for x in objs:
         if smc.tensor_obj(smc.unit, x) != x or smc.tensor_obj(x, smc.unit) != x:
             bad.append(cat.show_obj(x))
-    _flat(rep, "monoidal/unit-strict", "unit strictness on objects", bad)
+    rep.law("monoidal/unit-strict", "unit strictness on objects", bad)
 
     bad = []
     one = cat.identity(smc.unit)
@@ -176,7 +191,7 @@ def check_strict_monoidal(smc: StrictMonoidalCategory) -> Report:
             for f in cat.hom(x, y):
                 if smc.tensor_mor(one, f) != f or smc.tensor_mor(f, one) != f:
                     bad.append(cat.show_mor(f))
-    _flat(rep, "monoidal/unit-strict-mor", "unit strictness on morphisms", bad)
+    rep.law("monoidal/unit-strict-mor", "unit strictness on morphisms", bad)
 
     bad = []
     for x, y, z in itertools.product(objs, repeat=3):
@@ -185,7 +200,7 @@ def check_strict_monoidal(smc: StrictMonoidalCategory) -> Report:
             continue
         if smc.tensor_obj(xy, z) != smc.tensor_obj(x, yz):
             bad.append(f"{x},{y},{z}")
-    _flat(rep, "monoidal/assoc-strict", "tensor associativity", bad)
+    rep.law("monoidal/assoc-strict", "tensor associativity", bad)
 
     bad = []
     for x, y in itertools.product(objs, repeat=2):
@@ -194,7 +209,7 @@ def check_strict_monoidal(smc: StrictMonoidalCategory) -> Report:
         lhs = smc.tensor_mor(cat.identity(x), cat.identity(y))
         if lhs != cat.identity(smc.tensor_obj(x, y)):
             bad.append(f"{x},{y}")
-    _flat(rep, "monoidal/tensor-identity", "1 (x) 1 = 1", bad)
+    rep.law("monoidal/tensor-identity", "1 (x) 1 = 1", bad)
 
     bad = []
     for a, b, c, d in itertools.product(objs, repeat=4):
@@ -218,7 +233,7 @@ def check_strict_monoidal(smc: StrictMonoidalCategory) -> Report:
                                     bad.append(
                                         f"f={cat.show_mor(f)} g={cat.show_mor(g)}"
                                     )
-    _flat(rep, "monoidal/interchange", "tensor functoriality", bad)
+    rep.law("monoidal/interchange", "tensor functoriality", bad)
     return rep
 
 
@@ -342,14 +357,6 @@ class MultiNat:
         )
 
 
-def _flat(rep: Report, check: str, anchor: str, failures: list[str]) -> None:
-    if failures:
-        for locus in failures:
-            rep.add_fail(check, anchor, locus)
-    else:
-        rep.add_pass(check, anchor)
-
-
 def _guard_hom(m: Multicategory, xs, y, caps: ArityCaps):
     fs = m.hom(xs, y)
     if len(fs) > caps.max_homset:
@@ -425,28 +432,28 @@ def check_multicategory_axioms(
         for f in _guard_hom(m, xs, y, caps):
             if m.dom(f) != xs or m.cod(f) != y:
                 bad.append(m.show_mor(f))
-    _flat(rep, "mc/endpoints", "dom/cod", bad)
+    rep.law("mc/endpoints", "dom/cod", bad)
 
-    inner_bad = []
+    bad = []
     for xs, y in m.signatures(caps):
         for f in _guard_hom(m, xs, y, caps):
             if m.compose(m.identities_for(xs), f) != f:
-                inner_bad.append(f"(1,..,1).{m.show_mor(f)}")
-    _flat(rep, "mc/identity-inner", "(1,...,1).g = g", inner_bad)
+                bad.append(f"(1,..,1).{m.show_mor(f)}")
+    inner_bad = rep.law("mc/identity-inner", "(1,...,1).g = g", bad)
 
-    outer_bad = []
+    bad = []
     for xs, y in m.signatures(caps):
         for f in _guard_hom(m, xs, y, caps):
             if m.compose((f,), m.identity(y)) != f:
-                outer_bad.append(f"{m.show_mor(f)}.1")
-    _flat(rep, "mc/identity-outer", "(f).1 = f", outer_bad)
+                bad.append(f"{m.show_mor(f)}.1")
+    outer_bad = rep.law("mc/identity-outer", "(f).1 = f", bad)
 
     try:
         holds = not (inner_bad or outer_bad) and _assoc_holds(m, caps)
     except (KernelError, ValueError):
         holds = False
     bad = [] if holds else _assoc_loci(m, caps)
-    _flat(rep, "mc/assoc", "two-level associativity", bad)
+    rep.law("mc/assoc", "two-level associativity", bad)
     return rep
 
 
@@ -595,13 +602,13 @@ def check_multifunctor(
             want_dom = tuple(F.obj_map(x) for x in xs)
             if tgt.dom(ff) != want_dom or tgt.cod(ff) != F.obj_map(y):
                 bad.append(src.show_mor(f))
-    _flat(rep, "mf/endpoints", "F(f):FX1,..,FXn->FY", bad)
+    rep.law("mf/endpoints", "F(f):FX1,..,FXn->FY", bad)
 
     bad = []
     for x in sorted(src.objects(), key=src.obj_key):
         if F.mor_map(src.identity(x)) != tgt.identity(F.obj_map(x)):
             bad.append(src.show_obj(x))
-    _flat(rep, "mf/identity", "F(1)=1", bad)
+    rep.law("mf/identity", "F(1)=1", bad)
 
     bad = []
     guarded = lambda xs, y: _guard_hom(src, xs, y, caps)  # noqa: E731
@@ -612,7 +619,7 @@ def check_multifunctor(
             bad.append(
                 f"g={src.show_mor(g)} fs=" + ",".join(map(src.show_mor, fs))
             )
-    _flat(rep, "mf/compose", "F((fs).g)=(F(fs)).F(g)", bad)
+    rep.law("mf/compose", "F((fs).g)=(F(fs)).F(g)", bad)
     return rep
 
 
@@ -630,7 +637,7 @@ def check_multinat(r: MultiNat, caps: ArityCaps = DEFAULT_CAPS) -> Report:
             )
             if lhs != rhs:
                 bad.append(src.show_mor(f))
-    _flat(rep, "mn/square", "Ff.r = (r,...,r).Gf", bad)
+    rep.law("mn/square", "Ff.r = (r,...,r).Gf", bad)
     return rep
 
 

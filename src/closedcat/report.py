@@ -46,8 +46,16 @@ class Report:
     def add_fail(self, check: str, anchor: str = "", locus: str = "") -> None:
         self.items.append(ReportItem(check, anchor, FAIL, locus))
 
-    def add_skip(self, check: str, anchor: str = "", locus: str = "") -> None:
-        self.items.append(ReportItem(check, anchor, SKIP, locus))
+    def law(self, check: str, anchor: str, loci) -> list[str]:
+        """Itemize one law from its failing loci, consumed in order: one
+        FAIL per locus, or one PASS when there are none.  Returns the loci.
+        If ``loci`` raises partway, nothing is added."""
+        loci = list(loci)
+        if loci:
+            self.items.extend(ReportItem(check, anchor, FAIL, x) for x in loci)
+        else:
+            self.items.append(ReportItem(check, anchor, PASS))
+        return loci
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for it in other.items:

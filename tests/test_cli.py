@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, file targets, and the
 published report schema."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from closedcat import cli, instances
 from closedcat.interchange import REPORT_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -238,3 +240,71 @@ def test_construct_ek(tmp_path):
     assert out.returncode == 0, out.stderr
     out2 = run_cli("check", f"file:{target}")
     assert out2.returncode == 0, out2.stdout
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("construct", "ek", "instance:broken-hom2"), "NotBijective: broken-hom2"),
+        (("represent", "instance:broken-hom2"), "NotBijective: broken-hom2"),
+        (
+            ("construct", "underlying", "instance:truncadd-badunit"),
+            "NotBijective: truncadd-badunit: unit contraction",
+        ),
+    ],
+)
+def test_kernel_error_outside_a_check_exits_two_with_one_line(tmp_path, argv, message):
+    out = run_cli(*argv, "--out", str(tmp_path / "out.json"))
+    assert out.returncode == 2, out.stdout + out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "fixture,edit,message",
+    [
+        (
+            "broken-j.json",
+            lambda doc: doc.update(unit="o9"),
+            'unit names undeclared object "o9"',
+        ),
+        (
+            "broken-j.json",
+            lambda doc: doc["hom2"]["obj"].update({"o0,o0": "o9"}),
+            'hom2.obj entry "o0,o0" names undeclared object "o9"',
+        ),
+        (
+            "broken-compose.json",
+            lambda doc: doc["hom"].update({"o9,o0": doc["hom"].pop("o0,o0")}),
+            'hom key "o9,o0" names undeclared object "o9"',
+        ),
+        (
+            "broken-compose.json",
+            lambda doc: doc["hom"].update({"o0,o9": []}),
+            'hom key "o0,o9" names undeclared object "o9"',
+        ),
+        (
+            "z2mc-badcompose.json",
+            lambda doc: doc["hom"].update({"o0,o9;o0": []}),
+            'hom key "o0,o9;o0" names undeclared object "o9"',
+        ),
+    ],
+)
+def test_undeclared_object_exits_two_naming_the_field(tmp_path, fixture, edit, message):
+    out = run_cli("check", f"file:{_edited_fixture(tmp_path, fixture, edit)}")
+    assert out.returncode == 2, out.stdout + out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize("name", sorted(instances.REGISTRY))
+def test_registry_check_report_matches_the_benchmark_digest(name, capsys):
+    """The full-suite report of every registry instance is byte-identical
+    to the digest the benchmark records for it."""
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    want = golden["registry-check"][f"check-{name}"]["stdout"]
+    cli.main(["check", "--suite", "all", f"instance:{name}"])
+    got = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert got == want

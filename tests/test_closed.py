@@ -1,6 +1,7 @@
 """Closed structures: gamma, axiom suites, closed functors and
 transformations, the hom-embedding into sets, and normalization."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -236,3 +237,31 @@ def test_compose_closed_functors_associative():
             for f in cs.cat.hom(x, y):
                 assert left.phi.mor_map(f) == right.phi.mor_map(f)
     assert left.phi0 == right.phi0
+
+
+def test_gamma_inverse_closed_form_agrees_with_the_search(sets2):
+    # finset supplies gamma_inv, so gamma_inverse answers from the closed
+    # form; the same structure without it answers by searching hom(X,Y)
+    searched = dataclasses.replace(sets2, gamma_inv=None)
+    u = sets2.unit
+    for x, y in itertools.product(sets2.cat.objects(), repeat=2):
+        for point in sets2.cat.hom(u, sets2.hom2_obj(x, y)):
+            assert gamma_inverse(sets2, point, x, y) == gamma_inverse(
+                searched, point, x, y
+            )
+
+
+def test_gamma_inverse_rejects_a_closed_form_that_disagrees_with_gamma(sets2):
+    x = y = sets2.cat.objects()[-1]
+    (point, *_) = sets2.cat.hom(sets2.unit, sets2.hom2_obj(x, y))
+    wrong = dataclasses.replace(
+        sets2, gamma_inv=lambda g, x, y: sets2.cat.identity(sets2.unit)
+    )
+    with pytest.raises(NotBijective):
+        gamma_inverse(wrong, point, x, y)
+
+
+def test_ek_checks_of_the_corrupted_structure_raise_not_bijective():
+    ek, _ = ek_normalize(instances.get("broken-hom2").build())
+    with pytest.raises(NotBijective):
+        check_ek_axioms(ek)
