@@ -668,9 +668,15 @@ class EKClosedStructure:
     base: ClosedStructure | None = None  # the structure that was normalized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WMor:
-    """Morphism of the normalized category: a point of an internal hom."""
+    """Morphism of the normalized category: a point of an internal hom.
+
+    ``ek_normalize`` interns these, one object per (dom, cod, point) in
+    each normalized structure, so equality and hashing are identity: two
+    morphisms of one structure are equal exactly when they are the same
+    object.  Morphisms of two separate normalizations never compare equal.
+    """
 
     dom: ObjId
     cod: ObjId
@@ -700,11 +706,22 @@ def ek_normalize(
     def point_name(m: MorId) -> str:
         return cat.show_mor(m)
 
+    # The one WMor of each (dom, cod, point), owned by this structure
+    # through the closures below and freed with it.
+    pool: dict[tuple[ObjId, ObjId, MorId], WMor] = {}
+
+    def wmor(x: ObjId, y: ObjId, p: MorId) -> WMor:
+        key = (x, y, p)
+        m = pool.get(key)
+        if m is None:
+            m = pool[key] = WMor(x, y, p)
+        return m
+
     homs: dict[tuple[ObjId, ObjId], list[WMor]] = {}
     for x in objs:
         for y in objs:
             pts = sorted(cat.hom(u, cs.hom2_obj(x, y)), key=cat.mor_key)
-            homs[(x, y)] = [WMor(x, y, p) for p in pts]
+            homs[(x, y)] = [wmor(x, y, p) for p in pts]
 
     # CC5 violations surface as NotBijective when a point without a unique
     # preimage is transported.
@@ -716,17 +733,15 @@ def ek_normalize(
         # (f, g) -> f . gamma^{-1}(g . L) agrees with this wherever the
         # intermediate hom-set is enumerable; check_ek_axioms re-checks
         # that agreement over the enumerated objects.
-        return WMor(
-            f.dom, g.cod, gamma(cs, cat.compose(g_inv(f), g_inv(g)))
-        )
+        return wmor(f.dom, g.cod, gamma(cs, cat.compose(g_inv(f), g_inv(g))))
 
     def identity_rule(x: ObjId) -> WMor:
-        return WMor(x, x, gamma(cs, cat.identity(x)))
+        return wmor(x, x, gamma(cs, cat.identity(x)))
 
     wcat = _WCategory(f"ek({cs.name})", cat, objs, homs, compose_rule, identity_rule)
 
     def lift(m: MorId) -> WMor:
-        return WMor(cat.dom(m), cat.cod(m), gamma(cs, m))
+        return wmor(cat.dom(m), cat.cod(m), gamma(cs, m))
 
     def hom2_mor(f: WMor, g: WMor) -> WMor:
         return lift(cs.hom2_mor(g_inv(f), g_inv(g)))
@@ -804,12 +819,15 @@ class _WCategory(Category):
         return self._identity_memo[x]
 
     def compose(self, f: WMor, g: WMor) -> WMor:
-        if f.cod != g.dom:
-            raise ValueError(f"cannot compose {f} with {g}")
+        # Interned morphisms hash by identity, and only a composable pair
+        # ever enters the memo.
         key = (f, g)
-        if key not in self._compose_memo:
-            self._compose_memo[key] = self._compose_rule(f, g)
-        return self._compose_memo[key]
+        h = self._compose_memo.get(key)
+        if h is None:
+            if f.cod != g.dom:
+                raise ValueError(f"cannot compose {f} with {g}")
+            h = self._compose_memo[key] = self._compose_rule(f, g)
+        return h
 
     def dom(self, f: WMor):
         return f.dom

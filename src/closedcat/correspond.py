@@ -17,7 +17,7 @@ functors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .closed import (
     ClosedFunctor,
@@ -443,17 +443,21 @@ def lift_closed_functor(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepresentingMorphism:
     """A morphism of the representing multicategory: an enriched natural
     family from the left hom functor at the codomain to the composite of
     the left hom functors at the domain profile, keyed by its coordinate
-    under the representation bijection."""
+    under the representation bijection.
+
+    ``RepresentingMulticat`` builds exactly one per family, so equality
+    and hashing are identity.  ``components`` lists (object, morphism)
+    pairs in the multicategory's object order."""
 
     dom: Profile
     cod: ObjId
     components: tuple
-    gamma_name: str = field(compare=False)
+    gamma_name: str
 
     def __str__(self):
         return f"rep[{self.gamma_name}]:{','.join(map(str, self.dom))}->{self.cod}"
@@ -479,10 +483,16 @@ class RepresentingMulticat(Multicategory):
                         f"{w.name}: objects not closed under internal homs"
                     )
         self._objs = objs
+        self._pos = {x: k for k, x in enumerate(objs)}
+        self._units = tuple(wcat.identity(x) for x in objs)
         self._und_v = build_underlying_V_category(w)
         self._lx = {x: build_LX(w, x) for x in objs}
         self._functors: dict[Profile, VFunctor] = {}
+        # Per profile, the image of each object under its composite left
+        # hom functor, as a position in self._objs.
+        self._images: dict[Profile, tuple[int, ...]] = {}
         self._hom: dict[tuple[Profile, ObjId], tuple[RepresentingMorphism, ...]] = {}
+        # Keyed by the component morphisms in self._objs order.
         self._index: dict[tuple[Profile, ObjId, tuple], RepresentingMorphism] = {}
         self._whiskered: dict[tuple[Profile, MorId], MorId] = {}
         for xs in self.profiles(caps.max_arity):
@@ -498,38 +508,40 @@ class RepresentingMulticat(Multicategory):
             for x in xs:
                 acc = compose_v_functors(acc, self._lx[x])
             self._functors[xs] = acc
+            self._images[xs] = tuple(self._pos[acc.obj_map(a)] for a in self._objs)
         return self._functors[xs]
 
     def _enumerate(self, xs: Profile, y: ObjId) -> None:
         if (xs, y) in self._hom:
             return
-        w = self.base
         T = self.functor_of(xs)
         ly = self._lx[y]
         fams = enumerate_vnat_families(ly, T)
         reps = []
         for comp in fams:
-            comps = tuple(sorted(comp.items(), key=lambda kv: w.cat.obj_key(kv[0])))
+            comps = tuple((a, comp[a]) for a in self._objs)
             g = gamma_repr(self.ek, T, y, VNatFamily("p", ly, T, comp))
             reps.append(RepresentingMorphism(xs, y, comps, g))
         reps.sort(key=lambda r: r.gamma_name)
         self._hom[(xs, y)] = tuple(reps)
         for r in reps:
-            self._index[(xs, y, r.components)] = r
+            self._index[(xs, y, tuple(m for _, m in r.components))] = r
 
-    def _lookup(self, xs: Profile, y: ObjId, comps: dict) -> RepresentingMorphism:
-        self._enumerate(tuple(xs), y)  # hom-sets materialize on demand
-        key = (
-            xs,
-            y,
-            tuple(sorted(comps.items(), key=lambda kv: self.base.cat.obj_key(kv[0]))),
-        )
-        if key not in self._index:
+    def _find(self, xs: Profile, y: ObjId, mors: tuple) -> RepresentingMorphism:
+        """The morphism xs -> y whose components, in the order of
+        ``objects()``, are mors."""
+        xs = tuple(xs)
+        self._enumerate(xs, y)  # hom-sets materialize on demand
+        r = self._index.get((xs, y, mors))
+        if r is None:
             raise KernelError(
                 f"{self.name}: composite family is not natural "
                 f"(missing from hom{xs}->{y})"
             )
-        return self._index[key]
+        return r
+
+    def _lookup(self, xs: Profile, y: ObjId, comps: dict) -> RepresentingMorphism:
+        return self._find(xs, y, tuple(comps[a] for a in self._objs))
 
     # -- multicategory interface --------------------------------------------
 
@@ -542,40 +554,43 @@ class RepresentingMulticat(Multicategory):
 
     def identity(self, x):
         w = self.base
-        comps = {a: w.cat.identity(w.hom2_obj(x, a)) for a in self._objs}
-        return self._lookup((x,), x, comps)
+        return self._find(
+            (x,), x, tuple(w.cat.identity(w.hom2_obj(x, a)) for a in self._objs)
+        )
 
     def whisker(self, xs: Profile, alpha: MorId) -> MorId:
         """The composite left hom functor at xs applied to alpha, memoized
         per structure: composites revisit few (xs, alpha) pairs."""
         key = (xs, alpha)
-        if key not in self._whiskered:
-            self._whiskered[key] = self.functor_of(xs).mor_action(alpha)
-        return self._whiskered[key]
+        m = self._whiskered.get(key)
+        if m is None:
+            m = self._whiskered[key] = self.functor_of(xs).mor_action(alpha)
+        return m
 
     def compose(self, fs, g: RepresentingMorphism):
         if tuple(f.cod for f in fs) != g.dom:
             raise ValueError("profile mismatch")
-        wcat = self.base.cat
+        compose = self.base.cat.compose
+        whisker = self.whisker
         # Tensor the inner families left to right, then compose vertically
-        # after g.
+        # after g.  Components are carried in self._objs order; the
+        # component of f at the image of the k-th object sits at that
+        # image's position.
         acc_profile: Profile = ()
         acc_target: Profile = ()
-        acc_comps = {a: wcat.identity(a) for a in self._objs}
+        acc = self._units
         for f in fs:
-            s = self.functor_of(acc_profile)
-            beta = dict(f.components)
-            acc_comps = {
-                a: wcat.compose(
-                    beta[s.obj_map(a)], self.whisker(f.dom, acc_comps[a])
-                )
-                for a in self._objs
-            }
+            if acc_profile not in self._images:
+                self.functor_of(acc_profile)
+            beta, xs = f.components, f.dom
+            acc = tuple(
+                compose(beta[k][1], whisker(xs, m))
+                for k, m in zip(self._images[acc_profile], acc)
+            )
             acc_profile = acc_profile + (f.cod,)
-            acc_target = acc_target + f.dom
-        top = dict(g.components)
-        comps = {a: wcat.compose(top[a], acc_comps[a]) for a in self._objs}
-        return self._lookup(acc_target, g.cod, comps)
+            acc_target = acc_target + xs
+        mors = tuple(compose(t, m) for (_, t), m in zip(g.components, acc))
+        return self._find(acc_target, g.cod, mors)
 
     def dom(self, f: RepresentingMorphism):
         return f.dom

@@ -26,6 +26,9 @@ class HF:
 
     kind: str
     payload: object
+    # A table's entries as a key -> value dict, kept from ftable's
+    # single-valuedness check; None for the other kinds.
+    lookup: dict | None = None
 
     def __post_init__(self):
         # Values are compared constantly in the checkers; caching the hash
@@ -74,10 +77,12 @@ class HF:
 
     def apply(self, arg: "HF") -> "HF":
         """Look up a table at a point of its domain."""
-        for k, v in self.pairs:
-            if k == arg:
-                return v
-        raise KeyError(f"{pretty(arg)} not in domain of {pretty(self)}")
+        if self.kind != TABLE:
+            raise TypeError(f"not a table: {pretty(self)}")
+        v = self.lookup.get(arg)
+        if v is None:
+            raise KeyError(f"{pretty(arg)} not in domain of {pretty(self)}")
+        return v
 
 
 def atom(name: str) -> HF:
@@ -107,7 +112,7 @@ def ftable(pairs: Iterable[tuple[HF, HF]]) -> HF:
         if k in seen and seen[k] != v:
             raise ValueError(f"table not single-valued at {pretty(k)}")
         seen[k] = v
-    return HF(TABLE, entries)
+    return HF(TABLE, entries, seen)
 
 
 def _check_one(v: object) -> None:

@@ -21,7 +21,15 @@ import json
 
 from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
-from .core import Category, DEFAULT_BUDGET, SizeBudget, TabularCategory, guard_objects
+from .core import (
+    Category,
+    DEFAULT_BUDGET,
+    SizeBudget,
+    TabularCategory,
+    guard_objects,
+    require_declared,
+    require_declared_keys,
+)
 from .errors import BudgetExceeded, FormatError
 from .multicat import (
     ArityCaps,
@@ -272,6 +280,11 @@ def multicat_to_json(
     return doc
 
 
+def _pair_entry(key) -> str:
+    """A witness key (x, z) in the file's syntax "x;z"."""
+    return f"{key[0]};{key[1]}"
+
+
 def multicat_from_json(
     doc: dict,
 ) -> tuple[TabularMulticategory, ClosednessWitness | None, UnitWitness | None]:
@@ -282,22 +295,34 @@ def multicat_from_json(
         compose = {}
         for (left, g), h in _keyed(doc, "compose", sep="|", parts=2):
             compose[(tuple(p for p in left.split(",") if p), g)] = h
+        name = doc.get("name", "multicategory")
         m = TabularMulticategory(
-            doc.get("name", "multicategory"),
+            name,
             _names("objects", doc["objects"], many=True),
             hom,
             compose,
             dict(_entries(doc, "id")),
         )
+        objects = set(m.objects())
+        declared = {f for fs in hom.values() for f in fs}
         witness = None
         if "hom_obj" in doc:
             hom_obj1 = dict(_keyed(doc, "hom_obj", sep=";", parts=2))
             ev1 = dict(_keyed(doc, "ev", sep=";", parts=2)) if "ev" in doc else {}
+            for label, table in (("hom_obj", hom_obj1), ("ev", ev1)):
+                require_declared_keys(name, label, table, objects, show=_pair_entry)
+            require_declared(
+                name, "hom_obj", hom_obj1, objects, _pair_entry, what="object"
+            )
+            require_declared(name, "ev", ev1, declared, _pair_entry)
             witness = ClosednessWitness(m, hom_obj1, ev1)
         unit = None
         if "unit" in doc:
             block = dict(_entries(doc, "unit"))
-            unit = UnitWitness(block["unit"], block["u"])
+            x, u = block["unit"], block["u"]
+            require_declared(name, "unit", {"unit": x}, objects, what="object")
+            require_declared(name, "unit", {"u": u}, declared)
+            unit = UnitWitness(x, u)
         return m, witness, unit
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed multicategory file: {exc}") from exc

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Union
 
 from . import hf
@@ -54,18 +53,13 @@ def elements(o: SetObj) -> tuple[hf.HF, ...]:
     raise BudgetExceeded(f"cannot enumerate virtual hom object {o!r}")
 
 
-@lru_cache(maxsize=65536)
-def _tdict(t: hf.HF) -> dict:
-    return dict(t.pairs)
-
-
 def table_apply(t: hf.HF, k: hf.HF) -> hf.HF:
-    return _tdict(t)[k]
+    return t.lookup[k]
 
 
 def compose_tables(f: hf.HF, g: hf.HF) -> hf.HF:
     """Composite of function tables, first f then g."""
-    gd = _tdict(g)
+    gd = g.lookup
     return hf.ftable((k, gd[v]) for k, v in f.pairs)
 
 
@@ -193,7 +187,7 @@ class FinSetCategory(Category):
         if isinstance(h, HomObj):
             raise BudgetExceeded(f"{self.name}: hom({x!r},{y!r}) over budget")
         return tuple(
-            SetMor.from_table(x, y, _tdict(t)) for t in hf.sorted_elements(h)
+            SetMor.from_table(x, y, t.lookup) for t in hf.sorted_elements(h)
         )
 
     def identity(self, x: SetObj):

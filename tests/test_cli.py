@@ -299,6 +299,58 @@ def test_undeclared_object_exits_two_naming_the_field(tmp_path, fixture, edit, m
     assert message in lines[0]
 
 
+@pytest.fixture(scope="module")
+def z2_dump():
+    out = run_cli("instance", "dump", "z2")
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (
+            lambda doc: doc["unit"].update(unit="o9"),
+            'unit entry "unit" names undeclared object "o9"',
+        ),
+        (
+            lambda doc: doc["hom_obj"].update({"o0;o0": "o9"}),
+            'hom_obj entry "o0;o0" names undeclared object "o9"',
+        ),
+        (
+            lambda doc: doc["ev"].update({"o0;o0": "m99"}),
+            'ev entry "o0;o0" names undeclared morphism "m99"',
+        ),
+        (
+            lambda doc: doc["unit"].update(u="m99"),
+            'unit entry "u" names undeclared morphism "m99"',
+        ),
+        (
+            lambda doc: doc["ev"].update({"o9;o0": "m4"}),
+            'ev key "o9;o0" names undeclared object "o9"',
+        ),
+    ],
+)
+def test_undeclared_name_in_witness_or_unit_exits_two_naming_it(
+    tmp_path, z2_dump, edit, message
+):
+    doc = json.loads(z2_dump)
+    edit(doc)
+    target = tmp_path / "z2.json"
+    target.write_text(json.dumps(doc))
+    out = run_cli("check", f"file:{target}")
+    assert out.returncode == 2, out.stdout + out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    assert message in lines[0]
+
+
+def _sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(instances.REGISTRY))
 def test_registry_check_report_matches_the_benchmark_digest(name, capsys):
     """The full-suite report of every registry instance is byte-identical
@@ -306,5 +358,24 @@ def test_registry_check_report_matches_the_benchmark_digest(name, capsys):
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
     want = golden["registry-check"][f"check-{name}"]["stdout"]
     cli.main(["check", "--suite", "all", f"instance:{name}"])
-    got = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
-    assert got == want
+    assert _sha(capsys.readouterr().out) == want
+
+
+def test_represent_reload_outputs_match_the_benchmark_digests(tmp_path, capsys):
+    """The represented heyting2 file, the represent report and the three
+    roundtrip reports are byte-identical to the digests the benchmark
+    records for them."""
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    want = golden["represent-reload"]
+    out = tmp_path / "heyting2-rep.json"
+    argv = ["represent", "instance:heyting2", "--arity-cap", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert _sha(capsys.readouterr().out) == want["represent"]["stdout"]
+    assert _sha(out.read_bytes()) == want["represent"]["file:heyting2-rep.json"]
+    for op, target, functor in [
+        ("roundtrip-z2-shift", "z2", "shift"),
+        ("roundtrip-z2-inversion", "z2", "inversion"),
+        ("roundtrip-heyting2mc-identity", "heyting2mc", "identity"),
+    ]:
+        assert cli.main(["roundtrip", f"instance:{target}", f"functor:{functor}"]) == 0
+        assert _sha(capsys.readouterr().out) == want[op]["stdout"], op

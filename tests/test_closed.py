@@ -10,6 +10,7 @@ from closedcat import hf, instances
 from closedcat.closed import (
     ClosedFunctor,
     ClosedTransformation,
+    WMor,
     build_E_functor,
     check_cc_axioms,
     check_cf_axioms,
@@ -205,6 +206,30 @@ def test_ek_normalize_finset(finset_cs):
     w = ek.closed
     for x in w.cat.objects():
         assert w.cat.identity(x).point == gamma(finset_cs, finset_cs.cat.identity(x))
+
+
+@pytest.mark.parametrize("name", ["heyting2", "z2closed", "terminal", "finset"])
+def test_ek_normalize_interns_every_morphism(name):
+    # equality is identity, so identities, composites and the transported
+    # base morphisms must be the very hom-set members with the same point
+    assert WMor.__eq__ is object.__eq__ and WMor.__hash__ is object.__hash__
+    cs = instances.get(name).build()
+    ek, iso = ek_normalize(cs)
+    wcat = ek.closed.cat
+    objs = wcat.objects()
+    member = {(x, y, f.point): f for x in objs for y in objs for f in wcat.hom(x, y)}
+    for x in objs:
+        ident = wcat.identity(x)
+        assert member[(x, x, ident.point)] is ident
+    for x, y in itertools.product(objs, repeat=2):
+        for m in cs.cat.hom(x, y):
+            f = iso.phi.mor_map(m)
+            assert member[(x, y, f.point)] is f
+    for x, y, z in itertools.product(objs, repeat=3):
+        for f in wcat.hom(x, y):
+            for g in wcat.hom(y, z):
+                h = wcat.compose(f, g)
+                assert member[(x, z, h.point)] is h
 
 
 def test_ek_composition_matches_defining_formula():

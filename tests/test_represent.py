@@ -6,13 +6,14 @@ import pytest
 from closedcat import instances
 from closedcat.closedmc import check_closedness, check_unit_object
 from closedcat.correspond import (
+    RepresentingMorphism,
     build_representing_multicategory,
     check_representation,
     underlying_closed_category,
     verify_essential_surjectivity,
 )
 from closedcat.errors import KernelError
-from closedcat.multicat import ArityCaps, check_multicategory_axioms
+from closedcat.multicat import ArityCaps, _composables, check_multicategory_axioms
 
 CAPS = ArityCaps(3)
 
@@ -31,6 +32,18 @@ def bundles():
 def test_multicategory_axioms(bundles, name):
     rep = check_multicategory_axioms(bundles[name].mcv, CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
+
+
+@pytest.mark.parametrize("name", ["heyting2", "z2closed"])
+def test_composites_are_hom_set_members(bundles, name):
+    # equality is identity, so every composite within the cap must be the
+    # very member of its hom-set
+    assert RepresentingMorphism.__eq__ is object.__eq__
+    assert RepresentingMorphism.__hash__ is object.__hash__
+    mcv = bundles[name].mcv
+    for g, doms, fs in _composables(mcv, CAPS):
+        h = mcv.compose(fs, g)
+        assert any(h is r for r in mcv.hom(sum(doms, ()), g.cod))
 
 
 @pytest.mark.parametrize("name", NAMES)
