@@ -53,7 +53,7 @@ from .correspond import (
     verify_u_construction,
 )
 from .errors import FormatError, KernelError
-from .multicat import ArityCaps, MultiFunctor, check_multicategory_axioms
+from .multicat import ArityCaps, DEFAULT_CAPS, MultiFunctor, check_multicategory_axioms
 from .report import Report
 
 
@@ -61,8 +61,11 @@ def _budget(args) -> SizeBudget:
     return SizeBudget(max_homset=args.budget)
 
 
-def _caps(args) -> ArityCaps:
-    return ArityCaps() if args.arity_cap is None else ArityCaps(args.arity_cap)
+def _caps(args, own: ArityCaps = DEFAULT_CAPS) -> ArityCaps:
+    """The arity horizon ``own`` unless --arity-cap overrides it, with
+    multicategory hom-sets bounded by --budget."""
+    arity = own.max_arity if args.arity_cap is None else args.arity_cap
+    return ArityCaps(arity, args.budget)
 
 
 def _load_target(spec: str):
@@ -88,7 +91,6 @@ def _load_target(spec: str):
 def _check_target(name: str, kind: str, payload, info, args) -> Report:
     rep = Report(name)
     budget = _budget(args)
-    caps = _caps(args)
     axioms = args.suite in ("axioms", "all")
     theorems = args.suite in ("theorems", "all")
 
@@ -117,7 +119,7 @@ def _check_target(name: str, kind: str, payload, info, args) -> Report:
     m, w, uw = payload
     # Registry instances may declare their own arity horizon (partial
     # tensors); an explicit --arity-cap overrides it.
-    icaps = info.caps if info is not None and args.arity_cap is None else caps
+    icaps = _caps(args, info.caps) if info is not None else _caps(args)
     if axioms:
         run("mc", lambda: check_multicategory_axioms(m, icaps))
         if w is not None:
@@ -182,9 +184,8 @@ def cmd_represent(args) -> int:
     rep = Report(f"represent {name}")
     rep.extend(check_representation(bundle, caps))
     rep.extend(verify_essential_surjectivity(bundle, caps))
-    doc = interchange.multicat_to_json(
-        bundle.mcv, ArityCaps(caps.max_arity + 1), bundle.witness, bundle.unit
-    )
+    dump_caps = ArityCaps(caps.max_arity + 1, caps.max_homset)
+    doc = interchange.multicat_to_json(bundle.mcv, dump_caps, bundle.witness, bundle.unit)
     _write(interchange.dumps(doc), args.out)
     sys.stdout.write(_render(rep, args))
     return 0 if rep.ok else 1
@@ -249,7 +250,7 @@ def cmd_instance(args) -> int:
             doc = interchange.closed_ref_to_json(args.name, params)
     else:
         m, w, uw = info.build()
-        dump_caps = ArityCaps(min(caps.max_arity, info.caps.max_arity) + 1)
+        dump_caps = ArityCaps(min(caps.max_arity, info.caps.max_arity) + 1, caps.max_homset)
         doc = interchange.multicat_to_json(m, dump_caps, w, uw)
     _write(interchange.dumps(doc), args.out)
     return 0

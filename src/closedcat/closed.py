@@ -12,8 +12,9 @@ the instance's decidable morphism equality.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import hf
@@ -59,11 +60,13 @@ class ClosedStructure:
     # compose transported morphisms between nested hom objects, where the
     # search space is not enumerable.  Every use is verified against gamma.
     gamma_inv: Callable[[MorId, ObjId, ObjId], MorId] | None = None
-    # The tables of gamma_inverse, one per hom-set (X, Y), built on first
-    # use and freed with the structure.
-    ginv_tables: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
-    )
+
+    def __post_init__(self):
+        # gamma_inverse's table of gamma on each hom-set (X, Y), built on
+        # first use and freed with the structure.
+        object.__setattr__(
+            self, "gamma_table", functools.cache(functools.partial(_gamma_table, self))
+        )
 
     # und(1_X, g) and und(f, 1_Y): the one-sided hom actions.
     def cov(self, x: ObjId, g: MorId) -> MorId:
@@ -146,17 +149,7 @@ def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
                 f"{cs.name}: supplied gamma inverse disagrees with gamma"
             )
         return f
-    entry = cs.ginv_tables.get((x, y))
-    if entry is None:
-        table: dict = {}
-        collisions = set()
-        for f in cs.cat.hom(x, y):
-            img = gamma(cs, f)
-            if img in table:
-                collisions.add(img)
-            table[img] = f
-        entry = cs.ginv_tables[(x, y)] = (table, collisions)
-    table, collisions = entry
+    table, collisions = cs.gamma_table(x, y)
     if g in collisions or g not in table:
         found = 0 if g not in table else 2
         raise NotBijective(
@@ -164,6 +157,19 @@ def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
             f"{cs.cat.show_mor(g)} in hom({cs.cat.show_obj(x)},{cs.cat.show_obj(y)})"
         )
     return table[g]
+
+
+def _gamma_table(cs: ClosedStructure, x: ObjId, y: ObjId) -> tuple[dict, set]:
+    """gamma on hom(X,Y), inverted: each image to its preimage, and the
+    images hit more than once."""
+    table: dict = {}
+    collisions = set()
+    for f in cs.cat.hom(x, y):
+        img = gamma(cs, f)
+        if img in table:
+            collisions.add(img)
+        table[img] = f
+    return table, collisions
 
 
 def _pairs_locus(cs: ClosedStructure, *objs: ObjId) -> str:
@@ -613,30 +619,24 @@ def build_E_functor(
 
     cat = cs.cat
     u = cs.unit
-    obj_memo: dict = {}
-    mor_memo: dict = {}
-    hat_memo: dict = {}
 
     def elt(m: MorId) -> hf.HF:
         return hf.atom(cat.show_mor(m))
 
+    @functools.cache
     def e_obj(x: ObjId) -> hf.HF:
-        if x not in obj_memo:
-            obj_memo[x] = hf.fset(elt(m) for m in cat.hom(u, x))
-        return obj_memo[x]
+        return hf.fset(elt(m) for m in cat.hom(u, x))
 
+    @functools.cache
     def e_mor(f: MorId) -> SetMor:
-        if f not in mor_memo:
-            x, y = cat.dom(f), cat.cod(f)
-            table = {elt(h): elt(cat.compose(h, f)) for h in cat.hom(u, x)}
-            mor_memo[f] = SetMor.from_table(e_obj(x), e_obj(y), table)
-        return mor_memo[f]
+        x, y = cat.dom(f), cat.cod(f)
+        table = {elt(h): elt(cat.compose(h, f)) for h in cat.hom(u, x)}
+        return SetMor.from_table(e_obj(x), e_obj(y), table)
 
     phi = Functor(f"E({cs.name})", cat, sets.cat, e_obj, e_mor)
 
+    @functools.cache
     def phi_hat(x: ObjId, y: ObjId) -> SetMor:
-        if (x, y) in hat_memo:
-            return hat_memo[(x, y)]
         src = e_obj(cs.hom2_obj(x, y))
         table = {}
         for h in cat.hom(u, cs.hom2_obj(x, y)):
@@ -644,9 +644,7 @@ def build_E_functor(
             table[elt(h)] = hf.ftable(
                 (elt(k), elt(cat.compose(k, f))) for k in cat.hom(u, x)
             )
-        out = SetMor.from_table(src, sets.hom2_obj(e_obj(x), e_obj(y)), table)
-        hat_memo[(x, y)] = out
-        return out
+        return SetMor.from_table(src, sets.hom2_obj(e_obj(x), e_obj(y)), table)
 
     phi0 = SetMor.from_table(
         sets.unit, e_obj(u), {hf.atom("*"): elt(cat.identity(u))}
@@ -665,7 +663,7 @@ class EKClosedStructure:
     closed: ClosedStructure
     C_functor: Functor
     elt_atom: Callable[[MorId], hf.HF]
-    base: ClosedStructure | None = None  # the structure that was normalized
+    base: ClosedStructure  # the structure that was normalized
 
 
 @dataclass(frozen=True, eq=False)
@@ -707,15 +705,9 @@ def ek_normalize(
         return cat.show_mor(m)
 
     # The one WMor of each (dom, cod, point), owned by this structure
-    # through the closures below and freed with it.
-    pool: dict[tuple[ObjId, ObjId, MorId], WMor] = {}
-
-    def wmor(x: ObjId, y: ObjId, p: MorId) -> WMor:
-        key = (x, y, p)
-        m = pool.get(key)
-        if m is None:
-            m = pool[key] = WMor(x, y, p)
-        return m
+    # through the closures below and freed with it.  Always called
+    # positionally, so one value has one cache key.
+    wmor = functools.cache(WMor)
 
     homs: dict[tuple[ObjId, ObjId], list[WMor]] = {}
     for x in objs:
@@ -800,10 +792,16 @@ class _WCategory(Category):
         self._base = base
         self._objects = tuple(objs)
         self._homs = {k: tuple(v) for k, v in homs.items()}
-        self._compose_rule = compose_rule
-        self._compose_memo: dict = {}
-        self._identity_rule = identity_rule
-        self._identity_memo: dict = {}
+
+        # Interned morphisms hash by identity, and only a composable pair
+        # ever enters the cache.
+        def compose(f: WMor, g: WMor) -> WMor:
+            if f.cod != g.dom:
+                raise ValueError(f"cannot compose {f} with {g}")
+            return compose_rule(f, g)
+
+        self._compose = functools.cache(compose)
+        self._identity = functools.cache(identity_rule)
 
     def objects(self):
         return self._objects
@@ -814,20 +812,10 @@ class _WCategory(Category):
         raise BudgetExceeded(f"{self.name}: hom over non-seed objects")
 
     def identity(self, x):
-        if x not in self._identity_memo:
-            self._identity_memo[x] = self._identity_rule(x)
-        return self._identity_memo[x]
+        return self._identity(x)
 
     def compose(self, f: WMor, g: WMor) -> WMor:
-        # Interned morphisms hash by identity, and only a composable pair
-        # ever enters the memo.
-        key = (f, g)
-        h = self._compose_memo.get(key)
-        if h is None:
-            if f.cod != g.dom:
-                raise ValueError(f"cannot compose {f} with {g}")
-            h = self._compose_memo[key] = self._compose_rule(f, g)
-        return h
+        return self._compose(f, g)
 
     def dom(self, f: WMor):
         return f.dom
@@ -895,24 +883,19 @@ def check_ek_axioms(
             bad.append(cat.show_obj(x))
     rep.law("ek/CC5'", "CC5' (identity goes to j)", bad)
 
-    if ek.base is not None:
-        # Composition in the normalized category is implemented by
-        # transport along gamma; re-derive it from the defining formula
-        # f . gamma^{-1}(g . L) wherever the middle hom-set is enumerable.
-        base = ek.base
-        bad = []
-        for x, y, z in itertools.product(objs, repeat=3):
-            for f in cat.hom(x, y):
-                for g in cat.hom(y, z):
-                    gl = base.cat.compose(g.point, base.L(x, y, z))
-                    step = gamma_inverse(
-                        base, gl, base.hom2_obj(x, y), base.hom2_obj(x, z)
-                    )
-                    if cat.compose(f, g).point != base.cat.compose(f.point, step):
-                        bad.append(
-                            f"f={cat.show_mor(f)} g={cat.show_mor(g)}"
-                        )
-        rep.law("ek/compose-formula", "composition via gamma-inverse of g.L", bad)
+    # Composition in the normalized category is implemented by
+    # transport along gamma; re-derive it from the defining formula
+    # f . gamma^{-1}(g . L) wherever the middle hom-set is enumerable.
+    base = ek.base
+    bad = []
+    for x, y, z in itertools.product(objs, repeat=3):
+        for f in cat.hom(x, y):
+            for g in cat.hom(y, z):
+                gl = base.cat.compose(g.point, base.L(x, y, z))
+                step = gamma_inverse(base, gl, base.hom2_obj(x, y), base.hom2_obj(x, z))
+                if cat.compose(f, g).point != base.cat.compose(f.point, step):
+                    bad.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
+    rep.law("ek/compose-formula", "composition via gamma-inverse of g.L", bad)
 
     rep.extend(check_functor(ek.C_functor, budget))
     return rep

@@ -12,8 +12,9 @@ NotBijective rather than as a silently wrong answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import MorId, ObjId
 from .errors import NoUnitFound, NotBijective, NotUnique
@@ -42,7 +43,11 @@ class ClosednessWitness:
     m: Multicategory
     hom_obj1: dict[tuple[ObjId, ObjId], ObjId]
     ev1: dict[tuple[ObjId, ObjId], MorId]
-    _ev_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        # The derived evaluations, one per (profile, object), freed with
+        # the witness.
+        self._ev = functools.cache(self._derive_ev)
 
     def hom_obj(self, xs: Profile, z: ObjId) -> ObjId:
         xs = tuple(xs)
@@ -53,21 +58,17 @@ class ClosednessWitness:
         return self.hom_obj1[(xs[-1], self.hom_obj(xs[:-1], z))]
 
     def ev(self, xs: Profile, z: ObjId) -> MorId:
-        xs = tuple(xs)
-        key = (xs, z)
-        if key in self._ev_cache:
-            return self._ev_cache[key]
+        return self._ev(tuple(xs), z)
+
+    def _derive_ev(self, xs: Profile, z: ObjId) -> MorId:
         if not xs:
-            out = self.m.identity(z)
-        elif len(xs) == 1:
-            out = self.ev1[(xs[0], z)]
-        else:
-            head, last = xs[:-1], xs[-1]
-            inner = self.hom_obj(head, z)
-            step = self.m.identities_for(head) + (self.ev((last,), inner),)
-            out = self.m.compose(step, self.ev(head, z))
-        self._ev_cache[key] = out
-        return out
+            return self.m.identity(z)
+        if len(xs) == 1:
+            return self.ev1[(xs[0], z)]
+        head, last = xs[:-1], xs[-1]
+        inner = self.hom_obj(head, z)
+        step = self.m.identities_for(head) + (self.ev((last,), inner),)
+        return self.m.compose(step, self.ev(head, z))
 
 
 def uncurry(

@@ -208,8 +208,7 @@ class Functor:
     """Functor between two category handles.
 
     ``obj_map``/``mor_map`` are callables so that lazily generated
-    morphisms (e.g. composites formed during a check) can be mapped; use
-    ``from_dicts`` when tables are the natural presentation.
+    morphisms (e.g. composites formed during a check) can be mapped.
     """
 
     name: str
@@ -217,10 +216,6 @@ class Functor:
     target: Category
     obj_map: Callable[[ObjId], ObjId]
     mor_map: Callable[[MorId], MorId]
-
-    @staticmethod
-    def from_dicts(name, source, target, obj_map: dict, mor_map: dict) -> "Functor":
-        return Functor(name, source, target, obj_map.__getitem__, mor_map.__getitem__)
 
     @staticmethod
     def identity(cat: Category) -> "Functor":

@@ -16,6 +16,7 @@ functors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -132,15 +133,11 @@ def underlying_closed_category(
     i_inv = {x: unit_contraction(w, uw, x) for x in objs}
     j = {x: bar(w, uw, ic.unit1[x], caps) for x in objs}
 
-    memo: dict = {}
-
+    @functools.cache
     def hom2_mor(f: MorId, g: MorId) -> MorId:
-        key = (f, g)
-        if key not in memo:
-            step1 = hom_action_contra(w, f, m.dom(g)[0], caps)
-            step2 = hom_action_cov(w, (m.dom(f)[0],), g, caps)
-            memo[key] = m.compose((step1,), step2)
-        return memo[key]
+        step1 = hom_action_contra(w, f, m.dom(g)[0], caps)
+        step2 = hom_action_cov(w, (m.dom(f)[0],), g, caps)
+        return m.compose((step1,), step2)
 
     return ClosedStructure(
         f"U({m.name})",
@@ -414,26 +411,19 @@ def lift_closed_functor(
     the rest, postcompose the hom comparison, and uncurry in the target.
     Results are memoized per morphism."""
     m, d = w_src.m, w_tgt.m
-    memo: dict = {}
 
+    @functools.cache
     def lift(f: MorId) -> MorId:
-        if f in memo:
-            return memo[f]
         xs = m.dom(f)
         if len(xs) == 0:
             fbar = bar(w_src, uw_src, f, caps)
             head = d.compose((uw_tgt.u,), Phi.phi0)
-            out = d.compose((head,), Phi.phi.mor_map(fbar))
-        else:
-            x1, y = xs[0], m.cod(f)
-            inner = lift(curry1(w_src, f, caps))
-            t = d.compose((inner,), Phi.phi_hat(x1, y))
-            fx1, fy = Phi.phi.obj_map(x1), Phi.phi.obj_map(y)
-            out = d.compose(
-                (d.identity(fx1), t), w_tgt.ev((fx1,), fy)
-            )
-        memo[f] = out
-        return out
+            return d.compose((head,), Phi.phi.mor_map(fbar))
+        x1, y = xs[0], m.cod(f)
+        inner = lift(curry1(w_src, f, caps))
+        t = d.compose((inner,), Phi.phi_hat(x1, y))
+        fx1, fy = Phi.phi.obj_map(x1), Phi.phi.obj_map(y)
+        return d.compose((d.identity(fx1), t), w_tgt.ev((fx1,), fy))
 
     return MultiFunctor(f"lift({Phi.name})", m, d, Phi.phi.obj_map, lift)
 
@@ -487,51 +477,54 @@ class RepresentingMulticat(Multicategory):
         self._units = tuple(wcat.identity(x) for x in objs)
         self._und_v = build_underlying_V_category(w)
         self._lx = {x: build_LX(w, x) for x in objs}
-        self._functors: dict[Profile, VFunctor] = {}
-        # Per profile, the image of each object under its composite left
-        # hom functor, as a position in self._objs.
-        self._images: dict[Profile, tuple[int, ...]] = {}
-        self._hom: dict[tuple[Profile, ObjId], tuple[RepresentingMorphism, ...]] = {}
         # Keyed by the component morphisms in self._objs order.
         self._index: dict[tuple[Profile, ObjId, tuple], RepresentingMorphism] = {}
-        self._whiskered: dict[tuple[Profile, MorId], MorId] = {}
+        self._functor = functools.cache(self._compose_lx)
+        self._positions = functools.cache(self._image_positions)
+        self._homset = functools.cache(self._enumerate)
+        self._whisker = functools.cache(
+            lambda xs, alpha: self.functor_of(xs).mor_action(alpha)
+        )
         for xs in self.profiles(caps.max_arity):
             for y in objs:
-                self._enumerate(xs, y)
+                self._homset(xs, y)
 
     # -- functor calculus ---------------------------------------------------
 
     def functor_of(self, xs: Profile) -> VFunctor:
-        xs = tuple(xs)
-        if xs not in self._functors:
-            acc = identity_v_functor(self._und_v)
-            for x in xs:
-                acc = compose_v_functors(acc, self._lx[x])
-            self._functors[xs] = acc
-            self._images[xs] = tuple(self._pos[acc.obj_map(a)] for a in self._objs)
-        return self._functors[xs]
+        return self._functor(tuple(xs))
 
-    def _enumerate(self, xs: Profile, y: ObjId) -> None:
-        if (xs, y) in self._hom:
-            return
+    def _compose_lx(self, xs: Profile) -> VFunctor:
+        acc = identity_v_functor(self._und_v)
+        for x in xs:
+            acc = compose_v_functors(acc, self._lx[x])
+        return acc
+
+    def _image_positions(self, xs: Profile) -> tuple[int, ...]:
+        """The image of each object under the composite left hom functor
+        at xs, as a position in self._objs."""
+        obj_map = self.functor_of(xs).obj_map
+        return tuple(self._pos[obj_map(a)] for a in self._objs)
+
+    def _enumerate(self, xs: Profile, y: ObjId) -> tuple[RepresentingMorphism, ...]:
         T = self.functor_of(xs)
         ly = self._lx[y]
         fams = enumerate_vnat_families(ly, T)
         reps = []
         for comp in fams:
             comps = tuple((a, comp[a]) for a in self._objs)
-            g = gamma_repr(self.ek, T, y, VNatFamily("p", ly, T, comp))
+            g = gamma_repr(self.ek, y, VNatFamily("p", ly, T, comp))
             reps.append(RepresentingMorphism(xs, y, comps, g))
         reps.sort(key=lambda r: r.gamma_name)
-        self._hom[(xs, y)] = tuple(reps)
         for r in reps:
             self._index[(xs, y, tuple(m for _, m in r.components))] = r
+        return tuple(reps)
 
     def _find(self, xs: Profile, y: ObjId, mors: tuple) -> RepresentingMorphism:
         """The morphism xs -> y whose components, in the order of
         ``objects()``, are mors."""
         xs = tuple(xs)
-        self._enumerate(xs, y)  # hom-sets materialize on demand
+        self._homset(xs, y)  # hom-sets materialize on demand
         r = self._index.get((xs, y, mors))
         if r is None:
             raise KernelError(
@@ -549,8 +542,7 @@ class RepresentingMulticat(Multicategory):
         return self._objs
 
     def hom(self, xs, y):
-        self._enumerate(tuple(xs), y)
-        return self._hom[(tuple(xs), y)]
+        return self._homset(tuple(xs), y)
 
     def identity(self, x):
         w = self.base
@@ -559,19 +551,16 @@ class RepresentingMulticat(Multicategory):
         )
 
     def whisker(self, xs: Profile, alpha: MorId) -> MorId:
-        """The composite left hom functor at xs applied to alpha, memoized
+        """The composite left hom functor at xs applied to alpha, cached
         per structure: composites revisit few (xs, alpha) pairs."""
-        key = (xs, alpha)
-        m = self._whiskered.get(key)
-        if m is None:
-            m = self._whiskered[key] = self.functor_of(xs).mor_action(alpha)
-        return m
+        return self._whisker(xs, alpha)
 
     def compose(self, fs, g: RepresentingMorphism):
         if tuple(f.cod for f in fs) != g.dom:
             raise ValueError("profile mismatch")
         compose = self.base.cat.compose
         whisker = self.whisker
+        positions = self._positions
         # Tensor the inner families left to right, then compose vertically
         # after g.  Components are carried in self._objs order; the
         # component of f at the image of the k-th object sits at that
@@ -580,12 +569,10 @@ class RepresentingMulticat(Multicategory):
         acc_target: Profile = ()
         acc = self._units
         for f in fs:
-            if acc_profile not in self._images:
-                self.functor_of(acc_profile)
             beta, xs = f.components, f.dom
             acc = tuple(
                 compose(beta[k][1], whisker(xs, m))
-                for k, m in zip(self._images[acc_profile], acc)
+                for k, m in zip(positions(acc_profile), acc)
             )
             acc_profile = acc_profile + (f.cod,)
             acc_target = acc_target + xs

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .closed import ClosedFunctor, ClosedStructure, EKClosedStructure, gamma, gamma_inverse
+from .closed import ClosedFunctor, ClosedStructure, EKClosedStructure
 from .core import DEFAULT_BUDGET, MorId, ObjId, SizeBudget
 from .errors import BudgetExceeded, NotBijective
 from .report import Report
@@ -33,26 +33,17 @@ class VCategory:
 @dataclass(frozen=True)
 class VFunctor:
     """Enriched functor into a target V-category.  ``apply_mor`` is the
-    underlying ordinary action on base morphisms, needed for whiskering;
-    for functors into the self-enrichment it defaults to transporting
-    through gamma."""
+    underlying ordinary action on base morphisms, needed for whiskering."""
 
     name: str
     source: VCategory
     target: VCategory
     obj_map: Callable[[ObjId], ObjId]
     hom_map: Callable[[ObjId, ObjId], MorId]
-    apply_mor: Callable[[MorId], MorId] | None = None
+    apply_mor: Callable[[MorId], MorId]
 
     def mor_action(self, f: MorId) -> MorId:
-        if self.apply_mor is not None:
-            return self.apply_mor(f)
-        cs = self.target.base
-        x, y = cs.cat.dom(f), cs.cat.cod(f)
-        lifted = cs.cat.compose(gamma(cs, f), self.hom_map(x, y))
-        return gamma_inverse(
-            cs, lifted, self.obj_map(x), self.obj_map(y)
-        )
+        return self.apply_mor(f)
 
 
 @dataclass(frozen=True)
@@ -202,16 +193,13 @@ def compose_v_functors(F: VFunctor, G: VFunctor) -> VFunctor:
             F.hom_map(x, y), G.hom_map(F.obj_map(x), F.obj_map(y))
         )
 
-    apply = None
-    if F.apply_mor is not None and G.apply_mor is not None:
-        apply = lambda f: G.apply_mor(F.apply_mor(f))  # noqa: E731
     return VFunctor(
         f"{F.name};{G.name}",
         F.source,
         G.target,
         lambda x: G.obj_map(F.obj_map(x)),
         hom_map,
-        apply_mor=apply,
+        apply_mor=lambda f: G.apply_mor(F.apply_mor(f)),
     )
 
 
@@ -303,9 +291,7 @@ def enumerate_vnat_families(
     return out
 
 
-def gamma_repr(
-    ek: EKClosedStructure, T: VFunctor, w: ObjId, p: VNatFamily
-) -> str:
+def gamma_repr(ek: EKClosedStructure, w: ObjId, p: VNatFamily) -> str:
     """The representation map: evaluate the set-valued functor on the
     component at the representing object and apply it to the identity.
     Returns the element as its atom name."""
@@ -329,7 +315,7 @@ def gamma_repr_inverse(
     hits = []
     for comp in enumerate_vnat_families(lw, T, budget):
         fam = VNatFamily("cand", lw, T, comp)
-        if gamma_repr(ek, T, w, fam) == element:
+        if gamma_repr(ek, w, fam) == element:
             hits.append(fam)
     if len(hits) != 1:
         raise NotBijective(
@@ -351,7 +337,7 @@ def check_gamma_repr_bijective(
     lw = build_LX(cs, w)
     fams = enumerate_vnat_families(lw, T, budget)
     images = [
-        gamma_repr(ek, T, w, VNatFamily("f", lw, T, comp)) for comp in fams
+        gamma_repr(ek, w, VNatFamily("f", lw, T, comp)) for comp in fams
     ]
     target = sorted(a.name for a in ek.C_functor.obj_map(T.obj_map(w)).elements)
     ok = len(set(images)) == len(images) and sorted(images) == target

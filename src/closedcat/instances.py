@@ -20,7 +20,7 @@ from typing import Callable
 
 from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
-from .core import Category, DEFAULT_BUDGET, SizeBudget, TabularCategory
+from .core import Category, TabularCategory
 from .multicat import (
     ArityCaps,
     MMor,
@@ -361,7 +361,6 @@ class InstanceInfo:
     description: str
     build: Callable
     caps: ArityCaps = ArityCaps(3)
-    budget: SizeBudget = DEFAULT_BUDGET
     advertised_failure: tuple[str, ...] = ()  # check ids expected to fail
 
 

@@ -17,6 +17,7 @@ structure is, and the test suite checks it.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .closed import ClosedStructure, tabular_closed
@@ -285,6 +286,18 @@ def _pair_entry(key) -> str:
     return f"{key[0]};{key[1]}"
 
 
+def _require_signature(name, label, entry, m, f, xs, y) -> None:
+    """The morphism f that ``entry`` of table ``label`` names runs
+    xs -> y; otherwise raise a FormatError naming the entry, with both
+    signatures in the syntax of hom keys, "X1,X2;Y"."""
+    if m.dom(f) != xs or m.cod(f) != y:
+        have = ",".join(m.dom(f)) + ";" + m.cod(f)
+        raise FormatError(
+            f'{name}: {label} entry "{entry}" names "{f}" of signature "{have}", '
+            f'needs "{",".join(xs)};{y}"'
+        )
+
+
 def multicat_from_json(
     doc: dict,
 ) -> tuple[TabularMulticategory, ClosednessWitness | None, UnitWitness | None]:
@@ -315,6 +328,16 @@ def multicat_from_json(
                 name, "hom_obj", hom_obj1, objects, _pair_entry, what="object"
             )
             require_declared(name, "ev", ev1, declared, _pair_entry)
+            for key in itertools.product(m.objects(), repeat=2):
+                for label, table in (("hom_obj", hom_obj1), ("ev", ev1)):
+                    if key not in table:
+                        raise FormatError(
+                            f'{name}: {label} table has no entry "{_pair_entry(key)}"'
+                        )
+                x, z = key
+                _require_signature(
+                    name, "ev", _pair_entry(key), m, ev1[key], (x, hom_obj1[key]), z
+                )
             witness = ClosednessWitness(m, hom_obj1, ev1)
         unit = None
         if "unit" in doc:
@@ -322,64 +345,11 @@ def multicat_from_json(
             x, u = block["unit"], block["u"]
             require_declared(name, "unit", {"unit": x}, objects, what="object")
             require_declared(name, "unit", {"u": u}, declared)
+            _require_signature(name, "unit", "u", m, u, (), x)
             unit = UnitWitness(x, u)
         return m, witness, unit
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed multicategory file: {exc}") from exc
-
-
-def v_category_to_json(A, base_ref: str, budget: SizeBudget = DEFAULT_BUDGET) -> dict:
-    """Enriched categories serialize by reference to their base structure
-    plus the hom-object, identity, and composition tables."""
-    cs = A.base
-    objs = sorted(guard_objects(cs.cat, budget), key=cs.cat.obj_key)
-    oname = _Namer("o")
-    mname = _Namer("m")
-    for x in objs:
-        oname(x)
-    for f in cs.cat.all_morphisms():
-        mname(f)
-    aob = sorted(A.objects, key=cs.cat.obj_key)
-    return {
-        "kind": "v-category",
-        "name": A.name,
-        "base": base_ref,
-        "objects": [oname(x) for x in aob],
-        "hom_obj": {
-            f"{oname(x)},{oname(y)}": oname(A.hom_obj(x, y))
-            for x in aob
-            for y in aob
-        },
-        "j": {oname(x): mname(A.j(x)) for x in aob},
-        "L": {
-            f"{oname(x)},{oname(y)},{oname(z)}": mname(A.L(x, y, z))
-            for x in aob
-            for y in aob
-            for z in aob
-        },
-    }
-
-
-def v_category_from_json(doc: dict, base) -> "object":
-    """Rebuild an enriched category over an already-resolved base whose
-    objects and morphisms carry the serialized names (a closed structure
-    parsed from the same dump)."""
-    from .enriched import VCategory
-
-    try:
-        hom_obj = dict(_keyed(doc, "hom_obj", sep=",", parts=2))
-        L = dict(_keyed(doc, "L", sep=",", parts=3))
-        j = dict(_entries(doc, "j"))
-        return VCategory(
-            doc.get("name", "v-category"),
-            base,
-            tuple(_names("objects", doc["objects"], many=True)),
-            lambda x, y: hom_obj[(x, y)],
-            j.__getitem__,
-            lambda x, y, z: L[(x, y, z)],
-        )
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"malformed v-category file: {exc}") from exc
 
 
 def dumps(doc: dict) -> str:

@@ -15,6 +15,7 @@ table, and L sends g to the precompose-then-g table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -148,7 +149,7 @@ class FinSetCategory(Category):
         ]
         seeds.append(self.unit)
         self._seeds = tuple(sorted(set(seeds), key=hf.hf_key))
-        self._hom_cache: dict[tuple[SetObj, SetObj], SetObj] = {}
+        self._make_hom = functools.cache(self._build_hom)
 
     def objects(self):
         return self._seeds
@@ -156,31 +157,24 @@ class FinSetCategory(Category):
     def make_hom(self, a: SetObj, b: SetObj) -> SetObj:
         """The set of all function tables a -> b, or a virtual term when
         its cardinality exceeds the budget."""
-        key = (a, b)
-        got = self._hom_cache.get(key)
-        if got is not None:
-            return got
-        out: SetObj
-        if isinstance(a, hf.HF) and isinstance(b, hf.HF):
-            na, nb = len(a.elements), len(b.elements)
-            if nb**na <= self.budget.max_homset:
-                dom = hf.sorted_elements(a)
-                tables = []
-                for choice in itertools.product(hf.sorted_elements(b), repeat=na):
-                    t = hf.ftable(zip(dom, choice))
-                    if hf.depth(t) > self.budget.max_depth:
-                        raise BudgetExceeded(
-                            f"{self.name}: hom element exceeds depth "
-                            f"{self.budget.max_depth}"
-                        )
-                    tables.append(t)
-                out = hf.fset(tables)
-            else:
-                out = HomObj(a, b)
-        else:
-            out = HomObj(a, b)
-        self._hom_cache[key] = out
-        return out
+        return self._make_hom(a, b)
+
+    def _build_hom(self, a: SetObj, b: SetObj) -> SetObj:
+        if not (isinstance(a, hf.HF) and isinstance(b, hf.HF)):
+            return HomObj(a, b)
+        na, nb = len(a.elements), len(b.elements)
+        if nb**na > self.budget.max_homset:
+            return HomObj(a, b)
+        dom = hf.sorted_elements(a)
+        tables = []
+        for choice in itertools.product(hf.sorted_elements(b), repeat=na):
+            t = hf.ftable(zip(dom, choice))
+            if hf.depth(t) > self.budget.max_depth:
+                raise BudgetExceeded(
+                    f"{self.name}: hom element exceeds depth {self.budget.max_depth}"
+                )
+            tables.append(t)
+        return hf.fset(tables)
 
     def hom(self, x: SetObj, y: SetObj):
         h = self.make_hom(x, y)

@@ -334,6 +334,10 @@ def z2_dump():
 def test_undeclared_name_in_witness_or_unit_exits_two_naming_it(
     tmp_path, z2_dump, edit, message
 ):
+    _assert_edited_z2_exits_two(tmp_path, z2_dump, edit, message)
+
+
+def _assert_edited_z2_exits_two(tmp_path, z2_dump, edit, message):
     doc = json.loads(z2_dump)
     edit(doc)
     target = tmp_path / "z2.json"
@@ -343,6 +347,40 @@ def test_undeclared_name_in_witness_or_unit_exits_two_naming_it(
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
     assert message in lines[0]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (
+            lambda doc: doc["hom_obj"].pop("o0;o0"),
+            'z2: hom_obj table has no entry "o0;o0"',
+        ),
+        (lambda doc: doc["ev"].pop("o0;o0"), 'z2: ev table has no entry "o0;o0"'),
+        (lambda doc: doc.pop("ev"), 'z2: ev table has no entry "o0;o0"'),
+        (
+            lambda doc: doc["ev"].update({"o0;o0": "m0"}),
+            'z2: ev entry "o0;o0" names "m0" of signature ";o0", needs "o0,o0;o0"',
+        ),
+        (
+            lambda doc: doc["unit"].update(u="m4"),
+            'z2: unit entry "u" names "m4" of signature "o0,o0;o0", needs ";o0"',
+        ),
+    ],
+)
+def test_missing_or_mistyped_witness_entry_exits_two_naming_it(
+    tmp_path, z2_dump, edit, message
+):
+    _assert_edited_z2_exits_two(tmp_path, z2_dump, edit, message)
+
+
+def test_budget_bounds_multicategory_hom_sets():
+    # every hom-set of z2 within its cap has at most 2 members
+    out = run_cli("check", "--budget", "1", "instance:z2")
+    assert out.returncode == 1, out.stderr
+    assert "[FAIL] z2/mc/error (BudgetExceeded) @ z2: hom()->g over budget" in out.stdout
+    out2 = run_cli("check", "--budget", "2", "instance:z2")
+    assert out2.returncode == 0, out2.stdout
 
 
 def _sha(data) -> str:

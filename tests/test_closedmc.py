@@ -222,4 +222,7 @@ def test_derive_nary_homs_populates_and_verifies(z2):
     w2, rep = derive_nary_homs(w, ArityCaps(2))
     assert w2 is w
     assert rep.ok
-    assert (("g", "g"), "g") in w._ev_cache
+    # the derivation cached the binary evaluation: asking again is a hit
+    hits = w._ev.cache_info().hits
+    w.ev(("g", "g"), "g")
+    assert w._ev.cache_info().hits == hits + 1

@@ -154,7 +154,7 @@ def test_gamma_repr_identity_family_gives_identity_element():
         comps = {a: w.cat.identity(w.hom2_obj(x, a)) for a in w.cat.objects()}
         fam = VNatFamily("id", lx, lx, comps)
         assert check_v_natural(fam).ok
-        got = gamma_repr(ek, lx, x, fam)
+        got = gamma_repr(ek, x, fam)
         assert got == ek.elt_atom(w.cat.identity(x)).name
 
 
@@ -170,7 +170,7 @@ def test_gamma_repr_of_Lf_is_f(name):
         lx, ly = build_LX(w, x), build_LX(w, y)
         fam = VNatFamily("Lf", ly, lx, lf_comps)
         assert check_v_natural(fam).ok
-        assert gamma_repr(ek, lx, y, fam) == ek.elt_atom(f).name
+        assert gamma_repr(ek, y, fam) == ek.elt_atom(f).name
 
 
 def test_gamma_repr_bijection_heyting_exhaustive():
@@ -198,4 +198,4 @@ def test_gamma_repr_inverse_roundtrip(name):
             T = compose_v_functors(identity_v_functor(build_underlying_V_category(w)), build_LX(w, x))
             for a in ek.C_functor.obj_map(T.obj_map(y)).elements:
                 fam = gamma_repr_inverse(ek, T, y, a.name)
-                assert gamma_repr(ek, T, y, fam) == a.name
+                assert gamma_repr(ek, y, fam) == a.name

@@ -80,19 +80,6 @@ def test_malformed_files_raise():
         interchange.multicat_from_json({"kind": "multicategory", "hom": {"bad": []}})
 
 
-def test_v_category_serialization_roundtrip():
-    from closedcat.enriched import build_underlying_V_category, check_v_category
-    from closedcat import interchange as ic
-
-    cs = instances.get("heyting2").build()
-    und_v = build_underlying_V_category(cs)
-    doc = roundtrip_doc(ic.v_category_to_json(und_v, "instance:heyting2"))
-    assert doc["base"] == "instance:heyting2"
-    base = ic.closed_from_json(roundtrip_doc(ic.closed_to_json(cs)))
-    parsed = ic.v_category_from_json(doc, base)
-    assert check_v_category(parsed).ok
-
-
 def test_every_registry_instance_serializes_and_roundtrips():
     from closedcat.errors import FormatError as FE
 
