@@ -39,7 +39,7 @@ from .closedmc import (
     check_unit_object,
     verify_internal_lemmas,
 )
-from .core import SizeBudget, check_category_axioms
+from .core import DEFAULT_BOUNDS, Bounds, check_category_axioms
 from .correspond import (
     build_representing_multicategory,
     check_injectivity,
@@ -53,19 +53,15 @@ from .correspond import (
     verify_u_construction,
 )
 from .errors import FormatError, KernelError
-from .multicat import ArityCaps, DEFAULT_CAPS, MultiFunctor, check_multicategory_axioms
+from .multicat import MultiFunctor, check_multicategory_axioms
 from .report import Report
 
 
-def _budget(args) -> SizeBudget:
-    return SizeBudget(max_homset=args.budget)
-
-
-def _caps(args, own: ArityCaps = DEFAULT_CAPS) -> ArityCaps:
-    """The arity horizon ``own`` unless --arity-cap overrides it, with
-    multicategory hom-sets bounded by --budget."""
-    arity = own.max_arity if args.arity_cap is None else args.arity_cap
-    return ArityCaps(arity, args.budget)
+def _bounds(args, own_arity: int = DEFAULT_BOUNDS.max_arity) -> Bounds:
+    """The arity horizon ``own_arity`` unless --arity-cap overrides it,
+    with every enumerated hom-set bounded by --budget."""
+    arity = own_arity if args.arity_cap is None else args.arity_cap
+    return Bounds(arity, args.budget)
 
 
 def _load_target(spec: str):
@@ -90,7 +86,9 @@ def _load_target(spec: str):
 
 def _check_target(name: str, kind: str, payload, info, args) -> Report:
     rep = Report(name)
-    budget = _budget(args)
+    # Registry instances may declare their own arity horizon (partial
+    # tensors); an explicit --arity-cap overrides it.
+    bounds = _bounds(args, info.max_arity) if info is not None else _bounds(args)
     axioms = args.suite in ("axioms", "all")
     theorems = args.suite in ("theorems", "all")
 
@@ -104,40 +102,36 @@ def _check_target(name: str, kind: str, payload, info, args) -> Report:
 
     if kind == "category":
         if axioms:
-            run("category", lambda: check_category_axioms(payload, budget))
+            run("category", lambda: check_category_axioms(payload, bounds))
         return rep
 
     if kind == "closed":
         cs = payload
         if axioms:
-            run("category", lambda: check_category_axioms(cs.cat, budget))
-            run("cc", lambda: check_cc_axioms(cs, budget))
+            run("category", lambda: check_category_axioms(cs.cat, bounds))
+            run("cc", lambda: check_cc_axioms(cs, bounds))
         if theorems:
-            run("derived", lambda: verify_derived_cc_theorems(cs, budget))
+            run("derived", lambda: verify_derived_cc_theorems(cs, bounds))
         return rep
 
     m, w, uw = payload
-    # Registry instances may declare their own arity horizon (partial
-    # tensors); an explicit --arity-cap overrides it.
-    icaps = _caps(args, info.caps) if info is not None else _caps(args)
     if axioms:
-        run("mc", lambda: check_multicategory_axioms(m, icaps))
+        run("mc", lambda: check_multicategory_axioms(m, bounds))
         if w is not None:
-            run("closed", lambda: check_closedness(w, icaps))
+            run("closed", lambda: check_closedness(w, bounds))
         if w is not None and uw is not None:
-            run("unit", lambda: check_unit_object(w, uw, icaps))
+            run("unit", lambda: check_unit_object(w, uw, bounds))
     if theorems and w is not None:
-        run("nary", lambda: check_nary_factorization(w, icaps))
+        run("nary", lambda: check_nary_factorization(w, bounds))
 
         def lemmas():
-            ic, r = build_internal_category(w, icaps)
-            r2 = verify_internal_lemmas(w, ic, icaps)
-            r.extend(r2)
+            ic, r = build_internal_category(w, bounds)
+            r.extend(verify_internal_lemmas(w, ic, bounds))
             return r
 
         run("lemmas", lemmas)
         if uw is not None:
-            run("u-construction", lambda: verify_u_construction(w, uw, icaps))
+            run("u-construction", lambda: verify_u_construction(w, uw, bounds))
     return rep
 
 
@@ -154,21 +148,20 @@ def cmd_check(args) -> int:
 
 def cmd_construct(args) -> int:
     name, kind, payload, info = _load_target(args.target)
-    caps = _caps(args)
-    budget = _budget(args)
+    bounds = _bounds(args)
     if args.what == "underlying":
         if kind != "multicat":
             raise FormatError("construct underlying expects a multicategory")
         m, w, uw = payload
         if w is None or uw is None:
             raise FormatError("multicategory lacks a closedness witness or unit")
-        cs = underlying_closed_category(w, uw, caps)
-        doc = interchange.closed_to_json(cs, budget)
+        cs = underlying_closed_category(w, uw, bounds)
+        doc = interchange.closed_to_json(cs, bounds)
     elif args.what == "ek":
         if kind != "closed":
             raise FormatError("construct ek expects a closed category")
-        ek, iso = ek_normalize(payload, budget)
-        doc = interchange.closed_to_json(ek.closed, budget)
+        ek, iso = ek_normalize(payload, bounds)
+        doc = interchange.closed_to_json(ek.closed, bounds)
     else:
         raise FormatError(f"unknown construction {args.what!r}")
     _write(interchange.dumps(doc), args.out)
@@ -179,13 +172,13 @@ def cmd_represent(args) -> int:
     name, kind, payload, info = _load_target(args.target)
     if kind != "closed":
         raise FormatError("represent expects a closed category")
-    caps = _caps(args)
-    bundle = build_representing_multicategory(payload, caps, _budget(args))
+    bounds = _bounds(args)
+    bundle = build_representing_multicategory(payload, bounds)
     rep = Report(f"represent {name}")
-    rep.extend(check_representation(bundle, caps))
-    rep.extend(verify_essential_surjectivity(bundle, caps))
-    dump_caps = ArityCaps(caps.max_arity + 1, caps.max_homset)
-    doc = interchange.multicat_to_json(bundle.mcv, dump_caps, bundle.witness, bundle.unit)
+    rep.extend(check_representation(bundle, bounds))
+    rep.extend(verify_essential_surjectivity(bundle, bounds))
+    dump = Bounds(bounds.max_arity + 1, bounds.max_homset)
+    doc = interchange.multicat_to_json(bundle.mcv, dump, bundle.witness, bundle.unit)
     _write(interchange.dumps(doc), args.out)
     sys.stdout.write(_render(rep, args))
     return 0 if rep.ok else 1
@@ -198,7 +191,7 @@ def cmd_roundtrip(args) -> int:
     m, w, uw = payload
     if w is None or uw is None:
         raise FormatError("multicategory lacks a closedness witness or unit")
-    caps = _caps(args)
+    bounds = _bounds(args)
 
     if args.functor.startswith("functor:"):
         fname = args.functor.split(":", 1)[1]
@@ -212,16 +205,16 @@ def cmd_roundtrip(args) -> int:
         raise FormatError("functor must be functor:NAME")
 
     rep = Report(f"roundtrip {name} {F.name}")
-    ucs = underlying_closed_category(w, uw, caps)
-    UF = underlying_closed_functor(F, w, uw, w, uw, ucs, ucs, caps)
-    rep.extend(check_cf_axioms(UF), prefix="U/")
-    lifted = lift_closed_functor(UF, w, uw, w, uw, caps)
-    eq, locus = multifunctors_equal(lifted, F, caps)
+    ucs = underlying_closed_category(w, uw, bounds)
+    UF = underlying_closed_functor(F, w, uw, w, uw, ucs, ucs, bounds)
+    rep.extend(check_cf_axioms(UF, bounds), prefix="U/")
+    lifted = lift_closed_functor(UF, w, uw, w, uw, bounds)
+    eq, locus = multifunctors_equal(lifted, F, bounds)
     rep.add("roundtrip/lift-after-U", "lift(U(F)) = F", eq, locus)
-    UL = underlying_closed_functor(lifted, w, uw, w, uw, ucs, ucs, caps)
-    eq2, locus2 = closed_functors_equal(UL, UF)
+    UL = underlying_closed_functor(lifted, w, uw, w, uw, ucs, ucs, bounds)
+    eq2, locus2 = closed_functors_equal(UL, UF, bounds)
     rep.add("roundtrip/U-after-lift", "U(lift(Phi)) = Phi", eq2, locus2)
-    rep.extend(check_injectivity(F, lifted, UF, UL, caps))
+    rep.extend(check_injectivity(F, lifted, UF, UL, bounds))
     text = _render(rep, args)
     _write(text, args.out)
     return 0 if rep.ok else 1
@@ -237,21 +230,20 @@ def cmd_instance(args) -> int:
         _write("\n".join(lines) + "\n", args.out)
         return 0
     info = instances.get(args.name)
-    budget = _budget(args)
-    caps = _caps(args)
+    bounds = _bounds(args, info.max_arity)
     if info.kind == "category":
-        doc = interchange.category_to_json(info.build(), budget)
+        doc = interchange.category_to_json(info.build(), bounds)
     elif info.kind == "closed":
         try:
-            doc = interchange.closed_to_json(info.build(), budget)
+            doc = interchange.closed_to_json(info.build(), bounds)
         except FormatError:
             # lazy instance: dump by registry reference
             params = {"max_size": 2} if args.name == "finset" else {}
             doc = interchange.closed_ref_to_json(args.name, params)
     else:
         m, w, uw = info.build()
-        dump_caps = ArityCaps(min(caps.max_arity, info.caps.max_arity) + 1, caps.max_homset)
-        doc = interchange.multicat_to_json(m, dump_caps, w, uw)
+        dump = Bounds(bounds.max_arity + 1, bounds.max_homset)
+        doc = interchange.multicat_to_json(m, dump, w, uw)
     _write(interchange.dumps(doc), args.out)
     return 0
 
@@ -269,12 +261,20 @@ def _render(rep: Report, args) -> str:
     return rep.render_text() + "\n"
 
 
+def _count(text: str) -> int:
+    """A bound given on the command line: an integer of at least 0."""
+    if not (text.isascii() and text.isdigit()):
+        msg = f"must be an integer of at least 0, got {text!r}"
+        raise argparse.ArgumentTypeError(msg)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=4096, help="max hom-set size")
+    common.add_argument("--budget", type=_count, default=4096, help="max hom-set size")
     common.add_argument(
         "--arity-cap",
-        type=int,
+        type=_count,
         default=None,
         help="max total arity checked (default 3, or the registry instance's own)",
     )

@@ -20,12 +20,12 @@ from typing import Callable
 from . import hf
 from .core import (
     Category,
-    DEFAULT_BUDGET,
+    DEFAULT_BOUNDS,
+    Bounds,
     Functor,
     MorId,
     NaturalTransformation,
     ObjId,
-    SizeBudget,
     TabularCategory,
     check_functor,
     check_natural,
@@ -177,13 +177,13 @@ def _pairs_locus(cs: ClosedStructure, *objs: ObjId) -> str:
 
 
 def check_cc_axioms(
-    cs: ClosedStructure, budget: SizeBudget = DEFAULT_BUDGET
+    cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """CC1..CC5 plus the naturality and dinaturality clauses of the
     definition, each itemized with the first offending object tuple."""
     rep = Report(f"closed-category axioms: {cs.name}")
     cat = cs.cat
-    objs = guard_objects(cat, budget)
+    objs = guard_objects(cat, bounds)
     u = cs.unit
 
     bad = []
@@ -350,14 +350,14 @@ def check_cc_axioms(
 
 
 def verify_derived_cc_theorems(
-    cs: ClosedStructure, budget: SizeBudget = DEFAULT_BUDGET
+    cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """Re-verifies, as independent equations, the consequences that the
     axiom suite is supposed to imply.  A failure here while the axioms
     pass indicates a kernel bug, not a structure bug."""
     rep = Report(f"derived closed-category theorems: {cs.name}")
     cat = cs.cat
-    objs = guard_objects(cat, budget)
+    objs = guard_objects(cat, bounds)
     u = cs.unit
 
     bad = []
@@ -448,11 +448,11 @@ class ClosedTransformation:
         )
 
 
-def check_cf_axioms(F: ClosedFunctor, budget: SizeBudget = DEFAULT_BUDGET) -> Report:
+def check_cf_axioms(F: ClosedFunctor, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
     rep = Report(f"closed-functor axioms: {F.name}")
     C, D = F.source, F.target
-    objs = guard_objects(C.cat, budget)
-    rep.extend(check_functor(F.phi, budget))
+    objs = guard_objects(C.cat, bounds)
+    rep.extend(check_functor(F.phi, bounds))
 
     bad = []
     for x2, x, y, y2 in itertools.product(objs, repeat=4):
@@ -509,13 +509,13 @@ def check_cf_axioms(F: ClosedFunctor, budget: SizeBudget = DEFAULT_BUDGET) -> Re
 
 
 def check_cn_axioms(
-    t: ClosedTransformation, budget: SizeBudget = DEFAULT_BUDGET
+    t: ClosedTransformation, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     rep = Report(f"closed-transformation axioms: {t.name}")
     F, G = t.source, t.target
     C, D = F.source, F.target
-    objs = guard_objects(C.cat, budget)
-    rep.extend(check_natural(t.eta, budget))
+    objs = guard_objects(C.cat, bounds)
+    rep.extend(check_natural(t.eta, bounds))
 
     lhs = D.cat.compose(F.phi0, t.eta.components(C.unit))
     rep.add("cn/CN1", "CN1", lhs == G.phi0, "unit")
@@ -604,9 +604,7 @@ def compose_cn_horizontal(
     )
 
 
-def build_E_functor(
-    cs: ClosedStructure, sets: ClosedStructure, budget: SizeBudget = DEFAULT_BUDGET
-) -> ClosedFunctor:
+def build_E_functor(cs: ClosedStructure, sets: ClosedStructure) -> ClosedFunctor:
     """The hom-embedding into sets: e = hom(1,-), with the comparison map
     on hom objects given by de-internalizing (gamma inverse) and then
     post-composition, and the unit comparison picking out 1 at the unit.
@@ -685,7 +683,7 @@ class WMor:
 
 
 def ek_normalize(
-    cs: ClosedStructure, budget: SizeBudget = DEFAULT_BUDGET
+    cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[EKClosedStructure, ClosedFunctor]:
     """Replace a closed category by an isomorphic one whose morphisms
     X -> Y literally are the points 1 -> und(X,Y), composed via L and the
@@ -699,7 +697,7 @@ def ek_normalize(
 
     cat = cs.cat
     u = cs.unit
-    objs = guard_objects(cat, budget)
+    objs = guard_objects(cat, bounds)
 
     def point_name(m: MorId) -> str:
         return cat.show_mor(m)
@@ -750,7 +748,7 @@ def ek_normalize(
         lambda x, y, z: lift(cs.L(x, y, z)),
     )
 
-    sets = build_finset_closed(1, budget)
+    sets = build_finset_closed(1)
 
     def elt_atom(m: WMor) -> hf.HF:
         return hf.atom(point_name(m.point))
@@ -841,7 +839,7 @@ class _WCategory(Category):
 
 
 def check_ek_axioms(
-    ek: EKClosedStructure, budget: SizeBudget = DEFAULT_BUDGET
+    ek: EKClosedStructure, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """CC0 (the set-valued functor computes hom-sets on internal homs,
     on objects and on morphisms) and CC5' (identities go to the internal
@@ -849,7 +847,7 @@ def check_ek_axioms(
     rep = Report(f"set-functor presentation: {ek.closed.name}")
     w = ek.closed
     cat = w.cat
-    objs = guard_objects(cat, budget)
+    objs = guard_objects(cat, bounds)
 
     bad = []
     for x in objs:
@@ -897,5 +895,5 @@ def check_ek_axioms(
                     bad.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
     rep.law("ek/compose-formula", "composition via gamma-inverse of g.L", bad)
 
-    rep.extend(check_functor(ek.C_functor, budget))
+    rep.extend(check_functor(ek.C_functor, bounds))
     return rep

@@ -16,17 +16,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import MorId, ObjId
+from .core import DEFAULT_BOUNDS, Bounds, MorId, ObjId, guard_hom
 from .errors import NoUnitFound, NotBijective, NotUnique
 from .multicat import (
-    ArityCaps,
-    DEFAULT_CAPS,
     Multicategory,
     MultiFunctor,
     MultiNat,
     Profile,
     _composables,
-    _guard_hom,
 )
 from .report import Report
 
@@ -85,7 +82,7 @@ def curry(
     w: ClosednessWitness,
     f: MorId,
     split: int,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> MorId:
     """The unique g with uncurry(g) = f, splitting off the first ``split``
     source objects of f.  Exhaustive search; NotBijective when the count
@@ -101,7 +98,7 @@ def curry(
     target = w.hom_obj(xs, z)
     hits = [
         g
-        for g in _guard_hom(m, ys, target, caps)
+        for g in guard_hom(m, ys, target, bounds)
         if uncurry(w, g, xs, z) == f
     ]
     if len(hits) != 1:
@@ -111,14 +108,14 @@ def curry(
     return hits[0]
 
 
-def curry1(w: ClosednessWitness, f: MorId, caps: ArityCaps = DEFAULT_CAPS) -> MorId:
-    return curry(w, f, 1, caps)
+def curry1(w: ClosednessWitness, f: MorId, bounds: Bounds = DEFAULT_BOUNDS) -> MorId:
+    return curry(w, f, 1, bounds)
 
 
 def check_closedness(
-    w: ClosednessWitness, caps: ArityCaps = DEFAULT_CAPS
+    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
-    """Bijectivity of the currying map at every signature within caps,
+    """Bijectivity of the currying map at every signature within bounds,
     plus the nullary conventions und(;Z) = Z, ev = 1."""
     rep = Report(f"closedness: {w.m.name}")
     m = w.m
@@ -130,11 +127,11 @@ def check_closedness(
     rep.law("closed/nullary-convention", "und(;Z)=Z, ev=1", bad)
 
     bad = []
-    for xs, z in m.signatures(caps):
-        for ys in m.profiles(caps.max_arity - len(xs)):
+    for xs, z in m.signatures(bounds):
+        for ys in m.profiles(bounds.max_arity - len(xs)):
             h = w.hom_obj(xs, z)
-            images = [uncurry(w, g, xs, z) for g in _guard_hom(m, ys, h, caps)]
-            target = list(_guard_hom(m, xs + ys, z, caps))
+            images = [uncurry(w, g, xs, z) for g in guard_hom(m, ys, h, bounds)]
+            target = list(guard_hom(m, xs + ys, z, bounds))
             if len(set(images)) != len(images) or sorted(
                 map(m.mor_key, images)
             ) != sorted(map(m.mor_key, target)):
@@ -144,37 +141,37 @@ def check_closedness(
 
 
 def derive_nary_homs(
-    w: ClosednessWitness, caps: ArityCaps = DEFAULT_CAPS
+    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[ClosednessWitness, Report]:
     """Populate the derived hom objects and evaluations for every profile
-    within caps (plus one, so evaluations of cap-level signatures exist),
+    within bounds (plus one, so evaluations of cap-level signatures exist),
     then verify that the currying map at every signature is bijective and
     factors stage by stage through the one-step curryings."""
-    for xs in w.m.profiles(caps.max_arity + 1):
+    for xs in w.m.profiles(bounds.max_arity + 1):
         for z in sorted(w.m.objects(), key=w.m.obj_key):
             w.hom_obj(xs, z)
             w.ev(xs, z)
     rep = Report(f"derived n-ary homs: {w.m.name}")
-    rep.extend(check_closedness(w, caps))
-    rep.extend(check_nary_factorization(w, caps))
+    rep.extend(check_closedness(w, bounds))
+    rep.extend(check_nary_factorization(w, bounds))
     return w, rep
 
 
 def check_nary_factorization(
-    w: ClosednessWitness, caps: ArityCaps = DEFAULT_CAPS
+    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """The derived n-ary currying factors through two one-step curryings,
     stage by stage."""
     rep = Report(f"n-ary hom derivation: {w.m.name}")
     m = w.m
     bad = []
-    for xs, z in m.signatures(caps):
+    for xs, z in m.signatures(bounds):
         if len(xs) < 2:
             continue
         head, last = xs[:-1], xs[-1]
         inner = w.hom_obj(head, z)
-        for ys in m.profiles(caps.max_arity - len(xs)):
-            for g in _guard_hom(m, ys, w.hom_obj(xs, z), caps):
+        for ys in m.profiles(bounds.max_arity - len(xs)):
+            for g in guard_hom(m, ys, w.hom_obj(xs, z), bounds):
                 one = uncurry(w, g, (last,), inner)
                 two = uncurry(w, one, head, z)
                 if two != uncurry(w, g, xs, z):
@@ -184,46 +181,43 @@ def check_nary_factorization(
 
 
 def hom_action_contra(
-    w: ClosednessWitness, f: MorId, z: ObjId, caps: ArityCaps = DEFAULT_CAPS
+    w: ClosednessWitness, f: MorId, z: ObjId, bounds: Bounds = DEFAULT_BOUNDS
 ) -> MorId:
     """und(f;Z) : und(Y;Z) -> und(X1..Xn;Z) for f : X1..Xn -> Y.
 
     Nullary f gives the evaluation against f itself; otherwise the unique
     solution is found by currying the padded composite."""
-    m = w.m
-    y = m.cod(f)
-    hy = w.hom_obj((y,), z)
-    padded = m.compose((f, m.identity(hy)), w.ev((y,), z))
-    return curry(w, padded, len(m.dom(f)), caps)
+    return hom_action_multi(w, (f,), z, bounds)
 
 
 def hom_action_multi(
     w: ClosednessWitness,
     fs: tuple[MorId, ...],
     z: ObjId,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> MorId:
-    """und(f1,...,fn;Z) : und(Y1..Yn;Z) -> und(X1..Xn;Z) with fi : Xi -> Yi
-    (each unary)."""
+    """und(f1,...,fn;Z) : und(Y1..Yn;Z) -> und(Xs1..Xsn;Z) with
+    fi : Xsi -> Yi of any arity, Xs1..Xsn the concatenated domains: the
+    currying of the padded composite (f1,..,fn,1).ev."""
     m = w.m
     ys = tuple(m.cod(f) for f in fs)
     hy = w.hom_obj(ys, z)
     padded = m.compose(tuple(fs) + (m.identity(hy),), w.ev(ys, z))
-    return curry(w, padded, sum(len(m.dom(f)) for f in fs), caps)
+    return curry(w, padded, sum(len(m.dom(f)) for f in fs), bounds)
 
 
 def hom_action_cov(
     w: ClosednessWitness,
     xs: Profile,
     g: MorId,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> MorId:
     """und(X1..Xn;g) : und(X1..Xn;Y) -> und(X1..Xn;Z) for g : Y -> Z."""
     m = w.m
     xs = tuple(xs)
     y = m.dom(g)[0]
     composite = m.compose((w.ev(xs, y),), g)
-    return curry(w, composite, len(xs), caps)
+    return curry(w, composite, len(xs), bounds)
 
 
 @dataclass
@@ -238,7 +232,7 @@ class InternalCategory:
 
 
 def build_internal_category(
-    w: ClosednessWitness, caps: ArityCaps = DEFAULT_CAPS
+    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[InternalCategory, Report]:
     """Compute mu (currying the two-step evaluation), the internal
     identities (currying actual identities), and L (currying mu), then
@@ -249,14 +243,14 @@ def build_internal_category(
 
     mu, unit1, LX = {}, {}, {}
     for x in objs:
-        unit1[x] = curry(w, m.identity(x), 1, caps)
+        unit1[x] = curry(w, m.identity(x), 1, bounds)
     for x, y, z in itertools.product(objs, repeat=3):
         hyz = w.hom_obj((y,), z)
         two_step = m.compose(
             (w.ev((x,), y), m.identity(hyz)), w.ev((y,), z)
         )
-        mu[(x, y, z)] = curry(w, two_step, 1, caps)
-        LX[(x, y, z)] = curry(w, mu[(x, y, z)], 1, caps)
+        mu[(x, y, z)] = curry(w, two_step, 1, bounds)
+        LX[(x, y, z)] = curry(w, mu[(x, y, z)], 1, bounds)
 
     bad = []
     for x, y, z, v in itertools.product(objs, repeat=4):
@@ -323,7 +317,7 @@ def L_compose_loci(w: ClosednessWitness, ic: InternalCategory) -> list[str]:
 def verify_internal_lemmas(
     w: ClosednessWitness,
     ic: InternalCategory,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Report:
     """The decomposition identities for curried composites, functoriality
     of the internal hom in both arguments, and the hom functor laws of L,
@@ -333,7 +327,7 @@ def verify_internal_lemmas(
     objs = sorted(m.objects(), key=m.obj_key)
 
     bad_a, bad_b, bad_c, bad_d = [], [], [], []
-    for g, doms, fs in _composables(m, caps):
+    for g, doms, fs in _composables(m, bounds):
         if not doms:
             continue  # nullary g: nothing to curry
         z = m.cod(g)
@@ -342,34 +336,34 @@ def verify_internal_lemmas(
         f1 = fs[0]
         k1 = len(m.dom(f1))
         rest = fs[1:]
-        tail = m.compose(rest, curry1(w, g, caps))
+        tail = m.compose(rest, curry1(w, g, bounds))
         if k1 == 0:
-            got = m.compose((tail,), hom_action_contra(w, f1, z, caps))
+            got = m.compose((tail,), hom_action_contra(w, f1, z, bounds))
             if got != whole:
                 bad_a.append(f"g={m.show_mor(g)}")
         elif k1 == 1:
-            got = m.compose((tail,), hom_action_contra(w, f1, z, caps))
-            if got != curry1(w, whole, caps):
+            got = m.compose((tail,), hom_action_contra(w, f1, z, bounds))
+            if got != curry1(w, whole, bounds):
                 bad_b.append(f"g={m.show_mor(g)}")
         if k1 >= 1:
             x11 = m.dom(f1)[0]
             y1 = m.cod(f1)
-            step1 = (curry1(w, f1, caps),) + rest
+            step1 = (curry1(w, f1, bounds),) + rest
             step2 = (
                 m.identity(w.hom_obj((x11,), y1)),
-                curry1(w, g, caps),
+                curry1(w, g, bounds),
             )
             got = m.compose(
                 step1, m.compose(step2, ic.mu[(x11, y1, z)])
             )
-            if got != curry1(w, whole, caps):
+            if got != curry1(w, whole, bounds):
                 bad_c.append(f"g={m.show_mor(g)}")
         if len(fs) == 1 and k1 >= 1:
             got = m.compose(
-                (curry1(w, f1, caps),),
-                hom_action_cov(w, (m.dom(f1)[0],), g, caps),
+                (curry1(w, f1, bounds),),
+                hom_action_cov(w, (m.dom(f1)[0],), g, bounds),
             )
-            if got != curry1(w, whole, caps):
+            if got != curry1(w, whole, bounds):
                 bad_d.append(f"g={m.show_mor(g)}")
     rep.law("lemma/curry-split-nullary", "curried composite, nullary head", bad_a)
     rep.law("lemma/curry-split-unary", "curried composite, unary head", bad_b)
@@ -380,7 +374,7 @@ def verify_internal_lemmas(
         f
         for x in objs
         for y in objs
-        for f in m.hom((x,), y)
+        for f in guard_hom(m, (x,), y, bounds)
     ]
     bad = []
     for f in unary:
@@ -388,10 +382,10 @@ def verify_internal_lemmas(
             if m.cod(f) != m.dom(g)[0]:
                 continue
             for v in objs:
-                lhs = hom_action_cov(w, (v,), m.compose((f,), g), caps)
+                lhs = hom_action_cov(w, (v,), m.compose((f,), g), bounds)
                 rhs = m.compose(
-                    (hom_action_cov(w, (v,), f, caps),),
-                    hom_action_cov(w, (v,), g, caps),
+                    (hom_action_cov(w, (v,), f, bounds),),
+                    hom_action_cov(w, (v,), g, bounds),
                 )
                 if lhs != rhs:
                     bad.append(f"f={m.show_mor(f)} g={m.show_mor(g)}")
@@ -403,10 +397,10 @@ def verify_internal_lemmas(
             if m.cod(f) != m.dom(g)[0]:
                 continue
             for z in objs:
-                lhs = hom_action_contra(w, m.compose((f,), g), z, caps)
+                lhs = hom_action_contra(w, m.compose((f,), g), z, bounds)
                 rhs = m.compose(
-                    (hom_action_contra(w, g, z, caps),),
-                    hom_action_contra(w, f, z, caps),
+                    (hom_action_contra(w, g, z, bounds),),
+                    hom_action_contra(w, f, z, bounds),
                 )
                 if lhs != rhs:
                     bad.append(f"f={m.show_mor(f)} g={m.show_mor(g)}")
@@ -418,12 +412,12 @@ def verify_internal_lemmas(
             y = m.dom(g)[0]
             zz = m.cod(g)
             lhs = m.compose(
-                (hom_action_contra(w, f, y, caps),),
-                hom_action_cov(w, (m.dom(f)[0],), g, caps),
+                (hom_action_contra(w, f, y, bounds),),
+                hom_action_cov(w, (m.dom(f)[0],), g, bounds),
             )
             rhs = m.compose(
-                (hom_action_cov(w, (m.cod(f),), g, caps),),
-                hom_action_contra(w, f, zz, caps),
+                (hom_action_cov(w, (m.cod(f),), g, bounds),),
+                hom_action_contra(w, f, zz, bounds),
             )
             if lhs != rhs:
                 bad.append(f"f={m.show_mor(f)} g={m.show_mor(g)}")
@@ -439,11 +433,11 @@ def verify_internal_lemmas(
     bad = []
     for x in objs:
         for z in objs:
-            if hom_action_contra(w, m.identity(x), z, caps) != m.identity(
+            if hom_action_contra(w, m.identity(x), z, bounds) != m.identity(
                 w.hom_obj((x,), z)
             ):
                 bad.append(f"{x},{z}")
-            if hom_action_cov(w, (x,), m.identity(z), caps) != m.identity(
+            if hom_action_cov(w, (x,), m.identity(z), bounds) != m.identity(
                 w.hom_obj((x,), z)
             ):
                 bad.append(f"{x},{z}")
@@ -457,19 +451,19 @@ def closing_transformation(
     F: MultiFunctor,
     xs: Profile,
     z: ObjId,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> MorId:
     """The canonical comparison F und(X1..Xm;Z) -> und(FX1..FXm;FZ): the
     currying of the image of the evaluation morphism."""
     fev = F.mor_map(w_src.ev(tuple(xs), z))
-    return curry(w_tgt, fev, len(xs), caps)
+    return curry(w_tgt, fev, len(xs), bounds)
 
 
 def verify_closing_lemmas(
     w_src: ClosednessWitness,
     w_tgt: ClosednessWitness,
     F: MultiFunctor,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
     ic_src: InternalCategory | None = None,
     ic_tgt: InternalCategory | None = None,
 ) -> Report:
@@ -480,11 +474,11 @@ def verify_closing_lemmas(
     objs = sorted(m.objects(), key=m.obj_key)
 
     bad = []
-    for xs, z in m.signatures(caps):
-        t = closing_transformation(w_src, w_tgt, F, xs, z, caps)
+    for xs, z in m.signatures(bounds):
+        t = closing_transformation(w_src, w_tgt, F, xs, z, bounds)
         fxs = tuple(F.obj_map(x) for x in xs)
-        for ys in m.profiles(caps.max_arity - len(xs)):
-            for g in m.hom(ys, w_src.hom_obj(xs, z)):
+        for ys in m.profiles(bounds.max_arity - len(xs)):
+            for g in guard_hom(m, ys, w_src.hom_obj(xs, z), bounds):
                 lhs = F.mor_map(uncurry(w_src, g, xs, z))
                 rhs = uncurry(
                     w_tgt,
@@ -497,13 +491,13 @@ def verify_closing_lemmas(
     rep.law("closing/phi-square", "currying square for the comparison", bad)
 
     if ic_src is None:
-        ic_src, _ = build_internal_category(w_src, caps)
+        ic_src, _ = build_internal_category(w_src, bounds)
     if ic_tgt is None:
-        ic_tgt, _ = build_internal_category(w_tgt, caps)
+        ic_tgt, _ = build_internal_category(w_tgt, bounds)
 
     bad = []
     for x in objs:
-        t = closing_transformation(w_src, w_tgt, F, (x,), x, caps)
+        t = closing_transformation(w_src, w_tgt, F, (x,), x, bounds)
         lhs = d.compose((F.mor_map(ic_src.unit1[x]),), t)
         if lhs != ic_tgt.unit1[F.obj_map(x)]:
             bad.append(str(x))
@@ -511,9 +505,9 @@ def verify_closing_lemmas(
 
     bad = []
     for x, y, z in itertools.product(objs, repeat=3):
-        txz = closing_transformation(w_src, w_tgt, F, (x,), z, caps)
-        txy = closing_transformation(w_src, w_tgt, F, (x,), y, caps)
-        tyz = closing_transformation(w_src, w_tgt, F, (y,), z, caps)
+        txz = closing_transformation(w_src, w_tgt, F, (x,), z, bounds)
+        txy = closing_transformation(w_src, w_tgt, F, (x,), y, bounds)
+        tyz = closing_transformation(w_src, w_tgt, F, (y,), z, bounds)
         lhs = d.compose((F.mor_map(ic_src.mu[(x, y, z)]),), txz)
         rhs = d.compose(
             (txy, tyz),
@@ -533,7 +527,7 @@ def verify_closing_composite(
     w3: ClosednessWitness,
     F: MultiFunctor,
     G: MultiFunctor,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Report:
     """For composable multifunctors, the comparison of the composite is
     the image of the first comparison followed by the second."""
@@ -541,11 +535,11 @@ def verify_closing_composite(
     m = F.source
     e = G.target
     bad = []
-    for xs, z in m.signatures(caps):
-        lhs = closing_transformation(w1, w3, F.then(G), xs, z, caps)
-        mid = closing_transformation(w1, w2, F, xs, z, caps)
+    for xs, z in m.signatures(bounds):
+        lhs = closing_transformation(w1, w3, F.then(G), xs, z, bounds)
+        mid = closing_transformation(w1, w2, F, xs, z, bounds)
         fxs = tuple(F.obj_map(x) for x in xs)
-        outer = closing_transformation(w2, w3, G, fxs, F.obj_map(z), caps)
+        outer = closing_transformation(w2, w3, G, fxs, F.obj_map(z), bounds)
         rhs = e.compose((G.mor_map(mid),), outer)
         if lhs != rhs:
             bad.append(f"xs={xs} z={z}")
@@ -557,7 +551,7 @@ def verify_closing_multinat(
     w_src: ClosednessWitness,
     w_tgt: ClosednessWitness,
     r: MultiNat,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Report:
     """The hexagon relating the comparisons of the two multifunctors along
     a multinatural transformation."""
@@ -565,22 +559,22 @@ def verify_closing_multinat(
     F, G = r.source, r.target
     m, d = F.source, F.target
     bad = []
-    for xs, z in m.signatures(caps):
+    for xs, z in m.signatures(bounds):
         h = w_src.hom_obj(xs, z)
         fxs = tuple(F.obj_map(x) for x in xs)
         lhs = d.compose(
-            (closing_transformation(w_src, w_tgt, F, xs, z, caps),),
-            hom_action_cov(w_tgt, fxs, r.components(z), caps),
+            (closing_transformation(w_src, w_tgt, F, xs, z, bounds),),
+            hom_action_cov(w_tgt, fxs, r.components(z), bounds),
         )
         rhs = d.compose(
             (
                 d.compose(
                     (r.components(h),),
-                    closing_transformation(w_src, w_tgt, G, xs, z, caps),
+                    closing_transformation(w_src, w_tgt, G, xs, z, bounds),
                 ),
             ),
             hom_action_multi(
-                w_tgt, tuple(r.components(x) for x in xs), G.obj_map(z), caps
+                w_tgt, tuple(r.components(x) for x in xs), G.obj_map(z), bounds
             ),
         )
         if lhs != rhs:
@@ -605,7 +599,7 @@ def unit_contraction(
 
 
 def contraction_inverses(
-    w: ClosednessWitness, uw: UnitWitness, x: ObjId, caps: ArityCaps
+    w: ClosednessWitness, uw: UnitWitness, x: ObjId, bounds: Bounds
 ) -> list[MorId]:
     """Every two-sided inverse X -> und(unit;X) of the unit contraction at
     X, by exhaustive search in canonical order."""
@@ -614,14 +608,14 @@ def contraction_inverses(
     t = unit_contraction(w, uw, x)
     return [
         g
-        for g in _guard_hom(m, (x,), h, caps)
+        for g in guard_hom(m, (x,), h, bounds)
         if m.compose((t,), g) == m.identity(h)
         and m.compose((g,), t) == m.identity(x)
     ]
 
 
 def check_unit_object(
-    w: ClosednessWitness, uw: UnitWitness, caps: ArityCaps = DEFAULT_CAPS
+    w: ClosednessWitness, uw: UnitWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """An object with a nullary morphism is a unit when evaluating against
     it is an isomorphism und(unit;X) -> X for every X; the inverse is
@@ -630,7 +624,7 @@ def check_unit_object(
     m = w.m
     bad = []
     for x in sorted(m.objects(), key=m.obj_key):
-        inv = contraction_inverses(w, uw, x, caps)
+        inv = contraction_inverses(w, uw, x, bounds)
         if len(inv) != 1:
             bad.append(f"X={m.show_obj(x)} ({len(inv)} inverses)")
     rep.law("unit/contraction-iso", "evaluation against u invertible", bad)
@@ -638,24 +632,24 @@ def check_unit_object(
 
 
 def find_unit_object(
-    w: ClosednessWitness, caps: ArityCaps = DEFAULT_CAPS
+    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> UnitWitness:
     """First (object, nullary morphism) pair passing the unit check, in
     canonical order."""
     m = w.m
     for x in sorted(m.objects(), key=m.obj_key):
-        for u in sorted(_guard_hom(m, (), x, caps), key=m.mor_key):
+        for u in sorted(guard_hom(m, (), x, bounds), key=m.mor_key):
             cand = UnitWitness(x, u)
-            if check_unit_object(w, cand, caps).ok:
+            if check_unit_object(w, cand, bounds).ok:
                 return cand
-    raise NoUnitFound(f"{m.name}: no unit object within caps")
+    raise NoUnitFound(f"{m.name}: no unit object within the arity cap")
 
 
 def bar(
     w: ClosednessWitness,
     uw: UnitWitness,
     f: MorId,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> MorId:
     """The unique morphism unit -> X with u then it equal to the given
     nullary morphism."""
@@ -665,7 +659,7 @@ def bar(
     x = m.cod(f)
     hits = [
         g
-        for g in _guard_hom(m, (uw.unit,), x, caps)
+        for g in guard_hom(m, (uw.unit,), x, bounds)
         if m.compose((uw.u,), g) == f
     ]
     if len(hits) != 1:

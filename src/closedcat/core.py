@@ -20,19 +20,21 @@ from .report import Report
 
 ObjId = Hashable
 MorId = Hashable
+MAX_OBJECTS = 64  # quantified checks range over at most this many objects
 
 
 @dataclass(frozen=True)
-class SizeBudget:
-    """Bounds for lazy enumeration. Exceeding a bound raises BudgetExceeded,
-    never silently truncates."""
+class Bounds:
+    """The horizon of every exhaustive check and construction: signatures
+    of total arity at most ``max_arity``, and enumerated hom-sets of at
+    most ``max_homset`` morphisms.  Exceeding a bound raises
+    BudgetExceeded, never silently truncates."""
 
-    max_objects: int = 64
+    max_arity: int = 3
     max_homset: int = 4096
-    max_depth: int = 4
 
 
-DEFAULT_BUDGET = SizeBudget()
+DEFAULT_BOUNDS = Bounds()
 
 
 class Category:
@@ -251,30 +253,50 @@ class NaturalTransformation:
         )
 
 
-def guard_objects(cat: Category, budget: SizeBudget) -> Sequence[ObjId]:
+def guard_objects(cat: Category, bounds: Bounds) -> Sequence[ObjId]:
+    """The enumerated objects of cat, once they are known to number at
+    most MAX_OBJECTS with every hom-set between them of at most
+    ``bounds.max_homset`` morphisms; otherwise BudgetExceeded."""
     objs = cat.objects()
-    if len(objs) > budget.max_objects:
+    if len(objs) > MAX_OBJECTS:
         raise BudgetExceeded(
-            f"{cat.name}: {len(objs)} objects exceed budget {budget.max_objects}"
+            f"{cat.name}: {len(objs)} objects exceed budget {MAX_OBJECTS}"
         )
+    for x in objs:
+        for y in objs:
+            if len(cat.hom(x, y)) > bounds.max_homset:
+                raise BudgetExceeded(f"{cat.name}: hom({x},{y}) over budget")
     return objs
 
 
+def guard_hom(m, xs, y, bounds: Bounds, partial: bool = False):
+    """hom(xs, y) of the multicategory m, once it is known to hold at most
+    ``bounds.max_homset`` morphisms; otherwise BudgetExceeded.  With
+    ``partial``, a hom-set that m itself refuses to enumerate (its own
+    BudgetExceeded: the signature lies outside its horizon) is empty."""
+    try:
+        fs = m.hom(xs, y)
+    except BudgetExceeded:
+        if not partial:
+            raise
+        return ()
+    if len(fs) > bounds.max_homset:
+        raise BudgetExceeded(f"{m.name}: hom{xs}->{y} over budget")
+    return fs
+
+
 def check_category_axioms(
-    cat: Category, budget: SizeBudget = DEFAULT_BUDGET
+    cat: Category, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """Associativity, identity neutrality, and endpoint discipline, checked
     exhaustively over the enumerated objects."""
     rep = Report(f"category axioms: {cat.name}")
-    objs = guard_objects(cat, budget)
+    objs = guard_objects(cat, bounds)
 
     bad = []
     for x in objs:
         for y in objs:
-            fs = cat.hom(x, y)
-            if len(fs) > budget.max_homset:
-                raise BudgetExceeded(f"hom({x},{y}) exceeds budget")
-            for f in fs:
+            for f in cat.hom(x, y):
                 if cat.dom(f) != x or cat.cod(f) != y:
                     bad.append(f"{cat.show_mor(f)} filed under hom({x},{y})")
     rep.law("category/endpoints", "dom/cod", bad)
@@ -316,10 +338,10 @@ def check_category_axioms(
     return rep
 
 
-def check_functor(F: Functor, budget: SizeBudget = DEFAULT_BUDGET) -> Report:
+def check_functor(F: Functor, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
     rep = Report(f"functor: {F.name}")
     src, tgt = F.source, F.target
-    objs = guard_objects(src, budget)
+    objs = guard_objects(src, bounds)
 
     bad = []
     for x in objs:
@@ -349,13 +371,13 @@ def check_functor(F: Functor, budget: SizeBudget = DEFAULT_BUDGET) -> Report:
 
 
 def check_natural(
-    t: NaturalTransformation, budget: SizeBudget = DEFAULT_BUDGET
+    t: NaturalTransformation, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """Naturality square for every enumerated morphism of the source."""
     rep = Report(f"natural transformation: {t.name}")
     F, G = t.source, t.target
     src, tgt = F.source, F.target
-    objs = guard_objects(src, budget)
+    objs = guard_objects(src, bounds)
     bad = []
     for x in objs:
         for y in objs:
@@ -368,35 +390,13 @@ def check_natural(
     return rep
 
 
-def tabularize(cat: Category, budget: SizeBudget = DEFAULT_BUDGET) -> TabularCategory:
-    """Materialize a lazy category over its enumerated objects.
+def tabularize(cat: Category, bounds: Bounds = DEFAULT_BOUNDS) -> TabularCategory:
+    """Materialize a lazy category over its enumerated objects, as its
+    category file read back.
 
     Used as the oracle twin: the tabularization must pass the axiom
     checks exactly when the lazy evaluator does.
     """
-    objs = guard_objects(cat, budget)
-    hom: dict[tuple[ObjId, ObjId], list[MorId]] = {}
-    names: dict[MorId, str] = {}
-    for x in objs:
-        for y in objs:
-            fs = cat.hom(x, y)
-            if len(fs) > budget.max_homset:
-                raise BudgetExceeded(f"hom({x},{y}) exceeds budget")
-            fs = sorted(fs, key=cat.mor_key)
-            hom[(str(x), str(y))] = []
-            for f in fs:
-                names[f] = f"m{len(names)}"
-                hom[(str(x), str(y))].append(names[f])
-    compose = {}
-    for x, y, z in itertools.product(objs, repeat=3):
-        for f in cat.hom(x, y):
-            for g in cat.hom(y, z):
-                compose[(names[f], names[g])] = names[cat.compose(f, g)]
-    identity = {str(x): names[cat.identity(x)] for x in objs}
-    return TabularCategory(
-        f"{cat.name}#tab",
-        [str(x) for x in objs],
-        hom,
-        compose,
-        identity,
-    )
+    from .interchange import category_from_json, category_to_json
+
+    return category_from_json(category_to_json(cat, bounds))

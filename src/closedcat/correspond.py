@@ -45,7 +45,15 @@ from .closedmc import (
     unit_contraction,
     uncurry,
 )
-from .core import Category, DEFAULT_BUDGET, MorId, ObjId, SizeBudget
+from .core import (
+    DEFAULT_BOUNDS,
+    Bounds,
+    Category,
+    MorId,
+    ObjId,
+    guard_hom,
+    guard_objects,
+)
 from .enriched import (
     VFunctor,
     VNatFamily,
@@ -58,8 +66,6 @@ from .enriched import (
 )
 from .errors import KernelError, NotBijective
 from .multicat import (
-    ArityCaps,
-    DEFAULT_CAPS,
     MultiFunctor,
     MultiNat,
     Multicategory,
@@ -109,7 +115,7 @@ class UnderlyingCategory(Category):
 def underlying_closed_category(
     w: ClosednessWitness,
     uw: UnitWitness,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
     ic: InternalCategory | None = None,
 ) -> ClosedStructure:
     """The underlying closed category of a closed multicategory with a
@@ -117,13 +123,13 @@ def underlying_closed_category(
     identity through u, and L curries the internal composition."""
     m = w.m
     if ic is None:
-        ic, _ = build_internal_category(w, caps)
+        ic, _ = build_internal_category(w, bounds)
     cat = UnderlyingCategory(m)
     objs = cat.objects()
 
     i = {}
     for x in objs:
-        hits = contraction_inverses(w, uw, x, caps)
+        hits = contraction_inverses(w, uw, x, bounds)
         if len(hits) != 1:
             raise NotBijective(
                 f"{m.name}: unit contraction at {m.show_obj(x)} "
@@ -131,12 +137,12 @@ def underlying_closed_category(
             )
         i[x] = hits[0]
     i_inv = {x: unit_contraction(w, uw, x) for x in objs}
-    j = {x: bar(w, uw, ic.unit1[x], caps) for x in objs}
+    j = {x: bar(w, uw, ic.unit1[x], bounds) for x in objs}
 
     @functools.cache
     def hom2_mor(f: MorId, g: MorId) -> MorId:
-        step1 = hom_action_contra(w, f, m.dom(g)[0], caps)
-        step2 = hom_action_cov(w, (m.dom(f)[0],), g, caps)
+        step1 = hom_action_contra(w, f, m.dom(g)[0], bounds)
+        step2 = hom_action_cov(w, (m.dom(f)[0],), g, bounds)
         return m.compose((step1,), step2)
 
     return ClosedStructure(
@@ -155,7 +161,7 @@ def underlying_closed_category(
 def verify_u_construction(
     w: ClosednessWitness,
     uw: UnitWitness,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
     ic: InternalCategory | None = None,
 ) -> Report:
     """The five reformulations that make the underlying structure a closed
@@ -167,7 +173,7 @@ def verify_u_construction(
     m = w.m
     rep = Report(f"closed category from multicategory: {m.name}")
     if ic is None:
-        ic, _ = build_internal_category(w, caps)
+        ic, _ = build_internal_category(w, bounds)
     objs = sorted(m.objects(), key=m.obj_key)
     unit = uw.unit
 
@@ -199,18 +205,18 @@ def verify_u_construction(
             tz = unit_contraction(w, uw, z)
             lhs = m.compose(
                 (ic.LX[(unit, y, z)],),
-                hom_action_cov(w, (w.hom_obj((unit,), y),), tz, caps),
+                hom_action_cov(w, (w.hom_obj((unit,), y),), tz, bounds),
             )
-            rhs = hom_action_contra(w, ty, z, caps)
+            rhs = hom_action_contra(w, ty, z, bounds)
             if lhs != rhs:
                 bad.append(f"{y},{z}")
     rep.law("u/CC4-contraction", "CC4 via the unit contraction", bad)
 
     bad = []
-    ucs = underlying_closed_category(w, uw, caps, ic)
+    ucs = underlying_closed_category(w, uw, bounds, ic)
     for x in objs:
         for y in objs:
-            for f in m.hom((x,), y):
+            for f in guard_hom(m, (x,), y, bounds):
                 g = gamma(ucs, f)
                 nullary = m.compose((uw.u,), g)
                 back = uncurry(w, nullary, (x,), y)
@@ -228,7 +234,7 @@ def underlying_closed_functor(
     uw_tgt: UnitWitness,
     src_cs: ClosedStructure,
     tgt_cs: ClosedStructure,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> ClosedFunctor:
     """The closed functor induced by a multifunctor: the hom comparison is
     the closing transformation and the unit comparison factors the image
@@ -245,9 +251,9 @@ def underlying_closed_functor(
     )
 
     def phi_hat(x, y):
-        return closing_transformation(w_src, w_tgt, F, (x,), y, caps)
+        return closing_transformation(w_src, w_tgt, F, (x,), y, bounds)
 
-    phi0 = bar(w_tgt, uw_tgt, F.mor_map(uw_src.u), caps)
+    phi0 = bar(w_tgt, uw_tgt, F.mor_map(uw_src.u), bounds)
     return ClosedFunctor(f"U({F.name})", src_cs, tgt_cs, phi, phi_hat, phi0)
 
 
@@ -273,7 +279,7 @@ def check_U_functoriality(
     uw2: UnitWitness,
     w3: ClosednessWitness,
     uw3: UnitWitness,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Report:
     """Strict functoriality of the passage to closed data: the induced
     closed functor of a composite is the composite of the induced ones,
@@ -282,21 +288,23 @@ def check_U_functoriality(
     from .closed import compose_closed_functors
 
     rep = Report(f"functoriality of U: {F.name};{G.name}")
-    cs1 = underlying_closed_category(w1, uw1, caps)
-    cs2 = underlying_closed_category(w2, uw2, caps)
-    cs3 = underlying_closed_category(w3, uw3, caps)
-    UF = underlying_closed_functor(F, w1, uw1, w2, uw2, cs1, cs2, caps)
-    UG = underlying_closed_functor(G, w2, uw2, w3, uw3, cs2, cs3, caps)
+    cs1 = underlying_closed_category(w1, uw1, bounds)
+    cs2 = underlying_closed_category(w2, uw2, bounds)
+    cs3 = underlying_closed_category(w3, uw3, bounds)
+    UF = underlying_closed_functor(F, w1, uw1, w2, uw2, cs1, cs2, bounds)
+    UG = underlying_closed_functor(G, w2, uw2, w3, uw3, cs2, cs3, bounds)
     Ucomp = underlying_closed_functor(
-        F.then(G), w1, uw1, w3, uw3, cs1, cs3, caps
+        F.then(G), w1, uw1, w3, uw3, cs1, cs3, bounds
     )
-    eq, locus = closed_functors_equal(Ucomp, compose_closed_functors(UF, UG))
+    eq, locus = closed_functors_equal(
+        Ucomp, compose_closed_functors(UF, UG), bounds
+    )
     rep.add("u-fun/compose", "U(G.F) = U(G).U(F)", eq, locus)
 
     Uid = underlying_closed_functor(
-        MultiFunctor.identity(w1.m), w1, uw1, w1, uw1, cs1, cs1, caps
+        MultiFunctor.identity(w1.m), w1, uw1, w1, uw1, cs1, cs1, bounds
     )
-    eq2, locus2 = closed_functors_equal(Uid, ClosedFunctor.identity(cs1))
+    eq2, locus2 = closed_functors_equal(Uid, ClosedFunctor.identity(cs1), bounds)
     rep.add("u-fun/identity", "U(id) = id", eq2, locus2)
 
     r = MultiNat.identity(F)
@@ -321,12 +329,12 @@ def compose_multinat_vertical(r: MultiNat, s: MultiNat) -> MultiNat:
 
 
 def closed_functors_equal(
-    A: ClosedFunctor, B: ClosedFunctor, budget: SizeBudget = DEFAULT_BUDGET
+    A: ClosedFunctor, B: ClosedFunctor, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[bool, str]:
     """Componentwise equality of closed functors over enumerated objects
     and morphisms; returns a locus for the first difference."""
     cat = A.source.cat
-    objs = cat.objects()
+    objs = guard_objects(cat, bounds)
     for x in objs:
         if A.phi.obj_map(x) != B.phi.obj_map(x):
             return False, f"object {cat.show_obj(x)}"
@@ -343,14 +351,14 @@ def closed_functors_equal(
 
 
 def multifunctors_equal(
-    F: MultiFunctor, G: MultiFunctor, caps: ArityCaps = DEFAULT_CAPS
+    F: MultiFunctor, G: MultiFunctor, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[bool, str]:
     m = F.source
     for x in m.objects():
         if F.obj_map(x) != G.obj_map(x):
             return False, f"object {m.show_obj(x)}"
-    for xs, y in m.signatures(caps):
-        for f in m.hom(xs, y):
+    for xs, y in m.signatures(bounds):
+        for f in guard_hom(m, xs, y, bounds):
             if F.mor_map(f) != G.mor_map(f):
                 return False, f"morphism {m.show_mor(f)}"
     return True, ""
@@ -361,16 +369,16 @@ def check_injectivity(
     G: MultiFunctor,
     UF: ClosedFunctor,
     UG: ClosedFunctor,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Report:
     """If the induced closed functors agree componentwise, the
-    multifunctors must agree on every signature within caps."""
+    multifunctors must agree on every signature within bounds."""
     rep = Report(f"injectivity on 1-cells: {F.name} vs {G.name}")
-    same_u, locus_u = closed_functors_equal(UF, UG)
+    same_u, locus_u = closed_functors_equal(UF, UG, bounds)
     if not same_u:
         rep.add_pass("inj/u-images-differ", f"closed functors differ ({locus_u})")
         return rep
-    same, locus = multifunctors_equal(F, G, caps)
+    same, locus = multifunctors_equal(F, G, bounds)
     rep.add("inj/equal", "equal images force equal multifunctors", same, locus)
     return rep
 
@@ -379,7 +387,7 @@ def check_2cell_transfer(
     r: MultiNat,
     UF: ClosedFunctor,
     UG: ClosedFunctor,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Report:
     """A multinatural transformation's components form a closed
     transformation between the induced closed functors, and conversely a
@@ -388,9 +396,9 @@ def check_2cell_transfer(
 
     rep = Report(f"2-cell transfer: {r.name}")
     ct = underlying_closed_transformation(r, UF, UG)
-    rep.extend(check_cn_axioms(ct), prefix="forward/")
+    rep.extend(check_cn_axioms(ct, bounds), prefix="forward/")
     back = MultiNat(f"{r.name}'", r.source, r.target, ct.eta.components)
-    rep.extend(check_multinat(back, caps), prefix="backward/")
+    rep.extend(check_multinat(back, bounds), prefix="backward/")
     return rep
 
 
@@ -400,7 +408,7 @@ def lift_closed_functor(
     uw_src: UnitWitness,
     w_tgt: ClosednessWitness,
     uw_tgt: UnitWitness,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> MultiFunctor:
     """Reconstruct a multifunctor from a closed functor between the
     underlying closed categories.
@@ -416,11 +424,11 @@ def lift_closed_functor(
     def lift(f: MorId) -> MorId:
         xs = m.dom(f)
         if len(xs) == 0:
-            fbar = bar(w_src, uw_src, f, caps)
+            fbar = bar(w_src, uw_src, f, bounds)
             head = d.compose((uw_tgt.u,), Phi.phi0)
             return d.compose((head,), Phi.phi.mor_map(fbar))
         x1, y = xs[0], m.cod(f)
-        inner = lift(curry1(w_src, f, caps))
+        inner = lift(curry1(w_src, f, bounds))
         t = d.compose((inner,), Phi.phi_hat(x1, y))
         fx1, fy = Phi.phi.obj_map(x1), Phi.phi.obj_map(y)
         return d.compose((d.identity(fx1), t), w_tgt.ev((fx1,), fy))
@@ -458,11 +466,11 @@ class RepresentingMulticat(Multicategory):
     composites of left hom functors, with composition by whiskering and
     pointwise composition."""
 
-    def __init__(self, ek: EKClosedStructure, caps: ArityCaps):
+    def __init__(self, ek: EKClosedStructure, bounds: Bounds):
         w = ek.closed
         self.ek = ek
         self.base = w
-        self.caps = caps
+        self.bounds = bounds
         self.name = f"rep({w.name})"
         wcat = w.cat
         objs = tuple(sorted(wcat.objects(), key=wcat.obj_key))
@@ -485,7 +493,7 @@ class RepresentingMulticat(Multicategory):
         self._whisker = functools.cache(
             lambda xs, alpha: self.functor_of(xs).mor_action(alpha)
         )
-        for xs in self.profiles(caps.max_arity):
+        for xs in self.profiles(bounds.max_arity):
             for y in objs:
                 self._homset(xs, y)
 
@@ -509,7 +517,7 @@ class RepresentingMulticat(Multicategory):
     def _enumerate(self, xs: Profile, y: ObjId) -> tuple[RepresentingMorphism, ...]:
         T = self.functor_of(xs)
         ly = self._lx[y]
-        fams = enumerate_vnat_families(ly, T)
+        fams = enumerate_vnat_families(ly, T, self.bounds)
         reps = []
         for comp in fams:
             comps = tuple((a, comp[a]) for a in self._objs)
@@ -612,9 +620,7 @@ class RepresentedBundle:
 
 
 def build_representing_multicategory(
-    cs: ClosedStructure,
-    caps: ArityCaps = DEFAULT_CAPS,
-    budget: SizeBudget = DEFAULT_BUDGET,
+    cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS
 ) -> RepresentedBundle:
     """The representing multicategory of a finite closed category: objects
     are those of the (normalized) structure, a morphism X1..Xn -> Y is an
@@ -622,10 +628,10 @@ def build_representing_multicategory(
     composite of the left hom functors at the Xi, the internal hom object
     of (X;Z) is the internal hom und(X,Z), the evaluation is the family
     of L components at (X,Z), and the unit is the inverse-i family."""
-    ek, iso = ek_normalize(cs, budget)
+    ek, iso = ek_normalize(cs, bounds)
     w = ek.closed
     wcat = w.cat
-    mcv = RepresentingMulticat(ek, caps)
+    mcv = RepresentingMulticat(ek, bounds)
     objs = mcv.objects()
 
     hom_obj1 = {(x, z): w.hom2_obj(x, z) for x in objs for z in objs}
@@ -642,7 +648,7 @@ def build_representing_multicategory(
 
 
 def check_representation(
-    bundle: RepresentedBundle, caps: ArityCaps = DEFAULT_CAPS
+    bundle: RepresentedBundle, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """Representation-specific checks: the bijection between families and
     elements at every signature, the coordinate equation for the
@@ -652,9 +658,9 @@ def check_representation(
     mcv, ek, w = bundle.mcv, bundle.ek, bundle.ek.closed
 
     bad = []
-    for xs, y in mcv.signatures(caps):
+    for xs, y in mcv.signatures(bounds):
         T = mcv.functor_of(xs)
-        names = [f.gamma_name for f in mcv.hom(xs, y)]
+        names = [f.gamma_name for f in guard_hom(mcv, xs, y, bounds)]
         target = sorted(a.name for a in ek.C_functor.obj_map(T.obj_map(y)).elements)
         if len(set(names)) != len(names) or sorted(names) != target:
             bad.append(f"({xs};{y})")
@@ -670,13 +676,13 @@ def check_representation(
     rep.law("repr/ev-coordinate", "evaluation represents the identity", bad)
 
     bad = []
-    for xs, z in mcv.signatures(caps):
+    for xs, z in mcv.signatures(bounds):
         if len(xs) != 1:
             continue
         x = xs[0]
         h = bundle.witness.hom_obj((x,), z)
-        for ys in mcv.profiles(caps.max_arity - 1):
-            for g in mcv.hom(ys, h):
+        for ys in mcv.profiles(bounds.max_arity - 1):
+            for g in guard_hom(mcv, ys, h, bounds):
                 img = uncurry(bundle.witness, g, (x,), z)
                 if img.gamma_name != g.gamma_name:
                     bad.append(f"g={mcv.show_mor(g)}")
@@ -685,7 +691,7 @@ def check_representation(
 
 
 def verify_essential_surjectivity(
-    bundle: RepresentedBundle, caps: ArityCaps = DEFAULT_CAPS
+    bundle: RepresentedBundle, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """The comparison functor from the normalized base into the underlying
     closed category of the representing multicategory: an isomorphism of
@@ -698,7 +704,7 @@ def verify_essential_surjectivity(
     wcat = w.cat
     objs = mcv.objects()
 
-    ucs = underlying_closed_category(bundle.witness, bundle.unit, caps)
+    ucs = underlying_closed_category(bundle.witness, bundle.unit, bounds)
 
     def l_of(f) -> RepresentingMorphism:
         x, y = wcat.dom(f), wcat.cod(f)
@@ -714,14 +720,14 @@ def verify_essential_surjectivity(
         lambda x, y: ucs.cat.identity(w.hom2_obj(x, y)),
         ucs.cat.identity(w.unit),
     )
-    rep.extend(check_cf_axioms(lfun), prefix="L/")
+    rep.extend(check_cf_axioms(lfun, bounds), prefix="L/")
 
     bad = []
     for x in objs:
         for y in objs:
             src = list(wcat.hom(x, y))
             imgs = [l_of(f) for f in src]
-            tgt = list(mcv.hom((x,), y))
+            tgt = guard_hom(mcv, (x,), y, bounds)
             if len(set(imgs)) != len(imgs) or len(imgs) != len(tgt):
                 bad.append(f"{x},{y}")
     rep.law("surj/hom-bijective", "comparison bijective on hom-sets", bad)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .closed import ClosedFunctor, ClosedStructure, EKClosedStructure
-from .core import DEFAULT_BUDGET, MorId, ObjId, SizeBudget
+from .core import DEFAULT_BOUNDS, Bounds, MorId, ObjId
 from .errors import BudgetExceeded, NotBijective
 from .report import Report
 
@@ -73,7 +73,7 @@ def build_underlying_V_category(cs: ClosedStructure) -> VCategory:
     )
 
 
-def check_v_category(A: VCategory, budget: SizeBudget = DEFAULT_BUDGET) -> Report:
+def check_v_category(A: VCategory) -> Report:
     rep = Report(f"enriched category axioms: {A.name}")
     cs = A.base
     cat = cs.cat
@@ -117,7 +117,7 @@ def check_v_category(A: VCategory, budget: SizeBudget = DEFAULT_BUDGET) -> Repor
     return rep
 
 
-def check_v_functor(F: VFunctor, budget: SizeBudget = DEFAULT_BUDGET) -> Report:
+def check_v_functor(F: VFunctor) -> Report:
     rep = Report(f"enriched functor axioms: {F.name}")
     A, B = F.source, F.target
     cs = A.base
@@ -148,9 +148,15 @@ def check_v_functor(F: VFunctor, budget: SizeBudget = DEFAULT_BUDGET) -> Report:
     return rep
 
 
-def check_v_natural(p: VNatFamily, budget: SizeBudget = DEFAULT_BUDGET) -> Report:
+def check_v_natural(p: VNatFamily) -> Report:
     rep = Report(f"enriched naturality: {p.name}")
-    rep.extend(_vnat_report(p.source, p.target, p.components))
+    objs = p.source.source.objects
+    bad = []
+    for a in objs:
+        for b in objs:
+            if not _vnat_square_ok(p.source, p.target, p.components, a, b):
+                bad.append(f"{a},{b}")
+    rep.law("vn/square", "enriched naturality square", bad)
     return rep
 
 
@@ -160,17 +166,6 @@ def _vnat_square_ok(F: VFunctor, G: VFunctor, comp: dict, a, b) -> bool:
     lhs = cat.compose(F.hom_map(a, b), cs.cov(F.obj_map(a), comp[b]))
     rhs = cat.compose(G.hom_map(a, b), cs.contra(comp[a], G.obj_map(b)))
     return lhs == rhs
-
-
-def _vnat_report(F: VFunctor, G: VFunctor, comp: dict) -> Report:
-    rep = Report("")
-    bad = []
-    for a in F.source.objects:
-        for b in F.source.objects:
-            if not _vnat_square_ok(F, G, comp, a, b):
-                bad.append(f"{a},{b}")
-    rep.law("vn/square", "enriched naturality square", bad)
-    return rep
 
 
 def identity_v_functor(A: VCategory) -> VFunctor:
@@ -259,7 +254,7 @@ def pushforward(F: ClosedFunctor, A: VCategory, name: str | None = None) -> VCat
 def enumerate_vnat_families(
     F: VFunctor,
     G: VFunctor,
-    budget: SizeBudget = DEFAULT_BUDGET,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> list[dict]:
     """All component families F -> G satisfying the enriched naturality
     square, generated object by object in canonical order with early
@@ -272,7 +267,7 @@ def enumerate_vnat_families(
     def extend(idx: int, partial: dict) -> None:
         if idx == len(objs):
             out.append(dict(partial))
-            if len(out) > budget.max_homset:
+            if len(out) > bounds.max_homset:
                 raise BudgetExceeded("family enumeration over budget")
             return
         a = objs[idx]
@@ -306,14 +301,14 @@ def gamma_repr_inverse(
     T: VFunctor,
     w: ObjId,
     element: str,
-    budget: SizeBudget = DEFAULT_BUDGET,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> VNatFamily:
     """Search the finite space of enriched natural families for the unique
     preimage of an element under the representation map."""
     cs = ek.closed
     lw = build_LX(cs, w)
     hits = []
-    for comp in enumerate_vnat_families(lw, T, budget):
+    for comp in enumerate_vnat_families(lw, T, bounds):
         fam = VNatFamily("cand", lw, T, comp)
         if gamma_repr(ek, w, fam) == element:
             hits.append(fam)
@@ -328,14 +323,14 @@ def check_gamma_repr_bijective(
     ek: EKClosedStructure,
     T: VFunctor,
     w: ObjId,
-    budget: SizeBudget = DEFAULT_BUDGET,
+    bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Report:
     """The representation map is a bijection between natural families out
     of the left hom functor at w and elements of the value of T at w."""
     rep = Report(f"representation bijection at {w}")
     cs = ek.closed
     lw = build_LX(cs, w)
-    fams = enumerate_vnat_families(lw, T, budget)
+    fams = enumerate_vnat_families(lw, T, bounds)
     images = [
         gamma_repr(ek, w, VNatFamily("f", lw, T, comp)) for comp in fams
     ]

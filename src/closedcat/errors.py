@@ -6,7 +6,7 @@ class KernelError(Exception):
 
 
 class BudgetExceeded(KernelError):
-    """A lazy enumeration would overflow the declared size budget."""
+    """An enumeration would overflow its bounds."""
 
 
 class NotBijective(KernelError):

@@ -22,7 +22,6 @@ from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
 from .core import Category, TabularCategory
 from .multicat import (
-    ArityCaps,
     MMor,
     MonoidalMulticategory,
     MultiFunctor,
@@ -270,7 +269,7 @@ def build_truncadd_badunit() -> tuple[Multicategory, ClosednessWitness, UnitWitn
     return m, w, UnitWitness("g", MMor((), "g", "t1"))
 
 
-def build_z2mc_badcompose(caps: ArityCaps = ArityCaps(3)) -> tuple[Multicategory, None, None]:
+def build_z2mc_badcompose(max_arity: int = 3) -> tuple[Multicategory, None, None]:
     """Negative fixture: the z2 multicategory tabulated with one composite
     flipped, so two-level associativity fails at localizable tuples."""
     from .multicat import TabularMulticategory
@@ -280,7 +279,7 @@ def build_z2mc_badcompose(caps: ArityCaps = ArityCaps(3)) -> tuple[Multicategory
 
     objs = ["g"]
     hom = {}
-    for n in range(caps.max_arity + 1):
+    for n in range(max_arity + 1):
         hom[(("g",) * n, "g")] = [mid("e", n), mid("s", n)]
     compose = {}
 
@@ -299,7 +298,7 @@ def build_z2mc_badcompose(caps: ArityCaps = ArityCaps(3)) -> tuple[Multicategory
         n = len(xs)
         for g_par in "es":
             g = mid(g_par, n)
-            for doms in gen_doms(n, caps.max_arity):
+            for doms in gen_doms(n, max_arity):
                 for pars in _product("es", repeat=n):
                     fs = tuple(mid(pars[i], doms[i]) for i in range(n))
                     total = sum(doms)
@@ -360,7 +359,7 @@ class InstanceInfo:
     kind: str  # category | closed | multicat
     description: str
     build: Callable
-    caps: ArityCaps = ArityCaps(3)
+    max_arity: int = 3  # the instance's own arity horizon
     advertised_failure: tuple[str, ...] = ()  # check ids expected to fail
 
 
@@ -479,7 +478,7 @@ _register(
         "multicat",
         "free monoid on one generator truncated at length three",
         build_freemon3,
-        caps=ArityCaps(1),
+        max_arity=1,
     )
 )
 

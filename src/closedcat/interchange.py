@@ -23,18 +23,17 @@ import json
 from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
 from .core import (
+    DEFAULT_BOUNDS,
+    Bounds,
     Category,
-    DEFAULT_BUDGET,
-    SizeBudget,
     TabularCategory,
+    guard_hom,
     guard_objects,
     require_declared,
     require_declared_keys,
 )
 from .errors import BudgetExceeded, FormatError
 from .multicat import (
-    ArityCaps,
-    DEFAULT_CAPS,
     Multicategory,
     TabularMulticategory,
     _composables,
@@ -52,8 +51,8 @@ class _Namer:
         return self.names[item]
 
 
-def category_to_json(cat: Category, budget: SizeBudget = DEFAULT_BUDGET) -> dict:
-    objs = sorted(guard_objects(cat, budget), key=cat.obj_key)
+def category_to_json(cat: Category, bounds: Bounds = DEFAULT_BOUNDS) -> dict:
+    objs = sorted(guard_objects(cat, bounds), key=cat.obj_key)
     oname = _Namer("o")
     mname = _Namer("m")
     for x in objs:
@@ -99,6 +98,17 @@ def _names(label: str, v, many: bool = False):
     return v
 
 
+def _objects(doc: dict) -> list:
+    """The ``objects`` list of a structure file, each name once."""
+    objs = _names("objects", doc["objects"], many=True)
+    seen = set()
+    for x in objs:
+        if x in seen:
+            raise FormatError(f'objects lists "{x}" twice')
+        seen.add(x)
+    return objs
+
+
 def _entries(doc: dict, *path: str, many: bool = False):
     """The entries of the table at ``doc[path[0]][path[1]]...``, each value
     checked by ``_names`` under its key in the file's own syntax."""
@@ -136,7 +146,7 @@ def category_from_json(doc: dict) -> TabularCategory:
     try:
         return TabularCategory(
             doc.get("name", "category"),
-            _names("objects", doc["objects"], many=True),
+            _objects(doc),
             dict(_keyed(doc, "hom", sep=",", parts=2, many=True)),
             dict(_keyed(doc, "compose", sep=";", parts=2)),
             dict(_entries(doc, "id")),
@@ -150,18 +160,16 @@ def closed_ref_to_json(name: str, params: dict | None = None) -> dict:
     return {"kind": "closed-category", "ref": name, "params": params or {}}
 
 
-def closed_to_json(cs: ClosedStructure, budget: SizeBudget = DEFAULT_BUDGET) -> dict:
-    objs_set = set(guard_objects(cs.cat, budget))
-    for x in objs_set:
-        for y in objs_set:
-            if cs.hom2_obj(x, y) not in objs_set:
-                raise FormatError(
-                    f"{cs.name}: objects are not closed under internal homs; "
-                    "dump this structure by registry reference instead"
-                )
-    doc = category_to_json(cs.cat, budget)
+def closed_to_json(cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS) -> dict:
+    objs = sorted(guard_objects(cs.cat, bounds), key=cs.cat.obj_key)
+    homs = (cs.hom2_obj(x, y) for x in objs for y in objs)
+    if not set(objs).issuperset(homs):
+        raise FormatError(
+            f"{cs.name}: objects are not closed under internal homs; "
+            "dump this structure by registry reference instead"
+        )
+    doc = category_to_json(cs.cat, bounds)
     oname, mname = doc.pop("_namer")
-    objs = sorted(guard_objects(cs.cat, budget), key=cs.cat.obj_key)
     mors = [f for f in cs.cat.all_morphisms()]
     doc["kind"] = "closed-category"
     doc["unit"] = oname(cs.unit)
@@ -193,10 +201,18 @@ def closed_from_json(doc: dict) -> ClosedStructure:
     if "ref" in doc:
         from .setcat import build_finset_closed
 
-        name = doc["ref"]
+        name = _names("ref", doc["ref"])
         params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise FormatError(f"params must be an object, got {json.dumps(params)}")
         if name == "finset":
-            return build_finset_closed(int(params.get("max_size", 2)))
+            size = params.get("max_size", 2)
+            if type(size) is not int or size < 1:
+                raise FormatError(
+                    "params.max_size must be an integer of at least 1, "
+                    f"got {json.dumps(size)}"
+                )
+            return build_finset_closed(size)
         from . import instances
 
         info = instances.get(name)
@@ -222,7 +238,7 @@ def closed_from_json(doc: dict) -> ClosedStructure:
 
 def multicat_to_json(
     m: Multicategory,
-    caps: ArityCaps = DEFAULT_CAPS,
+    bounds: Bounds = DEFAULT_BOUNDS,
     witness: ClosednessWitness | None = None,
     unit: UnitWitness | None = None,
 ) -> dict:
@@ -233,13 +249,10 @@ def multicat_to_json(
         oname(x)
 
     def hom_within(xs, y):
-        try:
-            return m.hom(xs, y)
-        except BudgetExceeded:
-            return ()  # signature outside this structure's horizon
+        return guard_hom(m, xs, y, bounds, partial=True)
 
     hom = {}
-    for xs, y in m.signatures(caps):
+    for xs, y in m.signatures(bounds):
         fs = sorted(hom_within(xs, y), key=m.mor_key)
         if not fs:
             continue  # empty hom-sets stay implicit
@@ -247,7 +260,7 @@ def multicat_to_json(
         hom[key] = [mname(f) for f in fs]
     compose = {}
     names = mname.names
-    for g, _, fs in _composables(m, caps, hom_within):
+    for g, _, fs in _composables(m, bounds, hom_within):
         try:
             out = m.compose(fs, g)
         except (ValueError, BudgetExceeded, FormatError):
@@ -311,7 +324,7 @@ def multicat_from_json(
         name = doc.get("name", "multicategory")
         m = TabularMulticategory(
             name,
-            _names("objects", doc["objects"], many=True),
+            _objects(doc),
             hom,
             compose,
             dict(_entries(doc, "id")),

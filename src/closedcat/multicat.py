@@ -3,9 +3,9 @@
 A morphism has a finite list of objects as its domain and a single object
 as codomain; composition plugs a tuple of morphisms into an outer one.
 Nullary morphisms () -> Y are first class everywhere.  All universally
-quantified checks range over signatures of total arity at most the caps'
-``max_arity``; rule-backed multicategories (e.g. the one attached to a
-strict monoidal category) may refuse larger signatures by raising
+quantified checks range over signatures of total arity at most the
+bounds' ``max_arity``; rule-backed multicategories (e.g. the one attached
+to a strict monoidal category) may refuse larger signatures by raising
 BudgetExceeded.
 """
 
@@ -16,9 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
+    DEFAULT_BOUNDS,
+    Bounds,
     Category,
     MorId,
     ObjId,
+    guard_hom,
     require_declared,
     require_declared_identities,
     require_declared_keys,
@@ -27,18 +30,6 @@ from .errors import BudgetExceeded, FormatError, KernelError, StrictnessError
 from .report import Report
 
 Profile = tuple  # tuple[ObjId, ...]
-
-
-@dataclass(frozen=True)
-class ArityCaps:
-    """Horizon for multicategory checks: signatures with total arity above
-    ``max_arity`` are not enumerated."""
-
-    max_arity: int = 3
-    max_homset: int = 4096
-
-
-DEFAULT_CAPS = ArityCaps()
 
 
 class Multicategory:
@@ -83,8 +74,8 @@ class Multicategory:
         for n in range(max_len + 1):
             yield from itertools.product(objs, repeat=n)
 
-    def signatures(self, caps: ArityCaps):
-        for xs in self.profiles(caps.max_arity):
+    def signatures(self, bounds: Bounds):
+        for xs in self.profiles(bounds.max_arity):
             for y in sorted(self.objects(), key=self.obj_key):
                 yield xs, y
 
@@ -357,13 +348,6 @@ class MultiNat:
         )
 
 
-def _guard_hom(m: Multicategory, xs, y, caps: ArityCaps):
-    fs = m.hom(xs, y)
-    if len(fs) > caps.max_homset:
-        raise BudgetExceeded(f"{m.name}: hom{xs}->{y} over budget")
-    return fs
-
-
 def _inner_profiles(m: Multicategory, ys: Profile, cap: int):
     """All tuples of domain profiles (one per input of ys) with total
     arity at most cap, in canonical order."""
@@ -376,18 +360,20 @@ def _inner_profiles(m: Multicategory, ys: Profile, cap: int):
             yield (p,) + tail
 
 
-def _composables(m: Multicategory, caps: ArityCaps, hom=None):
-    """Every composable (g, doms, fs) within caps, in canonical order:
+def _composables(m: Multicategory, bounds: Bounds, hom=None):
+    """Every composable (g, doms, fs) within bounds, in canonical order:
     signatures (ys, z), then g in hom(ys, z), then the domain tuples doms
-    of ``_inner_profiles(m, ys, caps.max_arity)``, then fs in the product
+    of ``_inner_profiles(m, ys, bounds.max_arity)``, then fs in the product
     of the hom-sets hom(doms[i], ys[i]).
 
-    ``hom`` (default ``m.hom``) is called once per signature.  A domain
+    ``hom`` (default ``guard_hom``) is called once per signature.  A domain
     tuple is dropped at its first slot with an empty hom-set; such a tuple
     has no fs, so the sequence is that of the plain nest."""
-    sigs = list(m.signatures(caps))
-    homs = dict(zip(sigs, itertools.starmap(hom or m.hom, sigs)))
-    profiles = list(m.profiles(caps.max_arity))  # in increasing length
+    sigs = list(m.signatures(bounds))
+    if hom is None:
+        hom = lambda xs, y: guard_hom(m, xs, y, bounds)  # noqa: E731
+    homs = dict(zip(sigs, itertools.starmap(hom, sigs)))
+    profiles = list(m.profiles(bounds.max_arity))  # in increasing length
 
     def slots(ys, room):
         """(doms, hom-sets) for the inputs ys, total arity within room."""
@@ -408,7 +394,7 @@ def _composables(m: Multicategory, caps: ArityCaps, hom=None):
         if not gs:
             continue
         if ys not in by_inputs:
-            by_inputs[ys] = list(slots(ys, caps.max_arity))
+            by_inputs[ys] = list(slots(ys, bounds.max_arity))
         for g in gs:
             for doms, choices in by_inputs[ys]:
                 for fs in itertools.product(*choices):
@@ -416,9 +402,9 @@ def _composables(m: Multicategory, caps: ArityCaps, hom=None):
 
 
 def check_multicategory_axioms(
-    m: Multicategory, caps: ArityCaps = DEFAULT_CAPS
+    m: Multicategory, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
-    """Identity and associativity axioms over all signatures within caps,
+    """Identity and associativity axioms over all signatures within bounds,
     including nullary inner morphisms.
 
     ``mc/assoc`` passes without the exhaustive walk only when both unit
@@ -428,46 +414,45 @@ def check_multicategory_axioms(
     rep = Report(f"multicategory axioms: {m.name}")
 
     bad = []
-    for xs, y in m.signatures(caps):
-        for f in _guard_hom(m, xs, y, caps):
+    for xs, y in m.signatures(bounds):
+        for f in guard_hom(m, xs, y, bounds):
             if m.dom(f) != xs or m.cod(f) != y:
                 bad.append(m.show_mor(f))
     rep.law("mc/endpoints", "dom/cod", bad)
 
     bad = []
-    for xs, y in m.signatures(caps):
-        for f in _guard_hom(m, xs, y, caps):
+    for xs, y in m.signatures(bounds):
+        for f in guard_hom(m, xs, y, bounds):
             if m.compose(m.identities_for(xs), f) != f:
                 bad.append(f"(1,..,1).{m.show_mor(f)}")
     inner_bad = rep.law("mc/identity-inner", "(1,...,1).g = g", bad)
 
     bad = []
-    for xs, y in m.signatures(caps):
-        for f in _guard_hom(m, xs, y, caps):
+    for xs, y in m.signatures(bounds):
+        for f in guard_hom(m, xs, y, bounds):
             if m.compose((f,), m.identity(y)) != f:
                 bad.append(f"{m.show_mor(f)}.1")
     outer_bad = rep.law("mc/identity-outer", "(f).1 = f", bad)
 
     try:
-        holds = not (inner_bad or outer_bad) and _assoc_holds(m, caps)
+        holds = not (inner_bad or outer_bad) and _assoc_holds(m, bounds)
     except (KernelError, ValueError):
         holds = False
-    bad = [] if holds else _assoc_loci(m, caps)
+    bad = [] if holds else _assoc_loci(m, bounds)
     rep.law("mc/assoc", "two-level associativity", bad)
     return rep
 
 
-def _assoc_loci(m: Multicategory, caps: ArityCaps) -> list[str]:
-    """Exhaustive two-level associativity: every (g, fs, hs) within caps,
+def _assoc_loci(m: Multicategory, bounds: Bounds) -> list[str]:
+    """Exhaustive two-level associativity: every (g, fs, hs) within bounds,
     one locus per failing triple, in canonical order."""
     bad = []
-    guarded = lambda xs, y: _guard_hom(m, xs, y, caps)  # noqa: E731
-    for g, doms, fs in _composables(m, caps, guarded):
+    for g, doms, fs in _composables(m, bounds):
         mid = m.compose(fs, g)
         flat_xs = tuple(x for d in doms for x in d)
-        for inner_doms in _inner_profiles(m, flat_xs, caps.max_arity):
+        for inner_doms in _inner_profiles(m, flat_xs, bounds.max_arity):
             hs_choices = [
-                _guard_hom(m, inner_doms[i], flat_xs[i], caps)
+                guard_hom(m, inner_doms[i], flat_xs[i], bounds)
                 for i in range(len(flat_xs))
             ]
             for hs in itertools.product(*hs_choices):
@@ -488,14 +473,14 @@ def _assoc_loci(m: Multicategory, caps: ArityCaps) -> list[str]:
     return bad
 
 
-def _assoc_holds(m: Multicategory, caps: ArityCaps) -> bool:
+def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
     """Decide the equations of ``_assoc_loci`` through partial composition
     (Leinster, *Higher Operads, Higher Categories*, 2004; Markl, *Operads
-    and PROPs*, 2008), given that both unit laws hold within caps.  True
+    and PROPs*, 2008), given that both unit laws hold within bounds.  True
     means every walk equation holds and every composite the walk takes
     succeeds; False (or an exception) means the walk must decide.
 
-    Write n for ``caps.max_arity``, C for the typed pairs (fs, g) with
+    Write n for ``bounds.max_arity``, C for the typed pairs (fs, g) with
     |g| <= n and sum |f_i| <= n (the walk composes exactly these), and
     a o_p f = (1,..,f,..,1).a for plugging f into input p of a.  Checked:
 
@@ -516,7 +501,7 @@ def _assoc_holds(m: Multicategory, caps: ArityCaps) -> bool:
         from identities in one entry each, with the right side reduced
         by the unit laws.
 
-    Soundness.  By (t) every value met is a hom element within caps, so
+    Soundness.  By (t) every value met is a hom element within bounds, so
     the unit laws and (b) apply to it, and every composite the walk takes
     is in C, all of which (a) has taken.  Then:
 
@@ -534,8 +519,8 @@ def _assoc_holds(m: Multicategory, caps: ArityCaps) -> bool:
        the h of one block arrive in that block's own (a) order, so each
        f_i ends as (split_i).f_i and the left side is the right side.
     """
-    n = caps.max_arity
-    homs = {sig: _guard_hom(m, *sig, caps) for sig in m.signatures(caps)}
+    n = bounds.max_arity
+    homs = {sig: guard_hom(m, *sig, bounds) for sig in m.signatures(bounds)}
     elems = {sig: set(fs) for sig, fs in homs.items()}
     one = {x: m.identity(x) for x in m.objects()}
     if n and any(one[x] not in elems[((x,), x)] for x in one):
@@ -590,14 +575,14 @@ def _assoc_holds(m: Multicategory, caps: ArityCaps) -> bool:
 
 
 def check_multifunctor(
-    F: MultiFunctor, caps: ArityCaps = DEFAULT_CAPS
+    F: MultiFunctor, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     rep = Report(f"multifunctor: {F.name}")
     src, tgt = F.source, F.target
 
     bad = []
-    for xs, y in src.signatures(caps):
-        for f in _guard_hom(src, xs, y, caps):
+    for xs, y in src.signatures(bounds):
+        for f in guard_hom(src, xs, y, bounds):
             ff = F.mor_map(f)
             want_dom = tuple(F.obj_map(x) for x in xs)
             if tgt.dom(ff) != want_dom or tgt.cod(ff) != F.obj_map(y):
@@ -611,8 +596,7 @@ def check_multifunctor(
     rep.law("mf/identity", "F(1)=1", bad)
 
     bad = []
-    guarded = lambda xs, y: _guard_hom(src, xs, y, caps)  # noqa: E731
-    for g, _, fs in _composables(src, caps, guarded):
+    for g, _, fs in _composables(src, bounds):
         lhs = F.mor_map(src.compose(fs, g))
         rhs = tgt.compose(tuple(F.mor_map(f) for f in fs), F.mor_map(g))
         if lhs != rhs:
@@ -623,14 +607,14 @@ def check_multifunctor(
     return rep
 
 
-def check_multinat(r: MultiNat, caps: ArityCaps = DEFAULT_CAPS) -> Report:
+def check_multinat(r: MultiNat, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
     rep = Report(f"multinatural transformation: {r.name}")
     F, G = r.source, r.target
     src, tgt = F.source, F.target
 
     bad = []
-    for xs, y in src.signatures(caps):
-        for f in _guard_hom(src, xs, y, caps):
+    for xs, y in src.signatures(bounds):
+        for f in guard_hom(src, xs, y, bounds):
             lhs = tgt.compose((F.mor_map(f),), r.components(y))
             rhs = tgt.compose(
                 tuple(r.components(x) for x in xs), G.mor_map(f)
@@ -642,20 +626,20 @@ def check_multinat(r: MultiNat, caps: ArityCaps = DEFAULT_CAPS) -> Report:
 
 
 def tabularize_multicat(
-    m: Multicategory, caps: ArityCaps = DEFAULT_CAPS
+    m: Multicategory, bounds: Bounds = DEFAULT_BOUNDS
 ) -> TabularMulticategory:
-    """Materialize hom-sets and single-level composition within caps; the
+    """Materialize hom-sets and single-level composition within bounds; the
     oracle twin for rule-backed multicategories."""
     hom: dict[tuple[Profile, ObjId], list[str]] = {}
     names: dict[MorId, str] = {}
-    for xs, y in m.signatures(caps):
-        fs = sorted(_guard_hom(m, xs, y, caps), key=m.mor_key)
+    for xs, y in m.signatures(bounds):
+        fs = sorted(guard_hom(m, xs, y, bounds), key=m.mor_key)
         hom[(xs, y)] = []
         for f in fs:
             names[f] = f"m{len(names)}"
             hom[(xs, y)].append(names[f])
     compose: dict[tuple[tuple, str], str] = {}
-    for g, _, fs in _composables(m, caps):
+    for g, _, fs in _composables(m, bounds):
         out = m.compose(fs, g)
         if out in names:
             compose[(tuple(names[f] for f in fs), names[g])] = names[out]

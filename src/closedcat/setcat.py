@@ -2,7 +2,8 @@
 
 Objects are hereditarily finite sets.  The enumerated seed objects are
 the subsets of a fixed atom pool plus the chosen one-point set; internal
-hom objects are materialized only while they fit the size budget, and
+hom objects are materialized only while they have at most
+MATERIALIZE_LIMIT elements of depth at most MAX_DEPTH, and
 otherwise exist as opaque hom terms that can be composed through but not
 enumerated.  Morphisms are function rules with a stated domain; they
 materialize to tables on demand, and two morphisms are equal when their
@@ -22,10 +23,12 @@ from typing import Callable, Union
 
 from . import hf
 from .closed import ClosedStructure
-from .core import Category, DEFAULT_BUDGET, SizeBudget
+from .core import MAX_OBJECTS, Category
 from .errors import BudgetExceeded
 
 STAR = hf.atom("*")
+MATERIALIZE_LIMIT = 4096  # larger hom objects stay virtual terms
+MAX_DEPTH = 4  # function tables nested deeper are refused
 
 
 @dataclass(frozen=True)
@@ -135,11 +138,15 @@ class SetMor:
 
 
 class FinSetCategory(Category):
-    def __init__(self, max_size: int, budget: SizeBudget = DEFAULT_BUDGET):
+    def __init__(self, max_size: int):
         if max_size < 1:
             raise ValueError("max_size must be at least 1")
         self.name = f"finset({max_size})"
-        self.budget = budget
+        # The seeds are the 2**max_size subsets of the pool and the unit.
+        if 2 ** min(max_size, MAX_OBJECTS) + 1 > MAX_OBJECTS:
+            raise BudgetExceeded(
+                f"{self.name}: 2**{max_size} + 1 seed objects exceed budget {MAX_OBJECTS}"
+            )
         self.unit = hf.fset([STAR])
         pool = [hf.atom(f"a{i}") for i in range(max_size)]
         seeds = [
@@ -156,22 +163,22 @@ class FinSetCategory(Category):
 
     def make_hom(self, a: SetObj, b: SetObj) -> SetObj:
         """The set of all function tables a -> b, or a virtual term when
-        its cardinality exceeds the budget."""
+        it has more than MATERIALIZE_LIMIT elements."""
         return self._make_hom(a, b)
 
     def _build_hom(self, a: SetObj, b: SetObj) -> SetObj:
         if not (isinstance(a, hf.HF) and isinstance(b, hf.HF)):
             return HomObj(a, b)
         na, nb = len(a.elements), len(b.elements)
-        if nb**na > self.budget.max_homset:
+        if nb**na > MATERIALIZE_LIMIT:
             return HomObj(a, b)
         dom = hf.sorted_elements(a)
         tables = []
         for choice in itertools.product(hf.sorted_elements(b), repeat=na):
             t = hf.ftable(zip(dom, choice))
-            if hf.depth(t) > self.budget.max_depth:
+            if hf.depth(t) > MAX_DEPTH:
                 raise BudgetExceeded(
-                    f"{self.name}: hom element exceeds depth {self.budget.max_depth}"
+                    f"{self.name}: hom element exceeds depth {MAX_DEPTH}"
                 )
             tables.append(t)
         return hf.fset(tables)
@@ -215,10 +222,8 @@ class FinSetCategory(Category):
         return str(f)
 
 
-def build_finset_closed(
-    max_size: int, budget: SizeBudget = DEFAULT_BUDGET
-) -> ClosedStructure:
-    cat = FinSetCategory(max_size, budget)
+def build_finset_closed(max_size: int) -> ClosedStructure:
+    cat = FinSetCategory(max_size)
 
     def hom2_mor(f: SetMor, g: SetMor) -> SetMor:
         # f : A' -> A, g : B -> B'; the action sends t : A -> B to

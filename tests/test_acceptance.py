@@ -26,7 +26,7 @@ from closedcat.closedmc import (
     verify_closing_lemmas,
     verify_internal_lemmas,
 )
-from closedcat.core import check_category_axioms, tabularize
+from closedcat.core import Bounds, check_category_axioms, tabularize
 from closedcat.correspond import (
     build_representing_multicategory,
     check_2cell_transfer,
@@ -43,7 +43,6 @@ from closedcat.correspond import (
 from closedcat.enriched import build_underlying_V_category, pushforward
 from closedcat.closed import build_E_functor
 from closedcat.multicat import (
-    ArityCaps,
     MultiFunctor,
     MultiNat,
     check_multicategory_axioms,
@@ -52,7 +51,7 @@ from closedcat.multicat import (
 from closedcat.setcat import FinSetCategory, build_finset_closed, table_apply
 from closedcat import hf
 
-CAPS = ArityCaps(3)
+CAPS = Bounds(3)
 ROOT = Path(__file__).resolve().parents[1]
 
 

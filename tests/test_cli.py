@@ -383,6 +383,124 @@ def test_budget_bounds_multicategory_hom_sets():
     assert out2.returncode == 0, out2.stdout
 
 
+def _budget_fails(name, suites, locus):
+    return [
+        f"[FAIL] {name}/{suite}/error (BudgetExceeded) @ {name}: {locus} over budget"
+        for suite in suites
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,code,fails",
+    [
+        (
+            ["check", "instance:z2closed"],
+            1,
+            _budget_fails("z2closed", ["category", "cc", "derived"], "hom(g,g)"),
+        ),
+        (["check", "instance:z2"], 1, _budget_fails("z2", ["mc"], "hom()->g")),
+        (["instance", "dump", "z2"], 2, []),
+        (["instance", "dump", "z2closed"], 2, []),
+        (["construct", "ek", "instance:z2closed"], 2, []),
+        (["construct", "underlying", "instance:z2"], 2, []),
+        (["represent", "instance:z2closed"], 2, []),
+        (["roundtrip", "instance:z2", "functor:shift"], 2, []),
+    ],
+)
+def test_budget_bounds_every_verb(argv, code, fails, capsys):
+    """Each target has a two-element hom-set, so --budget 1 stops every
+    verb: a check with FAIL lines, any other verb with one error line."""
+    assert cli.main([*argv, "--budget", "1"]) == code
+    out, err = capsys.readouterr()
+    if fails:
+        lines = out.splitlines()
+        assert all(line in lines for line in fails), out
+    else:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: BudgetExceeded: "), err
+
+
+def test_budget_at_the_largest_hom_set_leaves_the_report_unchanged(capsys):
+    cli.main(["check", "instance:z2closed"])
+    default = capsys.readouterr().out
+    assert cli.main(["check", "--budget", "2", "instance:z2closed"]) == 0
+    assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("flag", ["--arity-cap", "--budget"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "instance:z2"],
+        ["roundtrip", "instance:z2", "functor:shift"],
+        ["represent", "instance:heyting2"],
+        ["construct", "ek", "instance:heyting2"],
+        ["instance", "dump", "z2"],
+    ],
+)
+def test_negative_bound_is_a_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: closedcat")
+    assert f"argument {flag}: must be an integer of at least 0, got '-1'" in err
+
+
+def test_zero_bounds_are_valid(capsys):
+    assert cli.main(["check", "--arity-cap", "0", "instance:z2"]) == 0
+    assert cli.main(["check", "--budget", "0", "instance:terminal"]) == 1
+    assert "terminal/category/error (BudgetExceeded)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "fixture", ["broken-compose.json", "broken-j.json", "z2mc-badcompose.json"]
+)
+def test_object_listed_twice_exits_two_naming_it(tmp_path, fixture):
+    target = _edited_fixture(
+        tmp_path, fixture, lambda doc: doc["objects"].append(doc["objects"][0])
+    )
+    out = run_cli("check", f"file:{target}")
+    _assert_one_error_line(out, "o0")
+    assert 'objects lists "o0" twice' in out.stderr
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ([1], "params must be an object, got [1]"),
+        ({"max_size": "abc"}, 'got "abc"'),
+        ({"max_size": 0}, "got 0"),
+        ({"max_size": 1.5}, "got 1.5"),
+        ({"max_size": True}, "got true"),
+    ],
+)
+def test_bad_reference_parameters_exit_two_naming_them(tmp_path, params, message):
+    target = _edited_fixture(
+        tmp_path, "finset.json", lambda doc: doc.update(params=params)
+    )
+    out = run_cli("check", f"file:{target}")
+    assert out.returncode == 2, out.stdout + out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    assert message in lines[0]
+    if isinstance(params, dict):
+        assert "params.max_size must be an integer of at least 1" in lines[0]
+
+
+def test_reference_beyond_the_object_limit_fails_before_building(tmp_path):
+    target = _edited_fixture(
+        tmp_path, "finset.json", lambda doc: doc.update(params={"max_size": 40})
+    )
+    out = run_cli("check", f"file:{target}", timeout=60)
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr == (
+        "error: BudgetExceeded: finset(40): 2**40 + 1 seed objects exceed budget 64\n"
+    )
+
+
 def _sha(data) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")

@@ -26,9 +26,10 @@ from closedcat.closedmc import (
     verify_internal_lemmas,
 )
 from closedcat.errors import NotBijective, NotUnique
-from closedcat.multicat import ArityCaps, MMor, MultiFunctor, MultiNat
+from closedcat.core import Bounds
+from closedcat.multicat import MMor, MultiFunctor, MultiNat
 
-CAPS = ArityCaps(3)
+CAPS = Bounds(3)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ def test_curry_on_group_is_translation_free(z2):
 
 def test_curry_uncurry_roundtrip(z2, hey):
     for m, w, _ in (z2, hey):
-        for xs, z in m.signatures(ArityCaps(2)):
+        for xs, z in m.signatures(Bounds(2)):
             if not xs:
                 continue
             h = w.hom_obj(xs, z)
@@ -156,7 +157,7 @@ def test_internal_lemmas(z2, hey, z2_internal):
 def test_closing_transformation_identity(z2):
     m, w, _ = z2
     F = MultiFunctor.identity(m)
-    for xs, z in m.signatures(ArityCaps(2)):
+    for xs, z in m.signatures(Bounds(2)):
         t = closing_transformation(w, w, F, xs, z, CAPS)
         assert t == m.identity(w.hom_obj(xs, z))
 
@@ -219,7 +220,7 @@ def test_derive_nary_homs_populates_and_verifies(z2):
     from closedcat.closedmc import derive_nary_homs
 
     m, w, _ = z2
-    w2, rep = derive_nary_homs(w, ArityCaps(2))
+    w2, rep = derive_nary_homs(w, Bounds(2))
     assert w2 is w
     assert rep.ok
     # the derivation cached the binary evaluation: asking again is a hit

@@ -7,9 +7,10 @@ import pytest
 
 from closedcat import instances
 from closedcat.core import (
+    MAX_OBJECTS,
+    Bounds,
     Functor,
     NaturalTransformation,
-    SizeBudget,
     TabularCategory,
     check_category_axioms,
     check_functor,
@@ -104,14 +105,34 @@ def test_swapped_component_fails_naturality_localized():
 
 def test_lazy_finset_category_axioms():
     cat = FinSetCategory(2)
-    assert check_category_axioms(cat, SizeBudget(max_objects=8)).ok
+    assert check_category_axioms(cat).ok
+
+
+def discrete(n: int) -> TabularCategory:
+    objs = [f"x{k}" for k in range(n)]
+    return TabularCategory(
+        f"discrete{n}",
+        objs,
+        {(x, x): [f"1{x}"] for x in objs},
+        {(f"1{x}", f"1{x}"): f"1{x}" for x in objs},
+        {x: f"1{x}" for x in objs},
+    )
 
 
 def test_object_budget_enforced():
-    cat = FinSetCategory(2)  # five seed objects
+    assert MAX_OBJECTS == 64
+    with pytest.raises(BudgetExceeded, match="65 objects exceed budget 64"):
+        check_category_axioms(discrete(65))
+    assert check_category_axioms(discrete(64)).ok
+
+
+def test_homset_bound_covers_every_enumerated_hom_set():
+    cat = instances.build_z2_closed().cat  # hom(g,g) has two morphisms
+    with pytest.raises(BudgetExceeded, match=r"z2closed: hom\(g,g\) over budget"):
+        check_category_axioms(cat, Bounds(max_homset=1))
     with pytest.raises(BudgetExceeded):
-        check_category_axioms(cat, SizeBudget(max_objects=4))
-    assert check_category_axioms(cat, SizeBudget(max_objects=5)).ok
+        tabularize(cat, Bounds(max_homset=1))
+    assert check_category_axioms(cat, Bounds(max_homset=2)).ok
 
 
 def test_tabularize_oracle_equivalence():

@@ -25,9 +25,10 @@ from closedcat.correspond import (
     underlying_closed_transformation,
     verify_u_construction,
 )
-from closedcat.multicat import ArityCaps, MultiFunctor, MultiNat, check_multinat
+from closedcat.core import Bounds
+from closedcat.multicat import MultiFunctor, MultiNat, check_multinat
 
-CAPS = ArityCaps(3)
+CAPS = Bounds(3)
 
 
 @pytest.fixture(scope="module")

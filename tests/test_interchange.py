@@ -9,9 +9,9 @@ import pytest
 
 from closedcat import instances, interchange
 from closedcat.closed import check_cc_axioms
-from closedcat.core import check_category_axioms
-from closedcat.errors import FormatError
-from closedcat.multicat import ArityCaps, check_multicategory_axioms
+from closedcat.core import Bounds, check_category_axioms
+from closedcat.errors import BudgetExceeded, FormatError
+from closedcat.multicat import check_multicategory_axioms
 
 
 def roundtrip_doc(doc: dict) -> dict:
@@ -51,19 +51,19 @@ def test_closed_lazy_instances_dump_by_reference():
 
 
 def test_multicat_roundtrip():
-    caps = ArityCaps(3)
+    caps = Bounds(3)
     for name in ["z2", "heyting2mc"]:
         m, w, uw = instances.get(name).build()
-        doc = roundtrip_doc(interchange.multicat_to_json(m, ArityCaps(4), w, uw))
+        doc = roundtrip_doc(interchange.multicat_to_json(m, Bounds(4), w, uw))
         m2, w2, uw2 = interchange.multicat_from_json(doc)
-        doc2 = roundtrip_doc(interchange.multicat_to_json(m2, ArityCaps(4), w2, uw2))
+        doc2 = roundtrip_doc(interchange.multicat_to_json(m2, Bounds(4), w2, uw2))
         assert doc == doc2, name
         assert check_multicategory_axioms(m2, caps).ok
 
 
 def test_multicat_keys_shape():
     m, w, uw = instances.get("z2").build()
-    doc = interchange.multicat_to_json(m, ArityCaps(2), w, uw)
+    doc = interchange.multicat_to_json(m, Bounds(2), w, uw)
     assert ";" in next(iter(doc["hom"]))
     assert any("|" in k for k in doc["compose"])
     assert doc["unit"]["unit"] in doc["objects"]
@@ -100,7 +100,7 @@ def test_every_registry_instance_serializes_and_roundtrips():
             assert roundtrip_doc(interchange.closed_to_json(parsed)) == doc, name
         else:
             m, w, uw = built
-            caps = ArityCaps(min(3, info.caps.max_arity) + 1)
+            caps = Bounds(min(3, info.max_arity) + 1)
             doc = roundtrip_doc(interchange.multicat_to_json(m, caps, w, uw))
             m2, w2, uw2 = interchange.multicat_from_json(doc)
             assert roundtrip_doc(interchange.multicat_to_json(m2, caps, w2, uw2)) == doc, name
@@ -144,3 +144,14 @@ def test_wrong_typed_values_name_their_entry(fixture, parse, edit, named):
     edit(doc)
     with pytest.raises(FormatError, match=re.escape(named)):
         parse(doc)
+
+
+def test_multicat_dump_skips_refused_signatures_but_bounds_hom_sets():
+    # freemon3 refuses every signature whose tensor passes length three
+    m, _, _ = instances.get("freemon3").build()
+    with pytest.raises(BudgetExceeded, match="tensor undefined"):
+        m.hom(("x3", "x1"), "x0")
+    doc = interchange.multicat_to_json(m, Bounds(4))
+    assert "o3,o1;o0" not in doc["hom"]
+    with pytest.raises(BudgetExceeded, match="over budget"):
+        interchange.multicat_to_json(m, Bounds(3, max_homset=0))

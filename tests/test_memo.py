@@ -16,7 +16,7 @@ from pathlib import Path
 from closedcat import instances
 from closedcat.closed import ek_normalize
 from closedcat.correspond import build_representing_multicategory
-from closedcat.multicat import ArityCaps
+from closedcat.core import Bounds
 from closedcat.setcat import FinSetCategory
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,7 +40,7 @@ def test_normalized_structure_is_freed():
 
 def test_representing_multicategory_and_its_witness_are_freed():
     bundle = build_representing_multicategory(
-        instances.get("heyting2").build(), ArityCaps(2)
+        instances.get("heyting2").build(), Bounds(2)
     )
     mcv, w = bundle.mcv, bundle.witness
     x = mcv.objects()[0]

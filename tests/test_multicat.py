@@ -6,10 +6,9 @@ import itertools
 import pytest
 
 from closedcat import instances, multicat
-from closedcat.core import TabularCategory
+from closedcat.core import Bounds, TabularCategory
 from closedcat.errors import BudgetExceeded, StrictnessError
 from closedcat.multicat import (
-    ArityCaps,
     MMor,
     MultiFunctor,
     MultiNat,
@@ -23,7 +22,7 @@ from closedcat.multicat import (
     tabularize_multicat,
 )
 
-CAPS = ArityCaps(3)
+CAPS = Bounds(3)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +48,7 @@ def test_z2_axioms_and_group_oracle(z2):
     def parity(f):
         return 0 if f.raw == "e" else 1
 
-    for ys, z in m.signatures(ArityCaps(2)):
+    for ys, z in m.signatures(Bounds(2)):
         for g in m.hom(ys, z):
             for doms in itertools.product(m.profiles(1), repeat=len(ys)):
                 fs = []
@@ -128,7 +127,7 @@ def test_rule_backed_vs_tabular_oracle(z2):
 
 def test_freemon3_cap_behavior():
     m, _, _ = instances.get("freemon3").build()
-    caps1 = ArityCaps(1)
+    caps1 = Bounds(1)
     assert check_multicategory_axioms(m, caps1).ok
     assert len(m.hom(("x1", "x1", "x1"), "x3")) == 1
     with pytest.raises(BudgetExceeded):
@@ -200,7 +199,7 @@ def _broken_derived():
 def test_monoidal_construction_reflects_broken_axioms():
     # a corrupted base category yields a multicategory that fails its own
     # axiom suite at matching loci (the construction does not repair)
-    rep = check_multicategory_axioms(_broken_derived(), ArityCaps(2))
+    rep = check_multicategory_axioms(_broken_derived(), Bounds(2))
     assert not rep.ok
     assert "mc/assoc" in {it.check for it in rep.failures()}
 
@@ -221,12 +220,12 @@ MULTICATS = sorted(n for n, i in instances.REGISTRY.items() if i.kind == "multic
 @pytest.mark.parametrize("name", MULTICATS)
 def test_assoc_gate_matches_walk_on_registry(name):
     info = instances.get(name)
-    caps = ArityCaps(2) if name.startswith("truncadd") else info.caps
+    caps = Bounds(2) if name.startswith("truncadd") else Bounds(info.max_arity)
     _assert_gate_matches_walk(info.build()[0], caps)
 
 
 def test_assoc_gate_matches_walk_on_broken_derived():
-    _assert_gate_matches_walk(_broken_derived(), ArityCaps(2))
+    _assert_gate_matches_walk(_broken_derived(), Bounds(2))
 
 
 def _single_entry_corruptions(tab: TabularMulticategory, keys):
@@ -247,7 +246,7 @@ def _single_entry_corruptions(tab: TabularMulticategory, keys):
 
 @pytest.mark.parametrize("name,count", [("z2", 62), ("truncadd-badev", 384)])
 def test_assoc_gate_matches_walk_on_corruptions(name, count):
-    caps = ArityCaps(2)
+    caps = Bounds(2)
     tab = tabularize_multicat(instances.get(name).build()[0], caps)
     mutants = list(_single_entry_corruptions(tab, tab._compose))
     assert len(mutants) == count
@@ -259,7 +258,7 @@ def test_assoc_gate_matches_walk_on_three_entry_corruptions():
     # Below cap 3 no composite has three non-identity inputs, and the
     # one-slot triples see every composite of two; a corrupted composite
     # of three is seen only by the decomposition into one-slot composites.
-    caps = ArityCaps(3)
+    caps = Bounds(3)
     tab = tabularize_multicat(instances.get("z2").build()[0], caps)
     (unit,) = tab._identity.values()
     (gen,) = (f for f in tab.hom(("g",), "g") if f != unit)
@@ -307,7 +306,7 @@ def test_commutative_monoids_give_closed_multicategories(name):
     )
     smc = StrictMonoidalCategory(cat, lambda x, y: "g", add, "g")
     m = from_strict_monoidal(smc, name)
-    caps = ArityCaps(2)
+    caps = Bounds(2)
     assert check_multicategory_axioms(m, caps).ok
     w = ClosednessWitness(
         m, {("g", "g"): "g"}, {("g", "g"): MMor(("g", "g"), "g", f"x{unit}")}
@@ -342,7 +341,7 @@ def _assert_walk_matches_oracle(m, caps):
 @pytest.mark.parametrize("name", MULTICATS)
 def test_composables_match_nested_walk_on_registry(name):
     info = instances.get(name)
-    _assert_walk_matches_oracle(info.build()[0], info.caps)
+    _assert_walk_matches_oracle(info.build()[0], Bounds(info.max_arity))
 
 
 @pytest.fixture(scope="module")
@@ -358,7 +357,7 @@ def representing():
 @pytest.mark.parametrize("name", ["heyting2", "z2closed"])
 def test_composables_match_nested_walk_on_representing(representing, name):
     # at the arity cap of the represent-reload benchmark
-    _assert_walk_matches_oracle(representing[name], ArityCaps(4))
+    _assert_walk_matches_oracle(representing[name], Bounds(4))
 
 
 def test_multicat_to_json_through_nested_walk(representing):

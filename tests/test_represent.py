@@ -13,9 +13,10 @@ from closedcat.correspond import (
     verify_essential_surjectivity,
 )
 from closedcat.errors import KernelError
-from closedcat.multicat import ArityCaps, _composables, check_multicategory_axioms
+from closedcat.core import Bounds
+from closedcat.multicat import _composables, check_multicategory_axioms
 
-CAPS = ArityCaps(3)
+CAPS = Bounds(3)
 
 NAMES = ["terminal", "heyting2", "z2closed"]
 

@@ -6,9 +6,17 @@ import pytest
 from closedcat import hf
 from closedcat.closed import check_cc_axioms, check_cf_axioms, verify_derived_cc_theorems
 from closedcat.closed import ClosedFunctor
-from closedcat.core import Functor, SizeBudget
+from closedcat.core import Functor
 from closedcat.errors import BudgetExceeded
-from closedcat.setcat import STAR, HomObj, SetMor, build_finset_closed
+from closedcat.setcat import (
+    MATERIALIZE_LIMIT,
+    MAX_DEPTH,
+    STAR,
+    FinSetCategory,
+    HomObj,
+    SetMor,
+    build_finset_closed,
+)
 
 A0, A1 = hf.atom("a0"), hf.atom("a1")
 
@@ -62,12 +70,25 @@ def test_empty_set_edge_cases(sets2):
     assert sets2.hom2_obj(one, empty) == empty
 
 
-def test_homset_budget():
-    cs = build_finset_closed(2, SizeBudget(max_homset=3))
-    cat = cs.cat
-    big = hf.fset([A0, A1])
+def test_homset_budget(sets2):
+    assert MATERIALIZE_LIMIT == 4096
+    cat = sets2.cat
+    two = hf.fset([A0, A1])
+
+    def atoms(n):
+        return hf.fset(hf.atom(f"b{k}") for k in range(n))
+
+    assert len(cat.make_hom(atoms(12), two).elements) == 4096  # 2**12 tables
+    assert isinstance(cat.make_hom(atoms(13), two), HomObj)
     with pytest.raises(BudgetExceeded):
-        cat.hom(big, big)  # 4 tables > 3
+        cat.hom(atoms(13), two)  # 2**13 tables > 4096
+
+
+def test_seed_objects_within_the_object_limit():
+    assert len(FinSetCategory(5).objects()) == 33  # 2**5 subsets and the unit
+    for size in (6, 40):
+        with pytest.raises(BudgetExceeded, match="seed objects exceed budget 64"):
+            FinSetCategory(size)  # refused before any seed is built
 
 
 def test_virtual_hom_objects_compose_but_do_not_enumerate(sets2):
@@ -81,14 +102,16 @@ def test_virtual_hom_objects_compose_but_do_not_enumerate(sets2):
         cat.hom(hh, hh)
 
 
-def test_depth_budget_blocks_deep_hom_elements():
-    cs = build_finset_closed(2, SizeBudget(max_homset=100000, max_depth=2))
-    cat = cs.cat
-    s = hf.fset([A0])
-    h = cat.make_hom(s, s)  # singleton, element depth 1
-    h2 = cat.make_hom(h, h)  # singleton, element depth 2
-    with pytest.raises(BudgetExceeded):
-        cat.make_hom(h2, h2)  # element depth 3 exceeds the budget
+def test_depth_budget_blocks_deep_hom_elements(sets2):
+    assert MAX_DEPTH == 4
+    cat = sets2.cat
+    h = hf.fset([A0])
+    for depth in range(1, 5):
+        h = cat.make_hom(h, h)  # a singleton, element depth ``depth``
+        assert len(h.elements) == 1
+        assert hf.depth(next(iter(h.elements))) == depth
+    with pytest.raises(BudgetExceeded, match="exceeds depth 4"):
+        cat.make_hom(h, h)  # element depth 5
 
 
 def test_setmor_equality_is_pointwise(sets2):
