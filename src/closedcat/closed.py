@@ -27,10 +27,12 @@ from .core import (
     NaturalTransformation,
     ObjId,
     TabularCategory,
+    bijective,
     check_functor,
     check_natural,
     entry_name,
     guard_objects,
+    preimages,
     require_declared,
 )
 from .errors import BudgetExceeded, FormatError, NotBijective
@@ -62,11 +64,12 @@ class ClosedStructure:
     gamma_inv: Callable[[MorId, ObjId, ObjId], MorId] | None = None
 
     def __post_init__(self):
-        # gamma_inverse's table of gamma on each hom-set (X, Y), built on
-        # first use and freed with the structure.
-        object.__setattr__(
-            self, "gamma_table", functools.cache(functools.partial(_gamma_table, self))
-        )
+        # gamma on each hom-set (X, Y), inverted: read by gamma_inverse and
+        # CC5, built on first use and freed with the structure.
+        def table(x: ObjId, y: ObjId) -> dict:
+            return preimages(self.cat.hom(x, y), functools.partial(gamma, self))
+
+        object.__setattr__(self, "gamma_table", functools.cache(table))
 
     # und(1_X, g) and und(f, 1_Y): the one-sided hom actions.
     def cov(self, x: ObjId, g: MorId) -> MorId:
@@ -136,8 +139,8 @@ def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
     """The unique f in hom(X,Y) with gamma(f) = g.
 
     A supplied closed form ``cs.gamma_inv`` answers when present, and its
-    answer is checked against gamma; otherwise the answer is looked up in
-    the structure's table of gamma on hom(X,Y), built on first use.
+    answer is checked against gamma; otherwise the answer is read from
+    the structure's preimage table of gamma on hom(X,Y).
     Raises NotBijective when zero or several preimages exist, which
     signals that the structure violates CC5, or when the closed form
     disagrees with gamma.
@@ -149,27 +152,13 @@ def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
                 f"{cs.name}: supplied gamma inverse disagrees with gamma"
             )
         return f
-    table, collisions = cs.gamma_table(x, y)
-    if g in collisions or g not in table:
-        found = 0 if g not in table else 2
+    hits = cs.gamma_table(x, y).get(g, ())
+    if len(hits) != 1:
         raise NotBijective(
-            f"{cs.name}: gamma has {found} preimages of "
+            f"{cs.name}: gamma has {len(hits)} preimages of "
             f"{cs.cat.show_mor(g)} in hom({cs.cat.show_obj(x)},{cs.cat.show_obj(y)})"
         )
-    return table[g]
-
-
-def _gamma_table(cs: ClosedStructure, x: ObjId, y: ObjId) -> tuple[dict, set]:
-    """gamma on hom(X,Y), inverted: each image to its preimage, and the
-    images hit more than once."""
-    table: dict = {}
-    collisions = set()
-    for f in cs.cat.hom(x, y):
-        img = gamma(cs, f)
-        if img in table:
-            collisions.add(img)
-        table[img] = f
-    return table, collisions
+    return hits[0]
 
 
 def _pairs_locus(cs: ClosedStructure, *objs: ObjId) -> str:
@@ -338,11 +327,9 @@ def check_cc_axioms(
     bad = []
     for x in objs:
         for y in objs:
-            images = [gamma(cs, f) for f in cat.hom(x, y)]
-            target = list(cat.hom(u, cs.hom2_obj(x, y)))
-            if len(set(images)) != len(images) or sorted(
-                map(cat.mor_key, images)
-            ) != sorted(map(cat.mor_key, target)):
+            table = cs.gamma_table(x, y)
+            target = cat.hom(u, cs.hom2_obj(x, y))
+            if not bijective(table, target, cat.mor_key):
                 bad.append(_pairs_locus(cs, x, y))
     rep.law("cc/CC5", "CC5 (gamma bijective)", bad)
 

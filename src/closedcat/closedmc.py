@@ -5,9 +5,9 @@ objects.
 The witness carries the unary hom objects and evaluations declared by an
 instance; n-ary hom data is derived by peeling the last argument, and the
 currying map at every signature is verified bijective.  Currying itself
-is implemented by exhaustive search with a uniqueness assertion, so it
-doubles as a closedness verifier: a wrong witness surfaces as
-NotBijective rather than as a silently wrong answer.
+reads the witness's exhaustive table of uncurrying with a uniqueness
+assertion, so it doubles as a closedness verifier: a wrong witness
+surfaces as NotBijective rather than as a silently wrong answer.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import DEFAULT_BOUNDS, Bounds, MorId, ObjId, guard_hom
+from .core import DEFAULT_BOUNDS, Bounds, MorId, ObjId, bijective, guard_hom, preimages
 from .errors import NoUnitFound, NotBijective, NotUnique
 from .multicat import (
     Multicategory,
@@ -42,9 +42,14 @@ class ClosednessWitness:
     ev1: dict[tuple[ObjId, ObjId], MorId]
 
     def __post_init__(self):
-        # The derived evaluations, one per (profile, object), freed with
-        # the witness.
+        # Memos freed with the witness: the derived evaluations per
+        # (profile, object), the preimage tables of currying per
+        # (xs, ys, z, bounds) and of the factorization through a unit per
+        # (uw, x, bounds), and the internal category per bounds.
         self._ev = functools.cache(self._derive_ev)
+        self.curry_table = functools.cache(self._uncurry_preimages)
+        self.unit_table = functools.cache(self._unit_preimages)
+        self.internal_category = functools.cache(self._internal_category)
 
     def hom_obj(self, xs: Profile, z: ObjId) -> ObjId:
         xs = tuple(xs)
@@ -67,6 +72,33 @@ class ClosednessWitness:
         step = self.m.identities_for(head) + (self.ev((last,), inner),)
         return self.m.compose(step, self.ev(head, z))
 
+    def _uncurry_preimages(self, xs, ys, z, bounds) -> dict:
+        """Uncurrying on hom(ys; und(xs;z)), inverted."""
+        hom = guard_hom(self.m, ys, self.hom_obj(xs, z), bounds)
+        return preimages(hom, lambda g: uncurry(self, g, xs, z))
+
+    def _unit_preimages(self, uw, x, bounds) -> dict:
+        """Precomposition with u on hom(unit; x), inverted."""
+        hom = guard_hom(self.m, (uw.unit,), x, bounds)
+        return preimages(hom, lambda g: self.m.compose((uw.u,), g))
+
+    def _internal_category(self, bounds: Bounds) -> "InternalCategory":
+        """mu (currying the two-step evaluation), the internal identities
+        (currying actual identities), and L (currying mu)."""
+        m = self.m
+        objs = sorted(m.objects(), key=m.obj_key)
+        mu, unit1, LX = {}, {}, {}
+        for x in objs:
+            unit1[x] = curry(self, m.identity(x), 1, bounds)
+        for x, y, z in itertools.product(objs, repeat=3):
+            hyz = self.hom_obj((y,), z)
+            two_step = m.compose(
+                (self.ev((x,), y), m.identity(hyz)), self.ev((y,), z)
+            )
+            mu[(x, y, z)] = curry(self, two_step, 1, bounds)
+            LX[(x, y, z)] = curry(self, mu[(x, y, z)], 1, bounds)
+        return InternalCategory(mu, unit1, LX)
+
 
 def uncurry(
     w: ClosednessWitness, g: MorId, xs: Profile, z: ObjId
@@ -85,22 +117,15 @@ def curry(
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> MorId:
     """The unique g with uncurry(g) = f, splitting off the first ``split``
-    source objects of f.  Exhaustive search; NotBijective when the count
-    of solutions differs from one."""
+    source objects of f, read from the witness's currying table;
+    NotBijective when the count of solutions differs from one."""
     m = w.m
-    dom = m.dom(f)
+    dom = tuple(m.dom(f))
     if split < 0 or split > len(dom):
         raise ValueError("bad split")
     if split == 0:
         return f
-    xs, ys = dom[:split], dom[split:]
-    z = m.cod(f)
-    target = w.hom_obj(xs, z)
-    hits = [
-        g
-        for g in guard_hom(m, ys, target, bounds)
-        if uncurry(w, g, xs, z) == f
-    ]
+    hits = w.curry_table(dom[:split], dom[split:], m.cod(f), bounds).get(f, ())
     if len(hits) != 1:
         raise NotBijective(
             f"{m.name}: {len(hits)} curryings of {m.show_mor(f)} at split {split}"
@@ -129,12 +154,9 @@ def check_closedness(
     bad = []
     for xs, z in m.signatures(bounds):
         for ys in m.profiles(bounds.max_arity - len(xs)):
-            h = w.hom_obj(xs, z)
-            images = [uncurry(w, g, xs, z) for g in guard_hom(m, ys, h, bounds)]
-            target = list(guard_hom(m, xs + ys, z, bounds))
-            if len(set(images)) != len(images) or sorted(
-                map(m.mor_key, images)
-            ) != sorted(map(m.mor_key, target)):
+            table = w.curry_table(xs, ys, z, bounds)
+            target = guard_hom(m, xs + ys, z, bounds)
+            if not bijective(table, target, m.mor_key):
                 bad.append(f"({','.join(map(str, xs))};{','.join(map(str, ys))};{z})")
     rep.law("closed/phi-bijective", "currying map bijective", bad)
     return rep
@@ -225,7 +247,6 @@ class InternalCategory:
     """The hom-category internal to a closed multicategory: composition mu,
     nullary identities, and the left hom functor action L."""
 
-    w: ClosednessWitness
     mu: dict[tuple[ObjId, ObjId, ObjId], MorId]
     unit1: dict[ObjId, MorId]
     LX: dict[tuple[ObjId, ObjId, ObjId], MorId]
@@ -234,23 +255,13 @@ class InternalCategory:
 def build_internal_category(
     w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[InternalCategory, Report]:
-    """Compute mu (currying the two-step evaluation), the internal
-    identities (currying actual identities), and L (currying mu), then
-    verify associativity, the unit laws, and the defining equation of L."""
+    """The witness's internal category, with associativity, the unit laws,
+    and the defining equation of L verified."""
     rep = Report(f"internal category: {w.m.name}")
     m = w.m
     objs = sorted(m.objects(), key=m.obj_key)
-
-    mu, unit1, LX = {}, {}, {}
-    for x in objs:
-        unit1[x] = curry(w, m.identity(x), 1, bounds)
-    for x, y, z in itertools.product(objs, repeat=3):
-        hyz = w.hom_obj((y,), z)
-        two_step = m.compose(
-            (w.ev((x,), y), m.identity(hyz)), w.ev((y,), z)
-        )
-        mu[(x, y, z)] = curry(w, two_step, 1, bounds)
-        LX[(x, y, z)] = curry(w, mu[(x, y, z)], 1, bounds)
+    ic = w.internal_category(bounds)
+    mu, unit1, LX = ic.mu, ic.unit1, ic.LX
 
     bad = []
     for x, y, z, v in itertools.product(objs, repeat=4):
@@ -279,8 +290,7 @@ def build_internal_category(
         if lhs != mu[(x, y, z)]:
             bad.append(f"{x},{y},{z}")
     rep.law("internal/L-equation", "(1,L).ev = mu", bad)
-
-    return InternalCategory(w, mu, unit1, LX), rep
+    return ic, rep
 
 
 def L_identity_loci(w: ClosednessWitness, ic: InternalCategory) -> list[str]:
@@ -464,8 +474,6 @@ def verify_closing_lemmas(
     w_tgt: ClosednessWitness,
     F: MultiFunctor,
     bounds: Bounds = DEFAULT_BOUNDS,
-    ic_src: InternalCategory | None = None,
-    ic_tgt: InternalCategory | None = None,
 ) -> Report:
     """Naturality of the closing transformation with respect to currying,
     and its functor laws over the internal categories."""
@@ -490,10 +498,8 @@ def verify_closing_lemmas(
                     bad.append(f"g={m.show_mor(g)}")
     rep.law("closing/phi-square", "currying square for the comparison", bad)
 
-    if ic_src is None:
-        ic_src, _ = build_internal_category(w_src, bounds)
-    if ic_tgt is None:
-        ic_tgt, _ = build_internal_category(w_tgt, bounds)
+    ic_src = w_src.internal_category(bounds)
+    ic_tgt = w_tgt.internal_category(bounds)
 
     bad = []
     for x in objs:
@@ -652,16 +658,11 @@ def bar(
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> MorId:
     """The unique morphism unit -> X with u then it equal to the given
-    nullary morphism."""
+    nullary morphism, read from the witness's factorization table."""
     m = w.m
     if m.dom(f) != ():
         raise ValueError("bar expects a nullary morphism")
-    x = m.cod(f)
-    hits = [
-        g
-        for g in guard_hom(m, (uw.unit,), x, bounds)
-        if m.compose((uw.u,), g) == f
-    ]
+    hits = w.unit_table(uw, m.cod(f), bounds).get(f, ())
     if len(hits) != 1:
         raise NotUnique(
             f"{m.name}: {len(hits)} factorizations of {m.show_mor(f)} through u"

@@ -102,6 +102,31 @@ def entry_name(key) -> str:
     return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
 
+def hom_entry(key) -> str:
+    """A hom-set's key (xs, y) in the file's syntax "x1,x2;y"."""
+    xs, y = key
+    return ",".join(map(str, xs)) + f";{y}"
+
+
+def preimages(domain, fn) -> dict:
+    """The finite map ``fn`` on ``domain``, inverted: each image to the
+    tuple of its preimages, in domain order.  Every inverse of a finite
+    bijection reads such a table, and a preimage count other than one is
+    the exact number of solutions."""
+    table: dict = {}
+    for a in domain:
+        table.setdefault(fn(a), []).append(a)
+    return {img: tuple(pre) for img, pre in table.items()}
+
+
+def bijective(table: dict, target, key) -> bool:
+    """A preimage table describes a bijection onto ``target``: every image
+    has one preimage, and the images are the target, compared by the
+    sorted ``key`` of each."""
+    ones = all(len(pre) == 1 for pre in table.values())
+    return ones and sorted(map(key, table)) == sorted(map(key, target))
+
+
 def require_declared(
     name: str, label: str, table: dict, declared, show=entry_name, what="morphism"
 ) -> None:
@@ -281,7 +306,7 @@ def guard_hom(m, xs, y, bounds: Bounds, partial: bool = False):
             raise
         return ()
     if len(fs) > bounds.max_homset:
-        raise BudgetExceeded(f"{m.name}: hom{xs}->{y} over budget")
+        raise BudgetExceeded(f"{m.name}: hom({hom_entry((xs, y))}) over budget")
     return fs
 
 

@@ -32,12 +32,10 @@ from .closed import (
 )
 from .closedmc import (
     ClosednessWitness,
-    InternalCategory,
     L_compose_loci,
     L_identity_loci,
     UnitWitness,
     bar,
-    build_internal_category,
     contraction_inverses,
     curry1,
     hom_action_contra,
@@ -51,8 +49,10 @@ from .core import (
     Category,
     MorId,
     ObjId,
+    bijective,
     guard_hom,
     guard_objects,
+    preimages,
 )
 from .enriched import (
     VFunctor,
@@ -116,14 +116,12 @@ def underlying_closed_category(
     w: ClosednessWitness,
     uw: UnitWitness,
     bounds: Bounds = DEFAULT_BOUNDS,
-    ic: InternalCategory | None = None,
 ) -> ClosedStructure:
     """The underlying closed category of a closed multicategory with a
     unit object.  i inverts the unit contraction, j factors the internal
     identity through u, and L curries the internal composition."""
     m = w.m
-    if ic is None:
-        ic, _ = build_internal_category(w, bounds)
+    ic = w.internal_category(bounds)
     cat = UnderlyingCategory(m)
     objs = cat.objects()
 
@@ -162,7 +160,6 @@ def verify_u_construction(
     w: ClosednessWitness,
     uw: UnitWitness,
     bounds: Bounds = DEFAULT_BOUNDS,
-    ic: InternalCategory | None = None,
 ) -> Report:
     """The five reformulations that make the underlying structure a closed
     category, each named after the axiom it discharges: CC1 reduces to the
@@ -172,8 +169,7 @@ def verify_u_construction(
     gamma."""
     m = w.m
     rep = Report(f"closed category from multicategory: {m.name}")
-    if ic is None:
-        ic, _ = build_internal_category(w, bounds)
+    ic = w.internal_category(bounds)
     objs = sorted(m.objects(), key=m.obj_key)
     unit = uw.unit
 
@@ -213,7 +209,7 @@ def verify_u_construction(
     rep.law("u/CC4-contraction", "CC4 via the unit contraction", bad)
 
     bad = []
-    ucs = underlying_closed_category(w, uw, bounds, ic)
+    ucs = underlying_closed_category(w, uw, bounds)
     for x in objs:
         for y in objs:
             for f in guard_hom(m, (x,), y, bounds):
@@ -541,9 +537,6 @@ class RepresentingMulticat(Multicategory):
             )
         return r
 
-    def _lookup(self, xs: Profile, y: ObjId, comps: dict) -> RepresentingMorphism:
-        return self._find(xs, y, tuple(comps[a] for a in self._objs))
-
     # -- multicategory interface --------------------------------------------
 
     def objects(self):
@@ -638,12 +631,11 @@ def build_representing_multicategory(
     ev1 = {}
     for x in objs:
         for z in objs:
-            comps = {a: w.L(x, z, a) for a in objs}
-            ev1[(x, z)] = mcv._lookup((x, w.hom2_obj(x, z)), z, comps)
+            comps = tuple(w.L(x, z, a) for a in objs)
+            ev1[(x, z)] = mcv._find((x, w.hom2_obj(x, z)), z, comps)
     witness = ClosednessWitness(mcv, hom_obj1, ev1)
 
-    u_comps = {a: w.i_inv(a) for a in objs}
-    unit = UnitWitness(w.unit, mcv._lookup((), w.unit, u_comps))
+    unit = UnitWitness(w.unit, mcv._find((), w.unit, tuple(map(w.i_inv, objs))))
     return RepresentedBundle(ek, iso, mcv, witness, unit)
 
 
@@ -660,9 +652,9 @@ def check_representation(
     bad = []
     for xs, y in mcv.signatures(bounds):
         T = mcv.functor_of(xs)
-        names = [f.gamma_name for f in guard_hom(mcv, xs, y, bounds)]
-        target = sorted(a.name for a in ek.C_functor.obj_map(T.obj_map(y)).elements)
-        if len(set(names)) != len(names) or sorted(names) != target:
+        table = preimages(guard_hom(mcv, xs, y, bounds), lambda f: f.gamma_name)
+        target = [a.name for a in ek.C_functor.obj_map(T.obj_map(y)).elements]
+        if not bijective(table, target, str):
             bad.append(f"({xs};{y})")
     rep.law("repr/gamma-bijective", "families correspond to elements", bad)
 
@@ -708,8 +700,8 @@ def verify_essential_surjectivity(
 
     def l_of(f) -> RepresentingMorphism:
         x, y = wcat.dom(f), wcat.cod(f)
-        comps = {a: w.hom2_mor(f, wcat.identity(a)) for a in objs}
-        return mcv._lookup((x,), y, comps)
+        comps = tuple(w.hom2_mor(f, wcat.identity(a)) for a in objs)
+        return mcv._find((x,), y, comps)
 
     phi = Functor(f"L({w.name})", wcat, ucs.cat, lambda x: x, l_of)
     lfun = ClosedFunctor(
@@ -725,10 +717,9 @@ def verify_essential_surjectivity(
     bad = []
     for x in objs:
         for y in objs:
-            src = list(wcat.hom(x, y))
-            imgs = [l_of(f) for f in src]
+            table = preimages(wcat.hom(x, y), l_of)
             tgt = guard_hom(mcv, (x,), y, bounds)
-            if len(set(imgs)) != len(imgs) or len(imgs) != len(tgt):
+            if not bijective(table, tgt, mcv.mor_key):
                 bad.append(f"{x},{y}")
     rep.law("surj/hom-bijective", "comparison bijective on hom-sets", bad)
 

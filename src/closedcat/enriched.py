@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .closed import ClosedFunctor, ClosedStructure, EKClosedStructure
-from .core import DEFAULT_BOUNDS, Bounds, MorId, ObjId
+from .core import DEFAULT_BOUNDS, Bounds, MorId, ObjId, bijective, preimages
 from .errors import BudgetExceeded, NotBijective
 from .report import Report
 
@@ -296,6 +296,17 @@ def gamma_repr(ek: EKClosedStructure, w: ObjId, p: VNatFamily) -> str:
     return val.name
 
 
+def _repr_preimages(ek, T, w, bounds) -> dict:
+    """The representation map on the enriched natural families out of the
+    left hom functor at w, inverted."""
+    lw = build_LX(ek.closed, w)
+    fams = enumerate_vnat_families(lw, T, bounds)
+    return preimages(
+        (VNatFamily("cand", lw, T, comp) for comp in fams),
+        lambda fam: gamma_repr(ek, w, fam),
+    )
+
+
 def gamma_repr_inverse(
     ek: EKClosedStructure,
     T: VFunctor,
@@ -303,18 +314,12 @@ def gamma_repr_inverse(
     element: str,
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> VNatFamily:
-    """Search the finite space of enriched natural families for the unique
-    preimage of an element under the representation map."""
-    cs = ek.closed
-    lw = build_LX(cs, w)
-    hits = []
-    for comp in enumerate_vnat_families(lw, T, bounds):
-        fam = VNatFamily("cand", lw, T, comp)
-        if gamma_repr(ek, w, fam) == element:
-            hits.append(fam)
+    """The unique enriched natural family that the representation map
+    sends to an element."""
+    hits = _repr_preimages(ek, T, w, bounds).get(element, ())
     if len(hits) != 1:
         raise NotBijective(
-            f"{cs.name}: {len(hits)} families represent element {element!r}"
+            f"{ek.closed.name}: {len(hits)} families represent element {element!r}"
         )
     return hits[0]
 
@@ -328,18 +333,13 @@ def check_gamma_repr_bijective(
     """The representation map is a bijection between natural families out
     of the left hom functor at w and elements of the value of T at w."""
     rep = Report(f"representation bijection at {w}")
-    cs = ek.closed
-    lw = build_LX(cs, w)
-    fams = enumerate_vnat_families(lw, T, bounds)
-    images = [
-        gamma_repr(ek, w, VNatFamily("f", lw, T, comp)) for comp in fams
-    ]
-    target = sorted(a.name for a in ek.C_functor.obj_map(T.obj_map(w)).elements)
-    ok = len(set(images)) == len(images) and sorted(images) == target
+    table = _repr_preimages(ek, T, w, bounds)
+    target = [a.name for a in ek.C_functor.obj_map(T.obj_map(w)).elements]
     rep.add(
         "repr/bijective",
         "families correspond to elements",
-        ok,
-        f"W={cs.cat.show_obj(w)} ({len(fams)} families, {len(target)} elements)",
+        bijective(table, target, str),
+        f"W={ek.closed.cat.show_obj(w)} "
+        f"({sum(map(len, table.values()))} families, {len(target)} elements)",
     )
     return rep

@@ -22,6 +22,7 @@ from .core import (
     MorId,
     ObjId,
     guard_hom,
+    hom_entry,
     require_declared,
     require_declared_identities,
     require_declared_keys,
@@ -89,12 +90,6 @@ def _compose_entry(key) -> str:
     return ",".join(map(str, fs)) + f"|{g}"
 
 
-def _hom_entry(key) -> str:
-    """A hom-set's key (xs, y) in the file's syntax "x1,x2;y"."""
-    xs, y = key
-    return ",".join(map(str, xs)) + f";{y}"
-
-
 class TabularMulticategory(Multicategory):
     def __init__(
         self,
@@ -115,7 +110,7 @@ class TabularMulticategory(Multicategory):
             self._hom,
             set(self._objects),
             lambda k: (*k[0], k[1]),
-            _hom_entry,
+            hom_entry,
         )
         self._sig: dict[MorId, tuple[Profile, ObjId]] = {}
         for (xs, y), fs in self._hom.items():

@@ -90,7 +90,7 @@ def test_criterion_2_derived_suites_and_negative_fixtures():
         m, w, uw = instances.get(name).build()
         ic, r0 = build_internal_category(w, CAPS)
         r1 = verify_internal_lemmas(w, ic, CAPS)
-        r2 = verify_closing_lemmas(w, w, MultiFunctor.identity(m), CAPS, ic, ic)
+        r2 = verify_closing_lemmas(w, w, MultiFunctor.identity(m), CAPS)
         for r in (r0, r1, r2):
             ok &= r.ok
             details += [it.line() for it in r.failures()]

@@ -378,7 +378,10 @@ def test_budget_bounds_multicategory_hom_sets():
     # every hom-set of z2 within its cap has at most 2 members
     out = run_cli("check", "--budget", "1", "instance:z2")
     assert out.returncode == 1, out.stderr
-    assert "[FAIL] z2/mc/error (BudgetExceeded) @ z2: hom()->g over budget" in out.stdout
+    assert "[FAIL] z2/mc/error (BudgetExceeded) @ z2: hom(;g) over budget" in out.stdout
+    # the unit suite is the first to enumerate a unary hom-set
+    unary = "[FAIL] z2/unit/error (BudgetExceeded) @ z2: hom(g;g) over budget"
+    assert unary in out.stdout.splitlines(), out.stdout
     out2 = run_cli("check", "--budget", "2", "instance:z2")
     assert out2.returncode == 0, out2.stdout
 
@@ -398,7 +401,7 @@ def _budget_fails(name, suites, locus):
             1,
             _budget_fails("z2closed", ["category", "cc", "derived"], "hom(g,g)"),
         ),
-        (["check", "instance:z2"], 1, _budget_fails("z2", ["mc"], "hom()->g")),
+        (["check", "instance:z2"], 1, _budget_fails("z2", ["mc"], "hom(;g)")),
         (["instance", "dump", "z2"], 2, []),
         (["instance", "dump", "z2closed"], 2, []),
         (["construct", "ek", "instance:z2closed"], 2, []),

@@ -1,11 +1,13 @@
 """Every memo is a cache that its structure creates when it is built and
 that is freed with it: once the last reference to a structure is dropped
 and the cycle collector has run, nothing else keeps it alive.  A cache on
-a module-level function or on a class-level method would keep it.
+a module-level function or on a class-level method would keep it, and a
+walk of the source rejects one.
 
 The set-bridge test pins the cached paths of normalization, the hom
 embedding and the lazy sets category to the benchmark's digests."""
 
+import ast
 import gc
 import importlib.util
 import json
@@ -15,7 +17,11 @@ from pathlib import Path
 
 from closedcat import instances
 from closedcat.closed import ek_normalize
-from closedcat.correspond import build_representing_multicategory
+from closedcat.closedmc import bar, build_internal_category, check_closedness
+from closedcat.correspond import (
+    build_representing_multicategory,
+    underlying_closed_category,
+)
 from closedcat.core import Bounds
 from closedcat.setcat import FinSetCategory
 
@@ -59,6 +65,94 @@ def test_witness_of_a_registry_instance_is_freed_after_ev():
     ref = weakref.ref(w)
     del m, w
     assert _freed(ref)
+
+
+def test_witness_is_freed_after_its_tables_and_internal_category_hit():
+    m, w, uw = instances.get("z2").build()
+    bounds = Bounds(2)
+    ic, rep = build_internal_category(w, bounds)
+    assert rep.ok
+    # closedness reads the currying tables that the curries built
+    assert check_closedness(w, bounds).ok
+    ucs = underlying_closed_category(w, uw, bounds)
+    assert ucs.L("g", "g", "g") is ic.LX[("g", "g", "g")]
+    assert bar(w, uw, uw.u, bounds) == bar(w, uw, uw.u, bounds)
+    caches = (w.curry_table, w.unit_table, w.internal_category)
+    assert all(c.cache_info().hits >= 1 for c in caches)
+    ref = weakref.ref(w)
+    del m, w, uw, ic, rep, ucs, caches
+    assert _freed(ref)
+
+
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _is_cache(node) -> bool:
+    """functools.cache, cache, lru_cache and the like, by name."""
+    name = getattr(node, "attr", None) or getattr(node, "id", None)
+    return name in CACHES
+
+
+def _static_caches(source: str) -> list[int]:
+    """Lines where a cache decorates or wraps a function at module or
+    class level, where it outlives every structure."""
+    found = []
+
+    def scan(body):
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                scan(stmt.body)
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(
+                    d.lineno
+                    for d in stmt.decorator_list
+                    if _is_cache(d.func if isinstance(d, ast.Call) else d)
+                )
+            else:
+                found.extend(
+                    n.lineno
+                    for n in ast.walk(stmt)
+                    if isinstance(n, ast.Call) and _is_cache(n.func)
+                )
+
+    scan(ast.parse(source).body)
+    return found
+
+
+def test_the_guard_finds_static_caches_and_passes_nested_ones():
+    source = """
+import functools
+from functools import lru_cache
+
+@functools.cache
+def a(x): return x
+
+b = lru_cache(maxsize=8)(a)
+
+class C:
+    @functools.cached_property
+    def d(self): return 1
+
+    e = functools.cache(len)
+
+    def __init__(self):
+        self.f = functools.cache(self.g)
+
+def builder():
+    @functools.cache
+    def h(x): return x
+    return h
+"""
+    assert _static_caches(source) == [5, 8, 11, 14]
+
+
+def test_no_cache_lives_at_module_or_class_level():
+    found = {
+        f"{path.name}:{line}"
+        for path in sorted((ROOT / "src" / "closedcat").glob("*.py"))
+        for line in _static_caches(path.read_text())
+    }
+    assert not found
 
 
 def test_finset_category_is_freed_after_make_hom():

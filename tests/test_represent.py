@@ -125,10 +125,10 @@ def test_underlying_of_representation_isomorphic_to_base(bundles):
         ucs = underlying_closed_category(b.witness, b.unit, CAPS)
 
         def l_of(f, mcv=mcv, w=w):
-            comps = {
-                a: w.hom2_mor(f, w.cat.identity(a)) for a in mcv.objects()
-            }
-            return mcv._lookup((w.cat.dom(f),), w.cat.cod(f), comps)
+            comps = tuple(
+                w.hom2_mor(f, w.cat.identity(a)) for a in mcv.objects()
+            )
+            return mcv._find((w.cat.dom(f),), w.cat.cod(f), comps)
 
         phi = Functor("L", w.cat, ucs.cat, lambda x: x, l_of)
         lfun = ClosedFunctor(
