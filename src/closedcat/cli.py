@@ -125,8 +125,8 @@ def _check_target(name: str, kind: str, payload, info, args) -> Report:
         run("nary", lambda: check_nary_factorization(w, bounds))
 
         def lemmas():
-            ic, r = build_internal_category(w, bounds)
-            r.extend(verify_internal_lemmas(w, ic, bounds))
+            _, r = build_internal_category(w, bounds)
+            r.extend(verify_internal_lemmas(w, bounds))
             return r
 
         run("lemmas", lemmas)

@@ -325,15 +325,14 @@ def L_compose_loci(w: ClosednessWitness, ic: InternalCategory) -> list[str]:
 
 
 def verify_internal_lemmas(
-    w: ClosednessWitness,
-    ic: InternalCategory,
-    bounds: Bounds = DEFAULT_BOUNDS,
+    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """The decomposition identities for curried composites, functoriality
     of the internal hom in both arguments, and the hom functor laws of L,
     re-derived mechanically on the instance."""
     rep = Report(f"internal hom lemmas: {w.m.name}")
     m = w.m
+    ic = w.internal_category(bounds)
     objs = sorted(m.objects(), key=m.obj_key)
 
     bad_a, bad_b, bad_c, bad_d = [], [], [], []

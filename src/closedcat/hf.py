@@ -4,11 +4,14 @@ A value is an atom, an ordered tuple, a finite set, or a finite function
 table.  Values are immutable and hashable, and equality is extensional:
 two tables are equal exactly when their domains agree as sets and their
 images agree pointwise.  Sets and tables are stored as frozensets, so
-ordering of construction never influences equality or hashing.
+ordering of construction never influences equality or hashing.  A set
+also keeps its elements in canonical (hf_key) order, fixed when it is
+built, so iterating it in that order never sorts.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,6 +32,9 @@ class HF:
     # A table's entries as a key -> value dict, kept from ftable's
     # single-valuedness check; None for the other kinds.
     lookup: dict | None = None
+    # A set's elements in hf_key order, fixed when the set is built;
+    # None for the other kinds.
+    order: tuple["HF", ...] | None = None
 
     def __post_init__(self):
         # Values are compared constantly in the checkers; caching the hash
@@ -99,7 +105,22 @@ def tup(*items: HF) -> HF:
 def fset(elements: Iterable[HF]) -> HF:
     elems = frozenset(elements)
     _check_all(elems)
-    return HF(SET, elems)
+    return HF(SET, elems, order=tuple(sorted(elems, key=hf_key)))
+
+
+def function_space(a: HF, b: HF) -> HF:
+    """The set of all function tables from the set a to the set b.
+
+    The tables come out of ``itertools.product`` over b's sorted elements
+    on a's sorted domain, which is already their hf_key order: two tables
+    on one domain compare by their images in domain order.  So the set
+    keeps that order and sorts nothing."""
+    dom = sorted_elements(a)
+    tables = tuple(
+        ftable(zip(dom, image))
+        for image in itertools.product(sorted_elements(b), repeat=len(dom))
+    )
+    return HF(SET, frozenset(tables), order=tables)
 
 
 def ftable(pairs: Iterable[tuple[HF, HF]]) -> HF:
@@ -163,12 +184,15 @@ def hf_key(v: HF):
     if v.kind == TUPLE:
         return (rank, tuple(hf_key(x) for x in v.items))
     if v.kind == SET:
-        return (rank, tuple(sorted(hf_key(x) for x in v.elements)))
+        return (rank, tuple(hf_key(x) for x in v.order))
     return (rank, tuple(sorted((hf_key(k), hf_key(x)) for k, x in v.pairs)))
 
 
 def sorted_elements(v: HF) -> tuple[HF, ...]:
-    return tuple(sorted(v.elements, key=hf_key))
+    """A set's elements in hf_key order, as stored when it was built."""
+    if v.kind != SET:
+        raise TypeError(f"not a set: {pretty(v)}")
+    return v.order
 
 
 def sorted_pairs(v: HF) -> tuple[tuple[HF, HF], ...]:

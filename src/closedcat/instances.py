@@ -21,6 +21,7 @@ from typing import Callable
 from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
 from .core import Category, TabularCategory
+from .errors import FormatError
 from .multicat import (
     MMor,
     MonoidalMulticategory,
@@ -490,5 +491,5 @@ FUNCTORS = {
 
 def get(name: str) -> InstanceInfo:
     if name not in REGISTRY:
-        raise KeyError(f"unknown instance {name!r}; see `instance list`")
+        raise FormatError(f"unknown instance {name!r}; see `instance list`")
     return REGISTRY[name]

@@ -172,16 +172,13 @@ class FinSetCategory(Category):
         na, nb = len(a.elements), len(b.elements)
         if nb**na > MATERIALIZE_LIMIT:
             return HomObj(a, b)
-        dom = hf.sorted_elements(a)
-        tables = []
-        for choice in itertools.product(hf.sorted_elements(b), repeat=na):
-            t = hf.ftable(zip(dom, choice))
-            if hf.depth(t) > MAX_DEPTH:
-                raise BudgetExceeded(
-                    f"{self.name}: hom element exceeds depth {MAX_DEPTH}"
-                )
-            tables.append(t)
-        return hf.fset(tables)
+        # Every table a -> b has a's elements as keys, and some table takes
+        # b's deepest element as an image, so the deepest table has depth
+        # 1 + max(depth(a), depth(b)).  On an empty a there is one table,
+        # of depth 1; on a nonempty a with b empty there is none.
+        if na and nb and 1 + max(hf.depth(a), hf.depth(b)) > MAX_DEPTH:
+            raise BudgetExceeded(f"{self.name}: hom element exceeds depth {MAX_DEPTH}")
+        return hf.function_space(a, b)
 
     def hom(self, x: SetObj, y: SetObj):
         h = self.make_hom(x, y)

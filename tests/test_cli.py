@@ -181,9 +181,15 @@ def test_explicit_arity_cap_overrides_the_instance_cap():
     assert "freemon3/mc/error" in out3.stdout
 
 
-def test_unknown_instance_exits_two():
-    out = run_cli("check", "instance:nope")
-    assert out.returncode == 2
+def test_unknown_instance_exits_two(tmp_path):
+    # by name on the command line, and by a file's registry reference
+    target = _edited_fixture(
+        tmp_path, "finset.json", lambda doc: doc.update(ref="nope")
+    )
+    for spec in ("instance:nope", f"file:{target}"):
+        out = run_cli("check", spec)
+        assert out.returncode == 2, out.stdout + out.stderr
+        assert out.stderr == "error: unknown instance 'nope'; see `instance list`\n"
 
 
 def test_json_format_validates_against_schema():

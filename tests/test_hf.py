@@ -91,12 +91,31 @@ def test_hash_respects_equality(a, b):
         assert hf.hf_key(a) == hf.hf_key(b)
 
 
+def _subvalues(v):
+    """v and every value nested in it."""
+    yield v
+    if v.kind == hf.TUPLE:
+        children = v.items
+    elif v.kind == hf.SET:
+        children = v.elements
+    elif v.kind == hf.TABLE:
+        children = [x for pair in v.pairs for x in pair]
+    else:
+        children = ()
+    for c in children:
+        yield from _subvalues(c)
+
+
 @given(hf_values())
 @settings(max_examples=100)
 def test_key_total_order_consistent(v):
     # keys are comparable and pretty-printing is a function of the key
     assert hf.hf_key(v) <= hf.hf_key(v)
     assert isinstance(hf.pretty(v), str)
+    # every set keeps the order that sorting its elements by key gives
+    for s in _subvalues(v):
+        if s.kind == hf.SET:
+            assert hf.sorted_elements(s) == tuple(sorted(s.elements, key=hf.hf_key))
 
 
 def test_depth_counts_tables_not_sets():

@@ -105,13 +105,35 @@ def test_virtual_hom_objects_compose_but_do_not_enumerate(sets2):
 def test_depth_budget_blocks_deep_hom_elements(sets2):
     assert MAX_DEPTH == 4
     cat = sets2.cat
-    h = hf.fset([A0])
+    h = one = hf.fset([A0])
     for depth in range(1, 5):
         h = cat.make_hom(h, h)  # a singleton, element depth ``depth``
         assert len(h.elements) == 1
         assert hf.depth(next(iter(h.elements))) == depth
-    with pytest.raises(BudgetExceeded, match="exceeds depth 4"):
-        cat.make_hom(h, h)  # element depth 5
+    for a, b in ((h, h), (h, one), (one, h)):
+        with pytest.raises(BudgetExceeded, match="exceeds depth 4"):
+            cat.make_hom(a, b)  # element depth 5, from a key or an image
+    # no table of depth 5 exists: the one empty table, or none at all
+    empty = hf.fset([])
+    assert len(cat.make_hom(empty, h).elements) == 1
+    assert cat.make_hom(h, empty) == empty
+
+
+def test_function_spaces_come_in_key_order():
+    # the old sort is the oracle for every hom-set between the seeds and
+    # the hom objects one level up
+    cat = FinSetCategory(2)
+    level1 = {cat.make_hom(x, y) for x in cat.objects() for y in cat.objects()}
+    objs = set(cat.objects()) | level1
+    checked = 0
+    for x in objs:
+        for y in objs:
+            h = cat.make_hom(x, y)
+            if isinstance(h, HomObj):
+                continue
+            assert hf.sorted_elements(h) == tuple(sorted(h.elements, key=hf.hf_key))
+            checked += 1
+    assert checked == len(objs) ** 2
 
 
 def test_setmor_equality_is_pointwise(sets2):
