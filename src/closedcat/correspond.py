@@ -52,6 +52,7 @@ from .core import (
     bijective,
     guard_hom,
     guard_objects,
+    hom_entry,
     preimages,
 )
 from .enriched import (
@@ -460,7 +461,9 @@ class RepresentingMorphism:
 class RepresentingMulticat(Multicategory):
     """Multicategory whose hom-sets are enriched natural families between
     composites of left hom functors, with composition by whiskering and
-    pointwise composition."""
+    pointwise composition.  A family is indexed by its component at the
+    codomain, which determines it, so composition computes only that
+    component."""
 
     def __init__(self, ek: EKClosedStructure, bounds: Bounds):
         w = ek.closed
@@ -481,8 +484,8 @@ class RepresentingMulticat(Multicategory):
         self._units = tuple(wcat.identity(x) for x in objs)
         self._und_v = build_underlying_V_category(w)
         self._lx = {x: build_LX(w, x) for x in objs}
-        # Keyed by the component morphisms in self._objs order.
-        self._index: dict[tuple[Profile, ObjId, tuple], RepresentingMorphism] = {}
+        # Keyed by the component at the codomain.
+        self._index: dict[tuple[Profile, ObjId, MorId], RepresentingMorphism] = {}
         self._functor = functools.cache(self._compose_lx)
         self._positions = functools.cache(self._image_positions)
         self._homset = functools.cache(self._enumerate)
@@ -520,22 +523,41 @@ class RepresentingMulticat(Multicategory):
             g = gamma_repr(self.ek, y, VNatFamily("p", ly, T, comp))
             reps.append(RepresentingMorphism(xs, y, comps, g))
         reps.sort(key=lambda r: r.gamma_name)
+        # The point of a family is read off its component at y, and the
+        # point determines the family, so that component is its key.
+        k = self._pos[y]
         for r in reps:
-            self._index[(xs, y, tuple(m for _, m in r.components))] = r
+            key = (xs, y, r.components[k][1])
+            if key in self._index:
+                raise KernelError(
+                    f"{self.name}: two families of hom({hom_entry((xs, y))}) "
+                    f"share their component at {y}"
+                )
+            self._index[key] = r
         return tuple(reps)
+
+    def _member(self, xs: Profile, y: ObjId, m: MorId) -> RepresentingMorphism:
+        """The morphism xs -> y whose component at y is m."""
+        xs = tuple(xs)
+        self._homset(xs, y)  # hom-sets materialize on demand
+        r = self._index.get((xs, y, m))
+        if r is None:
+            raise self._not_natural(xs, y)
+        return r
 
     def _find(self, xs: Profile, y: ObjId, mors: tuple) -> RepresentingMorphism:
         """The morphism xs -> y whose components, in the order of
         ``objects()``, are mors."""
-        xs = tuple(xs)
-        self._homset(xs, y)  # hom-sets materialize on demand
-        r = self._index.get((xs, y, mors))
-        if r is None:
-            raise KernelError(
-                f"{self.name}: composite family is not natural "
-                f"(missing from hom{xs}->{y})"
-            )
+        r = self._member(xs, y, mors[self._pos[y]])
+        if tuple(m for _, m in r.components) != mors:
+            raise self._not_natural(xs, y)
         return r
+
+    def _not_natural(self, xs: Profile, y: ObjId) -> KernelError:
+        return KernelError(
+            f"{self.name}: composite family is not natural "
+            f"(missing from hom({hom_entry((xs, y))}))"
+        )
 
     # -- multicategory interface --------------------------------------------
 
@@ -563,22 +585,20 @@ class RepresentingMulticat(Multicategory):
         whisker = self.whisker
         positions = self._positions
         # Tensor the inner families left to right, then compose vertically
-        # after g.  Components are carried in self._objs order; the
-        # component of f at the image of the k-th object sits at that
-        # image's position.
+        # after g, following only the component at the codomain: it keys
+        # the composite, and at each step it depends only on the previous
+        # one.  The component of f at the image of the codomain sits at
+        # that image's position.
+        k = self._pos[g.cod]
         acc_profile: Profile = ()
         acc_target: Profile = ()
-        acc = self._units
+        m = self._units[k]
         for f in fs:
-            beta, xs = f.components, f.dom
-            acc = tuple(
-                compose(beta[k][1], whisker(xs, m))
-                for k, m in zip(positions(acc_profile), acc)
-            )
+            beta = f.components[positions(acc_profile)[k]][1]
+            m = compose(beta, whisker(f.dom, m))
             acc_profile = acc_profile + (f.cod,)
-            acc_target = acc_target + xs
-        mors = tuple(compose(t, m) for (_, t), m in zip(g.components, acc))
-        return self._find(acc_target, g.cod, mors)
+            acc_target = acc_target + f.dom
+        return self._member(acc_target, g.cod, compose(g.components[k][1], m))
 
     def dom(self, f: RepresentingMorphism):
         return f.dom

@@ -526,6 +526,16 @@ def test_registry_check_report_matches_the_benchmark_digest(name, capsys):
     assert _sha(capsys.readouterr().out) == want
 
 
+@pytest.mark.parametrize("name", sorted(instances.REGISTRY))
+def test_registry_instance_fails_exactly_its_advertised_checks(name, capsys):
+    cli.main(["check", "--suite", "all", "--format", "json", f"instance:{name}"])
+    items = json.loads(capsys.readouterr().out)["items"]
+    failing = {
+        it["check"].split("/", 1)[1] for it in items if it["status"] == "fail"
+    }
+    assert failing == set(instances.get(name).advertised_failure)
+
+
 def test_represent_reload_outputs_match_the_benchmark_digests(tmp_path, capsys):
     """The represented heyting2 file, the represent report and the three
     roundtrip reports are byte-identical to the digests the benchmark

@@ -104,7 +104,8 @@ def test_broken_fixtures_fail_their_advertised_checks():
         rep = check_cc_axioms(info.build())
         failing = {it.check for it in rep.failures()}
         for check in info.advertised_failure:
-            assert check in failing, (name, failing)
+            if check.startswith("cc/"):
+                assert check in failing, (name, failing)
         assert all(it.locus for it in rep.failures())
 
 

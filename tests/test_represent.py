@@ -13,7 +13,7 @@ from closedcat.correspond import (
     verify_essential_surjectivity,
 )
 from closedcat.errors import KernelError
-from closedcat.core import Bounds
+from closedcat.core import Bounds, guard_hom
 from closedcat.multicat import _composables, check_multicategory_axioms
 
 CAPS = Bounds(3)
@@ -166,3 +166,92 @@ def test_whiskering_memo_changes_no_composite(bundles):
             lambda self, xs, alpha: self.functor_of(xs).mor_action(alpha),
         )
         assert interchange.multicat_to_json(fresh.mcv, CAPS) == doc
+
+
+def _components(r):
+    return tuple(m for _, m in r.components)
+
+
+def whole_tuple_compose(mcv, fs, g):
+    """The composite of fs after g with every component computed: each
+    inner family whiskered and composed pointwise at every object, then
+    the one member of the hom-set with exactly those components."""
+    objs = mcv.objects()
+    pos = {x: k for k, x in enumerate(objs)}
+    compose = mcv.base.cat.compose
+    acc_profile, acc_target = (), ()
+    acc = tuple(mcv.base.cat.identity(a) for a in objs)
+    for f in fs:
+        image = mcv.functor_of(acc_profile).obj_map
+        acc = tuple(
+            compose(f.components[pos[image(a)]][1], mcv.whisker(f.dom, m))
+            for a, m in zip(objs, acc)
+        )
+        acc_profile += (f.cod,)
+        acc_target += f.dom
+    mors = tuple(compose(t, m) for (_, t), m in zip(g.components, acc))
+    (hit,) = [r for r in mcv.hom(acc_target, g.cod) if _components(r) == mors]
+    return hit
+
+
+def _agrees_with_whole_tuple(mcv, composables):
+    n = 0
+    for g, _, fs in composables:
+        assert mcv.compose(fs, g) is whole_tuple_compose(mcv, fs, g), (fs, g)
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_codomain_chain_matches_whole_tuple_composition(name):
+    # composing only the component at the codomain picks the same member
+    # as composing every component and matching the whole tuple
+    caps = Bounds(4)
+    mcv = build_representing_multicategory(instances.get(name).build(), caps).mcv
+    assert _agrees_with_whole_tuple(mcv, _composables(mcv, caps)) > 0
+
+
+def test_codomain_chain_matches_on_the_dump_horizon():
+    # `represent --arity-cap 4` dumps the composites one arity further, where
+    # hom-sets outside the construction's own horizon read as empty
+    mcv = build_representing_multicategory(
+        instances.get("heyting2").build(), Bounds(4)
+    ).mcv
+    dump = Bounds(5)
+    walk = _composables(
+        mcv, dump, lambda xs, y: guard_hom(mcv, xs, y, dump, partial=True)
+    )
+    assert _agrees_with_whole_tuple(mcv, walk) > 0
+
+
+@pytest.mark.parametrize(
+    "at_0,at_1",
+    [
+        # hom(1;1) of heyting2 holds one family, with components
+        # (id_0, id_1): the first tuple agrees with it at the codomain
+        # only, the second has a codomain entry of no family
+        ("1", "1"),
+        ("0", "0"),
+    ],
+)
+def test_find_requires_every_component(bundles, at_0, at_1):
+    mcv = bundles["heyting2"].mcv
+    ident = mcv.base.cat.identity
+    assert _components(mcv.identity("1")) == (ident("0"), ident("1"))
+    with pytest.raises(KernelError, match=r"missing from hom\(1;1\)"):
+        mcv._find(("1",), "1", (ident(at_0), ident(at_1)))
+
+
+def test_families_sharing_a_codomain_component_are_refused(monkeypatch):
+    # the codomain component keys the index only while the representation
+    # is a bijection; a duplicated family breaks it
+    from closedcat import correspond
+
+    real = correspond.enumerate_vnat_families
+    monkeypatch.setattr(
+        correspond,
+        "enumerate_vnat_families",
+        lambda *args: list(real(*args)) * 2,
+    )
+    with pytest.raises(KernelError, match="share their component"):
+        build_representing_multicategory(instances.get("z2closed").build(), CAPS)
