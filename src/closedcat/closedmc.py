@@ -162,23 +162,6 @@ def check_closedness(
     return rep
 
 
-def derive_nary_homs(
-    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
-) -> tuple[ClosednessWitness, Report]:
-    """Populate the derived hom objects and evaluations for every profile
-    within bounds (plus one, so evaluations of cap-level signatures exist),
-    then verify that the currying map at every signature is bijective and
-    factors stage by stage through the one-step curryings."""
-    for xs in w.m.profiles(bounds.max_arity + 1):
-        for z in sorted(w.m.objects(), key=w.m.obj_key):
-            w.hom_obj(xs, z)
-            w.ev(xs, z)
-    rep = Report(f"derived n-ary homs: {w.m.name}")
-    rep.extend(check_closedness(w, bounds))
-    rep.extend(check_nary_factorization(w, bounds))
-    return w, rep
-
-
 def check_nary_factorization(
     w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:

@@ -486,11 +486,19 @@ class RepresentingMulticat(Multicategory):
         self._lx = {x: build_LX(w, x) for x in objs}
         # Keyed by the component at the codomain.
         self._index: dict[tuple[Profile, ObjId, MorId], RepresentingMorphism] = {}
+        # The composite left hom functor at (y1..yk, y) applies L^y last,
+        # so the image of the object at position p moves to _lpos[y][p].
+        self._lpos = {
+            y: tuple(self._pos[w.hom2_obj(y, a)] for a in objs) for y in objs
+        }
         self._functor = functools.cache(self._compose_lx)
-        self._positions = functools.cache(self._image_positions)
         self._homset = functools.cache(self._enumerate)
-        self._whisker = functools.cache(
-            lambda xs, alpha: self.functor_of(xs).mor_action(alpha)
+        # One step of compose: f's component at position p after m
+        # whiskered by f's domain.  Composites revisit few such triples.
+        self._step = functools.cache(
+            lambda f, p, m: wcat.compose(
+                f.components[p][1], self.functor_of(f.dom).mor_action(m)
+            )
         )
         for xs in self.profiles(bounds.max_arity):
             for y in objs:
@@ -506,12 +514,6 @@ class RepresentingMulticat(Multicategory):
         for x in xs:
             acc = compose_v_functors(acc, self._lx[x])
         return acc
-
-    def _image_positions(self, xs: Profile) -> tuple[int, ...]:
-        """The image of each object under the composite left hom functor
-        at xs, as a position in self._objs."""
-        obj_map = self.functor_of(xs).obj_map
-        return tuple(self._pos[obj_map(a)] for a in self._objs)
 
     def _enumerate(self, xs: Profile, y: ObjId) -> tuple[RepresentingMorphism, ...]:
         T = self.functor_of(xs)
@@ -573,32 +575,25 @@ class RepresentingMulticat(Multicategory):
             (x,), x, tuple(w.cat.identity(w.hom2_obj(x, a)) for a in self._objs)
         )
 
-    def whisker(self, xs: Profile, alpha: MorId) -> MorId:
-        """The composite left hom functor at xs applied to alpha, cached
-        per structure: composites revisit few (xs, alpha) pairs."""
-        return self._whisker(xs, alpha)
-
     def compose(self, fs, g: RepresentingMorphism):
         if tuple(f.cod for f in fs) != g.dom:
             raise ValueError("profile mismatch")
-        compose = self.base.cat.compose
-        whisker = self.whisker
-        positions = self._positions
+        step, lpos = self._step, self._lpos
         # Tensor the inner families left to right, then compose vertically
         # after g, following only the component at the codomain: it keys
         # the composite, and at each step it depends only on the previous
-        # one.  The component of f at the image of the codomain sits at
-        # that image's position.
-        k = self._pos[g.cod]
-        acc_profile: Profile = ()
-        acc_target: Profile = ()
+        # one.  Each step reads the inner family's component at p, the
+        # position of the codomain's image under the profile so far.
+        k = p = self._pos[g.cod]
         m = self._units[k]
+        target: Profile = ()
         for f in fs:
-            beta = f.components[positions(acc_profile)[k]][1]
-            m = compose(beta, whisker(f.dom, m))
-            acc_profile = acc_profile + (f.cod,)
-            acc_target = acc_target + f.dom
-        return self._member(acc_target, g.cod, compose(g.components[k][1], m))
+            m = step(f, p, m)
+            p = lpos[f.cod][p]
+            target += f.dom
+        return self._member(
+            target, g.cod, self.base.cat.compose(g.components[k][1], m)
+        )
 
     def dom(self, f: RepresentingMorphism):
         return f.dom

@@ -135,11 +135,32 @@ def _keyed(doc: dict, *path: str, sep: str, parts: int, many: bool = False):
     for key, v in _entries(doc, *path, many=many):
         split = tuple(key.split(sep))
         if len(split) != parts:
-            raise FormatError(
-                f'{".".join(path)} key "{key}" must have {parts} parts '
-                f'separated by "{sep}"'
-            )
+            raise _parts_error(".".join(path), key, parts, sep)
         yield split, v
+
+
+def _parts_error(label: str, key: str, parts: int, sep: str) -> FormatError:
+    return FormatError(
+        f'{label} key "{key}" must have {parts} parts separated by "{sep}"'
+    )
+
+
+def _profile_keyed(doc: dict, label: str, sep: str, many: bool = False) -> dict:
+    """The table ``label`` of a multicategory file, keyed "X1,...,Xn<sep>Y",
+    as {((X1, ..., Xn), Y): value}.  The nullary key "<sep>Y" has the empty
+    profile; a key with an empty name in its profile raises a FormatError
+    naming it.  One flat loop: a dump holds tens of thousands of keys."""
+    table = {}
+    for key, v in _entries(doc, label, many=many):
+        split = key.split(sep)
+        if len(split) != 2:
+            raise _parts_error(label, key, 2, sep)
+        left, y = split
+        xs = tuple(left.split(",")) if left else ()
+        if "" in xs:
+            raise FormatError(f'{label} key "{key}" has an empty name')
+        table[(xs, y)] = v
+    return table
 
 
 def category_from_json(doc: dict) -> TabularCategory:
@@ -315,12 +336,8 @@ def multicat_from_json(
     doc: dict,
 ) -> tuple[TabularMulticategory, ClosednessWitness | None, UnitWitness | None]:
     try:
-        hom = {}
-        for (left, y), fs in _keyed(doc, "hom", sep=";", parts=2, many=True):
-            hom[(tuple(p for p in left.split(",") if p), y)] = fs
-        compose = {}
-        for (left, g), h in _keyed(doc, "compose", sep="|", parts=2):
-            compose[(tuple(p for p in left.split(",") if p), g)] = h
+        hom = _profile_keyed(doc, "hom", sep=";", many=True)
+        compose = _profile_keyed(doc, "compose", sep="|")
         name = doc.get("name", "multicategory")
         m = TabularMulticategory(
             name,

@@ -11,6 +11,7 @@ BudgetExceeded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -370,28 +371,24 @@ def _composables(m: Multicategory, bounds: Bounds, hom=None):
     homs = dict(zip(sigs, itertools.starmap(hom, sigs)))
     profiles = list(m.profiles(bounds.max_arity))  # in increasing length
 
+    @functools.cache  # per walk: freed when the walk ends
     def slots(ys, room):
         """(doms, hom-sets) for the inputs ys, total arity within room."""
         if not ys:
-            yield (), ()
-            return
+            return (((), ()),)
+        out = []
         for d in profiles:
             if len(d) > room:
                 break
             fs = homs[(d, ys[0])]
             if fs:
                 for doms, choices in slots(ys[1:], room - len(d)):
-                    yield (d,) + doms, (fs,) + choices
+                    out.append(((d,) + doms, (fs,) + choices))
+        return tuple(out)
 
-    by_inputs: dict = {}
     for ys, z in sigs:
-        gs = homs[(ys, z)]
-        if not gs:
-            continue
-        if ys not in by_inputs:
-            by_inputs[ys] = list(slots(ys, bounds.max_arity))
-        for g in gs:
-            for doms, choices in by_inputs[ys]:
+        for g in homs[(ys, z)]:
+            for doms, choices in slots(ys, bounds.max_arity):
                 for fs in itertools.product(*choices):
                     yield g, doms, fs
 

@@ -380,6 +380,36 @@ def test_missing_or_mistyped_witness_entry_exits_two_naming_it(
     _assert_edited_z2_exits_two(tmp_path, z2_dump, edit, message)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (
+            # a second spelling of "m0,m0,m0,m0|m8"
+            lambda doc: doc["compose"].update({"m0,,m0,m0,m0|m8": "m8"}),
+            'compose key "m0,,m0,m0,m0|m8" has an empty name',
+        ),
+        (
+            lambda doc: doc["compose"].update({",m0,m0,m0,m0|m8": "m8"}),
+            'compose key ",m0,m0,m0,m0|m8" has an empty name',
+        ),
+        (
+            lambda doc: doc["hom"].update(
+                {"o0,,o0,o0,o0;o0": doc["hom"].pop("o0,o0,o0,o0;o0")}
+            ),
+            'hom key "o0,,o0,o0,o0;o0" has an empty name',
+        ),
+        (
+            lambda doc: doc["hom"].update({"o0,;o0": doc["hom"].pop("o0,o0;o0")}),
+            'hom key "o0,;o0" has an empty name',
+        ),
+    ],
+)
+def test_empty_name_in_multicategory_key_exits_two_naming_it(
+    tmp_path, z2_dump, edit, message
+):
+    _assert_edited_z2_exits_two(tmp_path, z2_dump, edit, message)
+
+
 def test_budget_bounds_multicategory_hom_sets():
     # every hom-set of z2 within its cap has at most 2 members
     out = run_cli("check", "--budget", "1", "instance:z2")

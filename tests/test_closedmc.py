@@ -214,16 +214,3 @@ def test_truncadd_with_neutral_ev_has_unit():
     found = find_unit_object(w, CAPS)
     assert found.u.raw == "t0"
     assert unit_contraction(w, found, "g").raw == "t0"
-
-
-def test_derive_nary_homs_populates_and_verifies(z2):
-    from closedcat.closedmc import derive_nary_homs
-
-    m, w, _ = z2
-    w2, rep = derive_nary_homs(w, Bounds(2))
-    assert w2 is w
-    assert rep.ok
-    # the derivation cached the binary evaluation: asking again is a hit
-    hits = w._ev.cache_info().hits
-    w.ev(("g", "g"), "g")
-    assert w._ev.cache_info().hits == hits + 1

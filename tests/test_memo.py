@@ -23,6 +23,7 @@ from closedcat.correspond import (
     underlying_closed_category,
 )
 from closedcat.core import Bounds
+from closedcat.multicat import _composables
 from closedcat.setcat import FinSetCategory
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,9 +60,26 @@ def test_representing_multicategory_and_its_witness_are_freed():
     assert all(_freed(r) for r in refs)
 
 
+def test_representing_multicategory_is_freed_after_its_step_table_hits():
+    bounds = Bounds(2)
+    mcv = build_representing_multicategory(
+        instances.get("heyting2").build(), bounds
+    ).mcv
+    for g, _, fs in _composables(mcv, bounds):
+        mcv.compose(fs, g)
+    assert mcv._step.cache_info().hits >= 1
+    ref = weakref.ref(mcv)
+    del mcv, g, fs
+    assert _freed(ref)
+
+
 def test_witness_of_a_registry_instance_is_freed_after_ev():
     m, w, _ = instances.get("z2").build()
     w.ev(("g", "g", "g"), "g")
+    # asking again is a hit of the witness's own cache
+    hits = w._ev.cache_info().hits
+    w.ev(("g", "g", "g"), "g")
+    assert w._ev.cache_info().hits == hits + 1
     ref = weakref.ref(w)
     del m, w
     assert _freed(ref)
