@@ -1,11 +1,13 @@
 """Categories enriched in a closed category, the self-enrichment, the
 left hom functors, pushforward along a closed functor, and the
-representation bijection for enriched functors into the self-enrichment.
+representation map for enriched functors into the self-enrichment.
 
 Hom objects live in the base closed category; identities and composition
-data are base morphisms.  The axioms checked here are the standard
-enriched ones: unit and composition laws shaped exactly like CC1..CC3,
-and the functor laws shaped like CF-style squares.
+data are base morphisms.  The enriched-category laws are
+``closed.v_category_failures``, which are CC1..CC3 on the
+self-enrichment; the functor laws are shaped like CF-style squares.
+The representation map is decided bijective where the representing
+multicategory is built on it (``correspond.check_representation``).
 """
 
 from __future__ import annotations
@@ -14,9 +16,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .closed import ClosedFunctor, ClosedStructure, EKClosedStructure
-from .core import DEFAULT_BOUNDS, Bounds, MorId, ObjId, bijective, preimages
-from .errors import BudgetExceeded, NotBijective
+from .closed import (
+    ClosedFunctor,
+    ClosedStructure,
+    EKClosedStructure,
+    v_category_failures,
+)
+from .core import DEFAULT_BOUNDS, Bounds, MorId, ObjId
+from .errors import BudgetExceeded
 from .report import Report
 
 
@@ -75,45 +82,12 @@ def build_underlying_V_category(cs: ClosedStructure) -> VCategory:
 
 def check_v_category(A: VCategory) -> Report:
     rep = Report(f"enriched category axioms: {A.name}")
-    cs = A.base
-    cat = cs.cat
-    objs = A.objects
-
-    bad = []
-    for x in objs:
-        for y in objs:
-            lhs = cat.compose(A.j(y), A.L(x, y, y))
-            if lhs != cs.j(A.hom_obj(x, y)):
-                bad.append(f"{x},{y}")
-    rep.law("vc/unit-left", "j then L lands on base j", bad)
-
-    bad = []
-    for x in objs:
-        for y in objs:
-            lhs = cat.compose(
-                A.L(x, x, y), cs.contra(A.j(x), A.hom_obj(x, y))
-            )
-            if lhs != cs.i(A.hom_obj(x, y)):
-                bad.append(f"{x},{y}")
-    rep.law("vc/unit-right", "L against j lands on i", bad)
-
-    bad = []
-    for x, y, uu, v in itertools.product(objs, repeat=4):
-        top = cat.compose(
-            A.L(y, uu, v),
-            cs.cov(A.hom_obj(y, uu), A.L(x, y, v)),
-        )
-        bottom = cat.compose_chain(
-            A.L(x, uu, v),
-            cs.L(A.hom_obj(x, y), A.hom_obj(x, uu), A.hom_obj(x, v)),
-            cs.contra(
-                A.L(x, y, uu),
-                cs.hom2_obj(A.hom_obj(x, y), A.hom_obj(x, v)),
-            ),
-        )
-        if top != bottom:
-            bad.append(f"{x},{y},{uu},{v}")
-    rep.law("vc/pentagon", "enriched associativity pentagon", bad)
+    unit_left, unit_right, pentagon = v_category_failures(
+        A.base, A.objects, A.hom_obj, A.j, A.L, lambda *xs: ",".join(map(str, xs))
+    )
+    rep.law("vc/unit-left", "j then L lands on base j", unit_left)
+    rep.law("vc/unit-right", "L against j lands on i", unit_right)
+    rep.law("vc/pentagon", "enriched associativity pentagon", pentagon)
     return rep
 
 
@@ -224,7 +198,7 @@ def build_Lf(cs: ClosedStructure, f: MorId) -> VNatFamily:
     )
 
 
-def pushforward(F: ClosedFunctor, A: VCategory, name: str | None = None) -> VCategory:
+def pushforward(F: ClosedFunctor, A: VCategory) -> VCategory:
     """Base change of an enriched category along a closed functor: hom
     objects map through the functor, identities gain the unit comparison,
     and L gains the hom comparison."""
@@ -242,7 +216,7 @@ def pushforward(F: ClosedFunctor, A: VCategory, name: str | None = None) -> VCat
         )
 
     return VCategory(
-        name or f"{F.name}*{A.name}",
+        f"{F.name}*{A.name}",
         D,
         A.objects,
         lambda x, y: F.phi.obj_map(A.hom_obj(x, y)),
@@ -294,52 +268,3 @@ def gamma_repr(ek: EKClosedStructure, w: ObjId, p: VNatFamily) -> str:
     table = ek.C_functor.mor_map(p.at(w))
     val = table.apply(ek.elt_atom(cs.cat.identity(w)))
     return val.name
-
-
-def _repr_preimages(ek, T, w, bounds) -> dict:
-    """The representation map on the enriched natural families out of the
-    left hom functor at w, inverted."""
-    lw = build_LX(ek.closed, w)
-    fams = enumerate_vnat_families(lw, T, bounds)
-    return preimages(
-        (VNatFamily("cand", lw, T, comp) for comp in fams),
-        lambda fam: gamma_repr(ek, w, fam),
-    )
-
-
-def gamma_repr_inverse(
-    ek: EKClosedStructure,
-    T: VFunctor,
-    w: ObjId,
-    element: str,
-    bounds: Bounds = DEFAULT_BOUNDS,
-) -> VNatFamily:
-    """The unique enriched natural family that the representation map
-    sends to an element."""
-    hits = _repr_preimages(ek, T, w, bounds).get(element, ())
-    if len(hits) != 1:
-        raise NotBijective(
-            f"{ek.closed.name}: {len(hits)} families represent element {element!r}"
-        )
-    return hits[0]
-
-
-def check_gamma_repr_bijective(
-    ek: EKClosedStructure,
-    T: VFunctor,
-    w: ObjId,
-    bounds: Bounds = DEFAULT_BOUNDS,
-) -> Report:
-    """The representation map is a bijection between natural families out
-    of the left hom functor at w and elements of the value of T at w."""
-    rep = Report(f"representation bijection at {w}")
-    table = _repr_preimages(ek, T, w, bounds)
-    target = [a.name for a in ek.C_functor.obj_map(T.obj_map(w)).elements]
-    rep.add(
-        "repr/bijective",
-        "families correspond to elements",
-        bijective(table, target, str),
-        f"W={ek.closed.cat.show_obj(w)} "
-        f"({sum(map(len, table.values()))} families, {len(target)} elements)",
-    )
-    return rep

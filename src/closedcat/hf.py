@@ -1,9 +1,9 @@
 """Hereditarily finite values: the carrier universe for set-based instances.
 
-A value is an atom, an ordered tuple, a finite set, or a finite function
-table.  Values are immutable and hashable, and equality is extensional:
-two tables are equal exactly when their domains agree as sets and their
-images agree pointwise.  Sets and tables are stored as frozensets, so
+A value is an atom, a finite set, or a finite function table.  Values
+are immutable and hashable, and equality is extensional: two tables are
+equal exactly when their domains agree as sets and their images agree
+pointwise.  Sets and tables are stored as frozensets, so
 ordering of construction never influences equality or hashing.  A set
 also keeps its elements in canonical (hf_key) order, fixed when it is
 built, so iterating it in that order never sorts.
@@ -16,16 +16,15 @@ from dataclasses import dataclass
 from typing import Iterable
 
 ATOM = "atom"
-TUPLE = "tuple"
 SET = "set"
 TABLE = "table"
 
-_KIND_RANK = {ATOM: 0, TUPLE: 1, SET: 2, TABLE: 3}
+_KIND_RANK = {ATOM: 0, SET: 1, TABLE: 2}
 
 
 @dataclass(frozen=True, eq=False)
 class HF:
-    """One hereditarily finite value. Construct via atom/tup/fset/ftable."""
+    """One hereditarily finite value. Construct via atom/fset/ftable."""
 
     kind: str
     payload: object
@@ -64,12 +63,6 @@ class HF:
         return self.payload  # type: ignore[return-value]
 
     @property
-    def items(self) -> tuple["HF", ...]:
-        if self.kind != TUPLE:
-            raise TypeError(f"not a tuple: {pretty(self)}")
-        return self.payload  # type: ignore[return-value]
-
-    @property
     def elements(self) -> frozenset["HF"]:
         if self.kind != SET:
             raise TypeError(f"not a set: {pretty(self)}")
@@ -95,11 +88,6 @@ def atom(name: str) -> HF:
     if not isinstance(name, str):
         raise TypeError("atom name must be a string")
     return HF(ATOM, name)
-
-
-def tup(*items: HF) -> HF:
-    _check_all(items)
-    return HF(TUPLE, tuple(items))
 
 
 def fset(elements: Iterable[HF]) -> HF:
@@ -157,10 +145,6 @@ def hf_equal(a: HF, b: HF) -> bool:
         return False
     if a.kind == ATOM:
         return a.name == b.name
-    if a.kind == TUPLE:
-        return len(a.items) == len(b.items) and all(
-            hf_equal(x, y) for x, y in zip(a.items, b.items)
-        )
     if a.kind == SET:
         return _set_covers(a.elements, b.elements) and _set_covers(
             b.elements, a.elements
@@ -181,8 +165,6 @@ def hf_key(v: HF):
     rank = _KIND_RANK[v.kind]
     if v.kind == ATOM:
         return (rank, v.name)
-    if v.kind == TUPLE:
-        return (rank, tuple(hf_key(x) for x in v.items))
     if v.kind == SET:
         return (rank, tuple(hf_key(x) for x in v.order))
     return (rank, tuple(sorted((hf_key(k), hf_key(x)) for k, x in v.pairs)))
@@ -200,22 +182,18 @@ def sorted_pairs(v: HF) -> tuple[tuple[HF, HF], ...]:
 
 
 def depth(v: HF) -> int:
-    """Nesting depth of tuples and tables; a plain set of values does not
-    count as an extra level, so a hom-set sits at the depth of its tables."""
+    """Nesting depth of tables; a plain set of values does not count as
+    an extra level, so a hom-set sits at the depth of its tables."""
     if v.kind == ATOM:
         return 0
     if v.kind == SET:
         return max((depth(x) for x in v.elements), default=0)
-    if v.kind == TUPLE:
-        return 1 + max((depth(x) for x in v.items), default=0)
     return 1 + max((max(depth(k), depth(x)) for k, x in v.pairs), default=0)
 
 
 def pretty(v: HF) -> str:
     if v.kind == ATOM:
         return v.name
-    if v.kind == TUPLE:
-        return "(" + ", ".join(pretty(x) for x in v.items) + ")"
     if v.kind == SET:
         return "{" + ", ".join(pretty(x) for x in sorted_elements(v)) + "}"
     body = ", ".join(f"{pretty(k)}↦{pretty(x)}" for k, x in sorted_pairs(v))

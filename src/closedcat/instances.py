@@ -270,10 +270,13 @@ def build_truncadd_badunit() -> tuple[Multicategory, ClosednessWitness, UnitWitn
     return m, w, UnitWitness("g", MMor((), "g", "t1"))
 
 
-def build_z2mc_badcompose(max_arity: int = 3) -> tuple[Multicategory, None, None]:
-    """Negative fixture: the z2 multicategory tabulated with one composite
-    flipped, so two-level associativity fails at localizable tuples."""
+def build_z2mc_badcompose() -> tuple[Multicategory, None, None]:
+    """Negative fixture: the z2 multicategory tabulated up to arity three
+    with one composite flipped, so two-level associativity fails at
+    localizable tuples."""
     from .multicat import TabularMulticategory
+
+    max_arity = 3
 
     def mid(par: str, n: int):
         return (par, n)
@@ -312,9 +315,10 @@ def build_z2mc_badcompose(max_arity: int = 3) -> tuple[Multicategory, None, None
     return m, None, None
 
 
-def build_freemon3(cap: int = 3) -> tuple[Multicategory, None, None]:
+def build_freemon3() -> tuple[Multicategory, None, None]:
     """Free monoid on one generator truncated at length three: the tensor
     is partial, so signatures past the cap raise BudgetExceeded."""
+    cap = 3
     objs = [f"x{k}" for k in range(cap + 1)]
     hom = {(x, y): [f"i{x[1:]}"] if x == y else [] for x in objs for y in objs}
     compose = {(f"i{k}", f"i{k}"): f"i{k}" for k in range(cap + 1)}

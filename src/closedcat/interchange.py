@@ -176,9 +176,9 @@ def category_from_json(doc: dict) -> TabularCategory:
         raise FormatError(f"malformed category file: {exc}") from exc
 
 
-def closed_ref_to_json(name: str, params: dict | None = None) -> dict:
+def closed_ref_to_json(name: str, params: dict) -> dict:
     """Reference form for lazy instances: registry name plus parameters."""
-    return {"kind": "closed-category", "ref": name, "params": params or {}}
+    return {"kind": "closed-category", "ref": name, "params": params}
 
 
 def closed_to_json(cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS) -> dict:

@@ -238,9 +238,9 @@ class MMor:
 
 
 class MonoidalMulticategory(Multicategory):
-    def __init__(self, smc: StrictMonoidalCategory, name: str | None = None):
+    def __init__(self, smc: StrictMonoidalCategory, name: str):
         self.smc = smc
-        self.name = name or f"multi({smc.cat.name})"
+        self.name = name
 
     def objects(self):
         return self.smc.cat.objects()
@@ -296,7 +296,7 @@ class MonoidalMulticategory(Multicategory):
 
 
 def from_strict_monoidal(
-    smc: StrictMonoidalCategory, name: str | None = None
+    smc: StrictMonoidalCategory, name: str
 ) -> MonoidalMulticategory:
     strict = check_strict_monoidal(smc)
     if not strict.ok:
@@ -344,27 +344,15 @@ class MultiNat:
         )
 
 
-def _inner_profiles(m: Multicategory, ys: Profile, cap: int):
-    """All tuples of domain profiles (one per input of ys) with total
-    arity at most cap, in canonical order."""
-    if not ys:
-        yield ()
-        return
-    head, rest = ys[0], ys[1:]
-    for p in m.profiles(cap):
-        for tail in _inner_profiles(m, rest, cap - len(p)):
-            yield (p,) + tail
-
-
-def _composables(m: Multicategory, bounds: Bounds, hom=None):
-    """Every composable (g, doms, fs) within bounds, in canonical order:
-    signatures (ys, z), then g in hom(ys, z), then the domain tuples doms
-    of ``_inner_profiles(m, ys, bounds.max_arity)``, then fs in the product
-    of the hom-sets hom(doms[i], ys[i]).
-
-    ``hom`` (default ``guard_hom``) is called once per signature.  A domain
-    tuple is dropped at its first slot with an empty hom-set; such a tuple
-    has no fs, so the sequence is that of the plain nest."""
+def _walk_table(m: Multicategory, bounds: Bounds, hom=None):
+    """The one table of a walk over composables, freed when the walk ends:
+    ``homs``, the hom-set of every signature within bounds, fetched once
+    through ``hom`` (default ``guard_hom``), and ``slots(ys, room)``, the
+    domain tuples doms for the inputs ys with total arity at most room, in
+    canonical order, each with its hom-sets hom(doms[i], ys[i]), built
+    once per (ys, room).  A domain tuple is dropped at its first slot with
+    an empty hom-set; it has nothing to plug in, so every walk over the
+    table is that of the plain nest over all domain tuples."""
     sigs = list(m.signatures(bounds))
     if hom is None:
         hom = lambda xs, y: guard_hom(m, xs, y, bounds)  # noqa: E731
@@ -373,7 +361,6 @@ def _composables(m: Multicategory, bounds: Bounds, hom=None):
 
     @functools.cache  # per walk: freed when the walk ends
     def slots(ys, room):
-        """(doms, hom-sets) for the inputs ys, total arity within room."""
         if not ys:
             return (((), ()),)
         out = []
@@ -386,11 +373,26 @@ def _composables(m: Multicategory, bounds: Bounds, hom=None):
                     out.append(((d,) + doms, (fs,) + choices))
         return tuple(out)
 
-    for ys, z in sigs:
-        for g in homs[(ys, z)]:
-            for doms, choices in slots(ys, bounds.max_arity):
+    return homs, slots
+
+
+def _walk(table, n: int):
+    """Every composable (g, doms, fs) of a walk table within arity n, in
+    canonical order: signatures (ys, z), then g in hom(ys, z), then the
+    domain tuples doms of ``slots(ys, n)``, then fs in the product of
+    their hom-sets."""
+    homs, slots = table
+    for (ys, z), gs in homs.items():
+        for g in gs:
+            for doms, choices in slots(ys, n):
                 for fs in itertools.product(*choices):
                     yield g, doms, fs
+
+
+def _composables(m: Multicategory, bounds: Bounds, hom=None):
+    """Every composable (g, doms, fs) within bounds, in canonical order,
+    from a new walk table whose hom-sets ``hom`` fetches."""
+    yield from _walk(_walk_table(m, bounds, hom), bounds.max_arity)
 
 
 def check_multicategory_axioms(
@@ -437,16 +439,15 @@ def check_multicategory_axioms(
 
 def _assoc_loci(m: Multicategory, bounds: Bounds) -> list[str]:
     """Exhaustive two-level associativity: every (g, fs, hs) within bounds,
-    one locus per failing triple, in canonical order."""
+    one locus per failing triple, in canonical order.  Both levels read
+    one walk table."""
+    table = _walk_table(m, bounds)
+    slots = table[1]
     bad = []
-    for g, doms, fs in _composables(m, bounds):
+    for g, doms, fs in _walk(table, bounds.max_arity):
         mid = m.compose(fs, g)
         flat_xs = tuple(x for d in doms for x in d)
-        for inner_doms in _inner_profiles(m, flat_xs, bounds.max_arity):
-            hs_choices = [
-                guard_hom(m, inner_doms[i], flat_xs[i], bounds)
-                for i in range(len(flat_xs))
-            ]
+        for _, hs_choices in slots(flat_xs, bounds.max_arity):
             for hs in itertools.product(*hs_choices):
                 lhs = m.compose(hs, mid)
                 split = []
@@ -512,7 +513,7 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
        f_i ends as (split_i).f_i and the left side is the right side.
     """
     n = bounds.max_arity
-    homs = {sig: guard_hom(m, *sig, bounds) for sig in m.signatures(bounds)}
+    homs, slots = _walk_table(m, bounds)
     elems = {sig: set(fs) for sig, fs in homs.items()}
     one = {x: m.identity(x) for x in m.objects()}
     if n and any(one[x] not in elems[((x,), x)] for x in one):
@@ -527,10 +528,10 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
         return m.compose(ids[:p] + (f,) + ids[p + 1 :], a)
 
     for (ys, z), gs in homs.items():
-        for doms in _inner_profiles(m, ys, n):
+        for doms, choices in slots(ys, n):
             order = sorted(range(len(ys)), key=lambda i: (len(doms[i]), i))
             for g in gs:
-                for fs in itertools.product(*map(homs.get, zip(doms, ys))):
+                for fs in itertools.product(*choices):
                     cur, xs, widths = g, ys, [1] * len(ys)
                     for i in order:
                         p = sum(widths[:i])

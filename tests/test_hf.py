@@ -14,7 +14,6 @@ def hf_values(max_depth=3):
     return st.recursive(
         atoms(),
         lambda children: st.one_of(
-            st.lists(children, max_size=3).map(lambda xs: hf.tup(*xs)),
             st.lists(children, max_size=3).map(hf.fset),
             st.lists(st.tuples(children, children), max_size=3).map(
                 lambda ps: hf.ftable(_dedupe(ps))
@@ -94,9 +93,7 @@ def test_hash_respects_equality(a, b):
 def _subvalues(v):
     """v and every value nested in it."""
     yield v
-    if v.kind == hf.TUPLE:
-        children = v.items
-    elif v.kind == hf.SET:
+    if v.kind == hf.SET:
         children = v.elements
     elif v.kind == hf.TABLE:
         children = [x for pair in v.pairs for x in pair]

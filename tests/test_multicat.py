@@ -72,7 +72,7 @@ def test_strictness_checked():
     bad = StrictMonoidalCategory(cat, lambda x, y: None, lambda a, b: "1", "*")
     assert not check_strict_monoidal(bad).ok
     with pytest.raises(StrictnessError):
-        from_strict_monoidal(bad)
+        from_strict_monoidal(bad, "one-bad")
 
 
 def test_degenerate_tensor_rejected():
@@ -314,6 +314,17 @@ def test_commutative_monoids_give_closed_multicategories(name):
     assert check_closedness(w, caps).ok
 
 
+def _inner_profiles(m, ys, cap):
+    """All tuples of domain profiles (one per input of ys) with total
+    arity at most cap, in canonical order."""
+    if not ys:
+        yield ()
+        return
+    for p in m.profiles(cap):
+        for tail in _inner_profiles(m, ys[1:], cap - len(p)):
+            yield (p,) + tail
+
+
 def _nested_walk(m, caps, hom=None):
     """The plain nest that ``_composables`` replaces, kept as its oracle:
     every domain tuple, empty hom-sets included, every hom-set fetched
@@ -321,7 +332,7 @@ def _nested_walk(m, caps, hom=None):
     hom = hom or m.hom
     for ys, z in m.signatures(caps):
         for g in hom(ys, z):
-            for doms in multicat._inner_profiles(m, ys, caps.max_arity):
+            for doms in _inner_profiles(m, ys, caps.max_arity):
                 choices = [hom(doms[i], ys[i]) for i in range(len(ys))]
                 for fs in itertools.product(*choices):
                     yield g, doms, fs

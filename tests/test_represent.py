@@ -12,24 +12,111 @@ from closedcat.correspond import (
     underlying_closed_category,
     verify_essential_surjectivity,
 )
+from closedcat.closed import check_cc_axioms, tabular_closed
 from closedcat.errors import KernelError
-from closedcat.core import Bounds, guard_hom
+from closedcat.core import Bounds, TabularCategory, guard_hom
 from closedcat.multicat import _composables, check_multicategory_axioms
 
 CAPS = Bounds(3)
 
 NAMES = ["terminal", "heyting2", "z2closed"]
 
+# Not thin and with two objects: hom(0*g, 1*g) holds two parallel
+# morphisms, where every represented registry instance is thin or has one
+# object.
+PRODUCT = "heyting2xz2closed"
+
+CAP3_NAMES = NAMES + [PRODUCT]
+
+
+def product_closed(c, d):
+    """The product of two closed categories on tabular categories, read
+    off the factors' tables: every datum is the pair of the factors'."""
+    cc, dc = c.cat, d.cat
+
+    def o(a, b):
+        return f"{a}*{b}"
+
+    def m(f, g):
+        return f"{f}*{g}"
+
+    pairs = [(a, b) for a in cc.objects() for b in dc.objects()]
+    mors = [(f, g) for f in cc.all_morphisms() for g in dc.all_morphisms()]
+    cat = TabularCategory(
+        f"{cc.name}x{dc.name}",
+        [o(a, b) for a, b in pairs],
+        {
+            (o(a, b), o(a2, b2)): [
+                m(f, g) for f in cc.hom(a, a2) for g in dc.hom(b, b2)
+            ]
+            for a, b in pairs
+            for a2, b2 in pairs
+        },
+        {
+            (m(f, g), m(f2, g2)): m(cc.compose(f, f2), dc.compose(g, g2))
+            for f, g in mors
+            for f2, g2 in mors
+            if cc.cod(f) == cc.dom(f2) and dc.cod(g) == dc.dom(g2)
+        },
+        {o(a, b): m(cc.identity(a), dc.identity(b)) for a, b in pairs},
+    )
+
+    def per_object(c_map, d_map):
+        return {o(a, b): m(c_map(a), d_map(b)) for a, b in pairs}
+
+    return tabular_closed(
+        cat.name,
+        cat,
+        o(c.unit, d.unit),
+        {
+            (o(a, b), o(a2, b2)): o(c.hom2_obj(a, a2), d.hom2_obj(b, b2))
+            for a, b in pairs
+            for a2, b2 in pairs
+        },
+        {
+            (m(f, g), m(f2, g2)): m(c.hom2_mor(f, f2), d.hom2_mor(g, g2))
+            for f, g in mors
+            for f2, g2 in mors
+        },
+        per_object(c.i, d.i),
+        per_object(c.i_inv, d.i_inv),
+        per_object(c.j, d.j),
+        {
+            (o(*p), o(*q), o(*r)): m(c.L(p[0], q[0], r[0]), d.L(p[1], q[1], r[1]))
+            for p in pairs
+            for q in pairs
+            for r in pairs
+        },
+    )
+
+
+def _closed(name):
+    if name == PRODUCT:
+        return product_closed(
+            instances.get("heyting2").build(), instances.get("z2closed").build()
+        )
+    return instances.get(name).build()
+
 
 @pytest.fixture(scope="module")
 def bundles():
     return {
-        name: build_representing_multicategory(instances.get(name).build(), CAPS)
-        for name in NAMES
+        name: build_representing_multicategory(_closed(name), CAPS)
+        for name in CAP3_NAMES
     }
 
 
-@pytest.mark.parametrize("name", NAMES)
+def test_product_has_parallel_morphisms(bundles):
+    cs = _closed(PRODUCT)
+    assert check_cc_axioms(cs).ok
+    assert len(cs.cat.objects()) == 2
+    assert len(cs.cat.hom("0*g", "1*g")) == 2
+    mcv = bundles[PRODUCT].mcv
+    sizes = {len(mcv.hom(xs, y)) for xs, y in mcv.signatures(CAPS)}
+    assert sizes == {0, 2}
+
+
+@pytest.mark.parametrize("name", CAP3_NAMES)
 def test_multicategory_axioms(bundles, name):
     rep = check_multicategory_axioms(bundles[name].mcv, CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
@@ -47,7 +134,7 @@ def test_composites_are_hom_set_members(bundles, name):
         assert any(h is r for r in mcv.hom(sum(doms, ()), g.cod))
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", CAP3_NAMES)
 def test_closedness_and_unit(bundles, name):
     b = bundles[name]
     rep = check_closedness(b.witness, CAPS)
@@ -55,13 +142,13 @@ def test_closedness_and_unit(bundles, name):
     assert check_unit_object(b.witness, b.unit, CAPS).ok
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", CAP3_NAMES)
 def test_representation_bijection(bundles, name):
     rep = check_representation(bundles[name], CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", CAP3_NAMES)
 def test_essential_surjectivity(bundles, name):
     rep = verify_essential_surjectivity(bundles[name], CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
