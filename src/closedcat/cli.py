@@ -21,7 +21,6 @@ inputs and flags produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -257,7 +256,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _render(rep: Report, args) -> str:
     if args.format == "json":
-        return json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n"
+        return interchange.dumps(rep.to_json())
     return rep.render_text() + "\n"
 
 

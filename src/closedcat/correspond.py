@@ -65,12 +65,13 @@ from .enriched import (
     gamma_repr,
     identity_v_functor,
 )
-from .errors import KernelError, NotBijective
+from .errors import BudgetExceeded, FormatError, KernelError, NotBijective
 from .multicat import (
     MultiFunctor,
     MultiNat,
     Multicategory,
     Profile,
+    _walk_table,
 )
 from .report import Report
 
@@ -594,6 +595,72 @@ class RepresentingMulticat(Multicategory):
         return self._member(
             target, g.cod, self.base.cat.compose(g.components[k][1], m)
         )
+
+    def composites(self, bounds: Bounds, hom=None):
+        """The composites of the base walk, without one compose per
+        composite.  Each signature (ys, z) is filled depth first, slot by
+        slot: a prefix of inner families carries compose's codomain chain
+        (the step value m and the position p) and the target profile, so
+        each prefix is stepped once.  Then each g costs one composition
+        and one index lookup per leaf.  A composite that compose would
+        refuse is left out in the same way, and a KernelError propagates."""
+        n = bounds.max_arity
+        homs, _ = _walk_table(self, bounds, hom)  # its hom-sets, no slot lists
+        # The fillers of a slot of type y: (|d|, d, hom(d, y)) for each
+        # non-empty hom(d, y), in increasing |d|, as the signatures come.
+        fillers: dict[ObjId, list] = {y: [] for y in self._objs}
+        for (d, y), fs in homs.items():
+            if fs:
+                fillers[y].append((len(d), d, fs))
+        shortest = {y: fl[0][0] for y, fl in fillers.items() if fl}
+        step, lpos, index = self._step, self._lpos, self._index
+        compose = self.base.cat.compose
+        refused = (ValueError, BudgetExceeded, FormatError)
+
+        def fill(ys, ends, i, p, m, target, prefix, leaves):
+            """Append (fs, target, m) to leaves for each way to fill slots
+            i.. of ys, where the target may reach length ends[j] at slot j."""
+            last = i + 1 == len(ys)
+            room = ends[i] - len(target)
+            q = lpos[ys[i]][p]
+            for w, d, fs in fillers[ys[i]]:
+                if w > room:
+                    break
+                t = target + d
+                for f in fs:
+                    try:
+                        fm = step(f, p, m)
+                    except refused:
+                        continue
+                    if last:
+                        leaves.append((prefix + (f,), t, fm))
+                    else:
+                        fill(ys, ends, i + 1, q, fm, t, prefix + (f,), leaves)
+
+        for (ys, z), gs in homs.items():
+            if not gs or not all(y in shortest for y in ys):
+                continue
+            k = self._pos[z]
+            leaves = [((), (), self._units[k])]
+            if ys:
+                # Leave room for the shortest fillers of the later slots,
+                # so that every prefix reaches a leaf.
+                ends = [
+                    n - sum(map(shortest.get, ys[i + 1 :])) for i in range(len(ys))
+                ]
+                leaves = []
+                fill(ys, ends, 0, k, self._units[k], (), (), leaves)
+            for g in gs:
+                head = g.components[k][1]
+                for fs, target, m in leaves:
+                    try:
+                        c = compose(head, m)
+                        out = index.get((target, z, c))
+                        if out is None:
+                            out = self._member(target, z, c)
+                    except refused:
+                        continue
+                    yield fs, g, out
 
     def dom(self, f: RepresentingMorphism):
         return f.dom

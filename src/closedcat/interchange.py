@@ -32,12 +32,8 @@ from .core import (
     require_declared,
     require_declared_keys,
 )
-from .errors import BudgetExceeded, FormatError
-from .multicat import (
-    Multicategory,
-    TabularMulticategory,
-    _composables,
-)
+from .errors import FormatError
+from .multicat import Multicategory, TabularMulticategory
 
 
 class _Namer:
@@ -166,7 +162,7 @@ def _profile_keyed(doc: dict, label: str, sep: str, many: bool = False) -> dict:
 def category_from_json(doc: dict) -> TabularCategory:
     try:
         return TabularCategory(
-            doc.get("name", "category"),
+            _names("name", doc.get("name", "category")),
             _objects(doc),
             dict(_keyed(doc, "hom", sep=",", parts=2, many=True)),
             dict(_keyed(doc, "compose", sep=";", parts=2)),
@@ -243,7 +239,7 @@ def closed_from_json(doc: dict) -> ClosedStructure:
     cat = category_from_json(doc)
     try:
         return tabular_closed(
-            doc.get("name", "closed"),
+            _names("name", doc.get("name", "closed")),
             cat,
             _names("unit", doc["unit"]),
             dict(_keyed(doc, "hom2", "obj", sep=",", parts=2)),
@@ -281,11 +277,7 @@ def multicat_to_json(
         hom[key] = [mname(f) for f in fs]
     compose = {}
     names = mname.names
-    for g, _, fs in _composables(m, bounds, hom_within):
-        try:
-            out = m.compose(fs, g)
-        except (ValueError, BudgetExceeded, FormatError):
-            continue  # outside this structure's tabulated horizon
+    for fs, g, out in m.composites(bounds, hom_within):
         if out in names:
             key = ",".join(map(names.__getitem__, fs)) + "|" + names[g]
             compose[key] = names[out]
@@ -338,7 +330,7 @@ def multicat_from_json(
     try:
         hom = _profile_keyed(doc, "hom", sep=";", many=True)
         compose = _profile_keyed(doc, "compose", sep="|")
-        name = doc.get("name", "multicategory")
+        name = _names("name", doc.get("name", "multicategory"))
         m = TabularMulticategory(
             name,
             _objects(doc),
@@ -383,7 +375,61 @@ def multicat_from_json(
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(_strip(doc), indent=2, sort_keys=True) + "\n"
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)`` and a
+    newline, for a document of dicts with string keys, lists, strings,
+    ints, bools and None; top-level keys starting with "_" are left out.
+    json.dumps runs its pure-Python encoder when it indents, so the layout
+    is written here and each string goes through the C encoder."""
+    out: list[str] = []
+    _encode(_strip(doc), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(v, pad: str, out: list[str]) -> None:
+    """Append the text of v to out, where pad is the line break and indent
+    that close v's own brackets."""
+    if isinstance(v, str):
+        out.append(_quote(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            x = v[k]
+            if isinstance(x, str):  # most entries: one chunk each
+                out.append(f"{sep}{_quote(k)}: {_quote(x)}")
+            else:
+                out.append(f"{sep}{_quote(k)}: ")
+                _encode(x, inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif isinstance(v, list):
+        if not v:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _encode(x, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def loads(text: str) -> dict:

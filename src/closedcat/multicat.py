@@ -84,6 +84,18 @@ class Multicategory:
     def identities_for(self, xs: Profile) -> tuple[MorId, ...]:
         return tuple(self.identity(x) for x in xs)
 
+    def composites(self, bounds: Bounds, hom=None):
+        """(fs, g, (fs).g) for every composable of ``_composables(self,
+        bounds, hom)``, in no promised order.  A composite that compose
+        refuses (ValueError, BudgetExceeded, FormatError: it lies outside
+        the structure's tabulated horizon) is left out."""
+        for g, _, fs in _composables(self, bounds, hom):
+            try:
+                out = self.compose(fs, g)
+            except (ValueError, BudgetExceeded, FormatError):
+                continue
+            yield fs, g, out
+
 
 def _compose_entry(key) -> str:
     """A composite's key (fs, g) in the file's syntax "f1,f2|g"."""

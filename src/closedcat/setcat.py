@@ -157,6 +157,8 @@ class FinSetCategory(Category):
         seeds.append(self.unit)
         self._seeds = tuple(sorted(set(seeds), key=hf.hf_key))
         self._make_hom = functools.cache(self._build_hom)
+        # Hom-sets of many pairs share an end: walk each end's depth once.
+        self._depth = functools.cache(hf.depth)
 
     def objects(self):
         return self._seeds
@@ -176,7 +178,7 @@ class FinSetCategory(Category):
         # b's deepest element as an image, so the deepest table has depth
         # 1 + max(depth(a), depth(b)).  On an empty a there is one table,
         # of depth 1; on a nonempty a with b empty there is none.
-        if na and nb and 1 + max(hf.depth(a), hf.depth(b)) > MAX_DEPTH:
+        if na and nb and 1 + max(self._depth(a), self._depth(b)) > MAX_DEPTH:
             raise BudgetExceeded(f"{self.name}: hom element exceeds depth {MAX_DEPTH}")
         return hf.function_space(a, b)
 

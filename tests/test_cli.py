@@ -507,6 +507,17 @@ def test_object_listed_twice_exits_two_naming_it(tmp_path, fixture):
 
 
 @pytest.mark.parametrize(
+    "fixture", ["broken-compose.json", "broken-j.json", "z2mc-badcompose.json"]
+)
+def test_non_string_name_exits_two_naming_it(tmp_path, fixture):
+    # one fixture for each reader: category, closed category, multicategory
+    target = _edited_fixture(tmp_path, fixture, lambda doc: doc.update(name=7))
+    out = run_cli("check", f"file:{target}")
+    assert out.returncode == 2, out.stdout + out.stderr
+    assert out.stderr.splitlines() == ["error: name must be a name, got 7"]
+
+
+@pytest.mark.parametrize(
     "params,message",
     [
         ([1], "params must be an object, got [1]"),

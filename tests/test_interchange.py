@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from closedcat import instances, interchange
 from closedcat.closed import check_cc_axioms
@@ -155,3 +156,29 @@ def test_multicat_dump_skips_refused_signatures_but_bounds_hom_sets():
     assert "o3,o1;o0" not in doc["hom"]
     with pytest.raises(BudgetExceeded, match="over budget"):
         interchange.multicat_to_json(m, Bounds(3, max_homset=0))
+
+
+# Keys and strings mix ASCII, escapes ("\\", quotes, control characters)
+# and characters outside ASCII, inside and outside the BMP.
+TEXT = st.text(st.sampled_from('_ab"\\/\n\t\x00\x7fé€𝄞'), max_size=4)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(TEXT, JSON, max_size=5))
+def test_dumps_is_json_dumps_with_an_indent(doc):
+    # empty dicts and lists, nesting, escapes, ints, bools and None all
+    # print as json.dumps prints them; top-level "_" keys are left out
+    shown = {k: v for k, v in doc.items() if not k.startswith("_")}
+    want = json.dumps(shown, indent=2, sort_keys=True) + "\n"
+    assert interchange.dumps(doc) == want
+
+
+def test_dumps_refuses_what_json_cannot_write():
+    with pytest.raises(TypeError, match="set"):
+        interchange.dumps({"kind": {1}})

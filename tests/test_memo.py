@@ -73,6 +73,22 @@ def test_representing_multicategory_is_freed_after_its_step_table_hits():
     assert _freed(ref)
 
 
+def test_representing_multicategory_is_freed_after_a_dump():
+    from closedcat import interchange
+
+    bundle = build_representing_multicategory(
+        instances.get("heyting2").build(), Bounds(2)
+    )
+    doc = interchange.multicat_to_json(
+        bundle.mcv, Bounds(3), bundle.witness, bundle.unit
+    )
+    assert doc["compose"]
+    assert bundle.mcv._step.cache_info().hits >= 1
+    refs = [weakref.ref(bundle.mcv), weakref.ref(bundle.witness)]
+    del bundle
+    assert all(_freed(r) for r in refs)
+
+
 def test_witness_of_a_registry_instance_is_freed_after_ev():
     m, w, _ = instances.get("z2").build()
     w.ev(("g", "g", "g"), "g")

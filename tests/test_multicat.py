@@ -373,12 +373,14 @@ def test_composables_match_nested_walk_on_representing(representing, name):
 
 def test_multicat_to_json_through_nested_walk(representing):
     # the dump of rep(heyting2), where most domain tuples meet an empty
-    # hom-set, is the one the plain nest builds
+    # hom-set, is the one the plain nest builds with one compose per
+    # composite
     from closedcat import interchange
 
     m = representing["heyting2"]
     doc = interchange.multicat_to_json(m, CAPS)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interchange, "_composables", _nested_walk)
+        mp.setattr(multicat, "_composables", _nested_walk)
+        mp.setattr(type(m), "composites", multicat.Multicategory.composites)
         assert interchange.multicat_to_json(m, CAPS) == doc
     assert len(doc["compose"]) > 0

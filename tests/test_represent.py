@@ -7,6 +7,7 @@ from closedcat import instances
 from closedcat.closedmc import check_closedness, check_unit_object
 from closedcat.correspond import (
     RepresentingMorphism,
+    RepresentingMulticat,
     build_representing_multicategory,
     check_representation,
     underlying_closed_category,
@@ -15,7 +16,11 @@ from closedcat.correspond import (
 from closedcat.closed import check_cc_axioms, tabular_closed
 from closedcat.errors import KernelError
 from closedcat.core import Bounds, TabularCategory, guard_hom
-from closedcat.multicat import _composables, check_multicategory_axioms
+from closedcat.multicat import (
+    Multicategory,
+    _composables,
+    check_multicategory_axioms,
+)
 
 CAPS = Bounds(3)
 
@@ -26,7 +31,11 @@ NAMES = ["terminal", "heyting2", "z2closed"]
 # object.
 PRODUCT = "heyting2xz2closed"
 
-CAP3_NAMES = NAMES + [PRODUCT]
+# Not thin, with two objects, and not a product: its families do not
+# factor into those of two smaller closed categories.
+ZERO = "zero"
+
+CAP3_NAMES = NAMES + [PRODUCT, ZERO]
 
 
 def product_closed(c, d):
@@ -90,7 +99,79 @@ def product_closed(c, d):
     )
 
 
+def zero_closed():
+    """The closed category on a unit I and a zero object Z in which hom(I, I)
+    is the commutative monoid {1, a, 0} with a.a = 0: every morphism
+    through Z is 0, which absorbs.  The internal hom is [I, I] = I and Z
+    otherwise, and it acts on hom(I, I) by multiplication."""
+    monoid = ["1", "a", "0"]
+
+    def mul(f, g):
+        return g if f == "1" else f if g == "1" else "0"
+
+    hom = {
+        ("I", "I"): monoid,
+        ("I", "Z"): ["I>Z"],
+        ("Z", "I"): ["Z>I"],
+        ("Z", "Z"): ["Z>Z"],
+    }
+    ends = {f: xy for xy, fs in hom.items() for f in fs}
+
+    def through_zero(x, y):
+        """The morphism x -> y that factors through Z."""
+        return "0" if (x, y) == ("I", "I") else hom[(x, y)][0]
+
+    def compose(f, g):
+        if f in monoid and g in monoid:
+            return mul(f, g)
+        return through_zero(ends[f][0], ends[g][1])
+
+    def h2(x, y):
+        return "I" if (x, y) == ("I", "I") else "Z"
+
+    def hom2_mor(f, g):
+        # [cod f, dom g] -> [dom f, cod g], t |-> f.t.g; both ends are I
+        # only when f and g lie in the monoid
+        if f in monoid and g in monoid:
+            return mul(f, g)
+        return through_zero(h2(ends[f][1], ends[g][0]), h2(ends[f][0], ends[g][1]))
+
+    def L(x, y, w):
+        # [y, w] -> [[x, y], [x, w]]: the identity of I, or unique
+        src, tgt = h2(y, w), h2(h2(x, y), h2(x, w))
+        return "1" if (src, tgt) == ("I", "I") else hom[(src, tgt)][0]
+
+    objs = ["I", "Z"]
+    mors = list(ends)
+    ident = {"I": "1", "Z": "Z>Z"}
+    cat = TabularCategory(
+        "zero",
+        objs,
+        hom,
+        {
+            (f, g): compose(f, g)
+            for f in mors
+            for g in mors
+            if ends[f][1] == ends[g][0]
+        },
+        ident,
+    )
+    return tabular_closed(
+        "zero",
+        cat,
+        "I",
+        {(x, y): h2(x, y) for x in objs for y in objs},
+        {(f, g): hom2_mor(f, g) for f in mors for g in mors},
+        ident,
+        ident,
+        {"I": "1", "Z": "I>Z"},
+        {(x, y, w): L(x, y, w) for x in objs for y in objs for w in objs},
+    )
+
+
 def _closed(name):
+    if name == ZERO:
+        return zero_closed()
     if name == PRODUCT:
         return product_closed(
             instances.get("heyting2").build(), instances.get("z2closed").build()
@@ -114,6 +195,15 @@ def test_product_has_parallel_morphisms(bundles):
     mcv = bundles[PRODUCT].mcv
     sizes = {len(mcv.hom(xs, y)) for xs, y in mcv.signatures(CAPS)}
     assert sizes == {0, 2}
+
+
+def test_zero_is_closed_and_not_thin(bundles):
+    cs = _closed(ZERO)
+    assert check_cc_axioms(cs).ok
+    assert len(cs.cat.hom("I", "I")) == 3
+    mcv = bundles[ZERO].mcv
+    sizes = {len(mcv.hom(xs, y)) for xs, y in mcv.signatures(CAPS)}
+    assert sizes == {1, 3}
 
 
 @pytest.mark.parametrize("name", CAP3_NAMES)
@@ -323,6 +413,14 @@ def test_codomain_chain_matches_whole_tuple_composition(name):
     assert _agrees_with_oracles(mcv, _composables(mcv, caps)) > 0
 
 
+def test_codomain_chain_matches_on_a_zero_object(bundles):
+    # compose reads each inner family at the codomain's image under the
+    # profile before that family; read after it instead, the component of
+    # a family into Z at Z replaces the one at I and the chain breaks
+    mcv = bundles[ZERO].mcv
+    assert _agrees_with_oracles(mcv, _composables(mcv, CAPS)) > 0
+
+
 def test_codomain_chain_matches_on_the_dump_horizon():
     # `represent --arity-cap 4` dumps the composites one arity further, where
     # hom-sets outside the construction's own horizon read as empty
@@ -334,6 +432,65 @@ def test_codomain_chain_matches_on_the_dump_horizon():
         mcv, dump, lambda xs, y: guard_hom(mcv, xs, y, dump, partial=True)
     )
     assert _agrees_with_oracles(mcv, walk) > 0
+
+
+def _composite_table(triples):
+    """{(fs, g): (fs).g} of the composites a walk yields, each once."""
+    table = {}
+    for fs, g, out in triples:
+        assert (fs, g) not in table, (fs, g)
+        table[(fs, g)] = out
+    return table
+
+
+def _matches_the_base_walk(mcv, bounds, hom=None):
+    # the base class's walk, one compose per composite, is the oracle
+    want = _composite_table(Multicategory.composites(mcv, bounds, hom))
+    assert want
+    assert _composite_table(mcv.composites(bounds, hom)) == want
+
+
+@pytest.mark.parametrize("name", ["heyting2", "z2closed", "terminal", PRODUCT])
+def test_composites_share_prefixes_exactly(name):
+    # walking each signature's fillers slot by slot, with the codomain
+    # chain carried along the prefix, yields the composites of the walk
+    caps = Bounds(4)
+    mcv = build_representing_multicategory(_closed(name), caps).mcv
+    _matches_the_base_walk(mcv, caps)
+
+
+def test_composites_share_prefixes_exactly_on_a_zero_object(bundles):
+    _matches_the_base_walk(bundles[ZERO].mcv, CAPS)
+
+
+def test_composites_share_prefixes_exactly_on_the_dump_horizon():
+    mcv = build_representing_multicategory(
+        instances.get("heyting2").build(), Bounds(4)
+    ).mcv
+    dump = Bounds(5)
+    _matches_the_base_walk(
+        mcv, dump, lambda xs, y: guard_hom(mcv, xs, y, dump, partial=True)
+    )
+
+
+def test_represent_composes_once_per_check_not_per_composite(monkeypatch, tmp_path):
+    # the dump of `represent --arity-cap 4` holds 59,940 composites; only
+    # the representation checks call compose
+    from closedcat import cli
+
+    calls = []
+    real = RepresentingMulticat.compose
+
+    def counted(self, fs, g):
+        calls.append(g)
+        return real(self, fs, g)
+
+    monkeypatch.setattr(RepresentingMulticat, "compose", counted)
+    out = tmp_path / "rep.json"
+    argv = ["represent", "instance:heyting2", "--arity-cap", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_text().count("|") == 59940
+    assert 0 < len(calls) <= 200
 
 
 @pytest.mark.parametrize(
