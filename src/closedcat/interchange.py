@@ -5,8 +5,10 @@ A category serializes as objects, hom table keyed "X,Y", composition
 table keyed "f;g", and identity table.  Closed structures add the unit,
 the internal hom tables (object part keyed "X,Y", morphism part keyed
 "f,g"), and the i, i_inv, j, L tables.  Multicategories key hom-sets by
-"X1,X2;Y" and composites by "f1,f2|g"; an attached closedness witness
-uses "X;Z" keys and the unit block names its object and nullary morphism.
+"X1,X2;Y" and composites by "f1,f2|g", so a name in a multicategory file
+is non-empty and holds none of ",", ";" and "|"; an attached closedness
+witness uses "X;Z" keys and the unit block names its object and nullary
+morphism.
 
 Serialization renames every object and morphism to a stable generated
 name, so structures whose native identifiers are not plain strings (lazy
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 
 from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
@@ -33,7 +36,7 @@ from .core import (
     require_declared_keys,
 )
 from .errors import FormatError
-from .multicat import Multicategory, TabularMulticategory
+from .multicat import Multicategory, TextKeyedMulticategory
 
 
 class _Namer:
@@ -105,9 +108,9 @@ def _objects(doc: dict) -> list:
     return objs
 
 
-def _entries(doc: dict, *path: str, many: bool = False):
-    """The entries of the table at ``doc[path[0]][path[1]]...``, each value
-    checked by ``_names`` under its key in the file's own syntax."""
+def _table(doc: dict, *path: str, many: bool = False) -> dict:
+    """The table at ``doc[path[0]][path[1]]...``, each value checked by
+    ``_names`` under its key in the file's own syntax."""
     table = doc
     for depth, part in enumerate(path, 1):
         table = table[part]
@@ -121,14 +124,14 @@ def _entries(doc: dict, *path: str, many: bool = False):
         label = ".".join(path)
         for key, v in table.items():
             _names(f'{label} entry "{key}"', v, many)
-    return table.items()
+    return table
 
 
 def _keyed(doc: dict, *path: str, sep: str, parts: int, many: bool = False):
     """The entries of a table whose keys join ``parts`` names with ``sep``,
     as (tuple of key parts, value); a key with another number of parts
     raises a FormatError naming it."""
-    for key, v in _entries(doc, *path, many=many):
+    for key, v in _table(doc, *path, many=many).items():
         split = tuple(key.split(sep))
         if len(split) != parts:
             raise _parts_error(".".join(path), key, parts, sep)
@@ -141,13 +144,13 @@ def _parts_error(label: str, key: str, parts: int, sep: str) -> FormatError:
     )
 
 
-def _profile_keyed(doc: dict, label: str, sep: str, many: bool = False) -> dict:
+def _profile_keyed(table: dict, label: str, sep: str) -> dict:
     """The table ``label`` of a multicategory file, keyed "X1,...,Xn<sep>Y",
     as {((X1, ..., Xn), Y): value}.  The nullary key "<sep>Y" has the empty
     profile; a key with an empty name in its profile raises a FormatError
-    naming it.  One flat loop: a dump holds tens of thousands of keys."""
-    table = {}
-    for key, v in _entries(doc, label, many=many):
+    naming it.  One flat loop over every key."""
+    out = {}
+    for key, v in table.items():
         split = key.split(sep)
         if len(split) != 2:
             raise _parts_error(label, key, 2, sep)
@@ -155,8 +158,56 @@ def _profile_keyed(doc: dict, label: str, sep: str, many: bool = False) -> dict:
         xs = tuple(left.split(",")) if left else ()
         if "" in xs:
             raise FormatError(f'{label} key "{key}" has an empty name')
-        table[(xs, y)] = v
+        out[(xs, y)] = v
+    return out
+
+
+# A line of joined compose keys without a "|".
+_BARLESS_LINE = re.compile(r"\n[^|\n]*\n")
+
+
+def _compose_keyed(table: dict) -> dict:
+    """The compose table of a multicategory file as the file holds it,
+    keyed "f1,...,fn|g", once its keys pass the grammar that
+    ``_profile_keyed`` checks.  A dump holds tens of thousands of keys, so
+    they are checked in one pass in C over their text, one key a line:
+    there are as many "|" as keys and every line holds one, so no key
+    holds a line break or a second "|"; and no line holds ",,", ",|" or
+    a leading ",".  Only a table that this pass flags is walked key by
+    key, and that walk alone raises, naming the first bad key; a flagged
+    table that the walk accepts (",," in the outer name, say) is kept as
+    it stands."""
+    text = "\n" + "\n".join(table) + "\n"
+    if (
+        text.count("|") != len(table)
+        or _BARLESS_LINE.search(text)
+        or ",," in text
+        or ",|" in text
+        or "\n," in text
+    ):
+        _profile_keyed(table, "compose", "|")
     return table
+
+
+def _require_plain_names(table: dict, label) -> None:
+    """Every name that ``table`` lists under a key is non-empty and holds
+    none of the key separators ",", ";" and "|", so each key that the
+    file's syntax writes names one entry; otherwise raise a FormatError
+    naming the first bad name and ``label(key)``.  One pass in C over the
+    joined names; only a bad table is walked in Python."""
+    lists = table.values()
+    text = "".join(itertools.chain.from_iterable(lists))
+    if all(map(all, lists)) and not any(sep in text for sep in ",;|"):
+        return
+    for key, names in table.items():
+        for x in names:
+            if not x:
+                raise FormatError(f"{label(key)} lists an empty name")
+            for sep in ",;|":
+                if sep in x:
+                    raise FormatError(
+                        f'{label(key)} lists "{x}", which contains "{sep}"'
+                    )
 
 
 def category_from_json(doc: dict) -> TabularCategory:
@@ -166,7 +217,7 @@ def category_from_json(doc: dict) -> TabularCategory:
             _objects(doc),
             dict(_keyed(doc, "hom", sep=",", parts=2, many=True)),
             dict(_keyed(doc, "compose", sep=";", parts=2)),
-            dict(_entries(doc, "id")),
+            _table(doc, "id"),
         )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed category file: {exc}") from exc
@@ -244,9 +295,9 @@ def closed_from_json(doc: dict) -> ClosedStructure:
             _names("unit", doc["unit"]),
             dict(_keyed(doc, "hom2", "obj", sep=",", parts=2)),
             dict(_keyed(doc, "hom2", "mor", sep=",", parts=2)),
-            dict(_entries(doc, "i")),
-            dict(_entries(doc, "i_inv")),
-            dict(_entries(doc, "j")),
+            _table(doc, "i"),
+            _table(doc, "i_inv"),
+            _table(doc, "j"),
             dict(_keyed(doc, "L", sep=",", parts=3)),
         )
     except (KeyError, ValueError) as exc:
@@ -326,18 +377,16 @@ def _require_signature(name, label, entry, m, f, xs, y) -> None:
 
 def multicat_from_json(
     doc: dict,
-) -> tuple[TabularMulticategory, ClosednessWitness | None, UnitWitness | None]:
+) -> tuple[TextKeyedMulticategory, ClosednessWitness | None, UnitWitness | None]:
     try:
-        hom = _profile_keyed(doc, "hom", sep=";", many=True)
-        compose = _profile_keyed(doc, "compose", sep="|")
+        homs = _table(doc, "hom", many=True)
+        hom = _profile_keyed(homs, "hom", ";")
+        _require_plain_names(homs, 'hom entry "{}"'.format)
+        compose = _compose_keyed(_table(doc, "compose"))
         name = _names("name", doc.get("name", "multicategory"))
-        m = TabularMulticategory(
-            name,
-            _objects(doc),
-            hom,
-            compose,
-            dict(_entries(doc, "id")),
-        )
+        objs = _objects(doc)
+        _require_plain_names({"objects": objs}, str)
+        m = TextKeyedMulticategory(name, objs, hom, compose, _table(doc, "id"))
         objects = set(m.objects())
         declared = {f for fs in hom.values() for f in fs}
         witness = None
@@ -363,7 +412,7 @@ def multicat_from_json(
             witness = ClosednessWitness(m, hom_obj1, ev1)
         unit = None
         if "unit" in doc:
-            block = dict(_entries(doc, "unit"))
+            block = _table(doc, "unit")
             x, u = block["unit"], block["u"]
             require_declared(name, "unit", {"unit": x}, objects, what="object")
             require_declared(name, "unit", {"u": u}, declared)

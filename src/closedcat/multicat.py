@@ -104,6 +104,12 @@ def _compose_entry(key) -> str:
 
 
 class TabularMulticategory(Multicategory):
+    """A multicategory given by explicit finite tables.  The compose table
+    is keyed (fs, g), and it is held, not copied."""
+
+    # An entry's key in the file's syntax, for error messages.
+    _entry = staticmethod(_compose_entry)
+
     def __init__(
         self,
         name: str,
@@ -115,7 +121,7 @@ class TabularMulticategory(Multicategory):
         self.name = name
         self._objects = tuple(objects)
         self._hom = {k: tuple(v) for k, v in hom.items()}
-        self._compose = dict(compose)
+        self._compose = compose
         self._identity = dict(identity)
         require_declared_keys(
             name,
@@ -131,7 +137,7 @@ class TabularMulticategory(Multicategory):
                 if f in self._sig:
                     raise ValueError(f"morphism id {f!r} used in two hom-sets")
                 self._sig[f] = (xs, y)
-        require_declared(name, "compose", self._compose, self._sig, _compose_entry)
+        require_declared(name, "compose", self._compose, self._sig, self._entry)
         require_declared_identities(
             name, self._objects, self._identity, self._sig
         )
@@ -158,6 +164,25 @@ class TabularMulticategory(Multicategory):
 
     def cod(self, f):
         return self._sig[f][1]
+
+
+class TextKeyedMulticategory(TabularMulticategory):
+    """A tabular multicategory whose compose table is keyed as a file
+    writes it, "f1,...,fn|g", so a table read from a file serves as it
+    stands and a composite is looked up by writing its key.  Every name
+    is a non-empty string holding no ",", ";" or "|" (the file reader
+    checks this), so no two (fs, g) share a key."""
+
+    _entry = staticmethod(str)
+
+    def compose(self, fs, g):
+        key = ",".join(fs) + "|" + g
+        try:
+            return self._compose[key]
+        except KeyError:
+            raise FormatError(
+                f'{self.name}: compose table has no entry "{key}"'
+            ) from None
 
 
 @dataclass(frozen=True)

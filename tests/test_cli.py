@@ -3,6 +3,7 @@ published report schema."""
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -407,6 +408,44 @@ def test_missing_or_mistyped_witness_entry_exits_two_naming_it(
 def test_empty_name_in_multicategory_key_exits_two_naming_it(
     tmp_path, z2_dump, edit, message
 ):
+    _assert_edited_z2_exits_two(tmp_path, z2_dump, edit, message)
+
+
+def _renamed(old: str, new: str):
+    """An edit that renames ``old`` to ``new`` throughout a file, keys
+    included."""
+    pattern = re.compile(rf"\b{re.escape(old)}\b")
+
+    def edit(doc):
+        text = pattern.sub(lambda _: new, json.dumps(doc))
+        doc.clear()
+        doc.update(json.loads(text))
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_renamed("m1", "m1,x"), 'hom entry ";o0" lists "m1,x", which contains ","'),
+        (
+            _renamed("m5", "m5|x"),
+            'hom entry "o0,o0;o0" lists "m5|x", which contains "|"',
+        ),
+        (_renamed("m3", "m3;x"), 'hom entry "o0;o0" lists "m3;x", which contains ";"'),
+        # the hom keys that hold it are read first
+        (_renamed("o0", "o0;x"), 'hom key ";o0;x" must have 2 parts separated by ";"'),
+        (_renamed("o0", "o,0"), 'objects lists "o,0", which contains ","'),
+        (
+            lambda doc: doc["hom"]["o0;o0"].append(""),
+            'hom entry "o0;o0" lists an empty name',
+        ),
+    ],
+)
+def test_separator_in_multicategory_name_exits_two_naming_it(
+    tmp_path, z2_dump, edit, message
+):
+    # A name holding a key separator would give two composites one key.
     _assert_edited_z2_exits_two(tmp_path, z2_dump, edit, message)
 
 

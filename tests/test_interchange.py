@@ -1,8 +1,13 @@
 """Interchange files: parse-print round trips are the identity on the
-abstract structure, and every registry instance serializes."""
+abstract structure, every registry instance serializes, and a
+multicategory file's compose table, kept keyed by its text, agrees with
+the tuple-keyed parse of every key."""
 
+import gc
+import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 from closedcat import instances, interchange
 from closedcat.closed import check_cc_axioms
 from closedcat.core import Bounds, check_category_axioms
+from closedcat.correspond import build_representing_multicategory
 from closedcat.errors import BudgetExceeded, FormatError
-from closedcat.multicat import check_multicategory_axioms
+from closedcat.multicat import TabularMulticategory, check_multicategory_axioms
 
 
 def roundtrip_doc(doc: dict) -> dict:
@@ -182,3 +188,169 @@ def test_dumps_is_json_dumps_with_an_indent(doc):
 def test_dumps_refuses_what_json_cannot_write():
     with pytest.raises(TypeError, match="set"):
         interchange.dumps({"kind": {1}})
+
+
+# -- compose tables read as the file keys them -------------------------------
+
+
+def _oracle_keyed(table: dict, label: str, sep: str) -> dict:
+    """The tuple-keyed parse of a multicategory table, key by key: each key
+    "X1,...,Xn<sep>Y" to ((X1, ..., Xn), Y), raising the loader's message
+    at the first key without one separator or with an empty name in its
+    profile."""
+    out = {}
+    for key, v in table.items():
+        split = key.split(sep)
+        if len(split) != 2:
+            raise FormatError(
+                f'{label} key "{key}" must have 2 parts separated by "{sep}"'
+            )
+        left, y = split
+        xs = tuple(left.split(",")) if left else ()
+        if "" in xs:
+            raise FormatError(f'{label} key "{key}" has an empty name')
+        out[(xs, y)] = v
+    return out
+
+
+def _oracle_multicat(doc: dict) -> TabularMulticategory:
+    return TabularMulticategory(
+        doc["name"],
+        doc["objects"],
+        _oracle_keyed(doc["hom"], "hom", ";"),
+        _oracle_keyed(doc["compose"], "compose", "|"),
+        doc["id"],
+    )
+
+
+def _represent_doc(cap: int) -> dict:
+    """The file `represent instance:heyting2 --arity-cap <cap>` writes."""
+    bundle = build_representing_multicategory(
+        instances.get("heyting2").build(), Bounds(cap)
+    )
+    doc = interchange.multicat_to_json(
+        bundle.mcv, Bounds(cap + 1), bundle.witness, bundle.unit
+    )
+    return json.loads(interchange.dumps(doc))
+
+
+def _instance_doc(name: str) -> dict:
+    """The file `instance dump <name>` writes."""
+    info = instances.get(name)
+    m, w, uw = info.build()
+    doc = interchange.multicat_to_json(m, Bounds(info.max_arity + 1), w, uw)
+    return json.loads(interchange.dumps(doc))
+
+
+def _missing_composites(oracle: TabularMulticategory):
+    """Composites that no file entry holds: each entry with its last input
+    dropped or doubled, an undeclared input, and every well-typed
+    (f, 1, ..., 1).g past the file's arity horizon, for g of arity at
+    least two and f of the horizon's arity."""
+    n = max(len(xs) for xs, _ in oracle._hom)
+    for fs, g in oracle._compose:
+        if fs:
+            yield fs[:-1], g
+            yield fs + fs[-1:], g
+        yield ("undeclared",) + fs[1:], g
+    for (ys, _), gs in oracle._hom.items():
+        if len(ys) < 2:
+            continue
+        ones = tuple(map(oracle.identity, ys[1:]))
+        for (xs, y), fs in oracle._hom.items():
+            if len(xs) == n and y == ys[0]:
+                for f, g in itertools.product(fs, gs):
+                    yield (f,) + ones, g
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "represent-2",
+        "represent-3",
+        "represent-4",
+        "z2mc-badcompose",
+        "z2",
+        "heyting2mc",
+    ],
+)
+def test_file_compose_agrees_with_tuple_keyed_oracle(source):
+    kind, _, arg = source.partition("-")
+    if kind == "represent":
+        doc = _represent_doc(int(arg))
+    elif source == "z2mc-badcompose":
+        doc = json.loads((FIXTURES / "z2mc-badcompose.json").read_text())
+    else:
+        doc = _instance_doc(source)
+    m, _, _ = interchange.multicat_from_json(doc)
+    oracle = _oracle_multicat(doc)
+    assert m._compose is doc["compose"]  # the file's table, not a copy
+    assert len(m._compose) == len(oracle._compose)
+    for (fs, g), out in oracle._compose.items():
+        assert m.compose(fs, g) == out
+    missing = 0
+    for fs, g in _missing_composites(oracle):
+        assert (fs, g) not in oracle._compose
+        with pytest.raises(FormatError) as want:
+            oracle.compose(fs, g)
+        with pytest.raises(FormatError) as got:
+            m.compose(fs, g)
+        assert str(got.value) == str(want.value)
+        missing += 1
+    assert missing > len(oracle._compose)
+
+
+# Keys of compose tables: a profile and an outer name joined by "|", each
+# name drawn from a few names, the empty name, a name with a line break
+# and names that hold a separator; and free mixtures of names, separators
+# and line breaks, some without a "|".  A table mixes both kinds, so a
+# single bad key is often the only one.
+NAME = st.sampled_from(["m0", "m1", "a\nb", "", "m0|m1", "m0,m1"])
+JOINED = st.builds(
+    lambda fs, g: ",".join(fs) + "|" + g, st.lists(NAME, max_size=3), NAME
+)
+MIXED = st.lists(st.sampled_from(["m0", "a\nb", ",", "|", ""]), max_size=6).map(
+    "".join
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.dictionaries(JOINED | MIXED, st.just("m0"), max_size=4))
+def test_compose_key_check_is_the_per_key_walk(compose):
+    doc = {
+        "kind": "multicategory",
+        "name": "t",
+        "objects": ["o"],
+        "hom": {"o;o": ["m0"], "o,o;o": ["m1"]},
+        "compose": compose,
+        "id": {"o": "m0"},
+    }
+    try:
+        _oracle_keyed(compose, "compose", "|")
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            interchange.multicat_from_json(doc)
+        assert str(got.value) == str(exc)
+    else:
+        m, _, _ = interchange.multicat_from_json(doc)
+        assert m._compose is compose
+
+
+def test_loader_retains_a_fifth_of_the_tuple_keyed_parse():
+    doc = _represent_doc(3)
+    assert len(doc["compose"]) == 5971
+
+    def retained(parse):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = parse(doc)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del kept
+        return size
+
+    oracle = retained(_oracle_multicat)
+    loaded = retained(interchange.multicat_from_json)
+    assert loaded * 5 <= oracle, (loaded, oracle)
