@@ -46,7 +46,6 @@ from .correspond import (
     lift_closed_functor,
     multifunctors_equal,
     closed_functors_equal,
-    underlying_closed_category,
     underlying_closed_functor,
     verify_essential_surjectivity,
     verify_u_construction,
@@ -113,13 +112,13 @@ def _check_target(name: str, kind: str, payload, info, args) -> Report:
             run("derived", lambda: verify_derived_cc_theorems(cs, bounds))
         return rep
 
-    m, w, uw = payload
+    m, w = payload
     if axioms:
         run("mc", lambda: check_multicategory_axioms(m, bounds))
         if w is not None:
             run("closed", lambda: check_closedness(w, bounds))
-        if w is not None and uw is not None:
-            run("unit", lambda: check_unit_object(w, uw, bounds))
+        if w is not None and w.unit is not None:
+            run("unit", lambda: check_unit_object(w, bounds))
     if theorems and w is not None:
         run("nary", lambda: check_nary_factorization(w, bounds))
 
@@ -129,8 +128,8 @@ def _check_target(name: str, kind: str, payload, info, args) -> Report:
             return r
 
         run("lemmas", lemmas)
-        if uw is not None:
-            run("u-construction", lambda: verify_u_construction(w, uw, bounds))
+        if w.unit is not None:
+            run("u-construction", lambda: verify_u_construction(w, bounds))
     return rep
 
 
@@ -151,11 +150,10 @@ def cmd_construct(args) -> int:
     if args.what == "underlying":
         if kind != "multicat":
             raise FormatError("construct underlying expects a multicategory")
-        m, w, uw = payload
-        if w is None or uw is None:
+        m, w = payload
+        if w is None or w.unit is None:
             raise FormatError("multicategory lacks a closedness witness or unit")
-        cs = underlying_closed_category(w, uw, bounds)
-        doc = interchange.closed_to_json(cs, bounds)
+        doc = interchange.closed_to_json(w.underlying(bounds), bounds)
     elif args.what == "ek":
         if kind != "closed":
             raise FormatError("construct ek expects a closed category")
@@ -177,7 +175,7 @@ def cmd_represent(args) -> int:
     rep.extend(check_representation(bundle, bounds))
     rep.extend(verify_essential_surjectivity(bundle, bounds))
     dump = Bounds(bounds.max_arity + 1, bounds.max_homset)
-    doc = interchange.multicat_to_json(bundle.mcv, dump, bundle.witness, bundle.unit)
+    doc = interchange.multicat_to_json(bundle.mcv, dump, bundle.witness)
     _write(interchange.dumps(doc), args.out)
     sys.stdout.write(_render(rep, args))
     return 0 if rep.ok else 1
@@ -187,8 +185,8 @@ def cmd_roundtrip(args) -> int:
     name, kind, payload, info = _load_target(args.target)
     if kind != "multicat":
         raise FormatError("roundtrip expects a multicategory target")
-    m, w, uw = payload
-    if w is None or uw is None:
+    m, w = payload
+    if w is None or w.unit is None:
         raise FormatError("multicategory lacks a closedness witness or unit")
     bounds = _bounds(args)
 
@@ -199,18 +197,21 @@ def cmd_roundtrip(args) -> int:
         else:
             if fname not in instances.FUNCTORS:
                 raise FormatError(f"unknown functor {fname!r}")
-            F = instances.FUNCTORS[fname](m)
+            home, make = instances.FUNCTORS[fname]
+            if info is None or info.name != home:
+                msg = f"{args.functor} acts on instance:{home} only"
+                raise FormatError(f"{msg}, not on {args.target}")
+            F = make(m)
     else:
         raise FormatError("functor must be functor:NAME")
 
     rep = Report(f"roundtrip {name} {F.name}")
-    ucs = underlying_closed_category(w, uw, bounds)
-    UF = underlying_closed_functor(F, w, uw, w, uw, ucs, ucs, bounds)
+    UF = underlying_closed_functor(F, w, w, bounds)
     rep.extend(check_cf_axioms(UF, bounds), prefix="U/")
-    lifted = lift_closed_functor(UF, w, uw, w, uw, bounds)
+    lifted = lift_closed_functor(UF, w, w, bounds)
     eq, locus = multifunctors_equal(lifted, F, bounds)
     rep.add("roundtrip/lift-after-U", "lift(U(F)) = F", eq, locus)
-    UL = underlying_closed_functor(lifted, w, uw, w, uw, ucs, ucs, bounds)
+    UL = underlying_closed_functor(lifted, w, w, bounds)
     eq2, locus2 = closed_functors_equal(UL, UF, bounds)
     rep.add("roundtrip/U-after-lift", "U(lift(Phi)) = Phi", eq2, locus2)
     rep.extend(check_injectivity(F, lifted, UF, UL, bounds))
@@ -240,9 +241,9 @@ def cmd_instance(args) -> int:
             params = {"max_size": 2} if args.name == "finset" else {}
             doc = interchange.closed_ref_to_json(args.name, params)
     else:
-        m, w, uw = info.build()
+        m, w = info.build()
         dump = Bounds(bounds.max_arity + 1, bounds.max_homset)
-        doc = interchange.multicat_to_json(m, dump, w, uw)
+        doc = interchange.multicat_to_json(m, dump, w)
     _write(interchange.dumps(doc), args.out)
     return 0
 

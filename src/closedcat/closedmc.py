@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import DEFAULT_BOUNDS, Bounds, MorId, ObjId, bijective, guard_hom, preimages
 from .errors import NoUnitFound, NotBijective, NotUnique
@@ -28,9 +28,16 @@ from .multicat import (
 from .report import Report
 
 
+@dataclass(frozen=True)
+class UnitWitness:
+    unit: ObjId
+    u: MorId  # nullary morphism () -> unit
+
+
 @dataclass
 class ClosednessWitness:
-    """Unary internal homs und(X;Z) and evaluations ev : X, und(X;Z) -> Z.
+    """Unary internal homs und(X;Z) and evaluations ev : X, und(X;Z) -> Z,
+    with the unit object, if one is declared.
 
     ``hom_obj``/``ev`` extend the unary data to every arity: the empty
     profile gives und(;Z) = Z with the identity evaluation, and longer
@@ -40,16 +47,19 @@ class ClosednessWitness:
     m: Multicategory
     hom_obj1: dict[tuple[ObjId, ObjId], ObjId]
     ev1: dict[tuple[ObjId, ObjId], MorId]
+    unit: UnitWitness | None = None
 
     def __post_init__(self):
         # Memos freed with the witness: the derived evaluations per
         # (profile, object), the preimage tables of currying per
-        # (xs, ys, z, bounds) and of the factorization through a unit per
-        # (uw, x, bounds), and the internal category per bounds.
+        # (xs, ys, z, bounds) and of the factorization through the unit
+        # per (x, bounds), and the internal category and the underlying
+        # closed category U(M) per bounds.
         self._ev = functools.cache(self._derive_ev)
         self.curry_table = functools.cache(self._uncurry_preimages)
         self.unit_table = functools.cache(self._unit_preimages)
         self.internal_category = functools.cache(self._internal_category)
+        self.underlying = functools.cache(self._underlying)
 
     def hom_obj(self, xs: Profile, z: ObjId) -> ObjId:
         xs = tuple(xs)
@@ -77,10 +87,10 @@ class ClosednessWitness:
         hom = guard_hom(self.m, ys, self.hom_obj(xs, z), bounds)
         return preimages(hom, lambda g: uncurry(self, g, xs, z))
 
-    def _unit_preimages(self, uw, x, bounds) -> dict:
+    def _unit_preimages(self, x, bounds) -> dict:
         """Precomposition with u on hom(unit; x), inverted."""
-        hom = guard_hom(self.m, (uw.unit,), x, bounds)
-        return preimages(hom, lambda g: self.m.compose((uw.u,), g))
+        hom = guard_hom(self.m, (self.unit.unit,), x, bounds)
+        return preimages(hom, lambda g: self.m.compose((self.unit.u,), g))
 
     def _internal_category(self, bounds: Bounds) -> "InternalCategory":
         """mu (currying the two-step evaluation), the internal identities
@@ -98,6 +108,11 @@ class ClosednessWitness:
             mu[(x, y, z)] = curry(self, two_step, 1, bounds)
             LX[(x, y, z)] = curry(self, mu[(x, y, z)], 1, bounds)
         return InternalCategory(mu, unit1, LX)
+
+    def _underlying(self, bounds: Bounds):
+        from .correspond import underlying_closed_category
+
+        return underlying_closed_category(self, bounds)
 
 
 def uncurry(
@@ -571,29 +586,21 @@ def verify_closing_multinat(
     return rep
 
 
-@dataclass(frozen=True)
-class UnitWitness:
-    unit: ObjId
-    u: MorId  # nullary morphism () -> unit
-
-
-def unit_contraction(
-    w: ClosednessWitness, uw: UnitWitness, x: ObjId
-) -> MorId:
+def unit_contraction(w: ClosednessWitness, x: ObjId) -> MorId:
     """und(u;1) : und(unit;X) -> X, the evaluation against u."""
-    m = w.m
+    m, uw = w.m, w.unit
     h = w.hom_obj((uw.unit,), x)
     return m.compose((uw.u, m.identity(h)), w.ev((uw.unit,), x))
 
 
 def contraction_inverses(
-    w: ClosednessWitness, uw: UnitWitness, x: ObjId, bounds: Bounds
+    w: ClosednessWitness, x: ObjId, bounds: Bounds
 ) -> list[MorId]:
     """Every two-sided inverse X -> und(unit;X) of the unit contraction at
     X, by exhaustive search in canonical order."""
     m = w.m
-    h = w.hom_obj((uw.unit,), x)
-    t = unit_contraction(w, uw, x)
+    h = w.hom_obj((w.unit.unit,), x)
+    t = unit_contraction(w, x)
     return [
         g
         for g in guard_hom(m, (x,), h, bounds)
@@ -602,17 +609,15 @@ def contraction_inverses(
     ]
 
 
-def check_unit_object(
-    w: ClosednessWitness, uw: UnitWitness, bounds: Bounds = DEFAULT_BOUNDS
-) -> Report:
-    """An object with a nullary morphism is a unit when evaluating against
-    it is an isomorphism und(unit;X) -> X for every X; the inverse is
-    found by search."""
+def check_unit_object(w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
+    """The witness's object with its nullary morphism is a unit when
+    evaluating against it is an isomorphism und(unit;X) -> X for every X;
+    the inverse is found by search."""
     rep = Report(f"unit object: {w.m.name}")
     m = w.m
     bad = []
     for x in sorted(m.objects(), key=m.obj_key):
-        inv = contraction_inverses(w, uw, x, bounds)
+        inv = contraction_inverses(w, x, bounds)
         if len(inv) != 1:
             bad.append(f"X={m.show_obj(x)} ({len(inv)} inverses)")
     rep.law("unit/contraction-iso", "evaluation against u invertible", bad)
@@ -621,30 +626,25 @@ def check_unit_object(
 
 def find_unit_object(
     w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
-) -> UnitWitness:
-    """First (object, nullary morphism) pair passing the unit check, in
-    canonical order."""
+) -> ClosednessWitness:
+    """The witness with the first (object, nullary morphism) pair that
+    passes the unit check, in canonical order, as its unit."""
     m = w.m
     for x in sorted(m.objects(), key=m.obj_key):
         for u in sorted(guard_hom(m, (), x, bounds), key=m.mor_key):
-            cand = UnitWitness(x, u)
-            if check_unit_object(w, cand, bounds).ok:
+            cand = replace(w, unit=UnitWitness(x, u))
+            if check_unit_object(cand, bounds).ok:
                 return cand
     raise NoUnitFound(f"{m.name}: no unit object within the arity cap")
 
 
-def bar(
-    w: ClosednessWitness,
-    uw: UnitWitness,
-    f: MorId,
-    bounds: Bounds = DEFAULT_BOUNDS,
-) -> MorId:
+def bar(w: ClosednessWitness, f: MorId, bounds: Bounds = DEFAULT_BOUNDS) -> MorId:
     """The unique morphism unit -> X with u then it equal to the given
     nullary morphism, read from the witness's factorization table."""
     m = w.m
     if m.dom(f) != ():
         raise ValueError("bar expects a nullary morphism")
-    hits = w.unit_table(uw, m.cod(f), bounds).get(f, ())
+    hits = w.unit_table(m.cod(f), bounds).get(f, ())
     if len(hits) != 1:
         raise NotUnique(
             f"{m.name}: {len(hits)} factorizations of {m.show_mor(f)} through u"

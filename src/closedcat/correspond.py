@@ -115,13 +115,12 @@ class UnderlyingCategory(Category):
 
 
 def underlying_closed_category(
-    w: ClosednessWitness,
-    uw: UnitWitness,
-    bounds: Bounds = DEFAULT_BOUNDS,
+    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> ClosedStructure:
     """The underlying closed category of a closed multicategory with a
     unit object.  i inverts the unit contraction, j factors the internal
-    identity through u, and L curries the internal composition."""
+    identity through u, and L curries the internal composition.  The
+    witness keeps one per bounds, ``w.underlying(bounds)``."""
     m = w.m
     ic = w.internal_category(bounds)
     cat = UnderlyingCategory(m)
@@ -129,15 +128,15 @@ def underlying_closed_category(
 
     i = {}
     for x in objs:
-        hits = contraction_inverses(w, uw, x, bounds)
+        hits = contraction_inverses(w, x, bounds)
         if len(hits) != 1:
             raise NotBijective(
                 f"{m.name}: unit contraction at {m.show_obj(x)} "
                 f"has {len(hits)} inverses"
             )
         i[x] = hits[0]
-    i_inv = {x: unit_contraction(w, uw, x) for x in objs}
-    j = {x: bar(w, uw, ic.unit1[x], bounds) for x in objs}
+    i_inv = {x: unit_contraction(w, x) for x in objs}
+    j = {x: bar(w, ic.unit1[x], bounds) for x in objs}
 
     @functools.cache
     def hom2_mor(f: MorId, g: MorId) -> MorId:
@@ -148,7 +147,7 @@ def underlying_closed_category(
     return ClosedStructure(
         f"U({m.name})",
         cat,
-        uw.unit,
+        w.unit.unit,
         lambda x, y: w.hom_obj((x,), y),
         hom2_mor,
         i.__getitem__,
@@ -159,9 +158,7 @@ def underlying_closed_category(
 
 
 def verify_u_construction(
-    w: ClosednessWitness,
-    uw: UnitWitness,
-    bounds: Bounds = DEFAULT_BOUNDS,
+    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """The five reformulations that make the underlying structure a closed
     category, each named after the axiom it discharges: CC1 reduces to the
@@ -173,7 +170,7 @@ def verify_u_construction(
     rep = Report(f"closed category from multicategory: {m.name}")
     ic = w.internal_category(bounds)
     objs = sorted(m.objects(), key=m.obj_key)
-    unit = uw.unit
+    unit = w.unit.unit
 
     rep.law(
         "u/CC1-internal-identities",
@@ -199,8 +196,8 @@ def verify_u_construction(
     bad = []
     for y in objs:
         for z in objs:
-            ty = unit_contraction(w, uw, y)
-            tz = unit_contraction(w, uw, z)
+            ty = unit_contraction(w, y)
+            tz = unit_contraction(w, z)
             lhs = m.compose(
                 (ic.LX[(unit, y, z)],),
                 hom_action_cov(w, (w.hom_obj((unit,), y),), tz, bounds),
@@ -211,12 +208,12 @@ def verify_u_construction(
     rep.law("u/CC4-contraction", "CC4 via the unit contraction", bad)
 
     bad = []
-    ucs = underlying_closed_category(w, uw, bounds)
+    ucs = w.underlying(bounds)
     for x in objs:
         for y in objs:
             for f in guard_hom(m, (x,), y, bounds):
                 g = gamma(ucs, f)
-                nullary = m.compose((uw.u,), g)
+                nullary = m.compose((w.unit.u,), g)
                 back = uncurry(w, nullary, (x,), y)
                 if back != f:
                     bad.append(f"f={m.show_mor(f)}")
@@ -227,19 +224,16 @@ def verify_u_construction(
 def underlying_closed_functor(
     F: MultiFunctor,
     w_src: ClosednessWitness,
-    uw_src: UnitWitness,
     w_tgt: ClosednessWitness,
-    uw_tgt: UnitWitness,
-    src_cs: ClosedStructure,
-    tgt_cs: ClosedStructure,
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> ClosedFunctor:
-    """The closed functor induced by a multifunctor: the hom comparison is
-    the closing transformation and the unit comparison factors the image
-    of u."""
+    """The closed functor induced by a multifunctor, between the
+    witnesses' own U(M) and U(N): the hom comparison is the closing
+    transformation and the unit comparison factors the image of u."""
     from .closedmc import closing_transformation
     from .core import Functor
 
+    src_cs, tgt_cs = w_src.underlying(bounds), w_tgt.underlying(bounds)
     phi = Functor(
         f"U({F.name})",
         src_cs.cat,
@@ -251,7 +245,7 @@ def underlying_closed_functor(
     def phi_hat(x, y):
         return closing_transformation(w_src, w_tgt, F, (x,), y, bounds)
 
-    phi0 = bar(w_tgt, uw_tgt, F.mor_map(uw_src.u), bounds)
+    phi0 = bar(w_tgt, F.mor_map(w_src.unit.u), bounds)
     return ClosedFunctor(f"U({F.name})", src_cs, tgt_cs, phi, phi_hat, phi0)
 
 
@@ -272,11 +266,8 @@ def check_U_functoriality(
     F: MultiFunctor,
     G: MultiFunctor,
     w1: ClosednessWitness,
-    uw1: UnitWitness,
     w2: ClosednessWitness,
-    uw2: UnitWitness,
     w3: ClosednessWitness,
-    uw3: UnitWitness,
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Report:
     """Strict functoriality of the passage to closed data: the induced
@@ -286,23 +277,18 @@ def check_U_functoriality(
     from .closed import compose_closed_functors
 
     rep = Report(f"functoriality of U: {F.name};{G.name}")
-    cs1 = underlying_closed_category(w1, uw1, bounds)
-    cs2 = underlying_closed_category(w2, uw2, bounds)
-    cs3 = underlying_closed_category(w3, uw3, bounds)
-    UF = underlying_closed_functor(F, w1, uw1, w2, uw2, cs1, cs2, bounds)
-    UG = underlying_closed_functor(G, w2, uw2, w3, uw3, cs2, cs3, bounds)
-    Ucomp = underlying_closed_functor(
-        F.then(G), w1, uw1, w3, uw3, cs1, cs3, bounds
-    )
+    UF = underlying_closed_functor(F, w1, w2, bounds)
+    UG = underlying_closed_functor(G, w2, w3, bounds)
+    Ucomp = underlying_closed_functor(F.then(G), w1, w3, bounds)
     eq, locus = closed_functors_equal(
         Ucomp, compose_closed_functors(UF, UG), bounds
     )
     rep.add("u-fun/compose", "U(G.F) = U(G).U(F)", eq, locus)
 
-    Uid = underlying_closed_functor(
-        MultiFunctor.identity(w1.m), w1, uw1, w1, uw1, cs1, cs1, bounds
+    Uid = underlying_closed_functor(MultiFunctor.identity(w1.m), w1, w1, bounds)
+    eq2, locus2 = closed_functors_equal(
+        Uid, ClosedFunctor.identity(w1.underlying(bounds)), bounds
     )
-    eq2, locus2 = closed_functors_equal(Uid, ClosedFunctor.identity(cs1), bounds)
     rep.add("u-fun/identity", "U(id) = id", eq2, locus2)
 
     r = MultiNat.identity(F)
@@ -403,9 +389,7 @@ def check_2cell_transfer(
 def lift_closed_functor(
     Phi: ClosedFunctor,
     w_src: ClosednessWitness,
-    uw_src: UnitWitness,
     w_tgt: ClosednessWitness,
-    uw_tgt: UnitWitness,
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> MultiFunctor:
     """Reconstruct a multifunctor from a closed functor between the
@@ -422,8 +406,8 @@ def lift_closed_functor(
     def lift(f: MorId) -> MorId:
         xs = m.dom(f)
         if len(xs) == 0:
-            fbar = bar(w_src, uw_src, f, bounds)
-            head = d.compose((uw_tgt.u,), Phi.phi0)
+            fbar = bar(w_src, f, bounds)
+            head = d.compose((w_tgt.unit.u,), Phi.phi0)
             return d.compose((head,), Phi.phi.mor_map(fbar))
         x1, y = xs[0], m.cod(f)
         inner = lift(curry1(w_src, f, bounds))
@@ -690,8 +674,7 @@ class RepresentedBundle:
     ek: EKClosedStructure
     iso: ClosedFunctor  # base structure -> normalized structure
     mcv: RepresentingMulticat
-    witness: ClosednessWitness
-    unit: UnitWitness
+    witness: ClosednessWitness  # carries the unit
 
 
 def build_representing_multicategory(
@@ -715,10 +698,8 @@ def build_representing_multicategory(
         for z in objs:
             comps = tuple(w.L(x, z, a) for a in objs)
             ev1[(x, z)] = mcv._find((x, w.hom2_obj(x, z)), z, comps)
-    witness = ClosednessWitness(mcv, hom_obj1, ev1)
-
     unit = UnitWitness(w.unit, mcv._find((), w.unit, tuple(map(w.i_inv, objs))))
-    return RepresentedBundle(ek, iso, mcv, witness, unit)
+    return RepresentedBundle(ek, iso, mcv, ClosednessWitness(mcv, hom_obj1, ev1, unit))
 
 
 def check_representation(
@@ -778,7 +759,7 @@ def verify_essential_surjectivity(
     wcat = w.cat
     objs = mcv.objects()
 
-    ucs = underlying_closed_category(bundle.witness, bundle.unit, bounds)
+    ucs = bundle.witness.underlying(bounds)
 
     def l_of(f) -> RepresentingMorphism:
         x, y = wcat.dom(f), wcat.cod(f)

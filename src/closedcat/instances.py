@@ -191,7 +191,7 @@ def _z2_smc() -> StrictMonoidalCategory:
     )
 
 
-def build_z2_multicat() -> tuple[Multicategory, ClosednessWitness, UnitWitness]:
+def build_z2_multicat() -> tuple[Multicategory, ClosednessWitness]:
     """The two-element group as a one-object multicategory: a morphism of
     arity n is a group element, and composition sums everything."""
     m = from_strict_monoidal(_z2_smc(), "z2")
@@ -199,12 +199,12 @@ def build_z2_multicat() -> tuple[Multicategory, ClosednessWitness, UnitWitness]:
         m,
         {("g", "g"): "g"},
         {("g", "g"): MMor(("g", "g"), "g", "e")},
+        UnitWitness("g", MMor((), "g", "e")),
     )
-    uw = UnitWitness("g", MMor((), "g", "e"))
-    return m, w, uw
+    return m, w
 
 
-def build_heyting2_multicat() -> tuple[Multicategory, ClosednessWitness, UnitWitness]:
+def build_heyting2_multicat() -> tuple[Multicategory, ClosednessWitness]:
     """The Heyting algebra under meet as a strict monoidal poset, hence a
     multicategory with implication hom objects."""
     hey = build_heyting2()
@@ -231,9 +231,8 @@ def build_heyting2_multicat() -> tuple[Multicategory, ClosednessWitness, UnitWit
         for z in "01":
             src = meet(x, imp(x, z))
             ev1[(x, z)] = MMor((x, imp(x, z)), z, _heyting_mor(src, z))
-    w = ClosednessWitness(m, hom_obj1, ev1)
-    uw = UnitWitness("1", MMor((), "1", _heyting_mor("1", "1")))
-    return m, w, uw
+    unit = UnitWitness("1", MMor((), "1", _heyting_mor("1", "1")))
+    return m, ClosednessWitness(m, hom_obj1, ev1, unit)
 
 
 def _truncadd_smc() -> StrictMonoidalCategory:
@@ -246,7 +245,7 @@ def _truncadd_smc() -> StrictMonoidalCategory:
     return StrictMonoidalCategory(cat, lambda x, y: "g", add, "g")
 
 
-def build_truncadd_badev() -> tuple[Multicategory, ClosednessWitness, None]:
+def build_truncadd_badev() -> tuple[Multicategory, ClosednessWitness]:
     """Negative fixture: truncated addition admits no subtraction, so the
     declared evaluation t1 makes the currying map non-bijective."""
     m = from_strict_monoidal(_truncadd_smc(), "truncadd-badev")
@@ -255,10 +254,10 @@ def build_truncadd_badev() -> tuple[Multicategory, ClosednessWitness, None]:
         {("g", "g"): "g"},
         {("g", "g"): MMor(("g", "g"), "g", "t1")},
     )
-    return m, w, None
+    return m, w
 
 
-def build_truncadd_badunit() -> tuple[Multicategory, ClosednessWitness, UnitWitness]:
+def build_truncadd_badunit() -> tuple[Multicategory, ClosednessWitness]:
     """Negative fixture: a valid witness (evaluation t0) but a candidate
     unit whose nullary morphism t1 cannot be inverted away."""
     m = from_strict_monoidal(_truncadd_smc(), "truncadd-badunit")
@@ -266,11 +265,12 @@ def build_truncadd_badunit() -> tuple[Multicategory, ClosednessWitness, UnitWitn
         m,
         {("g", "g"): "g"},
         {("g", "g"): MMor(("g", "g"), "g", "t0")},
+        UnitWitness("g", MMor((), "g", "t1")),
     )
-    return m, w, UnitWitness("g", MMor((), "g", "t1"))
+    return m, w
 
 
-def build_z2mc_badcompose() -> tuple[Multicategory, None, None]:
+def build_z2mc_badcompose() -> tuple[Multicategory, None]:
     """Negative fixture: the z2 multicategory tabulated up to arity three
     with one composite flipped, so two-level associativity fails at
     localizable tuples."""
@@ -312,10 +312,10 @@ def build_z2mc_badcompose() -> tuple[Multicategory, None, None]:
     m = TabularMulticategory(
         "z2mc-badcompose", objs, hom, compose, {"g": mid("e", 1)}
     )
-    return m, None, None
+    return m, None
 
 
-def build_freemon3() -> tuple[Multicategory, None, None]:
+def build_freemon3() -> tuple[Multicategory, None]:
     """Free monoid on one generator truncated at length three: the tensor
     is partial, so signatures past the cap raise BudgetExceeded."""
     cap = 3
@@ -336,7 +336,7 @@ def build_freemon3() -> tuple[Multicategory, None, None]:
         return f"i{k}"
 
     smc = StrictMonoidalCategory(cat, tensor_obj, tensor_mor, "x0")
-    return MonoidalMulticategory(smc, "freemon3"), None, None
+    return MonoidalMulticategory(smc, "freemon3"), None
 
 
 def z2_inversion(m: Multicategory) -> MultiFunctor:
@@ -497,9 +497,10 @@ _register(
     )
 )
 
+# Each functor with the registry instance it is built for.
 FUNCTORS = {
-    "inversion": z2_inversion,
-    "shift": z2_shift,
+    "inversion": ("z2", z2_inversion),
+    "shift": ("z2", z2_shift),
 }
 
 

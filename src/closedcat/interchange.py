@@ -308,7 +308,6 @@ def multicat_to_json(
     m: Multicategory,
     bounds: Bounds = DEFAULT_BOUNDS,
     witness: ClosednessWitness | None = None,
-    unit: UnitWitness | None = None,
 ) -> dict:
     oname = _Namer("o")
     mname = _Namer("m")
@@ -353,8 +352,9 @@ def multicat_to_json(
             for z in objs
             if (x, z) in witness.ev1
         }
-    if unit is not None:
-        doc["unit"] = {"unit": oname(unit.unit), "u": mname(unit.u)}
+        if witness.unit is not None:
+            unit = witness.unit
+            doc["unit"] = {"unit": oname(unit.unit), "u": mname(unit.u)}
     return doc
 
 
@@ -377,7 +377,9 @@ def _require_signature(name, label, entry, m, f, xs, y) -> None:
 
 def multicat_from_json(
     doc: dict,
-) -> tuple[TextKeyedMulticategory, ClosednessWitness | None, UnitWitness | None]:
+) -> tuple[TextKeyedMulticategory, ClosednessWitness | None]:
+    """The multicategory of a file and, if it has ``hom_obj``, its witness
+    with the unit block, which is checked in either case."""
     try:
         homs = _table(doc, "hom", many=True)
         hom = _profile_keyed(homs, "hom", ";")
@@ -389,7 +391,7 @@ def multicat_from_json(
         m = TextKeyedMulticategory(name, objs, hom, compose, _table(doc, "id"))
         objects = set(m.objects())
         declared = {f for fs in hom.values() for f in fs}
-        witness = None
+        tables = None
         if "hom_obj" in doc:
             hom_obj1 = dict(_keyed(doc, "hom_obj", sep=";", parts=2))
             ev1 = dict(_keyed(doc, "ev", sep=";", parts=2)) if "ev" in doc else {}
@@ -409,7 +411,7 @@ def multicat_from_json(
                 _require_signature(
                     name, "ev", _pair_entry(key), m, ev1[key], (x, hom_obj1[key]), z
                 )
-            witness = ClosednessWitness(m, hom_obj1, ev1)
+            tables = (hom_obj1, ev1)
         unit = None
         if "unit" in doc:
             block = _table(doc, "unit")
@@ -418,7 +420,9 @@ def multicat_from_json(
             require_declared(name, "unit", {"u": u}, declared)
             _require_signature(name, "unit", "u", m, u, (), x)
             unit = UnitWitness(x, u)
-        return m, witness, unit
+        if tables is None:
+            return m, None
+        return m, ClosednessWitness(m, *tables, unit)
     except (KeyError, ValueError) as exc:
         raise FormatError(f"malformed multicategory file: {exc}") from exc
 

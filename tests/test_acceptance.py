@@ -68,11 +68,11 @@ def test_criterion_1_axiom_suites():
         r = check_cc_axioms(cs)
         ok &= r.ok
         details += [it.line() for it in r.failures()]
-    m, w, uw = instances.get("z2").build()
+    m, w = instances.get("z2").build()
     for r in (
         check_multicategory_axioms(m, CAPS),
         check_closedness(w, CAPS),
-        check_unit_object(w, uw, CAPS),
+        check_unit_object(w, CAPS),
     ):
         ok &= r.ok
         details += [it.line() for it in r.failures()]
@@ -87,7 +87,7 @@ def test_criterion_2_derived_suites_and_negative_fixtures():
         ok &= r.ok
         details += [it.line() for it in r.failures()]
     for name in ["z2", "heyting2mc"]:
-        m, w, uw = instances.get(name).build()
+        m, w = instances.get(name).build()
         _, r0 = build_internal_category(w, CAPS)
         r1 = verify_internal_lemmas(w, CAPS)
         r2 = verify_closing_lemmas(w, w, MultiFunctor.identity(m), CAPS)
@@ -118,7 +118,7 @@ def test_criterion_2_derived_suites_and_negative_fixtures():
         elif suite == "closed":
             rep = check_closedness(built[1], CAPS)
         else:
-            rep = check_unit_object(built[1], built[2], CAPS)
+            rep = check_unit_object(built[1], CAPS)
         failing = {it.check for it in rep.failures()}
         if not expected or failing != expected:
             ok = False
@@ -130,10 +130,10 @@ def test_criterion_2_derived_suites_and_negative_fixtures():
 
 
 def test_criterion_3_u_construction():
-    m, w, uw = instances.get("z2").build()
-    ucs = underlying_closed_category(w, uw, CAPS)
+    m, w = instances.get("z2").build()
+    ucs = underlying_closed_category(w, CAPS)
     r1 = check_cc_axioms(ucs)
-    r2 = verify_u_construction(w, uw, CAPS)
+    r2 = verify_u_construction(w, CAPS)
     named = [it.check for it in r2.items]
     ok = (
         r1.ok
@@ -155,17 +155,16 @@ def test_criterion_4_round_trips():
     details = []
     cases = [("z2", "inversion"), ("z2", "identity"), ("heyting2mc", "identity")]
     for iname, fname in cases:
-        m, w, uw = instances.get(iname).build()
-        ucs = underlying_closed_category(w, uw, CAPS)
+        m, w = instances.get(iname).build()
         F = (
             MultiFunctor.identity(m)
             if fname == "identity"
-            else instances.FUNCTORS[fname](m)
+            else instances.FUNCTORS[fname][1](m)
         )
-        UF = underlying_closed_functor(F, w, uw, w, uw, ucs, ucs, CAPS)
-        lifted = lift_closed_functor(UF, w, uw, w, uw, CAPS)
+        UF = underlying_closed_functor(F, w, w, CAPS)
+        lifted = lift_closed_functor(UF, w, w, CAPS)
         eq1, l1 = multifunctors_equal(lifted, F, CAPS)
-        UL = underlying_closed_functor(lifted, w, uw, w, uw, ucs, ucs, CAPS)
+        UL = underlying_closed_functor(lifted, w, w, CAPS)
         eq2, l2 = closed_functors_equal(UL, UF)
         inj = check_injectivity(F, lifted, UF, UL, CAPS)
         cell = check_2cell_transfer(MultiNat.identity(F), UF, UF, CAPS)
@@ -183,7 +182,7 @@ def test_criterion_5_essential_surjectivity():
         reports = [
             check_multicategory_axioms(bundle.mcv, CAPS),
             check_closedness(bundle.witness, CAPS),
-            check_unit_object(bundle.witness, bundle.unit, CAPS),
+            check_unit_object(bundle.witness, CAPS),
             check_representation(bundle, CAPS),
             verify_essential_surjectivity(bundle, CAPS),
         ]
@@ -249,7 +248,7 @@ def test_criterion_7_oracle_equivalences():
     ok &= check_category_axioms(lazy).ok == check_category_axioms(tab).ok is True
 
     # rule-backed vs tabular multicategory composition agreement
-    m, w, uw = instances.get("z2").build()
+    m, w = instances.get("z2").build()
     tabm = tabularize_multicat(m, CAPS)
     ok &= check_multicategory_axioms(tabm, CAPS).ok
 

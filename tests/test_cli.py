@@ -449,6 +449,67 @@ def test_separator_in_multicategory_name_exits_two_naming_it(
     _assert_edited_z2_exits_two(tmp_path, z2_dump, edit, message)
 
 
+def _without_witness(doc):
+    del doc["hom_obj"], doc["ev"]
+
+
+def test_unit_block_without_witness_is_checked_then_dropped(tmp_path, z2_dump):
+    # no check reads a unit without a witness: only the mc suite runs
+    doc = json.loads(z2_dump)
+    _without_witness(doc)
+    target = tmp_path / "z2.json"
+    target.write_text(json.dumps(doc))
+    out = run_cli("check", f"file:{target}")
+    assert out.returncode == 0, out.stdout + out.stderr
+    checks = [line for line in out.stdout.splitlines() if line.startswith("[")]
+    assert checks and all(f"{target}/mc/" in line for line in checks), out.stdout
+
+    # ... yet a bad u is still refused, naming the entry
+    def bad_u(doc):
+        _without_witness(doc)
+        doc["unit"]["u"] = "m4"
+
+    message = 'z2: unit entry "u" names "m4" of signature "o0,o0;o0", needs ";o0"'
+    _assert_edited_z2_exits_two(tmp_path, z2_dump, bad_u, message)
+
+
+def test_witness_tables_are_read_before_the_unit(tmp_path, z2_dump):
+    def edit(doc):
+        doc["ev"]["o0;o0"] = "m0"
+        doc["unit"]["u"] = "m4"
+
+    _assert_edited_z2_exits_two(
+        tmp_path, z2_dump, edit, 'z2: ev entry "o0;o0" names "m0"'
+    )
+
+
+@pytest.mark.parametrize(
+    "target,functor",
+    [
+        ("file:z2.json", "shift"),
+        ("instance:heyting2mc", "shift"),
+        ("instance:heyting2mc", "inversion"),
+    ],
+)
+def test_registry_functor_on_another_target_exits_two_naming_both(
+    tmp_path, z2_dump, target, functor
+):
+    # a file is another target even when it is the dump of z2
+    (tmp_path / "z2.json").write_text(z2_dump)
+    target = target.replace("file:", f"file:{tmp_path}/")
+    out = run_cli("roundtrip", target, f"functor:{functor}")
+    assert out.returncode == 2, out.stdout + out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    assert f"functor:{functor}" in lines[0] and target in lines[0], lines[0]
+
+
+def test_identity_functor_acts_on_a_file(tmp_path, z2_dump):
+    (tmp_path / "z2.json").write_text(z2_dump)
+    out = run_cli("roundtrip", f"file:{tmp_path}/z2.json", "functor:identity")
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
 def test_budget_bounds_multicategory_hom_sets():
     # every hom-set of z2 within its cap has at most 2 members
     out = run_cli("check", "--budget", "1", "instance:z2")

@@ -1,6 +1,8 @@
 """Closedness witnesses: currying, derived n-ary homs, internal hom
 category, hom actions, closing transformations, and unit objects."""
 
+from dataclasses import replace
+
 import pytest
 
 from closedcat import instances
@@ -44,14 +46,14 @@ def hey():
 
 @pytest.fixture(scope="module")
 def z2_internal(z2):
-    _, w, _ = z2
+    _, w = z2
     ic, rep = build_internal_category(w, CAPS)
     assert rep.ok
     return ic
 
 
 def test_closedness_positive(z2, hey):
-    for m, w, uw in (z2, hey):
+    for m, w in (z2, hey):
         rep = check_closedness(w, CAPS)
         assert rep.ok, [it.line() for it in rep.failures()]
         assert check_nary_factorization(w, CAPS).ok
@@ -60,7 +62,7 @@ def test_closedness_positive(z2, hey):
 def test_nullary_conventions(z2):
     # und(;Z) = Z with the identity evaluation, and currying at the empty
     # profile is the identity map
-    m, w, _ = z2
+    m, w = z2
     assert w.hom_obj((), "g") == "g"
     assert w.ev((), "g") == m.identity("g")
     for f in m.hom(("g",), "g"):
@@ -70,14 +72,14 @@ def test_nullary_conventions(z2):
 
 def test_curry_on_group_is_translation_free(z2):
     # with the neutral evaluation, currying is the identity on names
-    m, w, _ = z2
+    m, w = z2
     for n in range(1, 4):
         for f in m.hom(("g",) * n, "g"):
             assert curry1(w, f, CAPS).raw == f.raw
 
 
 def test_curry_uncurry_roundtrip(z2, hey):
-    for m, w, _ in (z2, hey):
+    for m, w in (z2, hey):
         for xs, z in m.signatures(Bounds(2)):
             if not xs:
                 continue
@@ -89,7 +91,7 @@ def test_curry_uncurry_roundtrip(z2, hey):
 
 
 def test_curry_of_evaluation_is_identity(z2, hey):
-    for m, w, _ in (z2, hey):
+    for m, w in (z2, hey):
         for x in m.objects():
             for z in m.objects():
                 ev = w.ev((x,), z)
@@ -99,14 +101,14 @@ def test_curry_of_evaluation_is_identity(z2, hey):
 def test_derived_binary_hom_on_z2(z2):
     # peel-the-last induction: und(g,g;g) = g, with the evaluation a
     # composite of unary evaluations; parity oracle says it stays neutral
-    m, w, _ = z2
+    m, w = z2
     assert w.hom_obj(("g", "g"), "g") == "g"
     ev2 = w.ev(("g", "g"), "g")
     assert ev2.dom == ("g", "g", "g") and ev2.raw == "e"
 
 
 def test_nonbijective_witness_raises_and_reports():
-    m, w, _ = instances.get("truncadd-badev").build()
+    m, w = instances.get("truncadd-badev").build()
     rep = check_closedness(w, CAPS)
     assert "closed/phi-bijective" in {it.check for it in rep.failures()}
     with pytest.raises(NotBijective):
@@ -116,7 +118,7 @@ def test_nonbijective_witness_raises_and_reports():
 
 
 def test_hom_actions(z2):
-    m, w, _ = z2
+    m, w = z2
     ident = m.identity("g")
     # und(1;Z) and und(X;1) are identities
     assert hom_action_contra(w, ident, "g", CAPS) == m.identity("g")
@@ -133,7 +135,7 @@ def test_hom_actions(z2):
 
 
 def test_internal_category_of_z2(z2, z2_internal):
-    m, w, _ = z2
+    m, w = z2
     ic = z2_internal
     assert ic.mu[("g", "g", "g")].raw == "e"
     assert ic.unit1["g"].raw == "e"
@@ -144,10 +146,10 @@ def test_internal_category_of_z2(z2, z2_internal):
 
 
 def test_internal_lemmas(z2, hey):
-    m, w, _ = z2
+    m, w = z2
     rep = verify_internal_lemmas(w, CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
-    m2, w2, _ = hey
+    m2, w2 = hey
     _, r = build_internal_category(w2, CAPS)
     assert r.ok
     rep2 = verify_internal_lemmas(w2, CAPS)
@@ -155,7 +157,7 @@ def test_internal_lemmas(z2, hey):
 
 
 def test_closing_transformation_identity(z2):
-    m, w, _ = z2
+    m, w = z2
     F = MultiFunctor.identity(m)
     for xs, z in m.signatures(Bounds(2)):
         t = closing_transformation(w, w, F, xs, z, CAPS)
@@ -163,7 +165,7 @@ def test_closing_transformation_identity(z2):
 
 
 def test_closing_lemmas_and_composites(z2):
-    m, w, _ = z2
+    m, w = z2
     for F in (MultiFunctor.identity(m), instances.z2_shift(m)):
         rep = verify_closing_lemmas(w, w, F, CAPS)
         assert rep.ok, (F.name, [it.line() for it in rep.failures()])
@@ -174,43 +176,43 @@ def test_closing_lemmas_and_composites(z2):
 
 
 def test_unit_object_checks(z2):
-    m, w, uw = z2
-    assert check_unit_object(w, uw, CAPS).ok
+    m, w = z2
+    assert check_unit_object(w, CAPS).ok
     # the other nullary morphism also witnesses a unit: unique up to iso,
     # not on the nose
     other = UnitWitness("g", MMor((), "g", "s"))
-    assert check_unit_object(w, other, CAPS).ok
+    assert check_unit_object(replace(w, unit=other), CAPS).ok
     # canonical search returns the neutral element first
     found = find_unit_object(w, CAPS)
-    assert found.u.raw == "e"
+    assert found.unit.u.raw == "e"
 
 
 def test_bar_of_u_is_identity(z2, hey):
-    for m, w, uw in (z2, hey):
-        assert bar(w, uw, uw.u, CAPS) == m.identity(uw.unit)
+    for m, w in (z2, hey):
+        assert bar(w, w.unit.u, CAPS) == m.identity(w.unit.unit)
 
 
 def test_bar_unique_factorization(z2):
-    m, w, uw = z2
+    m, w = z2
     for f in m.hom((), "g"):
-        g = bar(w, uw, f, CAPS)
-        assert m.compose((uw.u,), g) == f
+        g = bar(w, f, CAPS)
+        assert m.compose((w.unit.u,), g) == f
 
 
 def test_non_unit_candidate_fails():
-    m, w, uw = instances.get("truncadd-badunit").build()
+    m, w = instances.get("truncadd-badunit").build()
     assert check_closedness(w, CAPS).ok
-    rep = check_unit_object(w, uw, CAPS)
+    rep = check_unit_object(w, CAPS)
     assert {it.check for it in rep.failures()} == {"unit/contraction-iso"}
     with pytest.raises(NotUnique):
         # u = t1 cannot factor the nullary t0 (no subtraction)
-        bar(w, uw, m.hom((), "g")[0], CAPS)
+        bar(w, m.hom((), "g")[0], CAPS)
 
 
 def test_truncadd_with_neutral_ev_has_unit():
     # the same monoid with the neutral declared evaluation is closed and
     # its canonical unit is the neutral nullary morphism
-    m, w, _ = instances.get("truncadd-badunit").build()
+    m, w = instances.get("truncadd-badunit").build()
     found = find_unit_object(w, CAPS)
-    assert found.u.raw == "t0"
-    assert unit_contraction(w, found, "g").raw == "t0"
+    assert found.unit.u.raw == "t0"
+    assert unit_contraction(found, "g").raw == "t0"

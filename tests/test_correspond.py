@@ -43,14 +43,14 @@ def hey():
 
 @pytest.fixture(scope="module")
 def z2_ucs(z2):
-    _, w, uw = z2
-    return underlying_closed_category(w, uw, CAPS)
+    _, w = z2
+    return w.underlying(CAPS)
 
 
 @pytest.fixture(scope="module")
 def hey_ucs(hey):
-    _, w, uw = hey
-    return underlying_closed_category(w, uw, CAPS)
+    _, w = hey
+    return w.underlying(CAPS)
 
 
 def test_underlying_z2_passes_all(z2, z2_ucs):
@@ -64,8 +64,8 @@ def test_underlying_heyting_passes_all(hey, hey_ucs):
 
 
 def test_u_obligations_named_and_passing(z2, hey):
-    for m, w, uw in (z2, hey):
-        rep = verify_u_construction(w, uw, CAPS)
+    for m, w in (z2, hey):
+        rep = verify_u_construction(w, CAPS)
         assert rep.ok, [it.line() for it in rep.failures()]
         names = [it.check for it in rep.items]
         assert names == [
@@ -79,7 +79,7 @@ def test_u_obligations_named_and_passing(z2, hey):
 
 def test_underlying_z2_matches_handmade_oracle(z2, z2_ucs):
     # the hand-built one-object closed category of the group is the oracle
-    m, w, uw = z2
+    m, w = z2
     oracle = instances.get("z2closed").build()
     assert z2_ucs.hom2_obj("g", "g") == oracle.hom2_obj("g", "g")
     assert z2_ucs.i("g").raw == oracle.i("g")
@@ -102,73 +102,73 @@ def test_underlying_heyting_matches_heyting2(hey, hey_ucs):
 
 
 def test_underlying_closed_functors_pass(z2, z2_ucs):
-    m, w, uw = z2
+    m, w = z2
     for F in (
         MultiFunctor.identity(m),
         instances.z2_inversion(m),
         instances.z2_shift(m),
     ):
-        UF = underlying_closed_functor(F, w, uw, w, uw, z2_ucs, z2_ucs, CAPS)
+        UF = underlying_closed_functor(F, w, w, CAPS)
         assert check_cf_axioms(UF).ok, F.name
 
 
 def test_nullary_lift_formula(z2, z2_ucs):
     # the image of a nullary morphism is u, then the unit comparison, then
     # the image of its factorization through the unit
-    m, w, uw = z2
+    m, w = z2
     F = instances.z2_shift(m)
-    UF = underlying_closed_functor(F, w, uw, w, uw, z2_ucs, z2_ucs, CAPS)
-    lifted = lift_closed_functor(UF, w, uw, w, uw, CAPS)
+    UF = underlying_closed_functor(F, w, w, CAPS)
+    lifted = lift_closed_functor(UF, w, w, CAPS)
     for f in m.hom((), "g"):
-        fbar = bar(w, uw, f, CAPS)
-        head = m.compose((uw.u,), UF.phi0)
+        fbar = bar(w, f, CAPS)
+        head = m.compose((w.unit.u,), UF.phi0)
         want = m.compose((head,), UF.phi.mor_map(fbar))
         assert lifted.mor_map(f) == want == F.mor_map(f)
 
 
 def test_unary_lift_is_phi(z2, z2_ucs):
     # on one input the reconstruction agrees with the underlying functor
-    m, w, uw = z2
+    m, w = z2
     for F in (MultiFunctor.identity(m), instances.z2_shift(m)):
-        UF = underlying_closed_functor(F, w, uw, w, uw, z2_ucs, z2_ucs, CAPS)
-        lifted = lift_closed_functor(UF, w, uw, w, uw, CAPS)
+        UF = underlying_closed_functor(F, w, w, CAPS)
+        lifted = lift_closed_functor(UF, w, w, CAPS)
         for f in m.hom(("g",), "g"):
             assert lifted.mor_map(f) == UF.phi.mor_map(f)
 
 
 @pytest.mark.parametrize("fname", ["identity", "inversion", "shift"])
 def test_roundtrip_lift_after_U_on_z2(fname, z2, z2_ucs):
-    m, w, uw = z2
+    m, w = z2
     F = (
         MultiFunctor.identity(m)
         if fname == "identity"
-        else instances.FUNCTORS[fname](m)
+        else instances.FUNCTORS[fname][1](m)
     )
-    UF = underlying_closed_functor(F, w, uw, w, uw, z2_ucs, z2_ucs, CAPS)
-    lifted = lift_closed_functor(UF, w, uw, w, uw, CAPS)
+    UF = underlying_closed_functor(F, w, w, CAPS)
+    lifted = lift_closed_functor(UF, w, w, CAPS)
     eq, locus = multifunctors_equal(lifted, F, CAPS)
     assert eq, locus
-    UL = underlying_closed_functor(lifted, w, uw, w, uw, z2_ucs, z2_ucs, CAPS)
+    UL = underlying_closed_functor(lifted, w, w, CAPS)
     eq2, locus2 = closed_functors_equal(UL, UF)
     assert eq2, locus2
 
 
 def test_roundtrip_identity_on_heyting(hey, hey_ucs):
-    m, w, uw = hey
+    m, w = hey
     F = MultiFunctor.identity(m)
-    UF = underlying_closed_functor(F, w, uw, w, uw, hey_ucs, hey_ucs, CAPS)
+    UF = underlying_closed_functor(F, w, w, CAPS)
     assert check_cf_axioms(UF).ok
-    lifted = lift_closed_functor(UF, w, uw, w, uw, CAPS)
+    lifted = lift_closed_functor(UF, w, w, CAPS)
     eq, locus = multifunctors_equal(lifted, F, CAPS)
     assert eq, locus
 
 
 def test_injectivity_and_contrapositive(z2, z2_ucs):
-    m, w, uw = z2
+    m, w = z2
     Fi = MultiFunctor.identity(m)
     Fs = instances.z2_shift(m)
-    Ui = underlying_closed_functor(Fi, w, uw, w, uw, z2_ucs, z2_ucs, CAPS)
-    Us = underlying_closed_functor(Fs, w, uw, w, uw, z2_ucs, z2_ucs, CAPS)
+    Ui = underlying_closed_functor(Fi, w, w, CAPS)
+    Us = underlying_closed_functor(Fs, w, w, CAPS)
     # distinct multifunctors have distinct images
     eq, _ = closed_functors_equal(Ui, Us)
     assert not eq
@@ -179,17 +179,15 @@ def test_injectivity_and_contrapositive(z2, z2_ucs):
 
 
 def test_U_preserves_composition_and_identities(z2, z2_ucs):
-    m, w, uw = z2
+    m, w = z2
     Fs = instances.z2_shift(m)
     comp = Fs.then(Fs)
     assert multifunctors_equal(comp, MultiFunctor.identity(m), CAPS)[0]
-    Us = underlying_closed_functor(Fs, w, uw, w, uw, z2_ucs, z2_ucs, CAPS)
-    Ucomp = underlying_closed_functor(comp, w, uw, w, uw, z2_ucs, z2_ucs, CAPS)
+    Us = underlying_closed_functor(Fs, w, w, CAPS)
+    Ucomp = underlying_closed_functor(comp, w, w, CAPS)
     eq, locus = closed_functors_equal(Ucomp, compose_closed_functors(Us, Us))
     assert eq, locus
-    Uid = underlying_closed_functor(
-        MultiFunctor.identity(m), w, uw, w, uw, z2_ucs, z2_ucs, CAPS
-    )
+    Uid = underlying_closed_functor(MultiFunctor.identity(m), w, w, CAPS)
     from closedcat.closed import ClosedFunctor
 
     eq2, locus2 = closed_functors_equal(Uid, ClosedFunctor.identity(z2_ucs))
@@ -197,9 +195,9 @@ def test_U_preserves_composition_and_identities(z2, z2_ucs):
 
 
 def test_2cell_transfer_and_bijection(z2, z2_ucs):
-    m, w, uw = z2
+    m, w = z2
     Fi = MultiFunctor.identity(m)
-    Ui = underlying_closed_functor(Fi, w, uw, w, uw, z2_ucs, z2_ucs, CAPS)
+    Ui = underlying_closed_functor(Fi, w, w, CAPS)
     r = MultiNat.identity(Fi)
     rep = check_2cell_transfer(r, Ui, Ui, CAPS)
     assert rep.ok
@@ -219,7 +217,7 @@ def test_2cell_transfer_and_bijection(z2, z2_ucs):
 
 
 def test_vertical_2cell_composition_preserved(z2, z2_ucs):
-    m, w, uw = z2
+    m, w = z2
     Fi = MultiFunctor.identity(m)
     r = MultiNat.identity(Fi)
     rr = compose_multinat_vertical(r, r)
@@ -231,12 +229,27 @@ def test_vertical_2cell_composition_preserved(z2, z2_ucs):
 def test_check_U_functoriality_report(z2):
     from closedcat.correspond import check_U_functoriality
 
-    m, w, uw = z2
+    m, w = z2
     Fs = instances.z2_shift(m)
-    rep = check_U_functoriality(Fs, Fs, w, uw, w, uw, w, uw, CAPS)
+    rep = check_U_functoriality(Fs, Fs, w, w, w, CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
     assert [it.check for it in rep.items] == [
         "u-fun/compose",
         "u-fun/identity",
         "u-fun/2-cells",
     ]
+
+
+def test_induced_functors_run_between_the_witnesses_own_categories(z2):
+    # U(M) is one object per witness and bounds, so induced closed
+    # functors compose without a category passed in
+    m, w = z2
+    F, G = instances.z2_shift(m), MultiFunctor.identity(m)
+    UF = underlying_closed_functor(F, w, w, CAPS)
+    assert UF.source is UF.target is w.underlying(CAPS)
+    UG = underlying_closed_functor(G, w, w, CAPS)
+    UFG = underlying_closed_functor(F.then(G), w, w, CAPS)
+    eq, locus = closed_functors_equal(compose_closed_functors(UF, UG), UFG)
+    assert eq, locus
+    # a structure built apart is a different object
+    assert underlying_closed_category(w, CAPS) is not w.underlying(CAPS)

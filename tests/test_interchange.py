@@ -60,17 +60,17 @@ def test_closed_lazy_instances_dump_by_reference():
 def test_multicat_roundtrip():
     caps = Bounds(3)
     for name in ["z2", "heyting2mc"]:
-        m, w, uw = instances.get(name).build()
-        doc = roundtrip_doc(interchange.multicat_to_json(m, Bounds(4), w, uw))
-        m2, w2, uw2 = interchange.multicat_from_json(doc)
-        doc2 = roundtrip_doc(interchange.multicat_to_json(m2, Bounds(4), w2, uw2))
+        m, w = instances.get(name).build()
+        doc = roundtrip_doc(interchange.multicat_to_json(m, Bounds(4), w))
+        m2, w2 = interchange.multicat_from_json(doc)
+        doc2 = roundtrip_doc(interchange.multicat_to_json(m2, Bounds(4), w2))
         assert doc == doc2, name
         assert check_multicategory_axioms(m2, caps).ok
 
 
 def test_multicat_keys_shape():
-    m, w, uw = instances.get("z2").build()
-    doc = interchange.multicat_to_json(m, Bounds(2), w, uw)
+    m, w = instances.get("z2").build()
+    doc = interchange.multicat_to_json(m, Bounds(2), w)
     assert ";" in next(iter(doc["hom"]))
     assert any("|" in k for k in doc["compose"])
     assert doc["unit"]["unit"] in doc["objects"]
@@ -106,11 +106,11 @@ def test_every_registry_instance_serializes_and_roundtrips():
             parsed = interchange.closed_from_json(doc)
             assert roundtrip_doc(interchange.closed_to_json(parsed)) == doc, name
         else:
-            m, w, uw = built
+            m, w = built
             caps = Bounds(min(3, info.max_arity) + 1)
-            doc = roundtrip_doc(interchange.multicat_to_json(m, caps, w, uw))
-            m2, w2, uw2 = interchange.multicat_from_json(doc)
-            assert roundtrip_doc(interchange.multicat_to_json(m2, caps, w2, uw2)) == doc, name
+            doc = roundtrip_doc(interchange.multicat_to_json(m, caps, w))
+            m2, w2 = interchange.multicat_from_json(doc)
+            assert roundtrip_doc(interchange.multicat_to_json(m2, caps, w2)) == doc, name
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -155,7 +155,7 @@ def test_wrong_typed_values_name_their_entry(fixture, parse, edit, named):
 
 def test_multicat_dump_skips_refused_signatures_but_bounds_hom_sets():
     # freemon3 refuses every signature whose tensor passes length three
-    m, _, _ = instances.get("freemon3").build()
+    m, _ = instances.get("freemon3").build()
     with pytest.raises(BudgetExceeded, match="tensor undefined"):
         m.hom(("x3", "x1"), "x0")
     doc = interchange.multicat_to_json(m, Bounds(4))
@@ -228,17 +228,15 @@ def _represent_doc(cap: int) -> dict:
     bundle = build_representing_multicategory(
         instances.get("heyting2").build(), Bounds(cap)
     )
-    doc = interchange.multicat_to_json(
-        bundle.mcv, Bounds(cap + 1), bundle.witness, bundle.unit
-    )
+    doc = interchange.multicat_to_json(bundle.mcv, Bounds(cap + 1), bundle.witness)
     return json.loads(interchange.dumps(doc))
 
 
 def _instance_doc(name: str) -> dict:
     """The file `instance dump <name>` writes."""
     info = instances.get(name)
-    m, w, uw = info.build()
-    doc = interchange.multicat_to_json(m, Bounds(info.max_arity + 1), w, uw)
+    m, w = info.build()
+    doc = interchange.multicat_to_json(m, Bounds(info.max_arity + 1), w)
     return json.loads(interchange.dumps(doc))
 
 
@@ -282,7 +280,7 @@ def test_file_compose_agrees_with_tuple_keyed_oracle(source):
         doc = json.loads((FIXTURES / "z2mc-badcompose.json").read_text())
     else:
         doc = _instance_doc(source)
-    m, _, _ = interchange.multicat_from_json(doc)
+    m, _ = interchange.multicat_from_json(doc)
     oracle = _oracle_multicat(doc)
     assert m._compose is doc["compose"]  # the file's table, not a copy
     assert len(m._compose) == len(oracle._compose)
@@ -332,7 +330,7 @@ def test_compose_key_check_is_the_per_key_walk(compose):
             interchange.multicat_from_json(doc)
         assert str(got.value) == str(exc)
     else:
-        m, _, _ = interchange.multicat_from_json(doc)
+        m, _ = interchange.multicat_from_json(doc)
         assert m._compose is compose
 
 

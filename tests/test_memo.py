@@ -16,7 +16,7 @@ import weakref
 from pathlib import Path
 
 from closedcat import instances
-from closedcat.closed import ek_normalize
+from closedcat.closed import check_cc_axioms, ek_normalize
 from closedcat.closedmc import bar, build_internal_category, check_closedness
 from closedcat.correspond import (
     build_representing_multicategory,
@@ -79,9 +79,7 @@ def test_representing_multicategory_is_freed_after_a_dump():
     bundle = build_representing_multicategory(
         instances.get("heyting2").build(), Bounds(2)
     )
-    doc = interchange.multicat_to_json(
-        bundle.mcv, Bounds(3), bundle.witness, bundle.unit
-    )
+    doc = interchange.multicat_to_json(bundle.mcv, Bounds(3), bundle.witness)
     assert doc["compose"]
     assert bundle.mcv._step.cache_info().hits >= 1
     refs = [weakref.ref(bundle.mcv), weakref.ref(bundle.witness)]
@@ -90,7 +88,7 @@ def test_representing_multicategory_is_freed_after_a_dump():
 
 
 def test_witness_of_a_registry_instance_is_freed_after_ev():
-    m, w, _ = instances.get("z2").build()
+    m, w = instances.get("z2").build()
     w.ev(("g", "g", "g"), "g")
     # asking again is a hit of the witness's own cache
     hits = w._ev.cache_info().hits
@@ -102,20 +100,34 @@ def test_witness_of_a_registry_instance_is_freed_after_ev():
 
 
 def test_witness_is_freed_after_its_tables_and_internal_category_hit():
-    m, w, uw = instances.get("z2").build()
+    m, w = instances.get("z2").build()
     bounds = Bounds(2)
     ic, rep = build_internal_category(w, bounds)
     assert rep.ok
     # closedness reads the currying tables that the curries built
     assert check_closedness(w, bounds).ok
-    ucs = underlying_closed_category(w, uw, bounds)
+    ucs = underlying_closed_category(w, bounds)
     assert ucs.L("g", "g", "g") is ic.LX[("g", "g", "g")]
-    assert bar(w, uw, uw.u, bounds) == bar(w, uw, uw.u, bounds)
+    assert bar(w, w.unit.u, bounds) == bar(w, w.unit.u, bounds)
     caches = (w.curry_table, w.unit_table, w.internal_category)
     assert all(c.cache_info().hits >= 1 for c in caches)
     ref = weakref.ref(w)
-    del m, w, uw, ic, rep, ucs, caches
+    del m, w, ic, rep, ucs, caches
     assert _freed(ref)
+
+
+def test_witness_is_freed_after_its_underlying_category_hits():
+    # U(M) refers back to the witness that caches it: a cycle that the
+    # collector frees once the witness is dropped
+    m, w = instances.get("z2").build()
+    bounds = Bounds(2)
+    ucs = w.underlying(bounds)
+    assert w.underlying(bounds) is ucs
+    assert w.underlying.cache_info().hits >= 1
+    assert check_cc_axioms(ucs, bounds).ok
+    refs = [weakref.ref(w), weakref.ref(ucs)]
+    del m, w, ucs
+    assert all(_freed(r) for r in refs)
 
 
 CACHES = {"cache", "lru_cache", "cached_property"}

@@ -41,7 +41,7 @@ def test_terminal_multicategory_passes():
 
 
 def test_z2_axioms_and_group_oracle(z2):
-    m, w, uw = z2
+    m, w = z2
     assert check_multicategory_axioms(m, CAPS).ok
 
     # group-multiplication oracle: composition sums parities
@@ -60,7 +60,7 @@ def test_z2_axioms_and_group_oracle(z2):
 
 
 def test_hom_sets_are_group_elements(z2):
-    m, _, _ = z2
+    m, _ = z2
     for n in range(4):
         fs = m.hom(("g",) * n, "g")
         assert sorted(f.raw for f in fs) == ["e", "s"]
@@ -107,7 +107,7 @@ def test_degenerate_tensor_rejected():
 
 
 def test_corrupted_composition_localized():
-    m, _, _ = instances.get("z2mc-badcompose").build()
+    m, _ = instances.get("z2mc-badcompose").build()
     rep = check_multicategory_axioms(m, CAPS)
     failing = {it.check for it in rep.failures()}
     assert failing == {"mc/assoc"}
@@ -118,7 +118,7 @@ def test_corrupted_composition_localized():
 
 
 def test_rule_backed_vs_tabular_oracle(z2):
-    m, _, _ = z2
+    m, _ = z2
     tab = tabularize_multicat(m, CAPS)
     assert check_multicategory_axioms(tab, CAPS).ok
     for xs, y in m.signatures(CAPS):
@@ -126,7 +126,7 @@ def test_rule_backed_vs_tabular_oracle(z2):
 
 
 def test_freemon3_cap_behavior():
-    m, _, _ = instances.get("freemon3").build()
+    m, _ = instances.get("freemon3").build()
     caps1 = Bounds(1)
     assert check_multicategory_axioms(m, caps1).ok
     assert len(m.hom(("x1", "x1", "x1"), "x3")) == 1
@@ -135,7 +135,7 @@ def test_freemon3_cap_behavior():
 
 
 def test_multifunctors_on_z2(z2):
-    m, _, _ = z2
+    m, _ = z2
     for F in [
         MultiFunctor.identity(m),
         instances.z2_inversion(m),
@@ -145,7 +145,7 @@ def test_multifunctors_on_z2(z2):
 
 
 def test_broken_multifunctor_fails(z2):
-    m, _, _ = z2
+    m, _ = z2
 
     def mor_map(f: MMor) -> MMor:
         # flip everything: does not preserve identities
@@ -158,14 +158,14 @@ def test_broken_multifunctor_fails(z2):
 
 
 def test_identity_multinat_passes(z2):
-    m, _, _ = z2
+    m, _ = z2
     F = MultiFunctor.identity(m)
     assert check_multinat(MultiNat.identity(F), CAPS).ok
 
 
 def test_only_trivial_multinat_on_identity(z2):
     # the equation forces the component to be neutral: r = n.r + r for all n
-    m, _, _ = z2
+    m, _ = z2
     F = MultiFunctor.identity(m)
     good, bad = [], []
     for cand in m.hom(("g",), "g"):
@@ -175,7 +175,7 @@ def test_only_trivial_multinat_on_identity(z2):
 
 
 def test_heyting2mc_axioms():
-    m, w, uw = instances.get("heyting2mc").build()
+    m, w = instances.get("heyting2mc").build()
     assert check_multicategory_axioms(m, CAPS).ok
     # subsingleton homs: nonempty exactly when the meet is below the target
     def meet(xs):

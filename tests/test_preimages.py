@@ -57,8 +57,8 @@ def _scan_curry(w, f, split, bounds):
     return hits[0]
 
 
-def _scan_bar(w, uw, f, bounds):
-    m = w.m
+def _scan_bar(w, f, bounds):
+    m, uw = w.m, w.unit
     if m.dom(f) != ():
         raise ValueError("bar expects a nullary morphism")
     hits = [
@@ -96,9 +96,9 @@ def _outcome(fn, *args):
 def _witness(name):
     if name == "rep(heyting2)":
         b = build_representing_multicategory(instances.get("heyting2").build(), CAPS)
-        return b.witness, b.unit
-    _, w, uw = instances.get(name).build()
-    return w, uw
+        return b.witness
+    _, w = instances.get(name).build()
+    return w
 
 
 MULTICATS = ["z2", "heyting2mc", "truncadd-badev", "truncadd-badunit", "rep(heyting2)"]
@@ -106,7 +106,7 @@ MULTICATS = ["z2", "heyting2mc", "truncadd-badev", "truncadd-badunit", "rep(heyt
 
 @pytest.mark.parametrize("name", MULTICATS)
 def test_curry_and_bar_agree_with_the_scans(name):
-    w, uw = _witness(name)
+    w = _witness(name)
     m = w.m
     outcomes = set()
     nullary = 0
@@ -116,13 +116,13 @@ def test_curry_and_bar_agree_with_the_scans(name):
                 want = _outcome(_scan_curry, w, f, split, CAPS)
                 assert _outcome(curry, w, f, split, CAPS) == want, (f, split)
                 outcomes.add(want[0])
-            if uw is not None and not xs:
+            if w.unit is not None and not xs:
                 nullary += 1
-                want = _outcome(_scan_bar, w, uw, f, CAPS)
-                assert _outcome(bar, w, uw, f, CAPS) == want, f
+                want = _outcome(_scan_bar, w, f, CAPS)
+                assert _outcome(bar, w, f, CAPS) == want, f
                 outcomes.add(want[0])
     assert "value" in outcomes
-    assert nullary or uw is None
+    assert nullary or w.unit is None
     # the negative witnesses exercise the failing counts too
     if name.startswith("truncadd"):
         assert "raises" in outcomes

@@ -229,7 +229,7 @@ def test_closedness_and_unit(bundles, name):
     b = bundles[name]
     rep = check_closedness(b.witness, CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
-    assert check_unit_object(b.witness, b.unit, CAPS).ok
+    assert check_unit_object(b.witness, CAPS).ok
 
 
 @pytest.mark.parametrize("name", CAP3_NAMES)
@@ -283,7 +283,7 @@ def test_unit_family_is_inverse_i(bundles):
     for name in NAMES:
         b = bundles[name]
         w = b.ek.closed
-        comps = dict(b.unit.u.components)
+        comps = dict(b.witness.unit.u.components)
         for a in b.mcv.objects():
             assert comps[a] == w.i_inv(a)
 
@@ -299,7 +299,7 @@ def test_underlying_of_representation_isomorphic_to_base(bundles):
         b = bundles[name]
         w = b.ek.closed
         mcv = b.mcv
-        ucs = underlying_closed_category(b.witness, b.unit, CAPS)
+        ucs = underlying_closed_category(b.witness, CAPS)
 
         def l_of(f, mcv=mcv, w=w):
             comps = tuple(
