@@ -8,6 +8,20 @@ currying map at every signature is verified bijective.  Currying itself
 reads the witness's exhaustive table of uncurrying with a uniqueness
 assertion, so it doubles as a closedness verifier: a wrong witness
 surfaces as NotBijective rather than as a silently wrong answer.
+
+The closing transformation of a multifunctor F at arity 1 is the hom
+comparison of the closed functor U(F) it induces
+(``correspond.underlying_closed_functor``), so its laws are stated there
+once: its currying square and its preservation of the internal
+identities and composition are CF1..CF3 of U(F)
+(``closed.check_cf_axioms``), its value on a composite is
+``u-fun/compose``, and its hexagon along a multinatural transformation r
+is CN2 of U(r).  At every arity they follow from multifunctoriality
+(``multicat.check_multifunctor``).
+
+A function that needs the unit reads it through
+``ClosednessWitness.declared_unit``, which raises NoUnitFound on a
+witness that declares none.
 """
 
 from __future__ import annotations
@@ -21,7 +35,6 @@ from .errors import NoUnitFound, NotBijective, NotUnique
 from .multicat import (
     Multicategory,
     MultiFunctor,
-    MultiNat,
     Profile,
     _composables,
 )
@@ -61,6 +74,12 @@ class ClosednessWitness:
         self.internal_category = functools.cache(self._internal_category)
         self.underlying = functools.cache(self._underlying)
 
+    def declared_unit(self) -> UnitWitness:
+        """The unit, or NoUnitFound when the witness declares none."""
+        if self.unit is None:
+            raise NoUnitFound(f"{self.m.name}: the witness declares no unit")
+        return self.unit
+
     def hom_obj(self, xs: Profile, z: ObjId) -> ObjId:
         xs = tuple(xs)
         if not xs:
@@ -89,8 +108,9 @@ class ClosednessWitness:
 
     def _unit_preimages(self, x, bounds) -> dict:
         """Precomposition with u on hom(unit; x), inverted."""
-        hom = guard_hom(self.m, (self.unit.unit,), x, bounds)
-        return preimages(hom, lambda g: self.m.compose((self.unit.u,), g))
+        uw = self.declared_unit()
+        hom = guard_hom(self.m, (uw.unit,), x, bounds)
+        return preimages(hom, lambda g: self.m.compose((uw.u,), g))
 
     def _internal_category(self, bounds: Bounds) -> "InternalCategory":
         """mu (currying the two-step evaluation), the internal identities
@@ -466,129 +486,9 @@ def closing_transformation(
     return curry(w_tgt, fev, len(xs), bounds)
 
 
-def verify_closing_lemmas(
-    w_src: ClosednessWitness,
-    w_tgt: ClosednessWitness,
-    F: MultiFunctor,
-    bounds: Bounds = DEFAULT_BOUNDS,
-) -> Report:
-    """Naturality of the closing transformation with respect to currying,
-    and its functor laws over the internal categories."""
-    rep = Report(f"closing transformation: {F.name}")
-    m, d = F.source, F.target
-    objs = sorted(m.objects(), key=m.obj_key)
-
-    bad = []
-    for xs, z in m.signatures(bounds):
-        t = closing_transformation(w_src, w_tgt, F, xs, z, bounds)
-        fxs = tuple(F.obj_map(x) for x in xs)
-        for ys in m.profiles(bounds.max_arity - len(xs)):
-            for g in guard_hom(m, ys, w_src.hom_obj(xs, z), bounds):
-                lhs = F.mor_map(uncurry(w_src, g, xs, z))
-                rhs = uncurry(
-                    w_tgt,
-                    d.compose((F.mor_map(g),), t),
-                    fxs,
-                    F.obj_map(z),
-                )
-                if lhs != rhs:
-                    bad.append(f"g={m.show_mor(g)}")
-    rep.law("closing/phi-square", "currying square for the comparison", bad)
-
-    ic_src = w_src.internal_category(bounds)
-    ic_tgt = w_tgt.internal_category(bounds)
-
-    bad = []
-    for x in objs:
-        t = closing_transformation(w_src, w_tgt, F, (x,), x, bounds)
-        lhs = d.compose((F.mor_map(ic_src.unit1[x]),), t)
-        if lhs != ic_tgt.unit1[F.obj_map(x)]:
-            bad.append(str(x))
-    rep.law("closing/preserves-identities", "comparison preserves identities", bad)
-
-    bad = []
-    for x, y, z in itertools.product(objs, repeat=3):
-        txz = closing_transformation(w_src, w_tgt, F, (x,), z, bounds)
-        txy = closing_transformation(w_src, w_tgt, F, (x,), y, bounds)
-        tyz = closing_transformation(w_src, w_tgt, F, (y,), z, bounds)
-        lhs = d.compose((F.mor_map(ic_src.mu[(x, y, z)]),), txz)
-        rhs = d.compose(
-            (txy, tyz),
-            ic_tgt.mu[
-                (F.obj_map(x), F.obj_map(y), F.obj_map(z))
-            ],
-        )
-        if lhs != rhs:
-            bad.append(f"{x},{y},{z}")
-    rep.law("closing/preserves-mu", "comparison preserves composition", bad)
-    return rep
-
-
-def verify_closing_composite(
-    w1: ClosednessWitness,
-    w2: ClosednessWitness,
-    w3: ClosednessWitness,
-    F: MultiFunctor,
-    G: MultiFunctor,
-    bounds: Bounds = DEFAULT_BOUNDS,
-) -> Report:
-    """For composable multifunctors, the comparison of the composite is
-    the image of the first comparison followed by the second."""
-    rep = Report(f"closing of composite: {F.name};{G.name}")
-    m = F.source
-    e = G.target
-    bad = []
-    for xs, z in m.signatures(bounds):
-        lhs = closing_transformation(w1, w3, F.then(G), xs, z, bounds)
-        mid = closing_transformation(w1, w2, F, xs, z, bounds)
-        fxs = tuple(F.obj_map(x) for x in xs)
-        outer = closing_transformation(w2, w3, G, fxs, F.obj_map(z), bounds)
-        rhs = e.compose((G.mor_map(mid),), outer)
-        if lhs != rhs:
-            bad.append(f"xs={xs} z={z}")
-    rep.law("closing/composite", "comparison of a composite", bad)
-    return rep
-
-
-def verify_closing_multinat(
-    w_src: ClosednessWitness,
-    w_tgt: ClosednessWitness,
-    r: MultiNat,
-    bounds: Bounds = DEFAULT_BOUNDS,
-) -> Report:
-    """The hexagon relating the comparisons of the two multifunctors along
-    a multinatural transformation."""
-    rep = Report(f"closing/multinat: {r.name}")
-    F, G = r.source, r.target
-    m, d = F.source, F.target
-    bad = []
-    for xs, z in m.signatures(bounds):
-        h = w_src.hom_obj(xs, z)
-        fxs = tuple(F.obj_map(x) for x in xs)
-        lhs = d.compose(
-            (closing_transformation(w_src, w_tgt, F, xs, z, bounds),),
-            hom_action_cov(w_tgt, fxs, r.components(z), bounds),
-        )
-        rhs = d.compose(
-            (
-                d.compose(
-                    (r.components(h),),
-                    closing_transformation(w_src, w_tgt, G, xs, z, bounds),
-                ),
-            ),
-            hom_action_multi(
-                w_tgt, tuple(r.components(x) for x in xs), G.obj_map(z), bounds
-            ),
-        )
-        if lhs != rhs:
-            bad.append(f"xs={xs} z={z}")
-    rep.law("closing/multinat-hexagon", "comparison square for 2-cells", bad)
-    return rep
-
-
 def unit_contraction(w: ClosednessWitness, x: ObjId) -> MorId:
     """und(u;1) : und(unit;X) -> X, the evaluation against u."""
-    m, uw = w.m, w.unit
+    m, uw = w.m, w.declared_unit()
     h = w.hom_obj((uw.unit,), x)
     return m.compose((uw.u, m.identity(h)), w.ev((uw.unit,), x))
 
@@ -599,7 +499,7 @@ def contraction_inverses(
     """Every two-sided inverse X -> und(unit;X) of the unit contraction at
     X, by exhaustive search in canonical order."""
     m = w.m
-    h = w.hom_obj((w.unit.unit,), x)
+    h = w.hom_obj((w.declared_unit().unit,), x)
     t = unit_contraction(w, x)
     return [
         g
@@ -613,6 +513,7 @@ def check_unit_object(w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS) -> 
     """The witness's object with its nullary morphism is a unit when
     evaluating against it is an isomorphism und(unit;X) -> X for every X;
     the inverse is found by search."""
+    w.declared_unit()
     rep = Report(f"unit object: {w.m.name}")
     m = w.m
     bad = []

@@ -268,10 +268,6 @@ class NaturalTransformation:
     components: Callable[[ObjId], MorId]
 
     @staticmethod
-    def from_dict(name, source, target, components: dict) -> "NaturalTransformation":
-        return NaturalTransformation(name, source, target, components.__getitem__)
-
-    @staticmethod
     def identity(F: Functor) -> "NaturalTransformation":
         return NaturalTransformation(
             "id", F, F, lambda x: F.target.identity(F.obj_map(x))

@@ -3,16 +3,22 @@ left hom functors, pushforward along a closed functor, and the
 representation map for enriched functors into the self-enrichment.
 
 Hom objects live in the base closed category; identities and composition
-data are base morphisms.  The enriched-category laws are
-``closed.v_category_failures``, which are CC1..CC3 on the
-self-enrichment; the functor laws are shaped like CF-style squares.
-The representation map is decided bijective where the representing
-multicategory is built on it (``correspond.check_representation``).
+data are base morphisms.  Each enriched law is stated once, by the
+closed-category suite where it is one of its equations:
+- the enriched-category laws are ``closed.v_category_failures``, which
+  are CC1..CC3 on the self-enrichment;
+- the enriched-functor laws of the left hom functor at X are the unit law
+  of CC1 at first object X and the CC3 pentagon at (X, x, y, z);
+- enriched naturality of precomposition with f : X -> X' is
+  ``cc/L-dinatural`` at h = f.
+The naturality square itself prunes the enumeration of component
+families.  The representation map is decided bijective where the
+representing multicategory is built on it
+(``correspond.check_representation``).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -91,49 +97,6 @@ def check_v_category(A: VCategory) -> Report:
     return rep
 
 
-def check_v_functor(F: VFunctor) -> Report:
-    rep = Report(f"enriched functor axioms: {F.name}")
-    A, B = F.source, F.target
-    cs = A.base
-    cat = cs.cat
-
-    bad = []
-    for x in A.objects:
-        lhs = cat.compose(A.j(x), F.hom_map(x, x))
-        if lhs != B.j(F.obj_map(x)):
-            bad.append(str(x))
-    rep.law("vf/identities", "hom map preserves identities", bad)
-
-    bad = []
-    for x, y, z in itertools.product(A.objects, repeat=3):
-        fx, fy, fz = F.obj_map(x), F.obj_map(y), F.obj_map(z)
-        lhs = cat.compose_chain(
-            F.hom_map(y, z),
-            B.L(fx, fy, fz),
-            cs.contra(F.hom_map(x, y), B.hom_obj(fx, fz)),
-        )
-        rhs = cat.compose(
-            A.L(x, y, z),
-            cs.cov(A.hom_obj(x, y), F.hom_map(x, z)),
-        )
-        if lhs != rhs:
-            bad.append(f"{x},{y},{z}")
-    rep.law("vf/composition", "hom map respects L", bad)
-    return rep
-
-
-def check_v_natural(p: VNatFamily) -> Report:
-    rep = Report(f"enriched naturality: {p.name}")
-    objs = p.source.source.objects
-    bad = []
-    for a in objs:
-        for b in objs:
-            if not _vnat_square_ok(p.source, p.target, p.components, a, b):
-                bad.append(f"{a},{b}")
-    rep.law("vn/square", "enriched naturality square", bad)
-    return rep
-
-
 def _vnat_square_ok(F: VFunctor, G: VFunctor, comp: dict, a, b) -> bool:
     cs = F.target.base
     cat = cs.cat
@@ -182,19 +145,6 @@ def build_LX(cs: ClosedStructure, x: ObjId) -> VFunctor:
         lambda y: cs.hom2_obj(x, y),
         lambda y, z: cs.L(x, y, z),
         apply_mor=lambda f: cs.cov(x, f),
-    )
-
-
-def build_Lf(cs: ClosedStructure, f: MorId) -> VNatFamily:
-    """The enriched transformation whose components precompose with f;
-    it runs from the left hom functor at cod(f) to the one at dom(f)."""
-    x, y = cs.cat.dom(f), cs.cat.cod(f)
-    comps = {z: cs.contra(f, z) for z in cs.cat.objects()}
-    return VNatFamily(
-        f"L[{cs.cat.show_mor(f)}]",
-        build_LX(cs, y),
-        build_LX(cs, x),
-        comps,
     )
 
 

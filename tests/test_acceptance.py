@@ -23,7 +23,6 @@ from closedcat.closedmc import (
     check_closedness,
     check_unit_object,
     curry1,
-    verify_closing_lemmas,
     verify_internal_lemmas,
 )
 from closedcat.core import Bounds, check_category_axioms, tabularize
@@ -90,7 +89,9 @@ def test_criterion_2_derived_suites_and_negative_fixtures():
         m, w = instances.get(name).build()
         _, r0 = build_internal_category(w, CAPS)
         r1 = verify_internal_lemmas(w, CAPS)
-        r2 = verify_closing_lemmas(w, w, MultiFunctor.identity(m), CAPS)
+        r2 = check_cf_axioms(
+            underlying_closed_functor(MultiFunctor.identity(m), w, w, CAPS), CAPS
+        )
         for r in (r0, r1, r2):
             ok &= r.ok
             details += [it.line() for it in r.failures()]

@@ -14,6 +14,7 @@ from closedcat.closedmc import (
     check_nary_factorization,
     check_unit_object,
     closing_transformation,
+    contraction_inverses,
     curry,
     curry1,
     find_unit_object,
@@ -22,14 +23,11 @@ from closedcat.closedmc import (
     hom_action_multi,
     uncurry,
     unit_contraction,
-    verify_closing_composite,
-    verify_closing_lemmas,
-    verify_closing_multinat,
     verify_internal_lemmas,
 )
-from closedcat.errors import NotBijective, NotUnique
+from closedcat.errors import NotBijective, NotUnique, NoUnitFound
 from closedcat.core import Bounds
-from closedcat.multicat import MMor, MultiFunctor, MultiNat
+from closedcat.multicat import MMor, MultiFunctor
 
 CAPS = Bounds(3)
 
@@ -164,17 +162,6 @@ def test_closing_transformation_identity(z2):
         assert t == m.identity(w.hom_obj(xs, z))
 
 
-def test_closing_lemmas_and_composites(z2):
-    m, w = z2
-    for F in (MultiFunctor.identity(m), instances.z2_shift(m)):
-        rep = verify_closing_lemmas(w, w, F, CAPS)
-        assert rep.ok, (F.name, [it.line() for it in rep.failures()])
-    shift = instances.z2_shift(m)
-    assert verify_closing_composite(w, w, w, shift, shift, CAPS).ok
-    r = MultiNat.identity(MultiFunctor.identity(m))
-    assert verify_closing_multinat(w, w, r, CAPS).ok
-
-
 def test_unit_object_checks(z2):
     m, w = z2
     assert check_unit_object(w, CAPS).ok
@@ -216,3 +203,26 @@ def test_truncadd_with_neutral_ev_has_unit():
     found = find_unit_object(w, CAPS)
     assert found.unit.u.raw == "t0"
     assert unit_contraction(found, "g").raw == "t0"
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda w: check_unit_object(w, CAPS),
+        lambda w: bar(w, MMor((), "g", "e"), CAPS),
+        lambda w: unit_contraction(w, "g"),
+        lambda w: contraction_inverses(w, "g", CAPS),
+        lambda w: w.underlying(CAPS),
+    ],
+    ids=[
+        "check_unit_object",
+        "bar",
+        "unit_contraction",
+        "contraction_inverses",
+        "underlying",
+    ],
+)
+def test_a_witness_without_a_unit_is_refused_by_name(z2, use):
+    _, w = z2
+    with pytest.raises(NoUnitFound, match="^z2: the witness declares no unit$"):
+        use(replace(w, unit=None))

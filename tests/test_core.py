@@ -84,10 +84,10 @@ def test_swapped_component_fails_naturality_localized():
     cat = _two_object_cat()
     assert check_category_axioms(cat).ok
     F = Functor.identity(cat)
-    good = NaturalTransformation.from_dict("id", F, F, {"A": "1A", "B": "1B"})
+    good = NaturalTransformation("id", F, F, {"A": "1A", "B": "1B"}.__getitem__)
     assert check_natural(good).ok
 
-    swapped = NaturalTransformation.from_dict("sw", F, F, {"A": "1A", "B": "s"})
+    swapped = NaturalTransformation("sw", F, F, {"A": "1A", "B": "s"}.__getitem__)
     rep = check_natural(swapped)
     assert not rep.ok
 

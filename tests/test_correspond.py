@@ -2,6 +2,8 @@
 structure, induced closed functors, the arity recursion, round trips,
 injectivity, and two-cell transfer."""
 
+import itertools
+
 import pytest
 
 from closedcat import instances
@@ -17,7 +19,6 @@ from closedcat.correspond import (
     check_2cell_transfer,
     check_injectivity,
     closed_functors_equal,
-    compose_multinat_vertical,
     lift_closed_functor,
     multifunctors_equal,
     underlying_closed_category,
@@ -26,7 +27,13 @@ from closedcat.correspond import (
     verify_u_construction,
 )
 from closedcat.core import Bounds
-from closedcat.multicat import MultiFunctor, MultiNat, check_multinat
+from closedcat.multicat import (
+    MMor,
+    MultiFunctor,
+    MultiNat,
+    check_multifunctor,
+    check_multinat,
+)
 
 CAPS = Bounds(3)
 
@@ -216,14 +223,29 @@ def test_2cell_transfer_and_bijection(z2, z2_ucs):
     assert multinat == closednat == ["e"]
 
 
-def test_vertical_2cell_composition_preserved(z2, z2_ucs):
+def test_every_multifunctor_among_the_z2_maps_induces_a_closed_functor(z2):
+    # All 256 maps z2 -> z2 that fix the object and send the two morphisms
+    # of each arity up to 3 to any two.  Exactly 4 are multifunctors, and
+    # the laws of their closing transformations (the hom comparisons of
+    # U(F)) hold: U(F) passes CF1..CF3 and lifts back to F.
     m, w = z2
-    Fi = MultiFunctor.identity(m)
-    r = MultiNat.identity(Fi)
-    rr = compose_multinat_vertical(r, r)
-    assert check_multinat(rr, CAPS).ok
-    for x in m.objects():
-        assert rr.components(x) == r.components(x)
+    low = Bounds(2)
+    multifunctors = []
+    for images in itertools.product(itertools.product("es", repeat=2), repeat=4):
+
+        def mor_map(f, images=images):
+            return MMor(f.dom, f.cod, images[len(f.dom)]["es".index(f.raw)])
+
+        F = MultiFunctor(str(images), m, m, lambda x: x, mor_map)
+        if check_multifunctor(F, CAPS).ok:
+            multifunctors.append(F)
+    assert len(multifunctors) == 4
+    for F in multifunctors:
+        UF = underlying_closed_functor(F, w, w, low)
+        rep = check_cf_axioms(UF, low)
+        assert rep.ok, (F.name, [it.line() for it in rep.failures()])
+        same, locus = multifunctors_equal(lift_closed_functor(UF, w, w, low), F, low)
+        assert same, (F.name, locus)
 
 
 def test_check_U_functoriality_report(z2):
@@ -236,7 +258,6 @@ def test_check_U_functoriality_report(z2):
     assert [it.check for it in rep.items] == [
         "u-fun/compose",
         "u-fun/identity",
-        "u-fun/2-cells",
     ]
 
 

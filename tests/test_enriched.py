@@ -1,6 +1,9 @@
 """Enriched structures over closed categories: the self-enrichment, left
 hom functors, pushforward, and the representation map."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from closedcat import hf, instances
@@ -8,11 +11,9 @@ from closedcat.closed import build_E_functor, check_cc_axioms, ek_normalize
 from closedcat.enriched import (
     VNatFamily,
     build_LX,
-    build_Lf,
     build_underlying_V_category,
     check_v_category,
-    check_v_functor,
-    check_v_natural,
+    enumerate_vnat_families,
     gamma_repr,
     pushforward,
 )
@@ -58,26 +59,67 @@ def test_self_enrichment_of_finset():
     assert check_v_category(und_v).ok
 
 
+def _cc_laws_pass(name, *checks) -> bool:
+    """Each of the cc checks is one PASS item on the instance."""
+    rep = check_cc_axioms(instances.get(name).build())
+    return all(
+        [it.status for it in rep.items if it.check == check] == ["pass"]
+        for check in checks
+    )
+
+
 @pytest.mark.parametrize("name", POSITIVE)
 def test_left_hom_functors_pass(name):
-    cs = instances.get(name).build()
-    for x in cs.cat.objects():
-        assert check_v_functor(build_LX(cs, x)).ok
+    # the enriched-functor laws of the left hom functor at X are CC1's
+    # unit law at first object X and the CC3 pentagon at (X, x, y, z)
+    assert _cc_laws_pass(name, "cc/CC1", "cc/CC3")
 
 
 @pytest.mark.parametrize("name", POSITIVE)
 def test_Lf_families_are_natural(name):
-    cs = instances.get(name).build()
-    for f in cs.cat.all_morphisms():
-        assert check_v_natural(build_Lf(cs, f)).ok
+    # enriched naturality of precomposition with f : X -> X' is
+    # cc/L-dinatural at h = f
+    assert _cc_laws_pass(name, "cc/L-dinatural")
+
+
+def _z2closed_corruptions():
+    """The 8 well-typed single-entry corruptions of z2closed's L, j, i,
+    i_inv and hom2.mor tables, each entry moved to the other element."""
+    cs = instances.get("z2closed").build()
+    flip = {"e": "s", "s": "e"}
+    out = {}
+    for field in ("L", "j", "i", "i_inv"):  # one entry each
+        old = getattr(cs, field)
+        out[field] = replace(cs, **{field: lambda *a, old=old: flip[old(*a)]})
+    for a, b in itertools.product("es", repeat=2):
+
+        def hom2_mor(f, g, a=a, b=b):
+            return flip[cs.hom2_mor(f, g)] if (f, g) == (a, b) else cs.hom2_mor(f, g)
+
+        out[f"hom2.mor {a},{b}"] = replace(cs, hom2_mor=hom2_mor)
+    return out
+
+
+def test_enriched_functor_and_naturality_laws_are_cc_laws():
+    # The cc suite fails every corruption.  The enriched-functor laws of
+    # the left hom functors catch only the one of L, at CC1 and CC3, and
+    # enriched naturality only that of hom2.mor at (e, s), at L-dinatural.
+    failed = {
+        name: {it.check for it in check_cc_axioms(cs).failures()}
+        for name, cs in _z2closed_corruptions().items()
+    }
+    assert len(failed) == 8 and all(failed.values())
+    assert {"cc/CC1", "cc/CC3"} <= failed["L"]
+    assert "cc/L-dinatural" in failed["hom2.mor e,s"]
 
 
 def test_L_of_identity_is_identity_family():
     cs = instances.get("heyting2").build()
     for x in cs.cat.objects():
-        fam = build_Lf(cs, cs.cat.identity(x))
         for z in cs.cat.objects():
-            assert fam.at(z) == cs.cat.identity(cs.hom2_obj(x, z))
+            assert cs.contra(cs.cat.identity(x), z) == cs.cat.identity(
+                cs.hom2_obj(x, z)
+            )
 
 
 def test_L_contravariant_functoriality():
@@ -87,17 +129,15 @@ def test_L_contravariant_functoriality():
     cat = cs.cat
     f, g = "0<=1", "1<=1"
     fg = cat.compose(f, g)
-    lf, lg, lfg = build_Lf(cs, f), build_Lf(cs, g), build_Lf(cs, fg)
     for z in cat.objects():
-        assert lfg.at(z) == cat.compose(lg.at(z), lf.at(z))
+        assert cs.contra(fg, z) == cat.compose(cs.contra(g, z), cs.contra(f, z))
 
 
 def test_heyting_Lf_is_monotonicity_witness():
     cs = instances.get("heyting2").build()
-    fam = build_Lf(cs, "0<=1")
     # component at z: (1 => z) -> (0 => z), the unique order witness
-    assert fam.at("0") == "0<=1"
-    assert fam.at("1") == "1<=1"
+    assert cs.contra("0<=1", "0") == "0<=1"
+    assert cs.contra("0<=1", "1") == "1<=1"
 
 
 def test_pushforward_along_identity_is_identity():
@@ -166,8 +206,8 @@ def test_gamma_repr_identity_family_gives_identity_element():
     for x in w.cat.objects():
         lx = build_LX(w, x)
         comps = {a: w.cat.identity(w.hom2_obj(x, a)) for a in w.cat.objects()}
+        assert comps in enumerate_vnat_families(lx, lx)
         fam = VNatFamily("id", lx, lx, comps)
-        assert check_v_natural(fam).ok
         got = gamma_repr(ek, x, fam)
         assert got == ek.elt_atom(w.cat.identity(x)).name
 
@@ -182,6 +222,6 @@ def test_gamma_repr_of_Lf_is_f(name):
         x, y = w.cat.dom(f), w.cat.cod(f)
         lf_comps = {a: w.hom2_mor(f, w.cat.identity(a)) for a in w.cat.objects()}
         lx, ly = build_LX(w, x), build_LX(w, y)
+        assert lf_comps in enumerate_vnat_families(ly, lx)
         fam = VNatFamily("Lf", ly, lx, lf_comps)
-        assert check_v_natural(fam).ok
         assert gamma_repr(ek, y, fam) == ek.elt_atom(f).name
