@@ -64,11 +64,19 @@ class ClosedStructure:
     gamma_inv: Callable[[MorId, ObjId, ObjId], MorId] | None = None
 
     def __post_init__(self):
-        # gamma on each hom-set (X, Y), inverted: read by gamma_inverse and
-        # CC5, built on first use and freed with the structure.
-        def table(x: ObjId, y: ObjId) -> dict:
-            return preimages(self.cat.hom(x, y), functools.partial(gamma, self))
+        # gamma of each morphism, read through closed.gamma.  A SetMor key
+        # hashes by its table over dom, the enumeration gamma makes too, so
+        # a virtual domain raises the same BudgetExceeded either way.
+        def _gamma(f: MorId) -> MorId:
+            x = self.cat.dom(f)
+            return self.cat.compose(self.j(x), self.cov(x, f))
 
+        # gamma on each hom-set (X, Y), inverted: read by gamma_inverse and
+        # CC5.  Both are built on first use and freed with the structure.
+        def table(x: ObjId, y: ObjId) -> dict:
+            return preimages(self.cat.hom(x, y), self._gamma)
+
+        object.__setattr__(self, "_gamma", functools.cache(_gamma))
         object.__setattr__(self, "gamma_table", functools.cache(table))
 
     # und(1_X, g) and und(f, 1_Y): the one-sided hom actions.
@@ -131,15 +139,15 @@ class _Table(dict):
 def gamma(cs: ClosedStructure, f: MorId) -> MorId:
     """The passage from external to internal morphisms: f : X -> Y goes to
     j_X ; und(1,f) : 1 -> und(X,Y)."""
-    x = cs.cat.dom(f)
-    return cs.cat.compose(cs.j(x), cs.cov(x, f))
+    return cs._gamma(f)
 
 
 def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
     """The unique f in hom(X,Y) with gamma(f) = g.
 
     A supplied closed form ``cs.gamma_inv`` answers when present, and its
-    answer is checked against gamma; otherwise the answer is read from
+    answer is checked against gamma on every call, while gamma's own
+    value is memoized per morphism; otherwise the answer is read from
     the structure's preimage table of gamma on hom(X,Y).
     Raises NotBijective when zero or several preimages exist, which
     signals that the structure violates CC5, or when the closed form
@@ -149,7 +157,8 @@ def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
         f = cs.gamma_inv(g, x, y)
         if gamma(cs, f) != g:
             raise NotBijective(
-                f"{cs.name}: supplied gamma inverse disagrees with gamma"
+                f"{cs.name}: supplied gamma inverse of {cs.cat.show_mor(g)} "
+                f"in hom({cs.cat.show_obj(x)},{cs.cat.show_obj(y)}) disagrees with gamma"
             )
         return f
     hits = cs.gamma_table(x, y).get(g, ())
@@ -619,6 +628,8 @@ def build_E_functor(cs: ClosedStructure, sets: ClosedStructure) -> ClosedFunctor
     cat = cs.cat
     u = cs.unit
 
+    # Each morphism is named once: a SetMor prints its whole table.
+    @functools.cache
     def elt(m: MorId) -> hf.HF:
         return hf.atom(cat.show_mor(m))
 
@@ -751,12 +762,16 @@ def ek_normalize(
 
     sets = build_finset_closed(1)
 
+    # The naming maps, memoized like wcat's compose and freed with it.
+    @functools.cache
     def elt_atom(m: WMor) -> hf.HF:
         return hf.atom(point_name(m.point))
 
+    @functools.cache
     def c_obj(x: ObjId) -> hf.HF:
         return hf.fset(hf.atom(point_name(p)) for p in cat.hom(u, x))
 
+    @functools.cache
     def c_mor(f: WMor) -> SetMor:
         r = g_inv(f)
         table = {

@@ -3,6 +3,7 @@ transformations, the hom-embedding into sets, and normalization."""
 
 import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -26,7 +27,7 @@ from closedcat.closed import (
 )
 from closedcat.core import check_category_axioms
 from closedcat.errors import NotBijective
-from closedcat.setcat import build_finset_closed
+from closedcat.setcat import SetMor, build_finset_closed, elements
 
 A0, A1 = hf.atom("a0"), hf.atom("a1")
 
@@ -283,8 +284,54 @@ def test_gamma_inverse_rejects_a_closed_form_that_disagrees_with_gamma(sets2):
     wrong = dataclasses.replace(
         sets2, gamma_inv=lambda g, x, y: sets2.cat.identity(sets2.unit)
     )
-    with pytest.raises(NotBijective):
+    at = (
+        f"of {sets2.cat.show_mor(point)} in hom({sets2.cat.show_obj(x)},"
+        f"{sets2.cat.show_obj(y)}) disagrees"
+    )
+    with pytest.raises(NotBijective, match=re.escape(at)):
         gamma_inverse(wrong, point, x, y)
+    # the second call is answered from gamma's memo and is checked again
+    assert wrong._gamma.cache_info().currsize > 0
+    with pytest.raises(NotBijective, match=re.escape(at)):
+        gamma_inverse(wrong, point, x, y)
+
+
+def _gamma_oracle_structures():
+    finset_ek, _ = ek_normalize(instances.get("finset").build())
+    heyting_ek, _ = ek_normalize(instances.get("heyting2").build())
+    named = [(n, instances.get(n).build()) for n in ["finset", *all_positive_closed()]]
+    return named + [("ek(finset)", finset_ek.closed), ("ek(heyting2)", heyting_ek.closed)]
+
+
+def test_memoized_gamma_equals_gamma_evaluated_afresh():
+    for name, cs in _gamma_oracle_structures():
+        objs = cs.cat.objects()
+        for x, y in itertools.product(objs, repeat=2):
+            for f in cs.cat.hom(x, y):
+                # twice: the first call fills the memo, the second reads it
+                assert gamma(cs, f) == cs._gamma.__wrapped__(f), name
+                assert gamma(cs, f) == cs._gamma.__wrapped__(f), name
+        assert cs._gamma.cache_info().hits > 0, name
+
+
+def test_a_replaced_hom_action_gets_its_own_gamma_memo(sets2):
+    # und(1,f) sent to a constant map makes gamma constant on each hom-set
+    def flat(f, g):
+        h = sets2.hom2_mor(f, g)
+        return SetMor.from_rule(h.dom, h.cod, lambda t: elements(h.cod)[0])
+
+    flattened = dataclasses.replace(sets2, hom2_mor=flat)
+    x, y = next(
+        (x, y)
+        for x, y in itertools.product(sets2.cat.objects(), repeat=2)
+        if len(sets2.cat.hom(x, y)) > 1
+    )
+    f, f2 = sets2.cat.hom(x, y)[:2]
+    before = [gamma(sets2, f), gamma(sets2, f2)]
+    assert before[0] != before[1]
+    assert gamma(flattened, f) == gamma(flattened, f2)
+    assert [gamma(flattened, f), gamma(flattened, f2)] != before
+    assert flattened._gamma is not sets2._gamma
 
 
 def test_ek_checks_of_the_corrupted_structure_raise_not_bijective():
