@@ -32,8 +32,8 @@ from .closed import (
     verify_derived_cc_theorems,
 )
 from .closedmc import (
-    build_internal_category,
     check_closedness,
+    check_internal_category,
     check_nary_factorization,
     check_unit_object,
     verify_internal_lemmas,
@@ -96,7 +96,7 @@ def _check_target(name: str, kind: str, payload, info, args) -> Report:
         except FormatError:
             raise  # malformed input: exit 2 from main, not a FAIL line
         except KernelError as exc:
-            rep.add_fail(f"{name}/{tag}/error", type(exc).__name__, str(exc)[:200])
+            rep.law(f"{name}/{tag}/error", type(exc).__name__, [str(exc)[:200]])
 
     if kind == "category":
         if axioms:
@@ -123,7 +123,7 @@ def _check_target(name: str, kind: str, payload, info, args) -> Report:
         run("nary", lambda: check_nary_factorization(w, bounds))
 
         def lemmas():
-            _, r = build_internal_category(w, bounds)
+            r = check_internal_category(w, bounds)
             r.extend(verify_internal_lemmas(w, bounds))
             return r
 
@@ -210,10 +210,10 @@ def cmd_roundtrip(args) -> int:
     rep.extend(check_cf_axioms(UF, bounds), prefix="U/")
     lifted = lift_closed_functor(UF, w, w, bounds)
     eq, locus = multifunctors_equal(lifted, F, bounds)
-    rep.add("roundtrip/lift-after-U", "lift(U(F)) = F", eq, locus)
+    rep.law("roundtrip/lift-after-U", "lift(U(F)) = F", [] if eq else [locus])
     UL = underlying_closed_functor(lifted, w, w, bounds)
     eq2, locus2 = closed_functors_equal(UL, UF, bounds)
-    rep.add("roundtrip/U-after-lift", "U(lift(Phi)) = Phi", eq2, locus2)
+    rep.law("roundtrip/U-after-lift", "U(lift(Phi)) = Phi", [] if eq2 else [locus2])
     rep.extend(check_injectivity(F, lifted, UF, UL, bounds))
     text = _render(rep, args)
     _write(text, args.out)

@@ -116,7 +116,7 @@ class ClosednessWitness:
         """mu (currying the two-step evaluation), the internal identities
         (currying actual identities), and L (currying mu)."""
         m = self.m
-        objs = sorted(m.objects(), key=m.obj_key)
+        objs = m.objects()
         mu, unit1, LX = {}, {}, {}
         for x in objs:
             unit1[x] = curry(self, m.identity(x), 1, bounds)
@@ -168,10 +168,6 @@ def curry(
     return hits[0]
 
 
-def curry1(w: ClosednessWitness, f: MorId, bounds: Bounds = DEFAULT_BOUNDS) -> MorId:
-    return curry(w, f, 1, bounds)
-
-
 def check_closedness(
     w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
@@ -181,7 +177,7 @@ def check_closedness(
     m = w.m
 
     bad = []
-    for z in sorted(m.objects(), key=m.obj_key):
+    for z in m.objects():
         if w.hom_obj((), z) != z or w.ev((), z) != m.identity(z):
             bad.append(m.show_obj(z))
     rep.law("closed/nullary-convention", "und(;Z)=Z, ev=1", bad)
@@ -191,7 +187,7 @@ def check_closedness(
         for ys in m.profiles(bounds.max_arity - len(xs)):
             table = w.curry_table(xs, ys, z, bounds)
             target = guard_hom(m, xs + ys, z, bounds)
-            if not bijective(table, target, m.mor_key):
+            if not bijective(table, target):
                 bad.append(f"({','.join(map(str, xs))};{','.join(map(str, ys))};{z})")
     rep.law("closed/phi-bijective", "currying map bijective", bad)
     return rep
@@ -270,14 +266,14 @@ class InternalCategory:
     LX: dict[tuple[ObjId, ObjId, ObjId], MorId]
 
 
-def build_internal_category(
+def check_internal_category(
     w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
-) -> tuple[InternalCategory, Report]:
-    """The witness's internal category, with associativity, the unit laws,
-    and the defining equation of L verified."""
+) -> Report:
+    """Associativity, the unit laws and the defining equation of L for the
+    witness's internal category, ``w.internal_category(bounds)``."""
     rep = Report(f"internal category: {w.m.name}")
     m = w.m
-    objs = sorted(m.objects(), key=m.obj_key)
+    objs = m.objects()
     ic = w.internal_category(bounds)
     mu, unit1, LX = ic.mu, ic.unit1, ic.LX
 
@@ -308,14 +304,14 @@ def build_internal_category(
         if lhs != mu[(x, y, z)]:
             bad.append(f"{x},{y},{z}")
     rep.law("internal/L-equation", "(1,L).ev = mu", bad)
-    return ic, rep
+    return rep
 
 
 def L_identity_loci(w: ClosednessWitness, ic: InternalCategory) -> list[str]:
     """Objects X, Y at which L fails to preserve the internal identity:
     (unit1_Y).L_XYY = unit1_und(X;Y)."""
     m = w.m
-    objs = sorted(m.objects(), key=m.obj_key)
+    objs = m.objects()
     bad = []
     for x in objs:
         for y in objs:
@@ -329,7 +325,7 @@ def L_compose_loci(w: ClosednessWitness, ic: InternalCategory) -> list[str]:
     """Objects X, Y, Z, V at which L fails to preserve the internal
     composition: (mu_YZV).L_XYV = (L_XYZ, L_XZV).mu at the hom objects."""
     m = w.m
-    objs = sorted(m.objects(), key=m.obj_key)
+    objs = m.objects()
     bad = []
     for x, y, z, v in itertools.product(objs, repeat=4):
         lhs = m.compose((ic.mu[(y, z, v)],), ic.LX[(x, y, v)])
@@ -351,7 +347,7 @@ def verify_internal_lemmas(
     rep = Report(f"internal hom lemmas: {w.m.name}")
     m = w.m
     ic = w.internal_category(bounds)
-    objs = sorted(m.objects(), key=m.obj_key)
+    objs = m.objects()
 
     bad_a, bad_b, bad_c, bad_d = [], [], [], []
     for g, doms, fs in _composables(m, bounds):
@@ -363,34 +359,34 @@ def verify_internal_lemmas(
         f1 = fs[0]
         k1 = len(m.dom(f1))
         rest = fs[1:]
-        tail = m.compose(rest, curry1(w, g, bounds))
+        tail = m.compose(rest, curry(w, g, 1, bounds))
         if k1 == 0:
             got = m.compose((tail,), hom_action_contra(w, f1, z, bounds))
             if got != whole:
                 bad_a.append(f"g={m.show_mor(g)}")
         elif k1 == 1:
             got = m.compose((tail,), hom_action_contra(w, f1, z, bounds))
-            if got != curry1(w, whole, bounds):
+            if got != curry(w, whole, 1, bounds):
                 bad_b.append(f"g={m.show_mor(g)}")
         if k1 >= 1:
             x11 = m.dom(f1)[0]
             y1 = m.cod(f1)
-            step1 = (curry1(w, f1, bounds),) + rest
+            step1 = (curry(w, f1, 1, bounds),) + rest
             step2 = (
                 m.identity(w.hom_obj((x11,), y1)),
-                curry1(w, g, bounds),
+                curry(w, g, 1, bounds),
             )
             got = m.compose(
                 step1, m.compose(step2, ic.mu[(x11, y1, z)])
             )
-            if got != curry1(w, whole, bounds):
+            if got != curry(w, whole, 1, bounds):
                 bad_c.append(f"g={m.show_mor(g)}")
         if len(fs) == 1 and k1 >= 1:
             got = m.compose(
-                (curry1(w, f1, bounds),),
+                (curry(w, f1, 1, bounds),),
                 hom_action_cov(w, (m.dom(f1)[0],), g, bounds),
             )
-            if got != curry1(w, whole, bounds):
+            if got != curry(w, whole, 1, bounds):
                 bad_d.append(f"g={m.show_mor(g)}")
     rep.law("lemma/curry-split-nullary", "curried composite, nullary head", bad_a)
     rep.law("lemma/curry-split-unary", "curried composite, unary head", bad_b)
@@ -517,7 +513,7 @@ def check_unit_object(w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS) -> 
     rep = Report(f"unit object: {w.m.name}")
     m = w.m
     bad = []
-    for x in sorted(m.objects(), key=m.obj_key):
+    for x in m.objects():
         inv = contraction_inverses(w, x, bounds)
         if len(inv) != 1:
             bad.append(f"X={m.show_obj(x)} ({len(inv)} inverses)")
@@ -531,8 +527,8 @@ def find_unit_object(
     """The witness with the first (object, nullary morphism) pair that
     passes the unit check, in canonical order, as its unit."""
     m = w.m
-    for x in sorted(m.objects(), key=m.obj_key):
-        for u in sorted(guard_hom(m, (), x, bounds), key=m.mor_key):
+    for x in m.objects():
+        for u in guard_hom(m, (), x, bounds):
             cand = replace(w, unit=UnitWitness(x, u))
             if check_unit_object(cand, bounds).ok:
                 return cand

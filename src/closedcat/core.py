@@ -2,8 +2,9 @@
 
 Categories may be tabular (all sets enumerated up front) or lazy (homs and
 composition computed on demand from a rule).  Either way every operation is
-total and deterministic: objects and morphisms are iterated in a canonical
-order so reports are reproducible byte for byte.
+total and deterministic: each structure enumerates its objects and
+hom-sets in its canonical order, fixed when it is built, so checkers
+iterate them as they come and reports are reproducible byte for byte.
 
 All structures are immutable after construction and safe to share
 read-only across threads; no checker mutates shared state.
@@ -21,6 +22,14 @@ from .report import Report
 ObjId = Hashable
 MorId = Hashable
 MAX_OBJECTS = 64  # quantified checks range over at most this many objects
+
+
+def name_key(x) -> tuple[int, str]:
+    """The canonical order of named items: length, then text, so generated
+    names like m2 and m10 sort numerically and renaming is stable across
+    dump/parse/dump."""
+    s = str(x)
+    return (len(s), s)
 
 
 @dataclass(frozen=True)
@@ -43,6 +52,10 @@ class Category:
     ``objects`` enumerates the seed objects that quantified checks range
     over; a lazy category may contain further objects (e.g. nested hom
     objects) that are reachable but not enumerated.
+
+    Order contract: ``objects()`` and every ``hom(x, y)`` enumerate in the
+    category's canonical order, established once when it is built, so
+    consumers iterate them as they come and never sort them again.
     """
 
     name: str = "?"
@@ -66,16 +79,13 @@ class Category:
     def cod(self, f: MorId) -> ObjId:
         raise NotImplementedError
 
-    # Default canonical order: length-then-lexicographic, so generated
-    # names like m2 and m10 sort numerically and renaming is stable
-    # across dump/parse/dump.
+    # The key of the objects() order.  In the package only
+    # _WCategory.obj_key reads it; the benchmark's ek summary sorts a
+    # normalized category's objects by its obj_key, and that output is
+    # golden-digested, so this method, _WCategory.obj_key and
+    # FinSetCategory.obj_key stay.
     def obj_key(self, x: ObjId):
-        s = str(x)
-        return (len(s), s)
-
-    def mor_key(self, f: MorId):
-        s = str(f)
-        return (len(s), s)
+        return name_key(x)
 
     def show_obj(self, x: ObjId) -> str:
         return str(x)
@@ -119,12 +129,12 @@ def preimages(domain, fn) -> dict:
     return {img: tuple(pre) for img, pre in table.items()}
 
 
-def bijective(table: dict, target, key) -> bool:
+def bijective(table: dict, target) -> bool:
     """A preimage table describes a bijection onto ``target``: every image
-    has one preimage, and the images are the target, compared by the
-    sorted ``key`` of each."""
+    has one preimage, and the images are the target, compared as sets
+    under the morphisms' own equality."""
     ones = all(len(pre) == 1 for pre in table.values())
-    return ones and sorted(map(key, table)) == sorted(map(key, target))
+    return ones and table.keys() == set(target)
 
 
 def require_declared(
@@ -173,7 +183,8 @@ def require_declared_identities(
 
 
 class TabularCategory(Category):
-    """Category given by explicit finite tables."""
+    """Category given by explicit finite tables, its objects and each
+    hom list in ``name_key`` order whatever order the tables give."""
 
     def __init__(
         self,
@@ -184,8 +195,8 @@ class TabularCategory(Category):
         identity: dict[ObjId, MorId],
     ):
         self.name = name
-        self._objects = tuple(sorted(objects, key=str))
-        self._hom = {k: tuple(v) for k, v in hom.items()}
+        self._objects = tuple(sorted(objects, key=name_key))
+        self._hom = {k: tuple(sorted(v, key=name_key)) for k, v in hom.items()}
         self._compose = dict(compose)
         self._identity = dict(identity)
         require_declared_keys(name, "hom", self._hom, set(self._objects))
@@ -327,22 +338,18 @@ def check_category_axioms(
         e = cat.identity(x)
         if cat.dom(e) != x or cat.cod(e) != x:
             ok = False
-            rep.add_fail("category/identity-endpoints", "identity", cat.show_obj(x))
+            rep.law("category/identity-endpoints", "identity", [cat.show_obj(x)])
     for x in objs:
         for y in objs:
             for f in cat.hom(x, y):
                 if cat.compose(cat.identity(x), f) != f:
                     ok = False
-                    rep.add_fail(
-                        "category/identity-left", "1;f=f", cat.show_mor(f)
-                    )
+                    rep.law("category/identity-left", "1;f=f", [cat.show_mor(f)])
                 if cat.compose(f, cat.identity(y)) != f:
                     ok = False
-                    rep.add_fail(
-                        "category/identity-right", "f;1=f", cat.show_mor(f)
-                    )
+                    rep.law("category/identity-right", "f;1=f", [cat.show_mor(f)])
     if ok:
-        rep.add_pass("category/identity", "1;f=f=f;1")
+        rep.law("category/identity", "1;f=f=f;1", [])
 
     bad = []
     for x, y, z, w in itertools.product(objs, repeat=4):

@@ -37,7 +37,7 @@ from .closedmc import (
     UnitWitness,
     bar,
     contraction_inverses,
-    curry1,
+    curry,
     hom_action_contra,
     hom_action_cov,
     unit_contraction,
@@ -84,7 +84,7 @@ class UnderlyingCategory(Category):
         self.name = f"U({m.name})"
 
     def objects(self):
-        return tuple(sorted(self._m.objects(), key=self._m.obj_key))
+        return self._m.objects()
 
     def hom(self, x, y):
         return self._m.hom((x,), y)
@@ -100,12 +100,6 @@ class UnderlyingCategory(Category):
 
     def cod(self, f):
         return self._m.cod(f)
-
-    def obj_key(self, x):
-        return self._m.obj_key(x)
-
-    def mor_key(self, f):
-        return self._m.mor_key(f)
 
     def show_obj(self, x):
         return self._m.show_obj(x)
@@ -170,7 +164,7 @@ def verify_u_construction(
     m = w.m
     rep = Report(f"closed category from multicategory: {m.name}")
     ic = w.internal_category(bounds)
-    objs = sorted(m.objects(), key=m.obj_key)
+    objs = m.objects()
     uw = w.declared_unit()
     unit = uw.unit
 
@@ -284,13 +278,13 @@ def check_U_functoriality(
     eq, locus = closed_functors_equal(
         Ucomp, compose_closed_functors(UF, UG), bounds
     )
-    rep.add("u-fun/compose", "U(G.F) = U(G).U(F)", eq, locus)
+    rep.law("u-fun/compose", "U(G.F) = U(G).U(F)", [] if eq else [locus])
 
     Uid = underlying_closed_functor(MultiFunctor.identity(w1.m), w1, w1, bounds)
     eq2, locus2 = closed_functors_equal(
         Uid, ClosedFunctor.identity(w1.underlying(bounds)), bounds
     )
-    rep.add("u-fun/identity", "U(id) = id", eq2, locus2)
+    rep.law("u-fun/identity", "U(id) = id", [] if eq2 else [locus2])
     return rep
 
 
@@ -342,10 +336,12 @@ def check_injectivity(
     rep = Report(f"injectivity on 1-cells: {F.name} vs {G.name}")
     same_u, locus_u = closed_functors_equal(UF, UG, bounds)
     if not same_u:
-        rep.add_pass("inj/u-images-differ", f"closed functors differ ({locus_u})")
+        rep.law("inj/u-images-differ", f"closed functors differ ({locus_u})", [])
         return rep
     same, locus = multifunctors_equal(F, G, bounds)
-    rep.add("inj/equal", "equal images force equal multifunctors", same, locus)
+    rep.law(
+        "inj/equal", "equal images force equal multifunctors", [] if same else [locus]
+    )
     return rep
 
 
@@ -392,7 +388,7 @@ def lift_closed_functor(
             head = d.compose((w_tgt.declared_unit().u,), Phi.phi0)
             return d.compose((head,), Phi.phi.mor_map(fbar))
         x1, y = xs[0], m.cod(f)
-        inner = lift(curry1(w_src, f, bounds))
+        inner = lift(curry(w_src, f, 1, bounds))
         t = d.compose((inner,), Phi.phi_hat(x1, y))
         fx1, fy = Phi.phi.obj_map(x1), Phi.phi.obj_map(y)
         return d.compose((d.identity(fx1), t), w_tgt.ev((fx1,), fy))
@@ -430,7 +426,8 @@ class RepresentingMulticat(Multicategory):
     composites of left hom functors, with composition by whiskering and
     pointwise composition.  A family is indexed by its component at the
     codomain, which determines it, so composition computes only that
-    component."""
+    component.  Objects come in the base's order, each hom-set in
+    ``gamma_name`` order."""
 
     def __init__(self, ek: EKClosedStructure, bounds: Bounds):
         w = ek.closed
@@ -439,7 +436,7 @@ class RepresentingMulticat(Multicategory):
         self.bounds = bounds
         self.name = f"rep({w.name})"
         wcat = w.cat
-        objs = tuple(sorted(wcat.objects(), key=wcat.obj_key))
+        objs = wcat.objects()
         for x in objs:
             for y in objs:
                 if w.hom2_obj(x, y) not in objs:
@@ -634,16 +631,6 @@ class RepresentingMulticat(Multicategory):
     def cod(self, f: RepresentingMorphism):
         return f.cod
 
-    def obj_key(self, x):
-        return self.base.cat.obj_key(x)
-
-    def mor_key(self, f: RepresentingMorphism):
-        return (
-            tuple(self.obj_key(x) for x in f.dom),
-            self.obj_key(f.cod),
-            f.gamma_name,
-        )
-
     def show_obj(self, x):
         return self.base.cat.show_obj(x)
 
@@ -699,7 +686,7 @@ def check_representation(
         T = mcv.functor_of(xs)
         table = preimages(guard_hom(mcv, xs, y, bounds), lambda f: f.gamma_name)
         target = [a.name for a in ek.C_functor.obj_map(T.obj_map(y)).elements]
-        if not bijective(table, target, str):
+        if not bijective(table, target):
             bad.append(f"({xs};{y})")
     rep.law("repr/gamma-bijective", "families correspond to elements", bad)
 
@@ -764,7 +751,7 @@ def verify_essential_surjectivity(
         for y in objs:
             table = preimages(wcat.hom(x, y), l_of)
             tgt = guard_hom(mcv, (x,), y, bounds)
-            if not bijective(table, tgt, mcv.mor_key):
+            if not bijective(table, tgt):
                 bad.append(f"{x},{y}")
     rep.law("surj/hom-bijective", "comparison bijective on hom-sets", bad)
 

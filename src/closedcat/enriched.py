@@ -183,9 +183,8 @@ def enumerate_vnat_families(
     """All component families F -> G satisfying the enriched naturality
     square, generated object by object in canonical order with early
     pruning on every failed square."""
-    cs = F.target.base
-    cat = cs.cat
-    objs = sorted(F.source.objects, key=cat.obj_key)
+    cat = F.target.base.cat
+    objs = F.source.objects
     out: list[dict] = []
 
     def extend(idx: int, partial: dict) -> None:

@@ -51,7 +51,7 @@ class _Namer:
 
 
 def category_to_json(cat: Category, bounds: Bounds = DEFAULT_BOUNDS) -> dict:
-    objs = sorted(guard_objects(cat, bounds), key=cat.obj_key)
+    objs = guard_objects(cat, bounds)
     oname = _Namer("o")
     mname = _Namer("m")
     for x in objs:
@@ -59,8 +59,7 @@ def category_to_json(cat: Category, bounds: Bounds = DEFAULT_BOUNDS) -> dict:
     hom = {}
     for x in objs:
         for y in objs:
-            fs = sorted(cat.hom(x, y), key=cat.mor_key)
-            hom[f"{oname(x)},{oname(y)}"] = [mname(f) for f in fs]
+            hom[f"{oname(x)},{oname(y)}"] = [mname(f) for f in cat.hom(x, y)]
     compose = {}
     for x in objs:
         for y in objs:
@@ -229,7 +228,7 @@ def closed_ref_to_json(name: str, params: dict) -> dict:
 
 
 def closed_to_json(cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS) -> dict:
-    objs = sorted(guard_objects(cs.cat, bounds), key=cs.cat.obj_key)
+    objs = guard_objects(cs.cat, bounds)
     homs = (cs.hom2_obj(x, y) for x in objs for y in objs)
     if not set(objs).issuperset(homs):
         raise FormatError(
@@ -311,7 +310,7 @@ def multicat_to_json(
 ) -> dict:
     oname = _Namer("o")
     mname = _Namer("m")
-    objs = sorted(m.objects(), key=m.obj_key)
+    objs = m.objects()
     for x in objs:
         oname(x)
 
@@ -320,7 +319,7 @@ def multicat_to_json(
 
     hom = {}
     for xs, y in m.signatures(bounds):
-        fs = sorted(hom_within(xs, y), key=m.mor_key)
+        fs = hom_within(xs, y)
         if not fs:
             continue  # empty hom-sets stay implicit
         key = ",".join(oname(x) for x in xs) + ";" + oname(y)

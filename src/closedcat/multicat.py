@@ -24,6 +24,7 @@ from .core import (
     ObjId,
     guard_hom,
     hom_entry,
+    name_key,
     require_declared,
     require_declared_identities,
     require_declared_keys,
@@ -35,6 +36,11 @@ Profile = tuple  # tuple[ObjId, ...]
 
 
 class Multicategory:
+    """Order contract: ``objects()`` and every ``hom(xs, y)`` enumerate in
+    the multicategory's canonical order, established once when it is
+    built, so consumers iterate them as they come and never sort them
+    again."""
+
     name: str = "?"
 
     def objects(self) -> Sequence[ObjId]:
@@ -57,14 +63,6 @@ class Multicategory:
     def cod(self, f: MorId) -> ObjId:
         raise NotImplementedError
 
-    def obj_key(self, x):
-        s = str(x)
-        return (len(s), s)
-
-    def mor_key(self, f):
-        s = str(f)
-        return (len(s), s)
-
     def show_obj(self, x) -> str:
         return str(x)
 
@@ -72,13 +70,13 @@ class Multicategory:
         return str(f)
 
     def profiles(self, max_len: int):
-        objs = sorted(self.objects(), key=self.obj_key)
+        objs = self.objects()
         for n in range(max_len + 1):
             yield from itertools.product(objs, repeat=n)
 
     def signatures(self, bounds: Bounds):
         for xs in self.profiles(bounds.max_arity):
-            for y in sorted(self.objects(), key=self.obj_key):
+            for y in self.objects():
                 yield xs, y
 
     def identities_for(self, xs: Profile) -> tuple[MorId, ...]:
@@ -104,8 +102,9 @@ def _compose_entry(key) -> str:
 
 
 class TabularMulticategory(Multicategory):
-    """A multicategory given by explicit finite tables.  The compose table
-    is keyed (fs, g), and it is held, not copied."""
+    """A multicategory given by explicit finite tables, its objects and
+    each hom list in ``name_key`` order whatever order the tables give.
+    The compose table is keyed (fs, g), and it is held, not copied."""
 
     # An entry's key in the file's syntax, for error messages.
     _entry = staticmethod(_compose_entry)
@@ -119,8 +118,8 @@ class TabularMulticategory(Multicategory):
         identity: dict[ObjId, MorId],
     ):
         self.name = name
-        self._objects = tuple(objects)
-        self._hom = {k: tuple(v) for k, v in hom.items()}
+        self._objects = tuple(sorted(objects, key=name_key))
+        self._hom = {k: tuple(sorted(v, key=name_key)) for k, v in hom.items()}
         self._compose = compose
         self._identity = dict(identity)
         require_declared_keys(
@@ -317,16 +316,6 @@ class MonoidalMulticategory(Multicategory):
 
     def cod(self, f: MMor):
         return f.cod
-
-    def obj_key(self, x):
-        return self.smc.cat.obj_key(x)
-
-    def mor_key(self, f: MMor):
-        return (
-            tuple(self.obj_key(x) for x in f.dom),
-            self.obj_key(f.cod),
-            self.smc.cat.mor_key(f.raw),
-        )
 
     def show_mor(self, f: MMor):
         return str(f)
@@ -620,7 +609,7 @@ def check_multifunctor(
     rep.law("mf/endpoints", "F(f):FX1,..,FXn->FY", bad)
 
     bad = []
-    for x in sorted(src.objects(), key=src.obj_key):
+    for x in src.objects():
         if F.mor_map(src.identity(x)) != tgt.identity(F.obj_map(x)):
             bad.append(src.show_obj(x))
     rep.law("mf/identity", "F(1)=1", bad)
@@ -663,9 +652,8 @@ def tabularize_multicat(
     hom: dict[tuple[Profile, ObjId], list[str]] = {}
     names: dict[MorId, str] = {}
     for xs, y in m.signatures(bounds):
-        fs = sorted(guard_hom(m, xs, y, bounds), key=m.mor_key)
         hom[(xs, y)] = []
-        for f in fs:
+        for f in guard_hom(m, xs, y, bounds):
             names[f] = f"m{len(names)}"
             hom[(xs, y)].append(names[f])
     compose: dict[tuple[tuple, str], str] = {}

@@ -35,17 +35,6 @@ class Report:
     title: str = ""
     items: list[ReportItem] = field(default_factory=list)
 
-    def add(self, check: str, anchor: str, ok: bool, locus: str = "") -> None:
-        self.items.append(
-            ReportItem(check, anchor, PASS if ok else FAIL, "" if ok else locus)
-        )
-
-    def add_pass(self, check: str, anchor: str = "") -> None:
-        self.items.append(ReportItem(check, anchor, PASS))
-
-    def add_fail(self, check: str, anchor: str = "", locus: str = "") -> None:
-        self.items.append(ReportItem(check, anchor, FAIL, locus))
-
     def law(self, check: str, anchor: str, loci) -> list[str]:
         """Itemize one law from its failing loci, consumed in order: one
         FAIL per locus, or one PASS when there are none.  Returns the loci.

@@ -45,12 +45,6 @@ class HomObj:
 SetObj = Union[hf.HF, HomObj]
 
 
-def obj_key(o: SetObj):
-    if isinstance(o, hf.HF):
-        return (0, hf.hf_key(o))
-    return (1, obj_key(o.src), obj_key(o.dst))
-
-
 def elements(o: SetObj) -> tuple[hf.HF, ...]:
     if isinstance(o, hf.HF):
         return hf.sorted_elements(o)
@@ -138,6 +132,9 @@ class SetMor:
 
 
 class FinSetCategory(Category):
+    """Seed objects in ``hf_key`` order, each hom-set in ``hf_key`` order
+    of its tables."""
+
     def __init__(self, max_size: int):
         if max_size < 1:
             raise ValueError("max_size must be at least 1")
@@ -209,10 +206,7 @@ class FinSetCategory(Category):
         return f.cod
 
     def obj_key(self, x):
-        return obj_key(x)
-
-    def mor_key(self, f: SetMor):
-        return (obj_key(f.dom), obj_key(f.cod), hf.hf_key(f.table_value()))
+        return hf.hf_key(x)
 
     def show_obj(self, x):
         return hf.pretty(x) if isinstance(x, hf.HF) else repr(x)

@@ -19,10 +19,10 @@ from closedcat.closed import (
     verify_derived_cc_theorems,
 )
 from closedcat.closedmc import (
-    build_internal_category,
     check_closedness,
+    check_internal_category,
     check_unit_object,
-    curry1,
+    curry,
     verify_internal_lemmas,
 )
 from closedcat.core import Bounds, check_category_axioms, tabularize
@@ -87,7 +87,7 @@ def test_criterion_2_derived_suites_and_negative_fixtures():
         details += [it.line() for it in r.failures()]
     for name in ["z2", "heyting2mc"]:
         m, w = instances.get(name).build()
-        _, r0 = build_internal_category(w, CAPS)
+        r0 = check_internal_category(w, CAPS)
         r1 = verify_internal_lemmas(w, CAPS)
         r2 = check_cf_axioms(
             underlying_closed_functor(MultiFunctor.identity(m), w, w, CAPS), CAPS
@@ -261,7 +261,7 @@ def test_criterion_7_oracle_equivalences():
     ev_raw = w.ev1[("g", "g")].raw
     for n in range(1, 4):
         for f in m.hom(("g",) * n, "g"):
-            got = curry1(w, f, CAPS)
+            got = curry(w, f, 1, CAPS)
             if got.raw != divide(f.raw, ev_raw):
                 ok = False
     _line(7, ok, "lazy/tabular, rule/tabular, and search/division oracles agree")

@@ -9,14 +9,13 @@ from closedcat import instances
 from closedcat.closedmc import (
     UnitWitness,
     bar,
-    build_internal_category,
     check_closedness,
+    check_internal_category,
     check_nary_factorization,
     check_unit_object,
     closing_transformation,
     contraction_inverses,
     curry,
-    curry1,
     find_unit_object,
     hom_action_contra,
     hom_action_cov,
@@ -45,9 +44,8 @@ def hey():
 @pytest.fixture(scope="module")
 def z2_internal(z2):
     _, w = z2
-    ic, rep = build_internal_category(w, CAPS)
-    assert rep.ok
-    return ic
+    assert check_internal_category(w, CAPS).ok
+    return w.internal_category(CAPS)
 
 
 def test_closedness_positive(z2, hey):
@@ -73,7 +71,7 @@ def test_curry_on_group_is_translation_free(z2):
     m, w = z2
     for n in range(1, 4):
         for f in m.hom(("g",) * n, "g"):
-            assert curry1(w, f, CAPS).raw == f.raw
+            assert curry(w, f, 1, CAPS).raw == f.raw
 
 
 def test_curry_uncurry_roundtrip(z2, hey):
@@ -93,7 +91,7 @@ def test_curry_of_evaluation_is_identity(z2, hey):
         for x in m.objects():
             for z in m.objects():
                 ev = w.ev((x,), z)
-                assert curry1(w, ev, CAPS) == m.identity(w.hom_obj((x,), z))
+                assert curry(w, ev, 1, CAPS) == m.identity(w.hom_obj((x,), z))
 
 
 def test_derived_binary_hom_on_z2(z2):
@@ -110,9 +108,9 @@ def test_nonbijective_witness_raises_and_reports():
     rep = check_closedness(w, CAPS)
     assert "closed/phi-bijective" in {it.check for it in rep.failures()}
     with pytest.raises(NotBijective):
-        curry1(w, m.identity("g"), CAPS)
+        curry(w, m.identity("g"), 1, CAPS)
     with pytest.raises(NotBijective):
-        build_internal_category(w, CAPS)
+        check_internal_category(w, CAPS)
 
 
 def test_hom_actions(z2):
@@ -148,8 +146,7 @@ def test_internal_lemmas(z2, hey):
     rep = verify_internal_lemmas(w, CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
     m2, w2 = hey
-    _, r = build_internal_category(w2, CAPS)
-    assert r.ok
+    assert check_internal_category(w2, CAPS).ok
     rep2 = verify_internal_lemmas(w2, CAPS)
     assert rep2.ok, [it.line() for it in rep2.failures()]
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from closedcat import instances
 from closedcat.closed import check_cc_axioms, check_cf_axioms, ek_normalize
-from closedcat.closedmc import bar, build_internal_category, check_closedness
+from closedcat.closedmc import bar, check_closedness, check_internal_category
 from closedcat.correspond import (
     build_representing_multicategory,
     underlying_closed_category,
@@ -116,8 +116,9 @@ def test_witness_of_a_registry_instance_is_freed_after_ev():
 def test_witness_is_freed_after_its_tables_and_internal_category_hit():
     m, w = instances.get("z2").build()
     bounds = Bounds(2)
-    ic, rep = build_internal_category(w, bounds)
+    rep = check_internal_category(w, bounds)
     assert rep.ok
+    ic = w.internal_category(bounds)
     # closedness reads the currying tables that the curries built
     assert check_closedness(w, bounds).ok
     ucs = underlying_closed_category(w, bounds)

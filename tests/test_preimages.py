@@ -24,14 +24,14 @@ def test_preimages_lists_every_preimage_in_domain_order():
 
 
 def test_bijective_needs_one_preimage_each_and_the_target_as_images():
-    assert bijective(preimages("abc", str.upper), "CBA", str)
-    assert bijective({}, (), str)
+    assert bijective(preimages("abc", str.upper), "CBA")
+    assert bijective({}, ())
     # a collision: two preimages of one image
-    assert not bijective(preimages("aA", str.upper), "A", str)
+    assert not bijective(preimages("aA", str.upper), "A")
     # injective but missing a target element
-    assert not bijective(preimages("ab", str.upper), "ABC", str)
+    assert not bijective(preimages("ab", str.upper), "ABC")
     # injective, but an image outside the target
-    assert not bijective(preimages("abd", str.upper), "ABC", str)
+    assert not bijective(preimages("abd", str.upper), "ABC")
 
 
 # -- the linear scans the tables replaced ------------------------------------

@@ -15,7 +15,7 @@ def test_law_without_loci_is_one_pass():
 
 def test_law_fails_once_per_locus_in_order_and_returns_them():
     rep = Report("t")
-    rep.add_pass("x/before")
+    rep.law("x/before", "", [])
     loci = rep.law("x/law", "anchor", (s for s in ["b", "a", "c"]))
     assert loci == ["b", "a", "c"]
     assert [(it.check, it.status, it.locus) for it in rep.items[1:]] == [

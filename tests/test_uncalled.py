@@ -21,6 +21,7 @@ UNCALLED = {
     "build_E_functor": "set-bridge: the hom embedding into sets",
     "check_ek_axioms": "set-bridge: CC0 and CC5' of the normalization",
     "pushforward": "set-bridge: base change along the hom embedding",
+    "_WCategory.obj_key": "set-bridge: the ek summary sorts objects by it",
     # the 2-cell layer, for a check of the 2-equivalence (ROADMAP item 1)
     "check_multifunctor": "multifunctors of the 2-equivalence",
     "check_U_functoriality": "U on 1-cells and 2-cells",
