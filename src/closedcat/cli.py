@@ -229,7 +229,8 @@ def cmd_instance(args) -> int:
             lines.append(f"{name:18s} {info.kind:9s} {info.description}{flag}")
         _write("\n".join(lines) + "\n", args.out)
         return 0
-    info = instances.get(args.name)
+    name = args.name.removeprefix("instance:")
+    info = instances.get(name)
     bounds = _bounds(args, info.max_arity)
     if info.kind == "category":
         doc = interchange.category_to_json(info.build(), bounds)
@@ -238,8 +239,8 @@ def cmd_instance(args) -> int:
             doc = interchange.closed_to_json(info.build(), bounds)
         except FormatError:
             # lazy instance: dump by registry reference
-            params = {"max_size": 2} if args.name == "finset" else {}
-            doc = interchange.closed_ref_to_json(args.name, params)
+            params = {"max_size": 2} if name == "finset" else {}
+            doc = interchange.closed_ref_to_json(name, params)
     else:
         m, w = info.build()
         dump = Bounds(bounds.max_arity + 1, bounds.max_homset)

@@ -98,8 +98,7 @@ class ClosednessWitness:
             return self.ev1[(xs[0], z)]
         head, last = xs[:-1], xs[-1]
         inner = self.hom_obj(head, z)
-        step = self.m.identities_for(head) + (self.ev((last,), inner),)
-        return self.m.compose(step, self.ev(head, z))
+        return self.m.plug(self.ev(head, z), len(head), self.ev((last,), inner))
 
     def _uncurry_preimages(self, xs, ys, z, bounds) -> dict:
         """Uncurrying on hom(ys; und(xs;z)), inverted."""
@@ -121,10 +120,7 @@ class ClosednessWitness:
         for x in objs:
             unit1[x] = curry(self, m.identity(x), 1, bounds)
         for x, y, z in itertools.product(objs, repeat=3):
-            hyz = self.hom_obj((y,), z)
-            two_step = m.compose(
-                (self.ev((x,), y), m.identity(hyz)), self.ev((y,), z)
-            )
+            two_step = m.plug(self.ev((y,), z), 0, self.ev((x,), y))
             mu[(x, y, z)] = curry(self, two_step, 1, bounds)
             LX[(x, y, z)] = curry(self, mu[(x, y, z)], 1, bounds)
         return InternalCategory(mu, unit1, LX)
@@ -138,11 +134,10 @@ class ClosednessWitness:
 def uncurry(
     w: ClosednessWitness, g: MorId, xs: Profile, z: ObjId
 ) -> MorId:
-    """The currying bijection, forward direction: pad g with identities
-    and postcompose with the evaluation of the given signature."""
+    """The currying bijection, forward direction: plug g into the last
+    input of the evaluation of the given signature."""
     xs = tuple(xs)
-    fs = w.m.identities_for(xs) + (g,)
-    return w.m.compose(fs, w.ev(xs, z))
+    return w.m.plug(w.ev(xs, z), len(xs), g)
 
 
 def curry(
@@ -222,24 +217,9 @@ def hom_action_contra(
     """und(f;Z) : und(Y;Z) -> und(X1..Xn;Z) for f : X1..Xn -> Y.
 
     Nullary f gives the evaluation against f itself; otherwise the unique
-    solution is found by currying the padded composite."""
-    return hom_action_multi(w, (f,), z, bounds)
-
-
-def hom_action_multi(
-    w: ClosednessWitness,
-    fs: tuple[MorId, ...],
-    z: ObjId,
-    bounds: Bounds = DEFAULT_BOUNDS,
-) -> MorId:
-    """und(f1,...,fn;Z) : und(Y1..Yn;Z) -> und(Xs1..Xsn;Z) with
-    fi : Xsi -> Yi of any arity, Xs1..Xsn the concatenated domains: the
-    currying of the padded composite (f1,..,fn,1).ev."""
+    solution is found by currying f plugged into the evaluation."""
     m = w.m
-    ys = tuple(m.cod(f) for f in fs)
-    hy = w.hom_obj(ys, z)
-    padded = m.compose(tuple(fs) + (m.identity(hy),), w.ev(ys, z))
-    return curry(w, padded, sum(len(m.dom(f)) for f in fs), bounds)
+    return curry(w, m.plug(w.ev((m.cod(f),), z), 0, f), len(m.dom(f)), bounds)
 
 
 def hom_action_cov(
@@ -279,8 +259,8 @@ def check_internal_category(
 
     bad = []
     for x, y, z, v in itertools.product(objs, repeat=4):
-        lhs = m.compose((mu[(x, y, z)], m.identity(w.hom_obj((z,), v))), mu[(x, z, v)])
-        rhs = m.compose((m.identity(w.hom_obj((x,), y)), mu[(y, z, v)]), mu[(x, y, v)])
+        lhs = m.plug(mu[(x, z, v)], 0, mu[(x, y, z)])
+        rhs = m.plug(mu[(x, y, v)], 1, mu[(y, z, v)])
         if lhs != rhs:
             bad.append(f"{x},{y},{z},{v}")
     rep.law("internal/mu-assoc", "associativity of mu", bad)
@@ -288,19 +268,16 @@ def check_internal_category(
     bad = []
     for x, y in itertools.product(objs, repeat=2):
         hxy = w.hom_obj((x,), y)
-        left = m.compose((unit1[x], m.identity(hxy)), mu[(x, x, y)])
-        right = m.compose((m.identity(hxy), unit1[y]), mu[(x, y, y)])
+        left = m.plug(mu[(x, x, y)], 0, unit1[x])
+        right = m.plug(mu[(x, y, y)], 1, unit1[y])
         if left != m.identity(hxy) or right != m.identity(hxy):
             bad.append(f"{x},{y}")
     rep.law("internal/mu-unit", "unit laws for mu", bad)
 
     bad = []
     for x, y, z in itertools.product(objs, repeat=3):
-        hxy = w.hom_obj((x,), y)
-        lhs = m.compose(
-            (m.identity(hxy), LX[(x, y, z)]),
-            w.ev((hxy,), w.hom_obj((x,), z)),
-        )
+        ev = w.ev((w.hom_obj((x,), y),), w.hom_obj((x,), z))
+        lhs = m.plug(ev, 1, LX[(x, y, z)])
         if lhs != mu[(x, y, z)]:
             bad.append(f"{x},{y},{z}")
     rep.law("internal/L-equation", "(1,L).ev = mu", bad)
@@ -372,13 +349,8 @@ def verify_internal_lemmas(
             x11 = m.dom(f1)[0]
             y1 = m.cod(f1)
             step1 = (curry(w, f1, 1, bounds),) + rest
-            step2 = (
-                m.identity(w.hom_obj((x11,), y1)),
-                curry(w, g, 1, bounds),
-            )
-            got = m.compose(
-                step1, m.compose(step2, ic.mu[(x11, y1, z)])
-            )
+            step2 = m.plug(ic.mu[(x11, y1, z)], 1, curry(w, g, 1, bounds))
+            got = m.compose(step1, step2)
             if got != curry(w, whole, 1, bounds):
                 bad_c.append(f"g={m.show_mor(g)}")
         if len(fs) == 1 and k1 >= 1:
@@ -484,9 +456,8 @@ def closing_transformation(
 
 def unit_contraction(w: ClosednessWitness, x: ObjId) -> MorId:
     """und(u;1) : und(unit;X) -> X, the evaluation against u."""
-    m, uw = w.m, w.declared_unit()
-    h = w.hom_obj((uw.unit,), x)
-    return m.compose((uw.u, m.identity(h)), w.ev((uw.unit,), x))
+    uw = w.declared_unit()
+    return w.m.plug(w.ev((uw.unit,), x), 0, uw.u)
 
 
 def contraction_inverses(

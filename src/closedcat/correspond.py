@@ -177,9 +177,8 @@ def verify_u_construction(
     bad = []
     for x in objs:
         for y in objs:
-            hxy = w.hom_obj((x,), y)
-            lhs = m.compose((ic.unit1[x], m.identity(hxy)), ic.mu[(x, x, y)])
-            if lhs != m.identity(hxy):
+            lhs = m.plug(ic.mu[(x, x, y)], 0, ic.unit1[x])
+            if lhs != m.identity(w.hom_obj((x,), y)):
                 bad.append(f"{x},{y}")
     rep.law("u/CC2-unit-law", "CC2 via the identity axiom for mu", bad)
 
@@ -391,7 +390,7 @@ def lift_closed_functor(
         inner = lift(curry(w_src, f, 1, bounds))
         t = d.compose((inner,), Phi.phi_hat(x1, y))
         fx1, fy = Phi.phi.obj_map(x1), Phi.phi.obj_map(y)
-        return d.compose((d.identity(fx1), t), w_tgt.ev((fx1,), fy))
+        return d.plug(w_tgt.ev((fx1,), fy), 1, t)
 
     return MultiFunctor(f"lift({Phi.name})", m, d, Phi.phi.obj_map, lift)
 

@@ -80,7 +80,13 @@ class Multicategory:
                 yield xs, y
 
     def identities_for(self, xs: Profile) -> tuple[MorId, ...]:
-        return tuple(self.identity(x) for x in xs)
+        return tuple(map(self.identity, xs))
+
+    def plug(self, g: MorId, i: int, f: MorId) -> MorId:
+        """g o_i f: f plugged into input i of g, with identities in the
+        other inputs of ``dom(g)``."""
+        ids = self.identities_for(self.dom(g))
+        return self.compose(ids[:i] + (f,) + ids[i + 1 :], g)
 
     def composites(self, bounds: Bounds, hom=None):
         """(fs, g, (fs).g) for every composable of ``_composables(self,
@@ -277,6 +283,9 @@ class MonoidalMulticategory(Multicategory):
     def __init__(self, smc: StrictMonoidalCategory, name: str):
         self.smc = smc
         self.name = name
+        # Memo freed with the structure: one identity per object, built
+        # once, since every plug pads with identities.
+        self.identity = functools.cache(self._identity)
 
     def objects(self):
         return self.smc.cat.objects()
@@ -298,7 +307,7 @@ class MonoidalMulticategory(Multicategory):
             MMor(xs, y, f) for f in self.smc.cat.hom(self.tensor_list(xs), y)
         )
 
-    def identity(self, x):
+    def _identity(self, x):
         return MMor((x,), x, self.smc.cat.identity(x))
 
     def compose(self, fs, g: MMor):
@@ -427,9 +436,9 @@ def check_multicategory_axioms(
     """Identity and associativity axioms over all signatures within bounds,
     including nullary inner morphisms.
 
-    ``mc/assoc`` passes without the exhaustive walk only when both unit
-    laws hold and ``_assoc_holds`` decides that every walk equation does;
-    otherwise the walk ``_assoc_loci`` lists the failing loci (or raises
+    ``mc/assoc`` passes without the exhaustive walk only when the
+    endpoints and both unit laws hold and ``_assoc_holds`` decides that
+    every walk equation does; otherwise the walk ``_assoc_loci`` lists the failing loci (or raises
     what it raises), so the report is the walk's on every input."""
     rep = Report(f"multicategory axioms: {m.name}")
 
@@ -438,7 +447,7 @@ def check_multicategory_axioms(
         for f in guard_hom(m, xs, y, bounds):
             if m.dom(f) != xs or m.cod(f) != y:
                 bad.append(m.show_mor(f))
-    rep.law("mc/endpoints", "dom/cod", bad)
+    ends_bad = rep.law("mc/endpoints", "dom/cod", bad)
 
     bad = []
     for xs, y in m.signatures(bounds):
@@ -455,7 +464,7 @@ def check_multicategory_axioms(
     outer_bad = rep.law("mc/identity-outer", "(f).1 = f", bad)
 
     try:
-        holds = not (inner_bad or outer_bad) and _assoc_holds(m, bounds)
+        holds = not (ends_bad or inner_bad or outer_bad) and _assoc_holds(m, bounds)
     except (KernelError, ValueError):
         holds = False
     bad = [] if holds else _assoc_loci(m, bounds)
@@ -495,13 +504,15 @@ def _assoc_loci(m: Multicategory, bounds: Bounds) -> list[str]:
 def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
     """Decide the equations of ``_assoc_loci`` through partial composition
     (Leinster, *Higher Operads, Higher Categories*, 2004; Markl, *Operads
-    and PROPs*, 2008), given that both unit laws hold within bounds.  True
-    means every walk equation holds and every composite the walk takes
-    succeeds; False (or an exception) means the walk must decide.
+    and PROPs*, 2008), given that the endpoints and both unit laws hold
+    within bounds.  True means every walk equation holds and every
+    composite the walk takes succeeds; False (or an exception) means the
+    walk must decide.
 
     Write n for ``bounds.max_arity``, C for the typed pairs (fs, g) with
     |g| <= n and sum |f_i| <= n (the walk composes exactly these), and
-    a o_p f = (1,..,f,..,1).a for plugging f into input p of a.  Checked:
+    a o_p f = ``m.plug(a, p, f)`` for plugging f into input p of a, with
+    identities on the other inputs of ``m.dom(a)``.  Checked:
 
     (t) every identity, and through (a) the composite of every pair in
         C, is an element of the hom-set of its signature;
@@ -521,8 +532,9 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
         by the unit laws.
 
     Soundness.  By (t) every value met is a hom element within bounds, so
-    the unit laws and (b) apply to it, and every composite the walk takes
-    is in C, all of which (a) has taken.  Then:
+    by the endpoints ``m.dom`` of it is the profile tracked, the unit laws
+    and (b) apply to it, and every composite the walk takes is in C, all
+    of which (a) has taken.  Then:
 
     1. Any order of plugging fs into g whose intermediates stay within n
        gives (fs).g: bubble-sort it into the order of (a).  Swapping
@@ -545,14 +557,6 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
     if n and any(one[x] not in elems[((x,), x)] for x in one):
         return False
 
-    def ones(xs):
-        return tuple(map(one.__getitem__, xs))
-
-    def plug(a, xs, p, f):
-        """a o_p f, for a with inputs xs."""
-        ids = ones(xs)
-        return m.compose(ids[:p] + (f,) + ids[p + 1 :], a)
-
     for (ys, z), gs in homs.items():
         for doms, choices in slots(ys, n):
             order = sorted(range(len(ys)), key=lambda i: (len(doms[i]), i))
@@ -561,7 +565,7 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
                     cur, xs, widths = g, ys, [1] * len(ys)
                     for i in order:
                         p = sum(widths[:i])
-                        cur = plug(cur, xs, p, fs[i])
+                        cur = m.plug(cur, p, fs[i])
                         xs, widths[i] = xs[:p] + doms[i] + xs[p + 1 :], len(doms[i])
                         if cur not in elems[(xs, z)]:
                             return False
@@ -574,7 +578,7 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
                 for f in homs[(d, ys[i])]:
                     if d == (ys[i],) and f == one[ys[i]]:
                         continue
-                    mid = plug(g, ys, i, f)
+                    mid = m.plug(g, i, f)
                     xs = ys[:i] + d + ys[i + 1 :]
                     for p in range(len(xs)):
                         for e in m.profiles(n + 1 - len(xs)):
@@ -582,13 +586,13 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
                                 if e == (xs[p],) and h == one[xs[p]]:
                                     continue
                                 if i <= p < i + len(d):  # sequential
-                                    rhs = plug(g, ys, i, plug(f, d, p - i, h))
+                                    rhs = m.plug(g, i, m.plug(f, p - i, h))
                                 else:  # parallel: h goes to input j of g
                                     j = p if p < i else p - len(d) + 1
-                                    fs = list(ones(ys))
+                                    fs = list(m.identities_for(ys))
                                     fs[i], fs[j] = f, h
                                     rhs = m.compose(tuple(fs), g)
-                                if plug(mid, xs, p, h) != rhs:
+                                if m.plug(mid, p, h) != rhs:
                                     return False
     return True
 

@@ -215,6 +215,39 @@ def test_instance_dump_roundtrips_through_check(tmp_path):
     assert out2.returncode == 0, out2.stdout
 
 
+@pytest.mark.parametrize("name", ["z2", "heyting2", "finset"])
+def test_instance_dump_accepts_the_target_form(name, capsys):
+    # finset is dumped by registry reference, which names it without the
+    # prefix either way
+    assert cli.main(["instance", "dump", name]) == 0
+    plain = capsys.readouterr()
+    assert cli.main(["instance", "dump", f"instance:{name}"]) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_identity_of_the_wrong_type_fails_its_endpoints_only(tmp_path, capsys):
+    # The identity of a is f : a -> b.  It is composed with nothing, so the
+    # check reports it rather than raising from the compose table.
+    doc = {
+        "kind": "category",
+        "name": "badid",
+        "objects": ["a", "b"],
+        "hom": {"a,a": ["1a"], "a,b": ["f"], "b,b": ["1b"]},
+        "compose": {"1a;1a": "1a", "1a;f": "f", "f;1b": "f", "1b;1b": "1b"},
+        "id": {"a": "f", "b": "1b"},
+    }
+    target = tmp_path / "badid.json"
+    target.write_text(json.dumps(doc))
+    assert cli.main(["check", f"file:{target}"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert [ln for ln in out.splitlines() if ln.startswith("[")] == [
+        f"[PASS] {target}/category/endpoints (dom/cod)",
+        f"[FAIL] {target}/category/identity-endpoints @ a",
+        f"[PASS] {target}/category/assoc ((f;g);h=f;(g;h))",
+    ]
+
+
 def test_roundtrip_verb():
     out = run_cli("roundtrip", "instance:z2", "functor:inversion")
     assert out.returncode == 0

@@ -19,7 +19,6 @@ from closedcat.closedmc import (
     find_unit_object,
     hom_action_contra,
     hom_action_cov,
-    hom_action_multi,
     uncurry,
     unit_contraction,
     verify_internal_lemmas,
@@ -125,9 +124,6 @@ def test_hom_actions(z2):
     s = [f for f in m.hom(("g",), "g") if f.raw == "s"][0]
     assert hom_action_contra(w, s, "g", CAPS).raw == "s"
     assert hom_action_cov(w, ("g",), s, CAPS).raw == "s"
-    # n-ary contravariant action sums parities
-    got = hom_action_multi(w, (s, s), "g", CAPS)
-    assert got.raw == "e"
 
 
 def test_internal_category_of_z2(z2, z2_internal):

@@ -113,6 +113,15 @@ def test_witness_of_a_registry_instance_is_freed_after_ev():
     assert _freed(ref)
 
 
+def test_monoidal_multicategory_is_freed_after_its_identity_memo_hits():
+    m, w = instances.get("z2").build()
+    assert m.identity("g") is m.identity("g")
+    assert m.identity.cache_info().hits >= 1
+    ref = weakref.ref(m)
+    del m, w
+    assert _freed(ref)
+
+
 def test_witness_is_freed_after_its_tables_and_internal_category_hit():
     m, w = instances.get("z2").build()
     bounds = Bounds(2)
