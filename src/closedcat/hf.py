@@ -102,12 +102,13 @@ def function_space(a: HF, b: HF) -> HF:
     The tables come out of ``itertools.product`` over b's sorted elements
     on a's sorted domain, which is already their hf_key order: two tables
     on one domain compare by their images in domain order.  So the set
-    keeps that order and sorts nothing."""
+    keeps that order and sorts nothing.  The keys are a's distinct
+    elements and the images b's, both checked by fset, so each table is
+    built without ftable's per-entry checks."""
     dom = sorted_elements(a)
-    tables = tuple(
-        ftable(zip(dom, image))
-        for image in itertools.product(sorted_elements(b), repeat=len(dom))
-    )
+    images = itertools.product(sorted_elements(b), repeat=len(dom))
+    entries = (tuple(zip(dom, image)) for image in images)
+    tables = tuple(HF(TABLE, frozenset(e), dict(e)) for e in entries)
     return HF(SET, frozenset(tables), order=tables)
 
 

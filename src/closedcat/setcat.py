@@ -9,6 +9,11 @@ enumerated.  Morphisms are function rules with a stated domain; they
 materialize to tables on demand, and two morphisms are equal when their
 endpoints agree and their tables agree pointwise.
 
+A function table a -> b whose hom object is materialized is not built
+but found in that hom object, at the index its images give; equal
+tables are then one shared value.  Only a table into a virtual hom
+object, or one with an image outside b, is built and checked anew.
+
 The closed structure is the usual one on sets: the unit is the one-point
 set, i sends a point to the constant table on it, j picks the identity
 table, and L sends g to the precompose-then-g table.
@@ -55,12 +60,6 @@ def table_apply(t: hf.HF, k: hf.HF) -> hf.HF:
     return t.lookup[k]
 
 
-def compose_tables(f: hf.HF, g: hf.HF) -> hf.HF:
-    """Composite of function tables, first f then g."""
-    gd = g.lookup
-    return hf.ftable((k, gd[v]) for k, v in f.pairs)
-
-
 class SetMor:
     """A morphism of the lazy sets category: a rule with stated endpoints.
 
@@ -69,13 +68,14 @@ class SetMor:
     participate in composites that are only ever sampled pointwise.
     """
 
-    __slots__ = ("dom", "cod", "_rule", "_map")
+    __slots__ = ("dom", "cod", "_rule", "_map", "_hash")
 
     def __init__(self, dom: SetObj, cod: SetObj, rule=None, mapping=None):
         self.dom = dom
         self.cod = cod
         self._rule = rule
         self._map = dict(mapping) if mapping is not None else None
+        self._hash = None
 
     @staticmethod
     def from_table(dom: SetObj, cod: SetObj, mapping) -> "SetMor":
@@ -117,9 +117,12 @@ class SetMor:
     def __hash__(self):
         # Hash exactly what __eq__ compares. HF hashes are cached at
         # construction, so this never walks the nested tables; hf_key is
-        # reserved for ordering output.
-        self._materialize()
-        return hash((self.dom, self.cod, frozenset(self._map.items())))
+        # reserved for ordering output.  A materialized table never
+        # changes, so the hash is kept from the first call.
+        if self._hash is None:
+            self._materialize()
+            self._hash = hash((self.dom, self.cod, frozenset(self._map.items())))
+        return self._hash
 
     def __str__(self):
         try:
@@ -153,19 +156,24 @@ class FinSetCategory(Category):
         ]
         seeds.append(self.unit)
         self._seeds = tuple(sorted(set(seeds), key=hf.hf_key))
-        self._make_hom = functools.cache(self._build_hom)
+        # Memos keyed by objects, whose hashes HF keeps.
+        self.make_hom = functools.cache(self._make_hom)
+        self.hom = functools.cache(self._hom)
+        self.identity = functools.cache(self._identity)
+        # Each element's index in a set's order, for finding a table in
+        # its hom object.
+        self.positions = functools.cache(
+            lambda b: {v: k for k, v in enumerate(b.order)}
+        )
         # Hom-sets of many pairs share an end: walk each end's depth once.
         self._depth = functools.cache(hf.depth)
 
     def objects(self):
         return self._seeds
 
-    def make_hom(self, a: SetObj, b: SetObj) -> SetObj:
+    def _make_hom(self, a: SetObj, b: SetObj) -> SetObj:
         """The set of all function tables a -> b, or a virtual term when
         it has more than MATERIALIZE_LIMIT elements."""
-        return self._make_hom(a, b)
-
-    def _build_hom(self, a: SetObj, b: SetObj) -> SetObj:
         if not (isinstance(a, hf.HF) and isinstance(b, hf.HF)):
             return HomObj(a, b)
         na, nb = len(a.elements), len(b.elements)
@@ -179,7 +187,7 @@ class FinSetCategory(Category):
             raise BudgetExceeded(f"{self.name}: hom element exceeds depth {MAX_DEPTH}")
         return hf.function_space(a, b)
 
-    def hom(self, x: SetObj, y: SetObj):
+    def _hom(self, x: SetObj, y: SetObj):
         h = self.make_hom(x, y)
         if isinstance(h, HomObj):
             raise BudgetExceeded(f"{self.name}: hom({x!r},{y!r}) over budget")
@@ -187,8 +195,30 @@ class FinSetCategory(Category):
             SetMor.from_table(x, y, t.lookup) for t in hf.sorted_elements(h)
         )
 
-    def identity(self, x: SetObj):
+    def _identity(self, x: SetObj):
         return SetMor.from_table(x, x, {e: e for e in elements(x)})
+
+    def table(self, a: SetObj, b: SetObj, image: Callable) -> hf.HF:
+        """The function table a -> b that sends x to image(x).
+
+        hf.function_space lists the tables of a materialized hom object
+        in itertools.product order over b's order on a's order, so the
+        table with images v_1..v_n is the one at index
+        sum_k pos_b(v_k) * |b|**(n - k).  It is taken from there; a
+        virtual hom object, or an image outside b, builds it instead."""
+        dom = elements(a)
+        images = [image(x) for x in dom]
+        h = self.make_hom(a, b)
+        if isinstance(h, hf.HF):
+            pos, n, index = self.positions(b), len(b.order), 0
+            for v in images:
+                k = pos.get(v)
+                if k is None:
+                    break
+                index = index * n + k
+            else:
+                return h.order[index]
+        return hf.ftable(zip(dom, images))
 
     def compose(self, f: SetMor, g: SetMor) -> SetMor:
         if f.cod != g.dom:
@@ -221,12 +251,10 @@ def build_finset_closed(max_size: int) -> ClosedStructure:
     def hom2_mor(f: SetMor, g: SetMor) -> SetMor:
         # f : A' -> A, g : B -> B'; the action sends t : A -> B to
         # f then t then g, a table on A'.
-        a2 = f.dom
+        a2, b2 = f.dom, g.cod
 
         def rule(t: hf.HF) -> hf.HF:
-            return hf.ftable(
-                (x, g.apply(table_apply(t, f.apply(x)))) for x in elements(a2)
-            )
+            return cat.table(a2, b2, lambda x: g.apply(table_apply(t, f.apply(x))))
 
         return SetMor.from_rule(
             cat.make_hom(f.cod, g.dom), cat.make_hom(f.dom, g.cod), rule
@@ -236,7 +264,7 @@ def build_finset_closed(max_size: int) -> ClosedStructure:
         return SetMor.from_table(
             x,
             cat.make_hom(cat.unit, x),
-            {e: hf.ftable([(STAR, e)]) for e in elements(x)},
+            {e: cat.table(cat.unit, x, lambda _: e) for e in elements(x)},
         )
 
     def i_inv(x: SetObj) -> SetMor:
@@ -245,20 +273,22 @@ def build_finset_closed(max_size: int) -> ClosedStructure:
         )
 
     def j(x: SetObj) -> SetMor:
-        ident = hf.ftable((e, e) for e in elements(x))
+        ident = cat.table(x, x, lambda e: e)
         return SetMor.from_table(cat.unit, cat.make_hom(x, x), {STAR: ident})
 
+    @functools.cache
     def L(x: SetObj, y: SetObj, z: SetObj) -> SetMor:
-        hxy = cat.make_hom(x, y)
+        hxy, hxz = cat.make_hom(x, y), cat.make_hom(x, z)
 
         def rule(g: hf.HF) -> hf.HF:
-            return hf.ftable((f, compose_tables(f, g)) for f in elements(hxy))
+            gd = g.lookup
 
-        return SetMor.from_rule(
-            cat.make_hom(y, z),
-            cat.make_hom(hxy, cat.make_hom(x, z)),
-            rule,
-        )
+            def then_g(f: hf.HF) -> hf.HF:  # the composite table x -> z
+                return cat.table(x, z, lambda k: gd[f.lookup[k]])
+
+            return cat.table(hxy, hxz, then_g)
+
+        return SetMor.from_rule(cat.make_hom(y, z), cat.make_hom(hxy, hxz), rule)
 
     def gamma_inv(point: SetMor, x: SetObj, y: SetObj) -> SetMor:
         # A point of und(X,Y) is a one-entry table holding the function

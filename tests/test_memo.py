@@ -24,7 +24,7 @@ from closedcat.correspond import (
 )
 from closedcat.core import Bounds
 from closedcat.multicat import _composables
-from closedcat.setcat import FinSetCategory
+from closedcat.setcat import FinSetCategory, build_finset_closed
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -226,12 +226,22 @@ def test_no_cache_lives_at_module_or_class_level():
 
 
 def test_finset_category_is_freed_after_make_hom():
-    cat = FinSetCategory(2)
+    cs = build_finset_closed(2)
+    cat = cs.cat
     a, b = cat.objects()[-2:]
     assert cat.make_hom(a, b) is cat.make_hom(a, b)
-    ref = weakref.ref(cat)
-    del cat
-    assert _freed(ref)
+    assert cat.identity(a) is cat.identity(a)
+    assert cat.hom(a, b) is cat.hom(a, b)
+    assert cs.L(b, a, a) is cs.L(b, a, a)
+    L = cs.L(b, a, a)
+    # each value of L is found in its hom object, at its positions
+    for g in cat.hom(a, a):
+        L.apply(g.table_value())
+    caches = (cat.make_hom, cat.identity, cat.hom, cat.positions, cs.L)
+    assert all(c.cache_info().hits >= 1 for c in caches)
+    refs = [weakref.ref(cat), weakref.ref(cs)]
+    del cs, cat, L, g, caches
+    assert all(_freed(r) for r in refs)
 
 
 def _load_worker():

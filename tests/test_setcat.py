@@ -1,6 +1,8 @@
 """The lazy finite-sets closed structure: the defining tables, the axiom
 suites, and budget behavior."""
 
+import itertools
+
 import pytest
 
 from closedcat import hf
@@ -136,6 +138,125 @@ def test_function_spaces_come_in_key_order():
     assert checked == len(objs) ** 2
 
 
+def test_function_space_matches_the_ftable_build():
+    # every ordered pair of seeds, among them the empty domain (one empty
+    # table) and the empty codomain (no table on a nonempty domain)
+    cat = FinSetCategory(2)
+    empty = hf.fset([])
+    pairs = list(itertools.product(cat.objects(), repeat=2))
+    assert (empty, empty) in pairs and (hf.fset([A0]), empty) in pairs
+    for a, b in pairs:
+        dom = hf.sorted_elements(a)
+        images = itertools.product(hf.sorted_elements(b), repeat=len(dom))
+        oracle = tuple(hf.ftable(zip(dom, image)) for image in images)
+        space = hf.function_space(a, b)
+        assert len(space.order) == len(b.elements) ** len(a.elements)
+        assert space.elements == frozenset(oracle)
+        for t, o in zip(space.order, oracle, strict=True):
+            assert (t.kind, t.payload, t.lookup) == (o.kind, o.payload, o.lookup)
+
+
+def _hom2_rule_oracle(f, g):
+    """The rule of hom2_mor(f, g) as a table build: t goes to f then t
+    then g, built with hf.ftable and all its checks."""
+
+    def rule(t):
+        return hf.ftable(
+            (x, g.apply(t.lookup[f.apply(x)])) for x in hf.sorted_elements(f.dom)
+        )
+
+    return rule
+
+
+def _L_rule_oracle(hxy):
+    """The rule of L(x, y, z) as a table build: g goes to the table that
+    sends each f of hxy to the composite of f then g."""
+
+    def rule(g):
+        return hf.ftable(
+            (f, hf.ftable((k, g.lookup[v]) for k, v in f.pairs))
+            for f in hf.sorted_elements(hxy)
+        )
+
+    return rule
+
+
+def _is_element(v, h):
+    """v is one of the tables that the hom object h holds, not a copy."""
+    return any(v is e for e in h.order)
+
+
+def _unbuilt(monkeypatch, thunk):
+    """thunk's value, computed while hf.ftable refuses to build a table."""
+
+    def refuse(pairs):
+        raise AssertionError("a table was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(hf, "ftable", refuse)
+        return thunk()
+
+
+def _seed_morphisms(cat):
+    return [f for x in cat.objects() for y in cat.objects() for f in cat.hom(x, y)]
+
+
+def test_hom2_mor_finds_the_oracle_tables_in_the_hom_object(sets2, monkeypatch):
+    mors = _seed_morphisms(sets2.cat)
+    evaluated = 0
+    for f, g in itertools.product(mors, repeat=2):
+        act, oracle = sets2.hom2_mor(f, g), _hom2_rule_oracle(f, g)
+        for t in hf.sorted_elements(act.dom):
+            got = _unbuilt(monkeypatch, lambda: act.apply(t))
+            assert got == oracle(t)
+            assert _is_element(got, act.cod)
+            evaluated += 1
+    assert (len(mors), evaluated) == (27, 935)
+
+
+def test_L_finds_the_oracle_tables_in_the_hom_objects(sets2, monkeypatch):
+    # the inner composites are found too: no table is built at all
+    cat = sets2.cat
+    evaluated = 0
+    for x, y, z in itertools.product(cat.objects(), repeat=3):
+        L, oracle = sets2.L(x, y, z), _L_rule_oracle(cat.make_hom(x, y))
+        for g in hf.sorted_elements(L.dom):
+            got = _unbuilt(monkeypatch, lambda: L.apply(g))
+            assert got == oracle(g)
+            assert _is_element(got, L.cod)
+            evaluated += 1
+    assert evaluated == 5 * 27  # x, and g in each hom-set of the seeds
+
+
+def test_tables_outside_a_materialized_hom_object_are_built(sets2):
+    cat = sets2.cat
+    two = hf.fset([A0, A1])
+    stray = hf.atom("b0")
+    # an image outside the codomain: the oracle's table, in no hom object
+    f = cat.identity(two)
+    g = SetMor.from_rule(two, two, lambda v: stray)
+    act = sets2.hom2_mor(f, g)
+    for t in hf.sorted_elements(act.dom):
+        got = act.apply(t)
+        assert got == _hom2_rule_oracle(f, g)(t)
+        assert got not in act.cod.elements
+    L = sets2.L(two, two, two)
+    bad = hf.ftable([(A0, stray), (A1, A0)])
+    got = L.apply(bad)
+    assert got == _L_rule_oracle(cat.make_hom(two, two))(bad)
+    assert got not in L.cod.elements
+    assert not all(c in cat.make_hom(two, two).elements for c in got.lookup.values())
+    # a virtual hom object: 2**13 tables on 13 points
+    big = hf.fset(hf.atom(f"b{k}") for k in range(13))
+    one = hf.fset([A0])
+    f = SetMor.from_rule(big, one, lambda v: A0)
+    g = cat.identity(two)
+    act = sets2.hom2_mor(f, g)
+    assert isinstance(act.cod, HomObj)
+    for t in hf.sorted_elements(act.dom):
+        assert act.apply(t) == _hom2_rule_oracle(f, g)(t)
+
+
 def test_setmor_equality_is_pointwise(sets2):
     cat = sets2.cat
     x = hf.fset([A0])
@@ -206,6 +327,26 @@ def test_rule_backed_and_table_backed_copies_hash_equal(sets2, monkeypatch):
         assert f is not copy and f == copy
         assert hash(f) == hash(copy)
         assert len({f, copy}) == 1
+
+
+def test_a_second_hash_hashes_no_table(sets2, monkeypatch):
+    x = hf.fset([A0, A1])
+    f = sets2.L(x, x, x)
+    copy = SetMor.from_table(f.dom, f.cod, f.mapping())
+    first = hash(f)
+    hashed = []
+    real = hf.HF.__hash__
+
+    def counted(v):
+        hashed.append(v)
+        return real(v)
+
+    monkeypatch.setattr(hf.HF, "__hash__", counted)
+    assert hash(f) == first
+    assert hashed == []
+    # a first hash does hash the table's values
+    assert hash(copy) == first
+    assert hashed
 
 
 def test_equal_tables_with_other_codomain_are_distinct(monkeypatch):
