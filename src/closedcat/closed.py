@@ -1,6 +1,9 @@
 """Closed categories: structures, axiom suite, derived theorems, closed
 functors and transformations, the hom-embedding functor into sets, and
 normalization to the variant that carries an explicit set-valued functor.
+That functor V is the hom embedding E = hom(1,-) after gamma inverse
+(Eilenberg and Kelly's V = C(I,-)), so the two share one point naming,
+``ClosedStructure.point_atom``.
 
 A closed structure is a category C with an internal-hom bifunctor
 und(-,-), a unit object, a natural isomorphism i_X : X -> und(1,X), a
@@ -35,7 +38,7 @@ from .core import (
     preimages,
     require_declared,
 )
-from .errors import BudgetExceeded, FormatError, NotBijective
+from .errors import BudgetExceeded, FormatError, NotBijective, NotComposable
 from .report import Report
 
 
@@ -76,8 +79,15 @@ class ClosedStructure:
         def table(x: ObjId, y: ObjId) -> dict:
             return preimages(self.cat.hom(x, y), self._gamma)
 
+        # The atom that names a point p : 1 -> X inside the sets of the hom
+        # embedding E = hom(1,-) and of the normalization's V: p's printed
+        # name, printed once per point.
+        def point_atom(p: MorId) -> hf.HF:
+            return hf.atom(self.cat.show_mor(p))
+
         object.__setattr__(self, "_gamma", functools.cache(_gamma))
         object.__setattr__(self, "gamma_table", functools.cache(table))
+        object.__setattr__(self, "point_atom", functools.cache(point_atom))
 
     # und(1_X, g) and und(f, 1_Y): the one-sided hom actions.
     def cov(self, x: ObjId, g: MorId) -> MorId:
@@ -619,18 +629,14 @@ def build_E_functor(cs: ClosedStructure, sets: ClosedStructure) -> ClosedFunctor
     post-composition, and the unit comparison picking out 1 at the unit.
 
     ``sets`` must be the lazy finite-sets closed structure; its objects
-    are hereditarily finite sets, so morphisms of cs are embedded as
-    named atoms.
+    are hereditarily finite sets, so the points of cs are embedded as the
+    atoms ``cs.point_atom`` names.
     """
     from .setcat import SetMor  # local import to avoid a cycle
 
     cat = cs.cat
     u = cs.unit
-
-    # Each morphism is named once: a SetMor prints its whole table.
-    @functools.cache
-    def elt(m: MorId) -> hf.HF:
-        return hf.atom(cat.show_mor(m))
+    elt = cs.point_atom
 
     @functools.cache
     def e_obj(x: ObjId) -> hf.HF:
@@ -666,8 +672,9 @@ class EKClosedStructure:
     """A closed structure with the extra set-valued functor required by the
     classical set-functor presentation: C(-) agrees with the hom-set
     functor on internal homs (CC0) and sends identities to the internal
-    identities (CC5').  ``elt_atom`` names each morphism as the atom that represents
-    it inside the set-valued functor's values."""
+    identities (CC5').  ``ek_normalize`` builds C(-) as E after gamma
+    inverse, and ``elt_atom`` names each morphism as E names its point:
+    the atom that represents it inside the set-valued functor's values."""
 
     closed: ClosedStructure
     C_functor: Functor
@@ -699,19 +706,18 @@ def ek_normalize(
     """Replace a closed category by an isomorphic one whose morphisms
     X -> Y literally are the points 1 -> und(X,Y), composed via L and the
     inverse of gamma.  The internal structure is transported along gamma,
-    and the set-valued functor sends an object to its set of points.
+    and the set-valued functor V is the hom embedding E = hom(1,-) of the
+    base after gamma inverse: an object goes to its set of points, and a
+    point f to E(gamma^{-1} f).
 
     Returns the normalized structure plus the closed-functor isomorphism
     whose underlying functor is gamma on morphisms.
     """
-    from .setcat import SetMor, build_finset_closed
+    from .setcat import build_finset_closed
 
     cat = cs.cat
     u = cs.unit
     objs = guard_objects(cat, bounds)
-
-    def point_name(m: MorId) -> str:
-        return cat.show_mor(m)
 
     # The one WMor of each (dom, cod, point), owned by this structure
     # through the closures below and freed with it.  Always called
@@ -729,6 +735,9 @@ def ek_normalize(
     def g_inv(m: WMor) -> MorId:
         return gamma_inverse(cs, m.point, m.dom, m.cod)
 
+    def lift(m: MorId) -> WMor:
+        return wmor(cat.dom(m), cat.cod(m), gamma(cs, m))
+
     def compose_rule(f: WMor, g: WMor) -> WMor:
         # Composition by transport along gamma.  The defining formula
         # (f, g) -> f . gamma^{-1}(g . L) agrees with this wherever the
@@ -737,12 +746,9 @@ def ek_normalize(
         return wmor(f.dom, g.cod, gamma(cs, cat.compose(g_inv(f), g_inv(g))))
 
     def identity_rule(x: ObjId) -> WMor:
-        return wmor(x, x, gamma(cs, cat.identity(x)))
+        return lift(cat.identity(x))
 
     wcat = _WCategory(f"ek({cs.name})", cat, objs, homs, compose_rule, identity_rule)
-
-    def lift(m: MorId) -> WMor:
-        return wmor(cat.dom(m), cat.cod(m), gamma(cs, m))
 
     def hom2_mor(f: WMor, g: WMor) -> WMor:
         return lift(cs.hom2_mor(g_inv(f), g_inv(g)))
@@ -760,27 +766,15 @@ def ek_normalize(
     )
 
     sets = build_finset_closed(1)
+    E = build_E_functor(cs, sets)
 
-    # The naming maps, memoized like wcat's compose and freed with it.
+    # V on morphisms, memoized like wcat's compose and freed with it.
     @functools.cache
-    def elt_atom(m: WMor) -> hf.HF:
-        return hf.atom(point_name(m.point))
+    def v_mor(f: WMor):
+        return E.phi.mor_map(g_inv(f))
 
-    @functools.cache
-    def c_obj(x: ObjId) -> hf.HF:
-        return hf.fset(hf.atom(point_name(p)) for p in cat.hom(u, x))
-
-    @functools.cache
-    def c_mor(f: WMor) -> SetMor:
-        r = g_inv(f)
-        table = {
-            hf.atom(point_name(h)): hf.atom(point_name(cat.compose(h, r)))
-            for h in cat.hom(u, f.dom)
-        }
-        return SetMor.from_table(c_obj(f.dom), c_obj(f.cod), table)
-
-    c_functor = Functor(f"V({cs.name})", wcat, sets.cat, c_obj, c_mor)
-    ek = EKClosedStructure(w, c_functor, elt_atom, cs)
+    c_functor = Functor(f"V({cs.name})", wcat, sets.cat, E.phi.obj_map, v_mor)
+    ek = EKClosedStructure(w, c_functor, lambda m: cs.point_atom(m.point), cs)
 
     iso_phi = Functor(f"gamma({cs.name})", cat, wcat, lambda x: x, lift)
     iso = ClosedFunctor(
@@ -811,7 +805,7 @@ class _WCategory(Category):
         # ever enters the cache.
         def compose(f: WMor, g: WMor) -> WMor:
             if f.cod != g.dom:
-                raise ValueError(f"cannot compose {f} with {g}")
+                raise NotComposable(f"cannot compose {f} with {g}")
             return compose_rule(f, g)
 
         self._compose = functools.cache(compose)

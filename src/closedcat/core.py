@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
-from .errors import BudgetExceeded, FormatError
+from .errors import BudgetExceeded, FormatError, NotComposable
 from .report import Report
 
 ObjId = Hashable
@@ -224,7 +224,7 @@ class TabularCategory(Category):
 
     def compose(self, f, g):
         if self.cod(f) != self.dom(g):
-            raise ValueError(
+            raise NotComposable(
                 f"cannot compose {self.show_mor(f)} with {self.show_mor(g)}"
             )
         try:

@@ -57,7 +57,6 @@ from .core import (
 )
 from .enriched import (
     VFunctor,
-    VNatFamily,
     build_LX,
     build_underlying_V_category,
     compose_v_functors,
@@ -485,7 +484,7 @@ class RepresentingMulticat(Multicategory):
         reps = []
         for comp in fams:
             comps = tuple((a, comp[a]) for a in self._objs)
-            g = gamma_repr(self.ek, y, VNatFamily("p", ly, T, comp))
+            g = gamma_repr(self.ek, y, comp[y])
             reps.append(RepresentingMorphism(xs, y, comps, g))
         reps.sort(key=lambda r: r.gamma_name)
         # The point of a family is read off its component at y, and the

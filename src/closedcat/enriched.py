@@ -12,7 +12,10 @@ closed-category suite where it is one of its equations:
 - enriched naturality of precomposition with f : X -> X' is
   ``cc/L-dinatural`` at h = f.
 The naturality square itself prunes the enumeration of component
-families.  The representation map is decided bijective where the
+families.  The representation map reads a family's component at the
+representing object through the normalization's set-valued functor V,
+which is the hom embedding E = hom(1,-) after gamma inverse
+(``closed.ek_normalize``).  It is decided bijective where the
 representing multicategory is built on it
 (``correspond.check_representation``).
 """
@@ -57,20 +60,6 @@ class VFunctor:
 
     def mor_action(self, f: MorId) -> MorId:
         return self.apply_mor(f)
-
-
-@dataclass(frozen=True)
-class VNatFamily:
-    """An enriched natural transformation between functors into the
-    self-enrichment, given by an object-indexed family of base morphisms."""
-
-    name: str
-    source: VFunctor
-    target: VFunctor
-    components: dict
-
-    def at(self, x: ObjId) -> MorId:
-        return self.components[x]
 
 
 def build_underlying_V_category(cs: ClosedStructure) -> VCategory:
@@ -209,11 +198,11 @@ def enumerate_vnat_families(
     return out
 
 
-def gamma_repr(ek: EKClosedStructure, w: ObjId, p: VNatFamily) -> str:
-    """The representation map: evaluate the set-valued functor on the
-    component at the representing object and apply it to the identity.
-    Returns the element as its atom name."""
+def gamma_repr(ek: EKClosedStructure, w: ObjId, component: MorId) -> str:
+    """The representation map: apply the set-valued functor V to a
+    family's component at the representing object w, and evaluate at the
+    identity of w.  Returns the element as its atom name."""
     cs = ek.closed
-    table = ek.C_functor.mor_map(p.at(w))
+    table = ek.C_functor.mor_map(component)
     val = table.apply(ek.elt_atom(cs.cat.identity(w)))
     return val.name

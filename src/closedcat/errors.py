@@ -9,6 +9,12 @@ class BudgetExceeded(KernelError):
     """An enumeration would overflow its bounds."""
 
 
+class NotComposable(KernelError, ValueError):
+    """Two morphisms whose endpoints do not meet were composed, as when a
+    structure file names a morphism of the wrong hom-set.  Inside
+    ``check`` it is a FAIL line of the suite that composed them."""
+
+
 class NotBijective(KernelError):
     """A map required to be a bijection has zero or several preimages."""
 

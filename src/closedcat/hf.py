@@ -178,10 +178,6 @@ def sorted_elements(v: HF) -> tuple[HF, ...]:
     return v.order
 
 
-def sorted_pairs(v: HF) -> tuple[tuple[HF, HF], ...]:
-    return tuple(sorted(v.pairs, key=lambda kv: hf_key(kv[0])))
-
-
 def depth(v: HF) -> int:
     """Nesting depth of tables; a plain set of values does not count as
     an extra level, so a hom-set sits at the depth of its tables."""
@@ -197,5 +193,11 @@ def pretty(v: HF) -> str:
         return v.name
     if v.kind == SET:
         return "{" + ", ".join(pretty(x) for x in sorted_elements(v)) + "}"
-    body = ", ".join(f"{pretty(k)}↦{pretty(x)}" for k, x in sorted_pairs(v))
-    return "[" + body + "]"
+    return pretty_table(v.pairs)
+
+
+def pretty_table(pairs: Iterable[tuple[HF, HF]]) -> str:
+    """The text of a function table, keys in hf_key order, from its
+    (key, value) pairs: a table value's or a stored map's items."""
+    entries = sorted(pairs, key=lambda kv: hf_key(kv[0]))
+    return "[" + ", ".join(f"{pretty(k)}↦{pretty(x)}" for k, x in entries) + "]"

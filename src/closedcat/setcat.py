@@ -29,7 +29,7 @@ from typing import Callable, Union
 from . import hf
 from .closed import ClosedStructure
 from .core import MAX_OBJECTS, Category
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotComposable
 
 STAR = hf.atom("*")
 MATERIALIZE_LIMIT = 4096  # larger hom objects stay virtual terms
@@ -125,10 +125,13 @@ class SetMor:
         return self._hash
 
     def __str__(self):
+        # Printed from the stored map: a table value would be built and
+        # checked only to be printed.
         try:
-            return hf.pretty(self.table_value())
+            self._materialize()
         except BudgetExceeded:
             return f"<rule:{self.dom!r}->{self.cod!r}>"
+        return hf.pretty_table(self._map.items())
 
     def __repr__(self):
         return str(self)
@@ -222,7 +225,7 @@ class FinSetCategory(Category):
 
     def compose(self, f: SetMor, g: SetMor) -> SetMor:
         if f.cod != g.dom:
-            raise ValueError(f"cannot compose {f} with {g}")
+            raise NotComposable(f"cannot compose {f} with {g}")
         if f._map is not None:
             return SetMor.from_table(
                 f.dom, g.cod, {k: g.apply(v) for k, v in f._map.items()}

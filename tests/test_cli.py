@@ -2,6 +2,7 @@
 published report schema."""
 
 import hashlib
+import itertools
 import json
 import re
 import subprocess
@@ -246,6 +247,54 @@ def test_identity_of_the_wrong_type_fails_its_endpoints_only(tmp_path, capsys):
         f"[FAIL] {target}/category/identity-endpoints @ a",
         f"[PASS] {target}/category/assoc ((f;g);h=f;(g;h))",
     ]
+
+
+def test_closed_category_with_a_wrong_typed_identity_fails_without_raising(
+    tmp_path, capsys
+):
+    # heyting2's identity of o0 set to m1 : o0 -> o1.  The closed-category
+    # laws compose it through und(1,-); that composite is an error line of
+    # the suites, not a traceback.
+    assert cli.main(["instance", "dump", "heyting2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["id"]["o0"] = "m1"
+    target = tmp_path / "heyting2.json"
+    target.write_text(json.dumps(doc))
+    assert cli.main(["check", "--suite", "all", f"file:{target}"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    fails = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
+    assert fails == [
+        f"[FAIL] {target}/category/identity-endpoints @ o0",
+        f"[FAIL] {target}/cc/error (NotComposable) @ cannot compose m2 with m1",
+        f"[FAIL] {target}/derived/error (NotComposable) @ cannot compose m2 with m1",
+    ]
+
+
+def test_every_identity_edit_of_a_dump_exits_with_a_report(tmp_path, capsys):
+    # Each object's identity in each tabular category and closed-category
+    # dump set to each declared morphism in turn, the unchanged one
+    # included: every edit is checked in process and raises nothing.
+    edits = 0
+    for name in sorted(instances.REGISTRY):
+        if instances.get(name).kind not in ("category", "closed"):
+            continue
+        assert cli.main(["instance", "dump", name]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        if "hom" not in doc:  # a lazy structure, dumped by reference
+            continue
+        morphisms = sorted({m for ms in doc["hom"].values() for m in ms})
+        for x, m in itertools.product(sorted(doc["id"]), morphisms):
+            edited = json.loads(json.dumps(doc))
+            edited["id"][x] = m
+            target = tmp_path / f"{name}-{x}-{m}.json"
+            target.write_text(json.dumps(edited))
+            code = cli.main(["check", "--suite", "all", f"file:{target}"])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (name, x, m)
+            assert code == 2 or out.startswith("== check =="), (name, x, m)
+            edits += 1
+    assert edits == 16
 
 
 def test_roundtrip_verb():

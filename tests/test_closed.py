@@ -234,6 +234,41 @@ def test_ek_normalize_interns_every_morphism(name):
                 assert member[(x, z, h.point)] is h
 
 
+def _v_oracle(cs):
+    """The normalization's set-valued functor written out without E: a
+    point named by its printed name, an object sent to its set of points
+    and a point f to postcomposition with gamma^{-1}(f)."""
+    cat, u = cs.cat, cs.unit
+
+    def point_name(m):
+        return hf.atom(cat.show_mor(m))
+
+    def c_obj(x):
+        return hf.fset(point_name(p) for p in cat.hom(u, x))
+
+    def c_mor(f):
+        r = gamma_inverse(cs, f.point, f.dom, f.cod)
+        table = {point_name(h): point_name(cat.compose(h, r)) for h in cat.hom(u, f.dom)}
+        return SetMor.from_table(c_obj(f.dom), c_obj(f.cod), table)
+
+    return point_name, c_obj, c_mor
+
+
+@pytest.mark.parametrize("name", ["terminal", "heyting2", "z2closed", "finset"])
+def test_normalization_set_functor_agrees_with_its_written_out_oracle(name):
+    cs = instances.get(name).build()
+    ek, _ = ek_normalize(cs)
+    point_name, c_obj, c_mor = _v_oracle(cs)
+    objs = ek.closed.cat.objects()
+    for x in objs:
+        assert ek.C_functor.obj_map(x) == c_obj(x)
+    for x, y in itertools.product(objs, repeat=2):
+        for f in ek.closed.cat.hom(x, y):
+            assert ek.elt_atom(f) == point_name(f.point)
+            got, want = ek.C_functor.mor_map(f), c_mor(f)
+            assert (got.dom, got.cod, got.mapping()) == (want.dom, want.cod, want.mapping())
+
+
 def test_ek_composition_matches_defining_formula():
     # the transported composition equals f . gamma^{-1}(g . L) computed
     # directly in the base (dual route at enumerable level)

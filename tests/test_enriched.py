@@ -9,7 +9,6 @@ import pytest
 from closedcat import hf, instances
 from closedcat.closed import build_E_functor, check_cc_axioms, ek_normalize
 from closedcat.enriched import (
-    VNatFamily,
     build_LX,
     build_underlying_V_category,
     check_v_category,
@@ -207,8 +206,7 @@ def test_gamma_repr_identity_family_gives_identity_element():
         lx = build_LX(w, x)
         comps = {a: w.cat.identity(w.hom2_obj(x, a)) for a in w.cat.objects()}
         assert comps in enumerate_vnat_families(lx, lx)
-        fam = VNatFamily("id", lx, lx, comps)
-        got = gamma_repr(ek, x, fam)
+        got = gamma_repr(ek, x, comps[x])
         assert got == ek.elt_atom(w.cat.identity(x)).name
 
 
@@ -223,5 +221,4 @@ def test_gamma_repr_of_Lf_is_f(name):
         lf_comps = {a: w.hom2_mor(f, w.cat.identity(a)) for a in w.cat.objects()}
         lx, ly = build_LX(w, x), build_LX(w, y)
         assert lf_comps in enumerate_vnat_families(ly, lx)
-        fam = VNatFamily("Lf", ly, lx, lf_comps)
-        assert gamma_repr(ek, y, fam) == ek.elt_atom(f).name
+        assert gamma_repr(ek, y, lf_comps[y]) == ek.elt_atom(f).name

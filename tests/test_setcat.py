@@ -357,3 +357,15 @@ def test_equal_tables_with_other_codomain_are_distinct(monkeypatch):
     assert f.mapping() == g.mapping()
     assert f != g
     assert len({f, g}) == 2
+
+
+def test_a_morphism_prints_its_table_without_building_a_table_value(sets2, monkeypatch):
+    cat = sets2.cat
+    mors = [f for x, y in itertools.product(cat.objects(), repeat=2) for f in cat.hom(x, y)]
+    built = []
+    ftable = hf.ftable
+    monkeypatch.setattr(hf, "ftable", lambda pairs: built.append(1) or ftable(pairs))
+    printed = [str(f) for f in mors]
+    assert built == []
+    monkeypatch.undo()
+    assert printed == [hf.pretty(f.table_value()) for f in mors]
