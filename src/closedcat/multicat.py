@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_BOUNDS,
@@ -158,11 +158,12 @@ class TabularMulticategory(Multicategory):
 
     def compose(self, fs, g):
         key = (tuple(fs), g)
-        if key not in self._compose:
+        try:
+            return self._compose[key]
+        except KeyError:
             raise FormatError(
                 f'{self.name}: compose table has no entry "{_compose_entry(key)}"'
-            )
-        return self._compose[key]
+            ) from None
 
     def dom(self, f):
         return self._sig[f][0]
@@ -266,10 +267,11 @@ def check_strict_monoidal(smc: StrictMonoidalCategory) -> Report:
     return rep
 
 
-@dataclass(frozen=True)
-class MMor:
+class MMor(NamedTuple):
     """A multicategory morphism over a monoidal category: an arrow out of
-    the tensor of its domain profile, tagged with that profile."""
+    the tensor of its domain profile, tagged with that profile.  A named
+    tuple, so its hash and equality run in C: the composition memos of
+    its structure hash one on every call."""
 
     dom: Profile
     cod: ObjId
@@ -283,9 +285,14 @@ class MonoidalMulticategory(Multicategory):
     def __init__(self, smc: StrictMonoidalCategory, name: str):
         self.smc = smc
         self.name = name
-        # Memo freed with the structure: one identity per object, built
-        # once, since every plug pads with identities.
+        # Memos freed with the structure: one identity per object, built
+        # once, since every plug pads with identities; each composite and
+        # each one-slot composite, as the axiom checks ask for most of
+        # them many times.  Neither caches a refusal: an exception is
+        # raised again on every call.
         self.identity = functools.cache(self._identity)
+        self._composite = functools.cache(self._compose)
+        self._plugged = functools.cache(super().plug)
 
     def objects(self):
         return self.smc.cat.objects()
@@ -311,6 +318,13 @@ class MonoidalMulticategory(Multicategory):
         return MMor((x,), x, self.smc.cat.identity(x))
 
     def compose(self, fs, g: MMor):
+        return self._composite(tuple(fs), g)
+
+    def plug(self, g: MMor, i: int, f: MMor):
+        # The base Multicategory.plug, memoized; it stays as the oracle.
+        return self._plugged(g, i, f)
+
+    def _compose(self, fs, g: MMor):
         if tuple(f.cod for f in fs) != g.dom:
             raise ValueError(f"profile mismatch composing into {g}")
         cat = self.smc.cat
@@ -482,19 +496,13 @@ def _assoc_loci(m: Multicategory, bounds: Bounds) -> list[str]:
     for g, doms, fs in _walk(table, bounds.max_arity):
         mid = m.compose(fs, g)
         flat_xs = tuple(x for d in doms for x in d)
+        ends = tuple(itertools.accumulate(map(len, doms)))
+        blocks = tuple(zip((0,) + ends, ends, fs))  # f_i and its hs slice
         for _, hs_choices in slots(flat_xs, bounds.max_arity):
             for hs in itertools.product(*hs_choices):
                 lhs = m.compose(hs, mid)
-                split = []
-                k = 0
-                for d in doms:
-                    split.append(hs[k : k + len(d)])
-                    k += len(d)
-                inner = tuple(
-                    m.compose(split[i], fs[i]) for i in range(len(fs))
-                )
-                rhs = m.compose(inner, g)
-                if lhs != rhs:
+                inner = tuple(m.compose(hs[a:b], f) for a, b, f in blocks)
+                if lhs != m.compose(inner, g):
                     bad.append(
                         f"g={m.show_mor(g)} fs=" + ",".join(map(m.show_mor, fs))
                     )

@@ -122,6 +122,19 @@ def test_monoidal_multicategory_is_freed_after_its_identity_memo_hits():
     assert _freed(ref)
 
 
+def test_monoidal_multicategory_and_witness_are_freed_after_composite_and_plug_hits():
+    m, w = instances.get("z2").build()
+    ev = w.ev(("g", "g"), "g")
+    ones = m.identities_for(ev.dom)
+    assert m.compose(ones, ev) == m.compose(list(ones), ev) == ev
+    assert m.plug(ev, 1, ev) == m.plug(ev, 1, ev)
+    assert m._composite.cache_info().hits >= 1
+    assert m._plugged.cache_info().hits >= 1
+    refs = [weakref.ref(m), weakref.ref(w)]
+    del m, w, ev, ones
+    assert all(_freed(r) for r in refs)
+
+
 def test_witness_is_freed_after_its_tables_and_internal_category_hit():
     m, w = instances.get("z2").build()
     bounds = Bounds(2)

@@ -174,6 +174,83 @@ def test_only_trivial_multinat_on_identity(z2):
     assert good == ["e"] and bad == ["s"]
 
 
+# The monoidal instances, each at the cap its memo test walks.
+MONOIDAL = {
+    "z2": CAPS,
+    "heyting2mc": CAPS,
+    "truncadd-badev": CAPS,
+    "truncadd-badunit": CAPS,
+    "freemon3": Bounds(instances.get("freemon3").max_arity),
+}
+
+
+@pytest.mark.parametrize("name", MONOIDAL)
+def test_memoized_compose_and_plug_match_their_oracles(name):
+    # compose reads a memo of _compose, and plug a memo of the base
+    # Multicategory.plug; every value equals the one evaluated afresh,
+    # so a memo keyed by part of its arguments fails
+    caps = MONOIDAL[name]
+    m = instances.get(name).build()[0]
+    fresh = instances.get(name).build()[0]
+    afresh = m._composite.__wrapped__
+    for g, _, fs in multicat._composables(m, caps):
+        assert m.compose(fs, g) == afresh(fs, g)
+    homs = multicat._walk_table(m, caps)[0]
+    for (ys, _), gs in homs.items():
+        for g, i in itertools.product(gs, range(len(ys))):
+            for d in m.profiles(caps.max_arity + 1 - len(ys)):
+                for f in homs[(d, ys[i])]:
+                    want = multicat.Multicategory.plug(fresh, g, i, f)
+                    assert m.plug(g, i, f) == want
+    assert m._composite.cache_info().hits > 0
+    assert m._plugged.cache_info().misses > 0
+
+
+def _refused(name):
+    """A structure, a composite (fs, g) that its compose refuses, and the
+    message of the refusal."""
+    m = instances.get(name).build()[0]
+    if name == "freemon3":
+        # the profiles match, but the tensor x2 (x) x2 lies past the cap
+        i2 = m.identity("x2")
+        return m, (i2, i2), MMor(("x2", "x2"), "x3", "i3"), "tensor undefined"
+    xs, y = next(s for s in m.signatures(CAPS) if len(s[0]) == 2 and m.hom(*s))
+    g = m.hom(xs, y)[0]  # nothing plugged into its two inputs
+    return m, (), g, f"profile mismatch composing into {g}"
+
+
+@pytest.mark.parametrize("name", MONOIDAL)
+def test_a_refused_composite_is_refused_again(name):
+    # the memos keep no exception: a second call refuses as the first did
+    m, fs, g, message = _refused(name)
+    calls = [lambda: m.compose(fs, g)]
+    if fs:
+        calls.append(lambda: m.plug(g, 0, fs[0]))
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert (exc.type, str(exc.value)) == (ValueError, message)
+    assert m._composite.cache_info().currsize == 0
+    assert m._plugged.cache_info().currsize == 0
+
+
+def test_mmor_is_a_value():
+    # a morphism built outside its structure, as a witness or a functor
+    # builds it, is its hom-set's member in equality and hash
+    m, w = instances.get("z2").build()
+    shift = instances.z2_shift(m)
+    built = [w.ev1[("g", "g")], w.unit.u]
+    for xs, y in m.signatures(CAPS):
+        built += [shift.mor_map(f) for f in m.hom(xs, y)]
+    for f in built:
+        assert f in m.hom(f.dom, f.cod) and f in set(m.hom(f.dom, f.cod))
+    f = MMor(("g", "g"), "g", "e")
+    assert str(f) == "e:g,g->g"
+    assert repr(f) == "MMor(dom=('g', 'g'), cod='g', raw='e')"
+    assert str(w.unit.u) == "e:->g"
+
+
 def test_heyting2mc_axioms():
     m, w = instances.get("heyting2mc").build()
     assert check_multicategory_axioms(m, CAPS).ok
