@@ -170,12 +170,12 @@ def cmd_represent(args) -> int:
     if kind != "closed":
         raise FormatError("represent expects a closed category")
     bounds = _bounds(args)
-    bundle = build_representing_multicategory(payload, bounds)
+    w = build_representing_multicategory(payload, bounds)
     rep = Report(f"represent {name}")
-    rep.extend(check_representation(bundle, bounds))
-    rep.extend(verify_essential_surjectivity(bundle, bounds))
+    rep.extend(check_representation(w, bounds))
+    rep.extend(verify_essential_surjectivity(w, bounds))
     dump = Bounds(bounds.max_arity + 1, bounds.max_homset)
-    doc = interchange.multicat_to_json(bundle.mcv, dump, bundle.witness)
+    doc = interchange.multicat_to_json(w.m, dump, w)
     _write(interchange.dumps(doc), args.out)
     sys.stdout.write(_render(rep, args))
     return 0 if rep.ok else 1

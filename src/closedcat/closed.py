@@ -434,15 +434,25 @@ class ClosedFunctor:
     phi0: MorId
 
     @staticmethod
-    def identity(cs: ClosedStructure) -> "ClosedFunctor":
+    def strict(
+        name: str, source: ClosedStructure, target: ClosedStructure, phi: Functor
+    ) -> "ClosedFunctor":
+        """The closed functor with identity hom and unit comparisons, for a
+        phi that carries und(X,Y) to und(phi X, phi Y) and the unit to the
+        unit."""
+        cat, obj = target.cat, phi.obj_map
         return ClosedFunctor(
-            "id",
-            cs,
-            cs,
-            Functor.identity(cs.cat),
-            lambda x, y: cs.cat.identity(cs.hom2_obj(x, y)),
-            cs.cat.identity(cs.unit),
+            name,
+            source,
+            target,
+            phi,
+            lambda x, y: cat.identity(target.hom2_obj(obj(x), obj(y))),
+            cat.identity(target.unit),
         )
+
+    @staticmethod
+    def identity(cs: ClosedStructure) -> "ClosedFunctor":
+        return ClosedFunctor.strict("id", cs, cs, Functor.identity(cs.cat))
 
 
 @dataclass(frozen=True)
@@ -454,17 +464,7 @@ class ClosedTransformation:
 
     @staticmethod
     def identity(F: ClosedFunctor) -> "ClosedTransformation":
-        return ClosedTransformation(
-            "id",
-            F,
-            F,
-            NaturalTransformation(
-                "id",
-                F.phi,
-                F.phi,
-                lambda x: F.target.cat.identity(F.phi.obj_map(x)),
-            ),
-        )
+        return ClosedTransformation("id", F, F, NaturalTransformation.identity(F.phi))
 
 
 def check_cf_axioms(F: ClosedFunctor, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
@@ -601,25 +601,22 @@ def compose_cn_horizontal(
 ) -> ClosedTransformation:
     """Horizontal composite by whiskering: component at X is
     t_(phi X) ; psi'(s_X)."""
-    F2, G2 = t.source, t.target
-    E = F2.target
+    E = t.source.target
+    source = compose_closed_functors(s.source, t.source)
+    target = compose_closed_functors(s.target, t.target)
 
     def comp(x):
         return E.cat.compose(
             t.eta.components(s.source.phi.obj_map(x)),
-            G2.phi.mor_map(s.eta.components(x)),
+            t.target.phi.mor_map(s.eta.components(x)),
         )
 
+    name = f"{s.name}*{t.name}"
     return ClosedTransformation(
-        f"{s.name}*{t.name}",
-        compose_closed_functors(s.source, t.source),
-        compose_closed_functors(s.target, t.target),
-        NaturalTransformation(
-            f"{s.name}*{t.name}",
-            compose_closed_functors(s.source, t.source).phi,
-            compose_closed_functors(s.target, t.target).phi,
-            comp,
-        ),
+        name,
+        source,
+        target,
+        NaturalTransformation(name, source.phi, target.phi, comp),
     )
 
 
@@ -652,14 +649,15 @@ def build_E_functor(cs: ClosedStructure, sets: ClosedStructure) -> ClosedFunctor
 
     @functools.cache
     def phi_hat(x: ObjId, y: ObjId) -> SetMor:
-        src = e_obj(cs.hom2_obj(x, y))
-        table = {}
-        for h in cat.hom(u, cs.hom2_obj(x, y)):
-            f = gamma_inverse(cs, h, x, y)
-            table[elt(h)] = hf.ftable(
-                (elt(k), elt(cat.compose(k, f))) for k in cat.hom(u, x)
-            )
-        return SetMor.from_table(src, sets.hom2_obj(e_obj(x), e_obj(y)), table)
+        # A point h of und(X,Y) goes to the table of E(gamma^{-1} h).
+        hxy = cs.hom2_obj(x, y)
+        table = {
+            elt(h): e_mor(gamma_inverse(cs, h, x, y)).table_value()
+            for h in cat.hom(u, hxy)
+        }
+        return SetMor.from_table(
+            e_obj(hxy), sets.hom2_obj(e_obj(x), e_obj(y)), table
+        )
 
     phi0 = SetMor.from_table(
         sets.unit, e_obj(u), {hf.atom("*"): elt(cat.identity(u))}
@@ -777,15 +775,7 @@ def ek_normalize(
     ek = EKClosedStructure(w, c_functor, lambda m: cs.point_atom(m.point), cs)
 
     iso_phi = Functor(f"gamma({cs.name})", cat, wcat, lambda x: x, lift)
-    iso = ClosedFunctor(
-        f"gamma({cs.name})",
-        cs,
-        w,
-        iso_phi,
-        lambda x, y: wcat.identity(cs.hom2_obj(x, y)),
-        wcat.identity(u),
-    )
-    return ek, iso
+    return ek, ClosedFunctor.strict(f"gamma({cs.name})", cs, w, iso_phi)
 
 
 class _WCategory(Category):

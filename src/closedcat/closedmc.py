@@ -267,10 +267,9 @@ def check_internal_category(
 
     bad = []
     for x, y in itertools.product(objs, repeat=2):
-        hxy = w.hom_obj((x,), y)
-        left = m.plug(mu[(x, x, y)], 0, unit1[x])
+        left = mu_left_unit_holds(w, ic, x, y)
         right = m.plug(mu[(x, y, y)], 1, unit1[y])
-        if left != m.identity(hxy) or right != m.identity(hxy):
+        if not left or right != m.identity(w.hom_obj((x,), y)):
             bad.append(f"{x},{y}")
     rep.law("internal/mu-unit", "unit laws for mu", bad)
 
@@ -282,6 +281,17 @@ def check_internal_category(
             bad.append(f"{x},{y},{z}")
     rep.law("internal/L-equation", "(1,L).ev = mu", bad)
     return rep
+
+
+def mu_left_unit_holds(
+    w: ClosednessWitness, ic: InternalCategory, x: ObjId, y: ObjId
+) -> bool:
+    """The left unit law of the internal composition at X, Y:
+    (unit1_X, 1).mu_XXY = 1 on und(X;Y).  It is ``internal/mu-unit``'s
+    left half and ``u/CC2-unit-law``."""
+    m = w.m
+    lhs = m.plug(ic.mu[(x, x, y)], 0, ic.unit1[x])
+    return lhs == m.identity(w.hom_obj((x,), y))
 
 
 def L_identity_loci(w: ClosednessWitness, ic: InternalCategory) -> list[str]:
@@ -455,9 +465,8 @@ def closing_transformation(
 
 
 def unit_contraction(w: ClosednessWitness, x: ObjId) -> MorId:
-    """und(u;1) : und(unit;X) -> X, the evaluation against u."""
-    uw = w.declared_unit()
-    return w.m.plug(w.ev((uw.unit,), x), 0, uw.u)
+    """und(u;X) : und(unit;X) -> X, the evaluation against u."""
+    return hom_action_contra(w, w.declared_unit().u, x)
 
 
 def contraction_inverses(

@@ -40,6 +40,7 @@ from .closedmc import (
     curry,
     hom_action_contra,
     hom_action_cov,
+    mu_left_unit_holds,
     unit_contraction,
     uncurry,
 )
@@ -173,12 +174,9 @@ def verify_u_construction(
         L_identity_loci(w, ic),
     )
 
-    bad = []
-    for x in objs:
-        for y in objs:
-            lhs = m.plug(ic.mu[(x, x, y)], 0, ic.unit1[x])
-            if lhs != m.identity(w.hom_obj((x,), y)):
-                bad.append(f"{x},{y}")
+    bad = [
+        f"{x},{y}" for x in objs for y in objs if not mu_left_unit_holds(w, ic, x, y)
+    ]
     rep.law("u/CC2-unit-law", "CC2 via the identity axiom for mu", bad)
 
     rep.law(
@@ -425,7 +423,8 @@ class RepresentingMulticat(Multicategory):
     pointwise composition.  A family is indexed by its component at the
     codomain, which determines it, so composition computes only that
     component.  Objects come in the base's order, each hom-set in
-    ``gamma_name`` order."""
+    ``gamma_name`` order.  ``witness`` is its closedness witness, with
+    the evaluation and unit families the construction defines."""
 
     def __init__(self, ek: EKClosedStructure, bounds: Bounds):
         w = ek.closed
@@ -465,6 +464,19 @@ class RepresentingMulticat(Multicategory):
         for xs in self.profiles(bounds.max_arity):
             for y in objs:
                 self._homset(xs, y)
+        # The internal hom of (X;Z) is und(X,Z), its evaluation is the
+        # family of L components at (X,Z), and the unit is the family of
+        # inverse i components at the base's unit.
+        hom_obj1 = {(x, z): w.hom2_obj(x, z) for x in objs for z in objs}
+        ev1 = {
+            (x, z): self._find(
+                (x, w.hom2_obj(x, z)), z, tuple(w.L(x, z, a) for a in objs)
+            )
+            for x in objs
+            for z in objs
+        }
+        u = self._find((), w.unit, tuple(map(w.i_inv, objs)))
+        self.witness = ClosednessWitness(self, hom_obj1, ev1, UnitWitness(w.unit, u))
 
     # -- functor calculus ---------------------------------------------------
 
@@ -636,48 +648,29 @@ class RepresentingMulticat(Multicategory):
         return str(f)
 
 
-@dataclass
-class RepresentedBundle:
-    ek: EKClosedStructure
-    iso: ClosedFunctor  # base structure -> normalized structure
-    mcv: RepresentingMulticat
-    witness: ClosednessWitness  # carries the unit
-
-
 def build_representing_multicategory(
     cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS
-) -> RepresentedBundle:
-    """The representing multicategory of a finite closed category: objects
-    are those of the (normalized) structure, a morphism X1..Xn -> Y is an
-    enriched natural family from the left hom functor at Y to the
-    composite of the left hom functors at the Xi, the internal hom object
-    of (X;Z) is the internal hom und(X,Z), the evaluation is the family
-    of L components at (X,Z), and the unit is the inverse-i family."""
-    ek, iso = ek_normalize(cs, bounds)
-    w = ek.closed
-    wcat = w.cat
-    mcv = RepresentingMulticat(ek, bounds)
-    objs = mcv.objects()
-
-    hom_obj1 = {(x, z): w.hom2_obj(x, z) for x in objs for z in objs}
-    ev1 = {}
-    for x in objs:
-        for z in objs:
-            comps = tuple(w.L(x, z, a) for a in objs)
-            ev1[(x, z)] = mcv._find((x, w.hom2_obj(x, z)), z, comps)
-    unit = UnitWitness(w.unit, mcv._find((), w.unit, tuple(map(w.i_inv, objs))))
-    return RepresentedBundle(ek, iso, mcv, ClosednessWitness(mcv, hom_obj1, ev1, unit))
+) -> ClosednessWitness:
+    """The representing multicategory of a finite closed category, as the
+    closedness witness that ``RepresentingMulticat`` builds over the
+    normalized structure: objects are those of the structure, and a
+    morphism X1..Xn -> Y is an enriched natural family from the left hom
+    functor at Y to the composite of the left hom functors at the Xi."""
+    ek, _ = ek_normalize(cs, bounds)
+    return RepresentingMulticat(ek, bounds).witness
 
 
 def check_representation(
-    bundle: RepresentedBundle, bounds: Bounds = DEFAULT_BOUNDS
+    rw: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
-    """Representation-specific checks: the bijection between families and
-    elements at every signature, the coordinate equation for the
-    evaluation families, and compatibility of the bijection with
-    currying."""
-    rep = Report(f"representation: {bundle.mcv.name}")
-    mcv, ek, w = bundle.mcv, bundle.ek, bundle.ek.closed
+    """Representation-specific checks on the witness of a representing
+    multicategory: the bijection between families and elements at every
+    signature, the coordinate equation for the evaluation families, and
+    compatibility of the bijection with currying."""
+    mcv = rw.m
+    ek = mcv.ek
+    w = ek.closed
+    rep = Report(f"representation: {mcv.name}")
 
     bad = []
     for xs, y in mcv.signatures(bounds):
@@ -691,7 +684,7 @@ def check_representation(
     bad = []
     for x in mcv.objects():
         for z in mcv.objects():
-            ev = bundle.witness.ev1[(x, z)]
+            ev = rw.ev1[(x, z)]
             want = ek.elt_atom(w.cat.identity(w.hom2_obj(x, z))).name
             if ev.gamma_name != want:
                 bad.append(f"{x},{z}")
@@ -702,10 +695,10 @@ def check_representation(
         if len(xs) != 1:
             continue
         x = xs[0]
-        h = bundle.witness.hom_obj((x,), z)
+        h = rw.hom_obj((x,), z)
         for ys in mcv.profiles(bounds.max_arity - 1):
             for g in guard_hom(mcv, ys, h, bounds):
-                img = uncurry(bundle.witness, g, (x,), z)
+                img = uncurry(rw, g, (x,), z)
                 if img.gamma_name != g.gamma_name:
                     bad.append(f"g={mcv.show_mor(g)}")
     rep.law("repr/gamma-currying", "bijection commutes with currying", bad)
@@ -713,20 +706,22 @@ def check_representation(
 
 
 def verify_essential_surjectivity(
-    bundle: RepresentedBundle, bounds: Bounds = DEFAULT_BOUNDS
+    rw: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
 ) -> Report:
     """The comparison functor from the normalized base into the underlying
-    closed category of the representing multicategory: an isomorphism of
-    closed categories with identity hom and unit comparisons, under which
-    i, j, L are exactly the families of the corresponding base data."""
+    closed category of a representing multicategory, given by its
+    witness: an isomorphism of closed categories with identity hom and
+    unit comparisons, under which i, j, L are exactly the families of the
+    corresponding base data."""
     from .core import Functor
 
-    rep = Report(f"essential surjectivity: {bundle.mcv.name}")
-    mcv, w = bundle.mcv, bundle.ek.closed
+    mcv = rw.m
+    w = mcv.base
     wcat = w.cat
     objs = mcv.objects()
+    rep = Report(f"essential surjectivity: {mcv.name}")
 
-    ucs = bundle.witness.underlying(bounds)
+    ucs = rw.underlying(bounds)
 
     def l_of(f) -> RepresentingMorphism:
         x, y = wcat.dom(f), wcat.cod(f)
@@ -734,14 +729,7 @@ def verify_essential_surjectivity(
         return mcv._find((x,), y, comps)
 
     phi = Functor(f"L({w.name})", wcat, ucs.cat, lambda x: x, l_of)
-    lfun = ClosedFunctor(
-        f"L({w.name})",
-        w,
-        ucs,
-        phi,
-        lambda x, y: ucs.cat.identity(w.hom2_obj(x, y)),
-        ucs.cat.identity(w.unit),
-    )
+    lfun = ClosedFunctor.strict(f"L({w.name})", w, ucs, phi)
     rep.extend(check_cf_axioms(lfun, bounds), prefix="L/")
 
     bad = []

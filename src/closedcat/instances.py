@@ -14,14 +14,14 @@ and a multicategory with one corrupted composite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as _product
 from typing import Callable
 
 from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
 from .core import Category, TabularCategory
-from .errors import FormatError
+from .errors import BudgetExceeded, FormatError
 from .multicat import (
     MMor,
     MonoidalMulticategory,
@@ -133,36 +133,16 @@ def build_z2_closed() -> ClosedStructure:
 
 def build_broken_j() -> ClosedStructure:
     """Negative fixture: z2closed with the identity selector flipped."""
-    cs = build_z2_closed()
-    return ClosedStructure(
-        "broken-j",
-        cs.cat,
-        cs.unit,
-        cs.hom2_obj,
-        cs.hom2_mor,
-        cs.i,
-        cs.i_inv,
-        lambda x: "s",
-        cs.L,
-    )
+    return replace(build_z2_closed(), name="broken-j", j=lambda x: "s")
 
 
 def build_broken_hom2() -> ClosedStructure:
     """Negative fixture: z2closed with the hom action corrupted at one
     entry, collapsing gamma."""
-    cs = build_z2_closed()
     table = {(a, b): _z2_add(a, b) for a in "es" for b in "es"}
     table[("e", "s")] = "e"
-    return ClosedStructure(
-        "broken-hom2",
-        cs.cat,
-        cs.unit,
-        cs.hom2_obj,
-        lambda f, g: table[(f, g)],
-        cs.i,
-        cs.i_inv,
-        cs.j,
-        cs.L,
+    return replace(
+        build_z2_closed(), name="broken-hom2", hom2_mor=lambda f, g: table[(f, g)]
     )
 
 
@@ -332,7 +312,7 @@ def build_freemon3() -> tuple[Multicategory, None]:
     def tensor_mor(f: str, g: str):
         k = int(f[1:]) + int(g[1:])
         if k > cap:
-            raise ValueError("tensor undefined")
+            raise BudgetExceeded(f"freemon3: tensor undefined on {(f, g)!r}")
         return f"i{k}"
 
     smc = StrictMonoidalCategory(cat, tensor_obj, tensor_mor, "x0")

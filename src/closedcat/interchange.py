@@ -32,6 +32,7 @@ from .core import (
     TabularCategory,
     guard_hom,
     guard_objects,
+    hom_entry,
     require_declared,
     require_declared_keys,
 )
@@ -322,8 +323,7 @@ def multicat_to_json(
         fs = hom_within(xs, y)
         if not fs:
             continue  # empty hom-sets stay implicit
-        key = ",".join(oname(x) for x in xs) + ";" + oname(y)
-        hom[key] = [mname(f) for f in fs]
+        hom[hom_entry((tuple(map(oname, xs)), oname(y)))] = [mname(f) for f in fs]
     compose = {}
     names = mname.names
     for fs, g, out in m.composites(bounds, hom_within):
@@ -367,10 +367,10 @@ def _require_signature(name, label, entry, m, f, xs, y) -> None:
     xs -> y; otherwise raise a FormatError naming the entry, with both
     signatures in the syntax of hom keys, "X1,X2;Y"."""
     if m.dom(f) != xs or m.cod(f) != y:
-        have = ",".join(m.dom(f)) + ";" + m.cod(f)
+        have = hom_entry((m.dom(f), m.cod(f)))
         raise FormatError(
             f'{name}: {label} entry "{entry}" names "{f}" of signature "{have}", '
-            f'needs "{",".join(xs)};{y}"'
+            f'needs "{hom_entry((xs, y))}"'
         )
 
 

@@ -179,13 +179,13 @@ def test_criterion_5_essential_surjectivity():
     ok = True
     details = []
     for name in ["terminal", "heyting2"]:
-        bundle = build_representing_multicategory(instances.get(name).build(), CAPS)
+        w = build_representing_multicategory(instances.get(name).build(), CAPS)
         reports = [
-            check_multicategory_axioms(bundle.mcv, CAPS),
-            check_closedness(bundle.witness, CAPS),
-            check_unit_object(bundle.witness, CAPS),
-            check_representation(bundle, CAPS),
-            verify_essential_surjectivity(bundle, CAPS),
+            check_multicategory_axioms(w.m, CAPS),
+            check_closedness(w, CAPS),
+            check_unit_object(w, CAPS),
+            check_representation(w, CAPS),
+            verify_essential_surjectivity(w, CAPS),
         ]
         for r in reports:
             ok &= r.ok

@@ -152,6 +152,45 @@ def test_cn_vertical_and_horizontal_compositions():
     assert check_cn_axioms(horiz).ok
 
 
+def test_horizontal_composite_is_natural_between_its_own_functors():
+    cs = instances.get("z2closed").build()
+    t = ClosedTransformation.identity(ClosedFunctor.identity(cs))
+    h = compose_cn_horizontal(t, t)
+    assert h.eta.source is h.source.phi
+    assert h.eta.target is h.target.phi
+
+
+def _phi_hat_oracle(cs, sets, x, y):
+    """E's hom comparison at (X, Y) written out without E's morphism map:
+    a point h of und(X,Y) goes to the table k -> k;gamma^{-1}(h) over the
+    points k of X, each point named by its printed name."""
+    cat, u = cs.cat, cs.unit
+
+    def point_name(m):
+        return hf.atom(cat.show_mor(m))
+
+    def e_obj(z):
+        return hf.fset(point_name(p) for p in cat.hom(u, z))
+
+    table = {}
+    for h in cat.hom(u, cs.hom2_obj(x, y)):
+        f = gamma_inverse(cs, h, x, y)
+        table[point_name(h)] = hf.ftable(
+            (point_name(k), point_name(cat.compose(k, f))) for k in cat.hom(u, x)
+        )
+    cod = sets.hom2_obj(e_obj(x), e_obj(y))
+    return SetMor.from_table(e_obj(cs.hom2_obj(x, y)), cod, table)
+
+
+@pytest.mark.parametrize("name", ["terminal", "heyting2", "z2closed", "finset"])
+def test_E_hom_comparison_agrees_with_its_written_out_oracle(name, sets2):
+    cs = instances.get(name).build()
+    E = build_E_functor(cs, sets2)
+    for x, y in itertools.product(cs.cat.objects(), repeat=2):
+        got, want = E.phi_hat(x, y), _phi_hat_oracle(cs, sets2, x, y)
+        assert (got.dom, got.cod, got.mapping()) == (want.dom, want.cod, want.mapping())
+
+
 def test_E_functor_on_terminal_gives_singleton():
     cs = instances.get("terminal").build()
     E = build_E_functor(cs, build_finset_closed(1))

@@ -147,6 +147,31 @@ def test_internal_lemmas(z2, hey):
     assert rep2.ok, [it.line() for it in rep2.failures()]
 
 
+def test_mu_left_unit_law_is_one_predicate_of_both_suites(monkeypatch, hey):
+    # u/CC2-unit-law and internal/mu-unit read the same predicate: made to
+    # fail at one (X, Y), both report that locus and no other
+    from closedcat import closedmc, correspond
+    from closedcat.correspond import verify_u_construction
+
+    assert correspond.mu_left_unit_holds is closedmc.mu_left_unit_holds
+    real = closedmc.mu_left_unit_holds
+
+    def fails_at_1_0(w, ic, x, y):
+        return (x, y) != ("1", "0") and real(w, ic, x, y)
+
+    for module in (closedmc, correspond):
+        monkeypatch.setattr(module, "mu_left_unit_holds", fails_at_1_0)
+    _, w = hey
+    internal = check_internal_category(w, CAPS)
+    u = verify_u_construction(w, CAPS)
+    assert [(it.check, it.locus) for it in internal.failures()] == [
+        ("internal/mu-unit", "1,0")
+    ]
+    assert [(it.check, it.locus) for it in u.failures()] == [
+        ("u/CC2-unit-law", "1,0")
+    ]
+
+
 def test_closing_transformation_identity(z2):
     m, w = z2
     F = MultiFunctor.identity(m)

@@ -1,15 +1,21 @@
 """A ratchet on the closed multicategory as one value: the witness
-carries its unit and owns its underlying closed category U(M), so no
-function of ``src/closedcat`` takes a unit beside a witness or a closed
-structure that the witness already holds.  A walk of the source fails on
-a parameter annotated ``UnitWitness``, and on a parameter annotated
-``ClosedStructure`` in a function with one annotated
+carries its unit and owns its underlying closed category U(M), and the
+witness of a representing multicategory reaches that multicategory and
+its normalized base, so no function of ``src/closedcat`` takes a unit
+beside a witness, or a closed structure, a ``RepresentingMulticat`` or an
+``EKClosedStructure`` that the witness already holds.  A walk of the
+source fails on a parameter annotated ``UnitWitness``, and on a parameter
+annotated ``ClosedStructure``, ``RepresentingMulticat`` or
+``EKClosedStructure`` in a function with one annotated
 ``ClosednessWitness``."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "closedcat"
+
+# What a witness already holds, so no parameter may pass it beside one.
+HELD = {"ClosedStructure", "RepresentingMulticat", "EKClosedStructure"}
 
 
 def _annotation_names(node) -> set[str]:
@@ -26,8 +32,8 @@ def _annotation_names(node) -> set[str]:
 
 
 def _unfolded(source: str) -> set[str]:
-    """Functions of ``source`` that take the unit or U(M) apart from the
-    witness."""
+    """Functions of ``source`` that take the unit, U(M), a representing
+    multicategory or its normalized base apart from the witness."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -38,7 +44,7 @@ def _unfolded(source: str) -> set[str]:
         for p in params:
             if p is not None and p.annotation is not None:
                 names |= _annotation_names(p.annotation)
-        if "UnitWitness" in names or {"ClosedStructure", "ClosednessWitness"} <= names:
+        if "UnitWitness" in names or ("ClosednessWitness" in names and names & HELD):
             found.add(node.name)
     return found
 
@@ -53,7 +59,13 @@ def category_apart(F, w: ClosednessWitness, cs: ClosedStructure): pass
 
 def keyword_category(w: closedmc.ClosednessWitness, *, cs: ClosedStructure): pass
 
+def representing_apart(w: ClosednessWitness, mcv: "RepresentingMulticat"): pass
+
+def normalization_apart(ek: EKClosedStructure, w: ClosednessWitness): pass
+
 def witness_alone(w: ClosednessWitness, bounds: Bounds): pass
+
+def representing_alone(mcv: RepresentingMulticat, ek: EKClosedStructure): pass
 
 def structure_alone(cs: ClosedStructure, bounds: Bounds): pass
 
@@ -67,6 +79,8 @@ class Holder:
         "optional_unit",
         "category_apart",
         "keyword_category",
+        "representing_apart",
+        "normalization_apart",
         "method",
     }
 

@@ -225,10 +225,8 @@ def _oracle_multicat(doc: dict) -> TabularMulticategory:
 
 def _represent_doc(cap: int) -> dict:
     """The file `represent instance:heyting2 --arity-cap <cap>` writes."""
-    bundle = build_representing_multicategory(
-        instances.get("heyting2").build(), Bounds(cap)
-    )
-    doc = interchange.multicat_to_json(bundle.mcv, Bounds(cap + 1), bundle.witness)
+    w = build_representing_multicategory(instances.get("heyting2").build(), Bounds(cap))
+    doc = interchange.multicat_to_json(w.m, Bounds(cap + 1), w)
     return json.loads(interchange.dumps(doc))
 
 

@@ -60,17 +60,15 @@ def test_finset_and_its_normalization_are_freed_after_their_memos_hit():
 
 
 def test_representing_multicategory_and_its_witness_are_freed():
-    bundle = build_representing_multicategory(
-        instances.get("heyting2").build(), Bounds(2)
-    )
-    mcv, w = bundle.mcv, bundle.witness
+    w = build_representing_multicategory(instances.get("heyting2").build(), Bounds(2))
+    mcv = w.m
     x = mcv.objects()[0]
     ev = w.ev((x,), x)
     assert mcv.compose(tuple(map(mcv.identity, mcv.dom(ev))), ev) is ev
     assert w.ev((x, x), x) is w.ev((x, x), x)
     assert w._ev.cache_info().hits >= 1
     refs = [weakref.ref(mcv), weakref.ref(w)]
-    del bundle, mcv, w, ev
+    del mcv, w, ev
     assert all(_freed(r) for r in refs)
 
 
@@ -78,7 +76,7 @@ def test_representing_multicategory_is_freed_after_its_step_table_hits():
     bounds = Bounds(2)
     mcv = build_representing_multicategory(
         instances.get("heyting2").build(), bounds
-    ).mcv
+    ).m
     for g, _, fs in _composables(mcv, bounds):
         mcv.compose(fs, g)
     assert mcv._step.cache_info().hits >= 1
@@ -90,14 +88,12 @@ def test_representing_multicategory_is_freed_after_its_step_table_hits():
 def test_representing_multicategory_is_freed_after_a_dump():
     from closedcat import interchange
 
-    bundle = build_representing_multicategory(
-        instances.get("heyting2").build(), Bounds(2)
-    )
-    doc = interchange.multicat_to_json(bundle.mcv, Bounds(3), bundle.witness)
+    w = build_representing_multicategory(instances.get("heyting2").build(), Bounds(2))
+    doc = interchange.multicat_to_json(w.m, Bounds(3), w)
     assert doc["compose"]
-    assert bundle.mcv._step.cache_info().hits >= 1
-    refs = [weakref.ref(bundle.mcv), weakref.ref(bundle.witness)]
-    del bundle
+    assert w.m._step.cache_info().hits >= 1
+    refs = [weakref.ref(w.m), weakref.ref(w)]
+    del w
     assert all(_freed(r) for r in refs)
 
 

@@ -95,8 +95,7 @@ def _outcome(fn, *args):
 
 def _witness(name):
     if name == "rep(heyting2)":
-        b = build_representing_multicategory(instances.get("heyting2").build(), CAPS)
-        return b.witness
+        return build_representing_multicategory(instances.get("heyting2").build(), CAPS)
     _, w = instances.get(name).build()
     return w
 

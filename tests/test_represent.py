@@ -180,83 +180,82 @@ def _closed(name):
 
 
 @pytest.fixture(scope="module")
-def bundles():
+def witnesses():
     return {
         name: build_representing_multicategory(_closed(name), CAPS)
         for name in CAP3_NAMES
     }
 
 
-def test_product_has_parallel_morphisms(bundles):
+def test_product_has_parallel_morphisms(witnesses):
     cs = _closed(PRODUCT)
     assert check_cc_axioms(cs).ok
     assert len(cs.cat.objects()) == 2
     assert len(cs.cat.hom("0*g", "1*g")) == 2
-    mcv = bundles[PRODUCT].mcv
+    mcv = witnesses[PRODUCT].m
     sizes = {len(mcv.hom(xs, y)) for xs, y in mcv.signatures(CAPS)}
     assert sizes == {0, 2}
 
 
-def test_zero_is_closed_and_not_thin(bundles):
+def test_zero_is_closed_and_not_thin(witnesses):
     cs = _closed(ZERO)
     assert check_cc_axioms(cs).ok
     assert len(cs.cat.hom("I", "I")) == 3
-    mcv = bundles[ZERO].mcv
+    mcv = witnesses[ZERO].m
     sizes = {len(mcv.hom(xs, y)) for xs, y in mcv.signatures(CAPS)}
     assert sizes == {1, 3}
 
 
 @pytest.mark.parametrize("name", CAP3_NAMES)
-def test_multicategory_axioms(bundles, name):
-    rep = check_multicategory_axioms(bundles[name].mcv, CAPS)
+def test_multicategory_axioms(witnesses, name):
+    rep = check_multicategory_axioms(witnesses[name].m, CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
 
 
 @pytest.mark.parametrize("name", ["heyting2", "z2closed"])
-def test_composites_are_hom_set_members(bundles, name):
+def test_composites_are_hom_set_members(witnesses, name):
     # equality is identity, so every composite within the cap must be the
     # very member of its hom-set
     assert RepresentingMorphism.__eq__ is object.__eq__
     assert RepresentingMorphism.__hash__ is object.__hash__
-    mcv = bundles[name].mcv
+    mcv = witnesses[name].m
     for g, doms, fs in _composables(mcv, CAPS):
         h = mcv.compose(fs, g)
         assert any(h is r for r in mcv.hom(sum(doms, ()), g.cod))
 
 
 @pytest.mark.parametrize("name", CAP3_NAMES)
-def test_closedness_and_unit(bundles, name):
-    b = bundles[name]
-    rep = check_closedness(b.witness, CAPS)
+def test_closedness_and_unit(witnesses, name):
+    w = witnesses[name]
+    rep = check_closedness(w, CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
-    assert check_unit_object(b.witness, CAPS).ok
+    assert check_unit_object(w, CAPS).ok
 
 
 @pytest.mark.parametrize("name", CAP3_NAMES)
-def test_representation_bijection(bundles, name):
-    rep = check_representation(bundles[name], CAPS)
+def test_representation_bijection(witnesses, name):
+    rep = check_representation(witnesses[name], CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
 
 
 @pytest.mark.parametrize("name", CAP3_NAMES)
-def test_essential_surjectivity(bundles, name):
-    rep = verify_essential_surjectivity(bundles[name], CAPS)
+def test_essential_surjectivity(witnesses, name):
+    rep = verify_essential_surjectivity(witnesses[name], CAPS)
     assert rep.ok, [it.line() for it in rep.failures()]
 
 
-def test_terminal_representation_is_terminal(bundles):
-    mcv = bundles["terminal"].mcv
+def test_terminal_representation_is_terminal(witnesses):
+    mcv = witnesses["terminal"].m
     for xs, y in mcv.signatures(CAPS):
         assert len(mcv.hom(xs, y)) == 1
 
 
-def test_heyting_homs_mirror_iterated_implication(bundles):
+def test_heyting_homs_mirror_iterated_implication(witnesses):
     # a hom-set of the representing multicategory has exactly as many
     # members as the implication chain has points: 1 when the meet of the
     # sources is below the target, else the point count of the nested
     # implication object (still 0 or 1 here)
-    b = bundles["heyting2"]
-    mcv = b.mcv
+    mcv = witnesses["heyting2"].m
     def imp(x, y):
         return "0" if (x == "1" and y == "0") else "1"
     for xs, y in mcv.signatures(CAPS):
@@ -267,39 +266,40 @@ def test_heyting_homs_mirror_iterated_implication(bundles):
         assert len(mcv.hom(xs, y)) == expected, (xs, y)
 
 
-def test_ev_satisfies_its_coordinate_equation(bundles):
+def test_ev_satisfies_its_coordinate_equation(witnesses):
     for name in NAMES:
-        b = bundles[name]
-        w = b.ek.closed
-        for x in b.mcv.objects():
-            for z in b.mcv.objects():
-                ev = b.witness.ev1[(x, z)]
-                assert ev.gamma_name == b.ek.elt_atom(
+        rw = witnesses[name]
+        ek = rw.m.ek
+        w = ek.closed
+        for x in rw.m.objects():
+            for z in rw.m.objects():
+                ev = rw.ev1[(x, z)]
+                assert ev.gamma_name == ek.elt_atom(
                     w.cat.identity(w.hom2_obj(x, z))
                 ).name
 
 
-def test_unit_family_is_inverse_i(bundles):
+def test_unit_family_is_inverse_i(witnesses):
     for name in NAMES:
-        b = bundles[name]
-        w = b.ek.closed
-        comps = dict(b.witness.unit.u.components)
-        for a in b.mcv.objects():
+        rw = witnesses[name]
+        w = rw.m.base
+        comps = dict(rw.unit.u.components)
+        for a in rw.m.objects():
             assert comps[a] == w.i_inv(a)
 
 
-def test_underlying_of_representation_isomorphic_to_base(bundles):
+def test_underlying_of_representation_isomorphic_to_base():
     # full chain: the normalized base embeds isomorphically, and composing
     # with the normalization isomorphism reaches the original structure
     from closedcat.closed import check_cf_axioms, compose_closed_functors
-    from closedcat.closed import ClosedFunctor
+    from closedcat.closed import ClosedFunctor, ek_normalize
     from closedcat.core import Functor
 
     for name in NAMES:
-        b = bundles[name]
-        w = b.ek.closed
-        mcv = b.mcv
-        ucs = underlying_closed_category(b.witness, CAPS)
+        ek, iso = ek_normalize(_closed(name), CAPS)
+        w = ek.closed
+        mcv = RepresentingMulticat(ek, CAPS)
+        ucs = underlying_closed_category(mcv.witness, CAPS)
 
         def l_of(f, mcv=mcv, w=w):
             comps = tuple(
@@ -316,7 +316,7 @@ def test_underlying_of_representation_isomorphic_to_base(bundles):
             lambda x, y: ucs.cat.identity(w.hom2_obj(x, y)),
             ucs.cat.identity(w.unit),
         )
-        chain = compose_closed_functors(b.iso, lfun)
+        chain = compose_closed_functors(iso, lfun)
         assert check_cf_axioms(chain).ok, name
 
 
@@ -328,17 +328,17 @@ def test_representation_requires_hom_closed_objects():
         build_representing_multicategory(cs, CAPS)
 
 
-def test_step_table_changes_no_composite(bundles):
+def test_step_table_changes_no_composite(witnesses):
     # every composite of the dump equals the one computed with each step
     # evaluated afresh
     from closedcat import interchange
 
-    mcv = bundles["heyting2"].mcv
+    mcv = witnesses["heyting2"].m
     doc = interchange.multicat_to_json(mcv, CAPS)
     assert mcv._step.cache_info().hits > 0
     fresh = build_representing_multicategory(
         instances.get("heyting2").build(), CAPS
-    ).mcv
+    ).m
     fresh._step = fresh._step.__wrapped__
     assert interchange.multicat_to_json(fresh, CAPS) == doc
 
@@ -409,15 +409,15 @@ def test_codomain_chain_matches_whole_tuple_composition(name):
     # every component, and as following the codomain chain through the
     # composite left hom functors
     caps = Bounds(4)
-    mcv = build_representing_multicategory(instances.get(name).build(), caps).mcv
+    mcv = build_representing_multicategory(instances.get(name).build(), caps).m
     assert _agrees_with_oracles(mcv, _composables(mcv, caps)) > 0
 
 
-def test_codomain_chain_matches_on_a_zero_object(bundles):
+def test_codomain_chain_matches_on_a_zero_object(witnesses):
     # compose reads each inner family at the codomain's image under the
     # profile before that family; read after it instead, the component of
     # a family into Z at Z replaces the one at I and the chain breaks
-    mcv = bundles[ZERO].mcv
+    mcv = witnesses[ZERO].m
     assert _agrees_with_oracles(mcv, _composables(mcv, CAPS)) > 0
 
 
@@ -426,7 +426,7 @@ def test_codomain_chain_matches_on_the_dump_horizon():
     # hom-sets outside the construction's own horizon read as empty
     mcv = build_representing_multicategory(
         instances.get("heyting2").build(), Bounds(4)
-    ).mcv
+    ).m
     dump = Bounds(5)
     walk = _composables(
         mcv, dump, lambda xs, y: guard_hom(mcv, xs, y, dump, partial=True)
@@ -455,18 +455,18 @@ def test_composites_share_prefixes_exactly(name):
     # walking each signature's fillers slot by slot, with the codomain
     # chain carried along the prefix, yields the composites of the walk
     caps = Bounds(4)
-    mcv = build_representing_multicategory(_closed(name), caps).mcv
+    mcv = build_representing_multicategory(_closed(name), caps).m
     _matches_the_base_walk(mcv, caps)
 
 
-def test_composites_share_prefixes_exactly_on_a_zero_object(bundles):
-    _matches_the_base_walk(bundles[ZERO].mcv, CAPS)
+def test_composites_share_prefixes_exactly_on_a_zero_object(witnesses):
+    _matches_the_base_walk(witnesses[ZERO].m, CAPS)
 
 
 def test_composites_share_prefixes_exactly_on_the_dump_horizon():
     mcv = build_representing_multicategory(
         instances.get("heyting2").build(), Bounds(4)
-    ).mcv
+    ).m
     dump = Bounds(5)
     _matches_the_base_walk(
         mcv, dump, lambda xs, y: guard_hom(mcv, xs, y, dump, partial=True)
@@ -503,8 +503,8 @@ def test_represent_composes_once_per_check_not_per_composite(monkeypatch, tmp_pa
         ("0", "0"),
     ],
 )
-def test_find_requires_every_component(bundles, at_0, at_1):
-    mcv = bundles["heyting2"].mcv
+def test_find_requires_every_component(witnesses, at_0, at_1):
+    mcv = witnesses["heyting2"].m
     ident = mcv.base.cat.identity
     assert _components(mcv.identity("1")) == (ident("0"), ident("1"))
     with pytest.raises(KernelError, match=r"missing from hom\(1;1\)"):

@@ -17,7 +17,6 @@ UNCALLED = {
     # test-only oracles of the rule-backed structures
     "tabularize": "oracle of lazy categories",
     "tabularize_multicat": "oracle of rule-backed multicategories",
-    "SetMor.table_value": "oracle of SetMor printing and the finset rules",
     # what the set-bridge workload of the benchmark runs
     "check_ek_axioms": "set-bridge: CC0 and CC5' of the normalization",
     "pushforward": "set-bridge: base change along the hom embedding",
