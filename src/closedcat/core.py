@@ -333,13 +333,12 @@ def check_category_axioms(
                     bad.append(f"{cat.show_mor(f)} filed under hom({x},{y})")
     rep.law("category/endpoints", "dom/cod", bad)
 
-    ok = True
+    bad = []
     typed = set()  # objects whose identity is an endomorphism of them
     for x in objs:
         e = cat.identity(x)
         if cat.dom(e) != x or cat.cod(e) != x:
-            ok = False
-            rep.law("category/identity-endpoints", "identity", [cat.show_obj(x)])
+            bad.append(f"endpoints {cat.show_obj(x)}")
         else:
             typed.add(x)
     # An identity that failed its endpoints is composed with nothing.
@@ -347,13 +346,10 @@ def check_category_axioms(
         for y in objs:
             for f in cat.hom(x, y):
                 if x in typed and cat.compose(cat.identity(x), f) != f:
-                    ok = False
-                    rep.law("category/identity-left", "1;f=f", [cat.show_mor(f)])
+                    bad.append(f"left {cat.show_mor(f)}")
                 if y in typed and cat.compose(f, cat.identity(y)) != f:
-                    ok = False
-                    rep.law("category/identity-right", "f;1=f", [cat.show_mor(f)])
-    if ok:
-        rep.law("category/identity", "1;f=f=f;1", [])
+                    bad.append(f"right {cat.show_mor(f)}")
+    rep.law("category/identity", "1;f=f=f;1", bad)
 
     bad = []
     for x, y, z, w in itertools.product(objs, repeat=4):

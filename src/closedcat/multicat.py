@@ -394,13 +394,16 @@ class MultiNat:
 
 
 def _walk_table(m: Multicategory, bounds: Bounds, hom=None):
-    """The one table of a walk over composables, freed when the walk ends:
-    ``homs``, the hom-set of every signature within bounds, fetched once
-    through ``hom`` (default ``guard_hom``), and ``slots(ys, room)``, the
-    domain tuples doms for the inputs ys with total arity at most room, in
-    canonical order, each with its hom-sets hom(doms[i], ys[i]), built
-    once per (ys, room).  A domain tuple is dropped at its first slot with
-    an empty hom-set; it has nothing to plug in, so every walk over the
+    """The one table of a walk over composables, freed when the walk ends.
+    ``homs`` holds the hom-set of every signature within bounds, fetched
+    once through ``hom`` (default ``guard_hom``).  ``trie(ys, room)``
+    holds the ways to fill the inputs ys within total arity room: a
+    branch (d, hom(d, ys[0]), trie(ys[1:], room - |d|)) per domain d, in
+    canonical order, kept when its hom-set is non-empty and its rest has
+    a completion (``trie((), room)`` is the empty leaf), so every prefix
+    reaches a leaf.  ``slots(ys, room)`` flattens it into domain tuples
+    with their hom-sets.  Both are built once per (ys, room).  A tuple
+    with an empty hom-set has nothing to plug in, so every walk over the
     table is that of the plain nest over all domain tuples."""
     sigs = list(m.signatures(bounds))
     if hom is None:
@@ -409,20 +412,31 @@ def _walk_table(m: Multicategory, bounds: Bounds, hom=None):
     profiles = list(m.profiles(bounds.max_arity))  # in increasing length
 
     @functools.cache  # per walk: freed when the walk ends
-    def slots(ys, room):
+    def trie(ys, room):
         if not ys:
-            return (((), ()),)
+            return ()
         out = []
         for d in profiles:
             if len(d) > room:
                 break
             fs = homs[(d, ys[0])]
             if fs:
-                for doms, choices in slots(ys[1:], room - len(d)):
-                    out.append(((d,) + doms, (fs,) + choices))
+                rest = trie(ys[1:], room - len(d))
+                if rest or len(ys) == 1:
+                    out.append((d, fs, rest))
         return tuple(out)
 
-    return homs, slots
+    @functools.cache  # per walk: freed when the walk ends
+    def slots(ys, room):
+        if not ys:
+            return (((), ()),)
+        return tuple(
+            ((d,) + doms, (fs,) + choices)
+            for d, fs, _ in trie(ys, room)
+            for doms, choices in slots(ys[1:], room - len(d))
+        )
+
+    return homs, trie, slots
 
 
 def _walk(table, n: int):
@@ -430,7 +444,7 @@ def _walk(table, n: int):
     canonical order: signatures (ys, z), then g in hom(ys, z), then the
     domain tuples doms of ``slots(ys, n)``, then fs in the product of
     their hom-sets."""
-    homs, slots = table
+    homs, _, slots = table
     for (ys, z), gs in homs.items():
         for g in gs:
             for doms, choices in slots(ys, n):
@@ -491,7 +505,7 @@ def _assoc_loci(m: Multicategory, bounds: Bounds) -> list[str]:
     one locus per failing triple, in canonical order.  Both levels read
     one walk table."""
     table = _walk_table(m, bounds)
-    slots = table[1]
+    slots = table[2]
     bad = []
     for g, doms, fs in _walk(table, bounds.max_arity):
         mid = m.compose(fs, g)
@@ -559,7 +573,7 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
        f_i ends as (split_i).f_i and the left side is the right side.
     """
     n = bounds.max_arity
-    homs, slots = _walk_table(m, bounds)
+    homs, trie, slots = _walk_table(m, bounds)
     elems = {sig: set(fs) for sig, fs in homs.items()}
     one = {x: m.identity(x) for x in m.objects()}
     if n and any(one[x] not in elems[((x,), x)] for x in one):
@@ -582,15 +596,15 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
 
     for (ys, z), gs in homs.items():
         for g, i in itertools.product(gs, range(len(ys))):
-            for d in m.profiles(n + 1 - len(ys)):
-                for f in homs[(d, ys[i])]:
+            for d, f_choices, _ in trie((ys[i],), n + 1 - len(ys)):
+                for f in f_choices:
                     if d == (ys[i],) and f == one[ys[i]]:
                         continue
                     mid = m.plug(g, i, f)
                     xs = ys[:i] + d + ys[i + 1 :]
                     for p in range(len(xs)):
-                        for e in m.profiles(n + 1 - len(xs)):
-                            for h in homs[(e, xs[p])]:
+                        for e, h_choices, _ in trie((xs[p],), n + 1 - len(xs)):
+                            for h in h_choices:
                                 if e == (xs[p],) and h == one[xs[p]]:
                                     continue
                                 if i <= p < i + len(d):  # sequential

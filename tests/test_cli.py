@@ -244,7 +244,7 @@ def test_identity_of_the_wrong_type_fails_its_endpoints_only(tmp_path, capsys):
     assert err == ""
     assert [ln for ln in out.splitlines() if ln.startswith("[")] == [
         f"[PASS] {target}/category/endpoints (dom/cod)",
-        f"[FAIL] {target}/category/identity-endpoints @ a",
+        f"[FAIL] {target}/category/identity (1;f=f=f;1) @ endpoints a",
         f"[PASS] {target}/category/assoc ((f;g);h=f;(g;h))",
     ]
 
@@ -265,7 +265,7 @@ def test_closed_category_with_a_wrong_typed_identity_fails_without_raising(
     assert err == ""
     fails = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
     assert fails == [
-        f"[FAIL] {target}/category/identity-endpoints @ o0",
+        f"[FAIL] {target}/category/identity (1;f=f=f;1) @ endpoints o0",
         f"[FAIL] {target}/cc/error (NotComposable) @ cannot compose m2 with m1",
         f"[FAIL] {target}/derived/error (NotComposable) @ cannot compose m2 with m1",
     ]

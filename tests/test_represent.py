@@ -473,6 +473,26 @@ def test_composites_share_prefixes_exactly_on_the_dump_horizon():
     )
 
 
+def test_composites_step_each_prefix_once():
+    # the dump of `represent --arity-cap 4` steps each prefix of the trie
+    # of slot fillings once, shared by every domain tuple that extends it;
+    # walking each domain tuple's fillings on their own makes 268,739
+    # lookups
+    mcv = build_representing_multicategory(
+        instances.get("heyting2").build(), Bounds(4)
+    ).m
+    dump = Bounds(5)
+    before = mcv._step.cache_info()
+    for _ in mcv.composites(
+        dump, lambda xs, y: guard_hom(mcv, xs, y, dump, partial=True)
+    ):
+        pass
+    after = mcv._step.cache_info()
+    misses = after.misses - before.misses
+    assert after.hits - before.hits + misses == 108047
+    assert misses == 249
+
+
 def test_represent_composes_once_per_check_not_per_composite(monkeypatch, tmp_path):
     # the dump of `represent --arity-cap 4` holds 59,940 composites; only
     # the representation checks call compose
