@@ -325,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (FormatError, FileNotFoundError, KeyError) as exc:
+    except (FormatError, OSError, UnicodeDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KernelError as exc:

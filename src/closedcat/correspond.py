@@ -27,6 +27,7 @@ from .closed import (
     EKClosedStructure,
     check_cf_axioms,
     check_cn_axioms,
+    compose_closed_functors,
     ek_normalize,
     gamma,
 )
@@ -36,6 +37,7 @@ from .closedmc import (
     L_identity_loci,
     UnitWitness,
     bar,
+    closing_transformation,
     contraction_inverses,
     curry,
     hom_action_contra,
@@ -48,7 +50,9 @@ from .core import (
     DEFAULT_BOUNDS,
     Bounds,
     Category,
+    Functor,
     MorId,
+    NaturalTransformation,
     ObjId,
     bijective,
     guard_hom,
@@ -72,6 +76,7 @@ from .multicat import (
     Multicategory,
     Profile,
     _walk_table,
+    check_multinat,
 )
 from .report import Report
 
@@ -222,9 +227,6 @@ def underlying_closed_functor(
     """The closed functor induced by a multifunctor, between the
     witnesses' own U(M) and U(N): the hom comparison is the closing
     transformation and the unit comparison factors the image of u."""
-    from .closedmc import closing_transformation
-    from .core import Functor
-
     src_cs, tgt_cs = w_src.underlying(bounds), w_tgt.underlying(bounds)
     phi = Functor(
         f"U({F.name})",
@@ -244,8 +246,6 @@ def underlying_closed_functor(
 def underlying_closed_transformation(
     r: MultiNat, UF: ClosedFunctor, UG: ClosedFunctor
 ) -> ClosedTransformation:
-    from .core import NaturalTransformation
-
     return ClosedTransformation(
         f"U({r.name})",
         UF,
@@ -265,8 +265,6 @@ def check_U_functoriality(
     """Strict functoriality of the passage to closed data: the induced
     closed functor of a composite is the composite of the induced ones,
     and identities go to identities."""
-    from .closed import compose_closed_functors
-
     rep = Report(f"functoriality of U: {F.name};{G.name}")
     UF = underlying_closed_functor(F, w1, w2, bounds)
     UG = underlying_closed_functor(G, w2, w3, bounds)
@@ -348,8 +346,6 @@ def check_2cell_transfer(
     """A multinatural transformation's components form a closed
     transformation between the induced closed functors, and conversely a
     closed transformation's components are multinatural."""
-    from .multicat import check_multinat
-
     rep = Report(f"2-cell transfer: {r.name}")
     ct = underlying_closed_transformation(r, UF, UG)
     rep.extend(check_cn_axioms(ct, bounds), prefix="forward/")
@@ -697,8 +693,6 @@ def verify_essential_surjectivity(
     witness: an isomorphism of closed categories with identity hom and
     unit comparisons, under which i, j, L are exactly the families of the
     corresponding base data."""
-    from .core import Functor
-
     mcv = rw.m
     w = mcv.base
     wcat = w.cat

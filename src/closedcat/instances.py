@@ -15,12 +15,11 @@ and a multicategory with one corrupted composite.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product as _product
 from typing import Callable
 
 from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
-from .core import Category, TabularCategory
+from .core import Bounds, Category, TabularCategory
 from .errors import BudgetExceeded, FormatError
 from .multicat import (
     MMor,
@@ -28,6 +27,7 @@ from .multicat import (
     MultiFunctor,
     Multicategory,
     StrictMonoidalCategory,
+    TabularMulticategory,
     from_strict_monoidal,
 )
 from .setcat import build_finset_closed
@@ -201,16 +201,10 @@ def build_heyting2_multicat() -> tuple[Multicategory, ClosednessWitness]:
     m = from_strict_monoidal(
         StrictMonoidalCategory(cat, meet, tensor_mor, "1"), "heyting2mc"
     )
-
-    def imp(x: str, y: str) -> str:
-        return "0" if (x == "1" and y == "0") else "1"
-
-    hom_obj1 = {(x, z): imp(x, z) for x in "01" for z in "01"}
+    hom_obj1 = {(x, z): hey.hom2_obj(x, z) for x in "01" for z in "01"}
     ev1 = {}
-    for x in "01":
-        for z in "01":
-            src = meet(x, imp(x, z))
-            ev1[(x, z)] = MMor((x, imp(x, z)), z, _heyting_mor(src, z))
+    for (x, z), imp in hom_obj1.items():
+        ev1[(x, z)] = MMor((x, imp), z, _heyting_mor(meet(x, imp), z))
     unit = UnitWitness("1", MMor((), "1", _heyting_mor("1", "1")))
     return m, ClosednessWitness(m, hom_obj1, ev1, unit)
 
@@ -253,44 +247,22 @@ def build_truncadd_badunit() -> tuple[Multicategory, ClosednessWitness]:
 def build_z2mc_badcompose() -> tuple[Multicategory, None]:
     """Negative fixture: the z2 multicategory tabulated up to arity three
     with one composite flipped, so two-level associativity fails at
-    localizable tuples."""
-    from .multicat import TabularMulticategory
+    localizable tuples.  A morphism of arity n and element p is named
+    (p, n)."""
+    z2, _ = build_z2_multicat()
+    bounds = Bounds(3)
 
-    max_arity = 3
+    def name(f: MMor) -> tuple[str, int]:
+        return (f.raw, len(f.dom))
 
-    def mid(par: str, n: int):
-        return (par, n)
-
-    objs = ["g"]
-    hom = {}
-    for n in range(max_arity + 1):
-        hom[(("g",) * n, "g")] = [mid("e", n), mid("s", n)]
-    compose = {}
-
-    def parity(p: str) -> int:
-        return 0 if p == "e" else 1
-
-    def gen_doms(k, left):
-        if k == 0:
-            yield ()
-            return
-        for ln in range(left + 1):
-            for rest in gen_doms(k - 1, left - ln):
-                yield (ln,) + rest
-
-    for xs, y in list(hom):
-        n = len(xs)
-        for g_par in "es":
-            g = mid(g_par, n)
-            for doms in gen_doms(n, max_arity):
-                for pars in _product("es", repeat=n):
-                    fs = tuple(mid(pars[i], doms[i]) for i in range(n))
-                    total = sum(doms)
-                    par = (sum(parity(p) for p in pars) + parity(g_par)) % 2
-                    compose[(fs, g)] = mid("es"[par], total)
-    compose[((mid("s", 1), mid("s", 1)), mid("e", 2))] = mid("s", 2)
+    hom = {sig: list(map(name, z2.hom(*sig))) for sig in z2.signatures(bounds)}
+    compose = {
+        (tuple(map(name, fs)), name(g)): name(out)
+        for fs, g, out in z2.composites(bounds)
+    }
+    compose[((("s", 1), ("s", 1)), ("e", 2))] = ("s", 2)
     m = TabularMulticategory(
-        "z2mc-badcompose", objs, hom, compose, {"g": mid("e", 1)}
+        "z2mc-badcompose", z2.objects(), hom, compose, {"g": name(z2.identity("g"))}
     )
     return m, None
 

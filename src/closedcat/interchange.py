@@ -52,6 +52,12 @@ class _Namer:
 
 
 def category_to_json(cat: Category, bounds: Bounds = DEFAULT_BOUNDS) -> dict:
+    return _category_doc(cat, bounds)[0]
+
+
+def _category_doc(cat: Category, bounds: Bounds):
+    """The category file of cat with the object and morphism namers that
+    wrote it, so that a closed structure's file names its tables alike."""
     objs = guard_objects(cat, bounds)
     oname = _Namer("o")
     mname = _Namer("m")
@@ -69,19 +75,15 @@ def category_to_json(cat: Category, bounds: Bounds = DEFAULT_BOUNDS) -> dict:
                     for g in cat.hom(y, z):
                         compose[f"{mname(f)};{mname(g)}"] = mname(cat.compose(f, g))
     ids = {oname(x): mname(cat.identity(x)) for x in objs}
-    return {
+    doc = {
         "kind": "category",
         "name": cat.name,
         "objects": [oname(x) for x in objs],
         "hom": hom,
         "compose": compose,
         "id": ids,
-        "_namer": (oname, mname),
     }
-
-
-def _strip(doc: dict) -> dict:
-    return {k: v for k, v in doc.items() if not k.startswith("_")}
+    return doc, oname, mname
 
 
 def _names(label: str, v, many: bool = False):
@@ -236,8 +238,7 @@ def closed_to_json(cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS) -> dict
             f"{cs.name}: objects are not closed under internal homs; "
             "dump this structure by registry reference instead"
         )
-    doc = category_to_json(cs.cat, bounds)
-    oname, mname = doc.pop("_namer")
+    doc, oname, mname = _category_doc(cs.cat, bounds)
     mors = [f for f in cs.cat.all_morphisms()]
     doc["kind"] = "closed-category"
     doc["unit"] = oname(cs.unit)
@@ -429,11 +430,11 @@ def multicat_from_json(
 def dumps(doc: dict) -> str:
     """The text of ``json.dumps(doc, indent=2, sort_keys=True)`` and a
     newline, for a document of dicts with string keys, lists, strings,
-    ints, bools and None; top-level keys starting with "_" are left out.
-    json.dumps runs its pure-Python encoder when it indents, so the layout
-    is written here and each string goes through the C encoder."""
+    ints, bools and None.  json.dumps runs its pure-Python encoder when it
+    indents, so the layout is written here and each string goes through
+    the C encoder."""
     out: list[str] = []
-    _encode(_strip(doc), "\n", out)
+    _encode(doc, "\n", out)
     out.append("\n")
     return "".join(out)
 

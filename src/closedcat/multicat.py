@@ -672,22 +672,10 @@ def check_multinat(r: MultiNat, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
 
 def tabularize_multicat(
     m: Multicategory, bounds: Bounds = DEFAULT_BOUNDS
-) -> TabularMulticategory:
-    """Materialize hom-sets and single-level composition within bounds; the
-    oracle twin for rule-backed multicategories."""
-    hom: dict[tuple[Profile, ObjId], list[str]] = {}
-    names: dict[MorId, str] = {}
-    for xs, y in m.signatures(bounds):
-        hom[(xs, y)] = []
-        for f in guard_hom(m, xs, y, bounds):
-            names[f] = f"m{len(names)}"
-            hom[(xs, y)].append(names[f])
-    compose: dict[tuple[tuple, str], str] = {}
-    for g, _, fs in _composables(m, bounds):
-        out = m.compose(fs, g)
-        if out in names:
-            compose[(tuple(names[f] for f in fs), names[g])] = names[out]
-    identity = {x: names[m.identity(x)] for x in m.objects()}
-    return TabularMulticategory(
-        f"{m.name}#tab", list(m.objects()), hom, compose, identity
-    )
+) -> TextKeyedMulticategory:
+    """Materialize hom-sets and single-level composition within bounds, as
+    the multicategory file read back; the oracle twin for rule-backed
+    multicategories."""
+    from .interchange import multicat_from_json, multicat_to_json
+
+    return multicat_from_json(multicat_to_json(m, bounds))[0]

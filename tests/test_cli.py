@@ -194,6 +194,24 @@ def test_unknown_instance_exits_two(tmp_path):
         assert out.stderr == "error: unknown instance 'nope'; see `instance list`\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (lambda d: ("check", f"file:{d}"), "Is a directory"),
+        (lambda d: ("check", f"file:{d / 'bytes.json'}"), "can't decode byte 0xff"),
+        (lambda d: ("instance", "list", "--out", str(d)), "Is a directory"),
+    ],
+    ids=["read-a-directory", "read-non-utf8", "write-to-a-directory"],
+)
+def test_unreadable_or_unwritable_path_exits_two_with_one_line(tmp_path, argv, message):
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe\x00")
+    out = run_cli(*argv(tmp_path))
+    assert out.returncode == 2, out.stdout + out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+    assert message in lines[0]
+
+
 def test_json_format_validates_against_schema():
     out = run_cli("check", "--format", "json", "instance:terminal")
     assert out.returncode == 0

@@ -118,11 +118,49 @@ def test_corrupted_composition_localized():
 
 
 def test_rule_backed_vs_tabular_oracle(z2):
+    # the twin renames objects in order, so signatures pair by position
     m, _ = z2
     tab = tabularize_multicat(m, CAPS)
     assert check_multicategory_axioms(tab, CAPS).ok
-    for xs, y in m.signatures(CAPS):
-        assert len(tab.hom(tuple(xs), y)) == len(m.hom(xs, y))
+    pairs = list(zip(m.signatures(CAPS), tab.signatures(CAPS), strict=True))
+    for (xs, y), (txs, ty) in pairs:
+        assert len(tab.hom(txs, ty)) == len(m.hom(xs, y))
+
+
+def _hand_built_z2mc_badcompose():
+    """z2mc-badcompose as written out by hand before it was derived from
+    z2's walk, kept as its oracle: every inner arity tuple within three,
+    each composite the parity sum, one entry flipped."""
+    max_arity = 3
+    hom = {(("g",) * n, "g"): [("e", n), ("s", n)] for n in range(max_arity + 1)}
+
+    def gen_doms(k, left):
+        if k == 0:
+            yield ()
+            return
+        for ln in range(left + 1):
+            for rest in gen_doms(k - 1, left - ln):
+                yield (ln,) + rest
+
+    compose = {}
+    for xs, _ in hom:
+        n = len(xs)
+        for g_par in "es":
+            for doms in gen_doms(n, max_arity):
+                for pars in itertools.product("es", repeat=n):
+                    fs = tuple(zip(pars, doms))
+                    par = (pars.count("s") + (g_par == "s")) % 2
+                    compose[(fs, (g_par, n))] = ("es"[par], sum(doms))
+    compose[((("s", 1), ("s", 1)), ("e", 2))] = ("s", 2)
+    return TabularMulticategory("z2mc-badcompose", ["g"], hom, compose, {"g": ("e", 1)})
+
+
+def test_z2mc_badcompose_is_z2_with_one_entry_flipped():
+    m, _ = instances.get("z2mc-badcompose").build()
+    oracle = _hand_built_z2mc_badcompose()
+    assert m._compose == oracle._compose and len(m._compose) == 418
+    assert m._hom == oracle._hom
+    assert m._identity == oracle._identity
 
 
 def test_freemon3_cap_behavior():
@@ -314,7 +352,7 @@ def _single_entry_corruptions(tab: TabularMulticategory, keys):
         out = tab._compose[key]
         for alt in tab._hom[tab._sig[out]]:
             if alt != out:
-                yield TabularMulticategory(
+                yield type(tab)(
                     f"{tab.name}[{key}:={alt}]",
                     tab.objects(),
                     tab._hom,
@@ -339,9 +377,9 @@ def test_assoc_gate_matches_walk_on_three_entry_corruptions():
     # of three is seen only by the decomposition into one-slot composites.
     caps = Bounds(3)
     tab = tabularize_multicat(instances.get("z2").build()[0], caps)
-    (unit,) = tab._identity.values()
-    (gen,) = (f for f in tab.hom(("g",), "g") if f != unit)
-    keys = [k for k in tab._compose if k[0] == (gen, gen, gen)]
+    ((x, unit),) = tab._identity.items()
+    (gen,) = (f for f in tab.hom((x,), x) if f != unit)
+    keys = [k for k in tab._compose if k.startswith(f"{gen},{gen},{gen}|")]
     mutants = list(_single_entry_corruptions(tab, keys))
     assert len(mutants) == 2
     for mutant in mutants:

@@ -1,13 +1,15 @@
 """A ratchet on code that no part of the package calls: a walk of the
 source lists every top-level function, and every method of a top-level
-class other than a dunder method, of ``src/closedcat`` that nothing in
-``src/closedcat`` references outside the function's own body.  Each
-such function is named below with the reason it stays; a new one fails
-the test until it gains a caller or a reason, and one that gains a
-caller or is deleted leaves the list with it.  A method is named
-``Class.method``.  A static method is called by its class, so only a
-reference ``Class.method`` counts for it: a common name such as
-``identity`` is no sign that some other ``.identity`` calls it."""
+class other than a dunder method, of ``src/closedcat`` that no chain of
+references from module-level code reaches.  Each such function is named
+below with the reason it stays; a new one fails the test until it gains
+a caller or a reason, and one that gains a caller or is deleted leaves
+the list with it.  A reference from a function that is itself unreached
+reaches nothing, so a chain of dead functions, or a pair that only call
+each other, is named whole.  A method is named ``Class.method``.  A
+static method is called by its class, so only a reference
+``Class.method`` counts for it: a common name such as ``identity`` is no
+sign that some other ``.identity`` calls it."""
 
 import ast
 from collections import defaultdict
@@ -15,28 +17,39 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "closedcat"
 
+_TWO_CELLS = "the 2-cell layer of the 2-equivalence suite (ROADMAP item 5)"
+
 UNCALLED = {
-    # test-only oracles of the rule-backed structures
+    # test-only oracles of the rule-backed structures and of hf equality
     "tabularize": "oracle of lazy categories",
     "tabularize_multicat": "oracle of rule-backed multicategories",
+    "hf_equal": "oracle of hf equality, by mutual inclusion",
+    "_set_covers": "the inclusion test of hf_equal",
     # what the set-bridge workload of the benchmark runs
     "check_ek_axioms": "set-bridge: CC0 and CC5' of the normalization",
     "pushforward": "set-bridge: base change along the hom embedding",
+    "Category.obj_key": "set-bridge: the ek summary sorts objects by it",
+    "FinSetCategory.obj_key": "set-bridge: the ek summary sorts objects by it",
     "_WCategory.obj_key": "set-bridge: the ek summary sorts objects by it",
-    # the 2-cell layer, for a check of the 2-equivalence (ROADMAP item 1)
-    "check_multifunctor": "multifunctors of the 2-equivalence",
-    "check_U_functoriality": "U on 1-cells and 2-cells",
-    "check_2cell_transfer": "U on multinatural transformations",
-    "compose_cn_horizontal": "horizontal composition of closed 2-cells",
-    "compose_cn_vertical": "vertical composition of closed 2-cells",
-    # identity 2-cells, which only tests build so far
-    "ClosedTransformation.identity": (
-        "identity 2-cells for the 2-equivalence suite (ROADMAP item 5)"
-    ),
-    "MultiNat.identity": (
-        "identity 2-cells for the 2-equivalence suite (ROADMAP item 5)"
-    ),
-    # the enriched layer, for an enriched suite (ROADMAP item 6)
+    # the 2-cell layer, for a check of the 2-equivalence (ROADMAP item 5)
+    "check_multifunctor": _TWO_CELLS,
+    "check_multinat": _TWO_CELLS,
+    "check_cn_axioms": _TWO_CELLS,
+    "check_natural": _TWO_CELLS,
+    "check_U_functoriality": _TWO_CELLS,
+    "check_2cell_transfer": _TWO_CELLS,
+    "compose_closed_functors": _TWO_CELLS,
+    "compose_cn_horizontal": _TWO_CELLS,
+    "compose_cn_vertical": _TWO_CELLS,
+    "underlying_closed_transformation": _TWO_CELLS,
+    "Functor.then": _TWO_CELLS,
+    "MultiFunctor.then": _TWO_CELLS,
+    "Functor.identity": _TWO_CELLS,
+    "NaturalTransformation.identity": _TWO_CELLS,
+    "ClosedFunctor.identity": _TWO_CELLS,
+    "ClosedTransformation.identity": _TWO_CELLS,
+    "MultiNat.identity": _TWO_CELLS,
+    # the enriched layer and unit search (ROADMAP items 6 and 12)
     "check_v_category": "enriched categories such as a pushforward",
     "find_unit_object": "whether a multicategory file has a unit",
 }
@@ -70,12 +83,15 @@ def _is_static(fn) -> bool:
 def _uncalled(sources: dict[str, str]) -> set[str]:
     """Top-level functions and methods of top-level classes (dunder
     methods aside) of the modules in ``sources`` (name -> text) that no
-    name or attribute outside their own body refers to; a static method
-    C.name counts only references "C.name"."""
-    defined = set()
-    # name or "C.name" -> the (module, qualified name of the enclosing
-    # function or None) of each reference to it
-    owners = defaultdict(set)
+    walk from module-level code reaches.  Module-level code, decorators
+    and the dunder methods and other statements of a class body are live;
+    a function is live once a live part refers to it, and then its body
+    is live too.  A static method C.name is reached only by a reference
+    "C.name"."""
+    # name or "C.name" -> the (module, qualified name, body) of each
+    # function that a reference to it reaches
+    defined = defaultdict(list)
+    roots = []  # the names that module-level code refers to
     for module, text in sources.items():
         for stmt in ast.parse(text).body:
             functions, rest = [], [stmt]
@@ -90,18 +106,26 @@ def _uncalled(sources: dict[str, str]) -> set[str]:
                         rest.append(part)
             for qualname, fn in functions:
                 key = qualname if _is_static(fn) else fn.name
-                defined.add((module, qualname, key))
+                body = [*fn.args.defaults, *fn.body]
+                defined[key].append((module, qualname, body))
                 rest += fn.decorator_list  # not part of its body
-                for part in [*fn.args.defaults, *fn.body]:
-                    for n in _names(part):
-                        owners[n].add((module, qualname))
             for part in rest:
-                for n in _names(part):
-                    owners[n].add((module, None))
+                roots.extend(_names(part))
+    live, seen, todo = set(), set(), roots
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for module, qualname, body in defined.get(name, ()):
+            live.add((module, qualname))
+            for part in body:
+                todo.extend(_names(part))
     return {
         qualname
-        for module, qualname, key in defined
-        if not owners[key] - {(module, qualname)}
+        for functions in defined.values()
+        for module, qualname, _ in functions
+        if (module, qualname) not in live
     }
 
 
@@ -115,6 +139,14 @@ def recursive(n): return recursive(n - 1) if n else used()
 def imported_only(): pass
 
 def by_attribute(): pass
+
+def ping(n): return pong(n - 1) if n else 0
+
+def pong(n): return ping(n - 1) if n else 0
+
+def dead_root(): return only_from_dead()
+
+def only_from_dead(): pass
 
 x = used
 
@@ -156,9 +188,14 @@ other.identity()
         "recursive",
         "imported_only",
         "C.by_method",
+        "C.recursive_method",
         "C.unused",
         "C.__private",
         "C.identity",
+        "ping",
+        "pong",
+        "dead_root",
+        "only_from_dead",
     }
 
 
