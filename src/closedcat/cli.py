@@ -38,7 +38,7 @@ from .closedmc import (
     check_unit_object,
     verify_internal_lemmas,
 )
-from .core import DEFAULT_BOUNDS, Bounds, check_category_axioms
+from .core import DEFAULT_BOUNDS, Bounds, Functor, check_category_axioms
 from .correspond import (
     build_representing_multicategory,
     check_injectivity,
@@ -51,7 +51,7 @@ from .correspond import (
     verify_u_construction,
 )
 from .errors import FormatError, KernelError
-from .multicat import MultiFunctor, check_multicategory_axioms
+from .multicat import check_multicategory_axioms
 from .report import Report
 
 
@@ -70,7 +70,11 @@ def _load_target(spec: str):
         return name, info.kind, info.build(), info
     if spec.startswith("file:"):
         path = Path(spec.split(":", 1)[1])
-        doc = interchange.loads(path.read_text())
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        doc = interchange.loads(text)
         kind = doc["kind"]
         if kind == "category":
             return str(path), "category", interchange.category_from_json(doc), None
@@ -82,54 +86,61 @@ def _load_target(spec: str):
     raise FormatError(f"target must be instance:NAME or file:PATH, got {spec!r}")
 
 
+def _lemmas(w, bounds) -> Report:
+    rep = check_internal_category(w, bounds)
+    rep.extend(verify_internal_lemmas(w, bounds))
+    return rep
+
+
+# The suites of `check` in report order: (suite, what the checker takes,
+# tag, checker).  A row runs when its suite is selected and the target
+# offers what its checker takes.  Each checker is looked up by name when
+# it runs, so a module attribute patched after import is the one called.
+_SUITES = (
+    ("axioms", "category", "category", lambda c, b: check_category_axioms(c, b)),
+    ("axioms", "closed", "cc", lambda cs, b: check_cc_axioms(cs, b)),
+    ("theorems", "closed", "derived", lambda cs, b: verify_derived_cc_theorems(cs, b)),
+    ("axioms", "multicat", "mc", lambda m, b: check_multicategory_axioms(m, b)),
+    ("axioms", "witness", "closed", lambda w, b: check_closedness(w, b)),
+    ("axioms", "unit", "unit", lambda w, b: check_unit_object(w, b)),
+    ("theorems", "witness", "nary", lambda w, b: check_nary_factorization(w, b)),
+    ("theorems", "witness", "lemmas", lambda w, b: _lemmas(w, b)),
+    ("theorems", "unit", "u-construction", lambda w, b: verify_u_construction(w, b)),
+)
+
+
+def _offers(kind: str, payload) -> dict:
+    """What a target offers the checkers, keyed as ``_SUITES`` names it:
+    a multicategory offers its witness and its unit only when it
+    declares them."""
+    if kind == "category":
+        return {"category": payload}
+    if kind == "closed":
+        return {"category": payload.cat, "closed": payload}
+    m, w = payload
+    offers = {"multicat": m}
+    if w is not None:
+        offers["witness"] = w
+        if w.unit is not None:
+            offers["unit"] = w
+    return offers
+
+
 def _check_target(name: str, kind: str, payload, info, args) -> Report:
     rep = Report(name)
     # Registry instances may declare their own arity horizon (partial
     # tensors); an explicit --arity-cap overrides it.
     bounds = _bounds(args, info.max_arity) if info is not None else _bounds(args)
-    axioms = args.suite in ("axioms", "all")
-    theorems = args.suite in ("theorems", "all")
-
-    def run(tag, fn):
+    offers = _offers(kind, payload)
+    for suite, takes, tag, checker in _SUITES:
+        if args.suite not in (suite, "all") or takes not in offers:
+            continue
         try:
-            rep.extend(fn(), prefix=f"{name}/")
+            rep.extend(checker(offers[takes], bounds), prefix=f"{name}/")
         except FormatError:
             raise  # malformed input: exit 2 from main, not a FAIL line
         except KernelError as exc:
             rep.law(f"{name}/{tag}/error", type(exc).__name__, [str(exc)[:200]])
-
-    if kind == "category":
-        if axioms:
-            run("category", lambda: check_category_axioms(payload, bounds))
-        return rep
-
-    if kind == "closed":
-        cs = payload
-        if axioms:
-            run("category", lambda: check_category_axioms(cs.cat, bounds))
-            run("cc", lambda: check_cc_axioms(cs, bounds))
-        if theorems:
-            run("derived", lambda: verify_derived_cc_theorems(cs, bounds))
-        return rep
-
-    m, w = payload
-    if axioms:
-        run("mc", lambda: check_multicategory_axioms(m, bounds))
-        if w is not None:
-            run("closed", lambda: check_closedness(w, bounds))
-        if w is not None and w.unit is not None:
-            run("unit", lambda: check_unit_object(w, bounds))
-    if theorems and w is not None:
-        run("nary", lambda: check_nary_factorization(w, bounds))
-
-        def lemmas():
-            r = check_internal_category(w, bounds)
-            r.extend(verify_internal_lemmas(w, bounds))
-            return r
-
-        run("lemmas", lemmas)
-        if w.unit is not None:
-            run("u-construction", lambda: verify_u_construction(w, bounds))
     return rep
 
 
@@ -193,7 +204,7 @@ def cmd_roundtrip(args) -> int:
     if args.functor.startswith("functor:"):
         fname = args.functor.split(":", 1)[1]
         if fname == "identity":
-            F = MultiFunctor.identity(m)
+            F = Functor.identity(m)
         else:
             if fname not in instances.FUNCTORS:
                 raise FormatError(f"unknown functor {fname!r}")
@@ -325,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (FormatError, OSError, UnicodeDecodeError, KeyError) as exc:
+    except (FormatError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KernelError as exc:

@@ -426,23 +426,25 @@ def verify_derived_cc_theorems(
 
 @dataclass(frozen=True)
 class ClosedFunctor:
-    name: str
     source: ClosedStructure
     target: ClosedStructure
     phi: Functor
     phi_hat: Callable[[ObjId, ObjId], MorId]
     phi0: MorId
 
+    @property
+    def name(self) -> str:
+        return self.phi.name
+
     @staticmethod
     def strict(
-        name: str, source: ClosedStructure, target: ClosedStructure, phi: Functor
+        source: ClosedStructure, target: ClosedStructure, phi: Functor
     ) -> "ClosedFunctor":
         """The closed functor with identity hom and unit comparisons, for a
         phi that carries und(X,Y) to und(phi X, phi Y) and the unit to the
         unit."""
         cat, obj = target.cat, phi.obj_map
         return ClosedFunctor(
-            name,
             source,
             target,
             phi,
@@ -452,19 +454,22 @@ class ClosedFunctor:
 
     @staticmethod
     def identity(cs: ClosedStructure) -> "ClosedFunctor":
-        return ClosedFunctor.strict("id", cs, cs, Functor.identity(cs.cat))
+        return ClosedFunctor.strict(cs, cs, Functor.identity(cs.cat))
 
 
 @dataclass(frozen=True)
 class ClosedTransformation:
-    name: str
     source: ClosedFunctor
     target: ClosedFunctor
     eta: NaturalTransformation
 
+    @property
+    def name(self) -> str:
+        return self.eta.name
+
     @staticmethod
     def identity(F: ClosedFunctor) -> "ClosedTransformation":
-        return ClosedTransformation("id", F, F, NaturalTransformation.identity(F.phi))
+        return ClosedTransformation(F, F, NaturalTransformation.identity(F.phi))
 
 
 def check_cf_axioms(F: ClosedFunctor, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
@@ -571,9 +576,7 @@ def compose_closed_functors(F: ClosedFunctor, G: ClosedFunctor) -> ClosedFunctor
         )
 
     phi0 = E.cat.compose(G.phi0, G.phi.mor_map(F.phi0))
-    return ClosedFunctor(
-        f"{F.name};{G.name}", F.source, G.target, F.phi.then(G.phi), phi_hat, phi0
-    )
+    return ClosedFunctor(F.source, G.target, F.phi.then(G.phi), phi_hat, phi0)
 
 
 def compose_cn_vertical(
@@ -587,7 +590,6 @@ def compose_cn_vertical(
         return D.cat.compose(s.eta.components(x), t.eta.components(x))
 
     return ClosedTransformation(
-        f"{s.name};{t.name}",
         s.source,
         t.target,
         NaturalTransformation(
@@ -611,12 +613,10 @@ def compose_cn_horizontal(
             t.target.phi.mor_map(s.eta.components(x)),
         )
 
-    name = f"{s.name}*{t.name}"
     return ClosedTransformation(
-        name,
         source,
         target,
-        NaturalTransformation(name, source.phi, target.phi, comp),
+        NaturalTransformation(f"{s.name}*{t.name}", source.phi, target.phi, comp),
     )
 
 
@@ -662,7 +662,7 @@ def build_E_functor(cs: ClosedStructure, sets: ClosedStructure) -> ClosedFunctor
     phi0 = SetMor.from_table(
         sets.unit, e_obj(u), {hf.atom("*"): elt(cat.identity(u))}
     )
-    return ClosedFunctor(f"E({cs.name})", cs, sets, phi, phi_hat, phi0)
+    return ClosedFunctor(cs, sets, phi, phi_hat, phi0)
 
 
 @dataclass(frozen=True)
@@ -775,7 +775,7 @@ def ek_normalize(
     ek = EKClosedStructure(w, c_functor, lambda m: cs.point_atom(m.point), cs)
 
     iso_phi = Functor(f"gamma({cs.name})", cat, wcat, lambda x: x, lift)
-    return ek, ClosedFunctor.strict(f"gamma({cs.name})", cs, w, iso_phi)
+    return ek, ClosedFunctor.strict(cs, w, iso_phi)
 
 
 class _WCategory(Category):

@@ -30,14 +30,18 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 
-from .core import DEFAULT_BOUNDS, Bounds, MorId, ObjId, bijective, guard_hom, preimages
-from .errors import NoUnitFound, NotBijective, NotUnique
-from .multicat import (
-    Multicategory,
-    MultiFunctor,
-    Profile,
-    _composables,
+from .core import (
+    DEFAULT_BOUNDS,
+    Bounds,
+    Functor,
+    MorId,
+    ObjId,
+    bijective,
+    guard_hom,
+    preimages,
 )
+from .errors import NoUnitFound, NotBijective, NotUnique
+from .multicat import Multicategory, Profile, _composables
 from .report import Report
 
 
@@ -453,7 +457,7 @@ def verify_internal_lemmas(
 def closing_transformation(
     w_src: ClosednessWitness,
     w_tgt: ClosednessWitness,
-    F: MultiFunctor,
+    F: Functor,
     xs: Profile,
     z: ObjId,
     bounds: Bounds = DEFAULT_BOUNDS,

@@ -243,14 +243,17 @@ class TabularCategory(Category):
 
 @dataclass(frozen=True)
 class Functor:
-    """Functor between two category handles.
+    """Functor between two category handles, or multifunctor between two
+    multicategory handles: a functor is a multifunctor whose morphisms
+    are all unary, so one type serves both levels and each checker reads
+    the maps against its own level's laws.
 
     ``obj_map``/``mor_map`` are callables so that lazily generated
     morphisms (e.g. composites formed during a check) can be mapped.
     """
 
     name: str
-    source: Category
+    source: Category  # or a multicat.Multicategory
     target: Category
     obj_map: Callable[[ObjId], ObjId]
     mor_map: Callable[[MorId], MorId]
@@ -273,6 +276,10 @@ class Functor:
 
 @dataclass(frozen=True)
 class NaturalTransformation:
+    """Natural transformation between two functors, or multinatural
+    transformation between two multifunctors: one component per object
+    of the source, at either level."""
+
     name: str
     source: Functor
     target: Functor

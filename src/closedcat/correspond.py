@@ -70,14 +70,7 @@ from .enriched import (
     identity_v_functor,
 )
 from .errors import BudgetExceeded, FormatError, KernelError, NotBijective
-from .multicat import (
-    MultiFunctor,
-    MultiNat,
-    Multicategory,
-    Profile,
-    _walk_table,
-    check_multinat,
-)
+from .multicat import Multicategory, Profile, _walk_table, check_multinat
 from .report import Report
 
 
@@ -219,7 +212,7 @@ def verify_u_construction(
 
 
 def underlying_closed_functor(
-    F: MultiFunctor,
+    F: Functor,
     w_src: ClosednessWitness,
     w_tgt: ClosednessWitness,
     bounds: Bounds = DEFAULT_BOUNDS,
@@ -228,35 +221,25 @@ def underlying_closed_functor(
     witnesses' own U(M) and U(N): the hom comparison is the closing
     transformation and the unit comparison factors the image of u."""
     src_cs, tgt_cs = w_src.underlying(bounds), w_tgt.underlying(bounds)
-    phi = Functor(
-        f"U({F.name})",
-        src_cs.cat,
-        tgt_cs.cat,
-        F.obj_map,
-        F.mor_map,
-    )
+    phi = Functor(f"U({F.name})", src_cs.cat, tgt_cs.cat, F.obj_map, F.mor_map)
 
     def phi_hat(x, y):
         return closing_transformation(w_src, w_tgt, F, (x,), y, bounds)
 
     phi0 = bar(w_tgt, F.mor_map(w_src.declared_unit().u), bounds)
-    return ClosedFunctor(f"U({F.name})", src_cs, tgt_cs, phi, phi_hat, phi0)
+    return ClosedFunctor(src_cs, tgt_cs, phi, phi_hat, phi0)
 
 
 def underlying_closed_transformation(
-    r: MultiNat, UF: ClosedFunctor, UG: ClosedFunctor
+    r: NaturalTransformation, UF: ClosedFunctor, UG: ClosedFunctor
 ) -> ClosedTransformation:
-    return ClosedTransformation(
-        f"U({r.name})",
-        UF,
-        UG,
-        NaturalTransformation(f"U({r.name})", UF.phi, UG.phi, r.components),
-    )
+    eta = NaturalTransformation(f"U({r.name})", UF.phi, UG.phi, r.components)
+    return ClosedTransformation(UF, UG, eta)
 
 
 def check_U_functoriality(
-    F: MultiFunctor,
-    G: MultiFunctor,
+    F: Functor,
+    G: Functor,
     w1: ClosednessWitness,
     w2: ClosednessWitness,
     w3: ClosednessWitness,
@@ -274,7 +257,7 @@ def check_U_functoriality(
     )
     rep.law("u-fun/compose", "U(G.F) = U(G).U(F)", [] if eq else [locus])
 
-    Uid = underlying_closed_functor(MultiFunctor.identity(w1.m), w1, w1, bounds)
+    Uid = underlying_closed_functor(Functor.identity(w1.m), w1, w1, bounds)
     eq2, locus2 = closed_functors_equal(
         Uid, ClosedFunctor.identity(w1.underlying(bounds)), bounds
     )
@@ -305,7 +288,7 @@ def closed_functors_equal(
 
 
 def multifunctors_equal(
-    F: MultiFunctor, G: MultiFunctor, bounds: Bounds = DEFAULT_BOUNDS
+    F: Functor, G: Functor, bounds: Bounds = DEFAULT_BOUNDS
 ) -> tuple[bool, str]:
     m = F.source
     for x in m.objects():
@@ -319,8 +302,8 @@ def multifunctors_equal(
 
 
 def check_injectivity(
-    F: MultiFunctor,
-    G: MultiFunctor,
+    F: Functor,
+    G: Functor,
     UF: ClosedFunctor,
     UG: ClosedFunctor,
     bounds: Bounds = DEFAULT_BOUNDS,
@@ -338,7 +321,7 @@ def check_injectivity(
 
 
 def check_2cell_transfer(
-    r: MultiNat,
+    r: NaturalTransformation,
     UF: ClosedFunctor,
     UG: ClosedFunctor,
     bounds: Bounds = DEFAULT_BOUNDS,
@@ -349,7 +332,7 @@ def check_2cell_transfer(
     rep = Report(f"2-cell transfer: {r.name}")
     ct = underlying_closed_transformation(r, UF, UG)
     rep.extend(check_cn_axioms(ct, bounds), prefix="forward/")
-    back = MultiNat(f"{r.name}'", r.source, r.target, ct.eta.components)
+    back = NaturalTransformation(f"{r.name}'", r.source, r.target, ct.eta.components)
     rep.extend(check_multinat(back, bounds), prefix="backward/")
     return rep
 
@@ -359,7 +342,7 @@ def lift_closed_functor(
     w_src: ClosednessWitness,
     w_tgt: ClosednessWitness,
     bounds: Bounds = DEFAULT_BOUNDS,
-) -> MultiFunctor:
+) -> Functor:
     """Reconstruct a multifunctor from a closed functor between the
     underlying closed categories.
 
@@ -383,7 +366,7 @@ def lift_closed_functor(
         fx1, fy = Phi.phi.obj_map(x1), Phi.phi.obj_map(y)
         return d.plug(w_tgt.ev((fx1,), fy), 1, t)
 
-    return MultiFunctor(f"lift({Phi.name})", m, d, Phi.phi.obj_map, lift)
+    return Functor(f"lift({Phi.name})", m, d, Phi.phi.obj_map, lift)
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +607,6 @@ class RepresentingMulticat(Multicategory):
     def show_obj(self, x):
         return self.base.cat.show_obj(x)
 
-    def show_mor(self, f):
-        return str(f)
-
 
 def build_representing_multicategory(
     cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS
@@ -707,7 +687,7 @@ def verify_essential_surjectivity(
         return mcv._find((x,), y, comps)
 
     phi = Functor(f"L({w.name})", wcat, ucs.cat, lambda x: x, l_of)
-    lfun = ClosedFunctor.strict(f"L({w.name})", w, ucs, phi)
+    lfun = ClosedFunctor.strict(w, ucs, phi)
     rep.extend(check_cf_axioms(lfun, bounds), prefix="L/")
 
     bad = []

@@ -51,7 +51,6 @@ class VFunctor:
     """Enriched functor into a target V-category.  ``apply_mor`` is the
     underlying ordinary action on base morphisms, needed for whiskering."""
 
-    name: str
     source: VCategory
     target: VCategory
     obj_map: Callable[[ObjId], ObjId]
@@ -96,7 +95,6 @@ def _vnat_square_ok(F: VFunctor, G: VFunctor, comp: dict, a, b) -> bool:
 
 def identity_v_functor(A: VCategory) -> VFunctor:
     return VFunctor(
-        "id",
         A,
         A,
         lambda x: x,
@@ -115,7 +113,6 @@ def compose_v_functors(F: VFunctor, G: VFunctor) -> VFunctor:
         )
 
     return VFunctor(
-        f"{F.name};{G.name}",
         F.source,
         G.target,
         lambda x: G.obj_map(F.obj_map(x)),
@@ -128,7 +125,6 @@ def build_LX(cs: ClosedStructure, x: ObjId) -> VFunctor:
     """The left hom functor on the self-enrichment: Y goes to und(X,Y)."""
     und_v = build_underlying_V_category(cs)
     return VFunctor(
-        f"L[{cs.cat.show_obj(x)}]",
         und_v,
         und_v,
         lambda y: cs.hom2_obj(x, y),

@@ -19,12 +19,11 @@ from typing import Callable
 
 from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
-from .core import Bounds, Category, TabularCategory
+from .core import Bounds, Category, Functor, TabularCategory
 from .errors import BudgetExceeded, FormatError
 from .multicat import (
     MMor,
     MonoidalMulticategory,
-    MultiFunctor,
     Multicategory,
     StrictMonoidalCategory,
     TabularMulticategory,
@@ -291,13 +290,13 @@ def build_freemon3() -> tuple[Multicategory, None]:
     return MonoidalMulticategory(smc, "freemon3"), None
 
 
-def z2_inversion(m: Multicategory) -> MultiFunctor:
+def z2_inversion(m: Multicategory) -> Functor:
     """Elementwise group inversion; on the two-element group this is the
     identity map, and it is an automorphism of the multicategory."""
-    return MultiFunctor("inversion", m, m, lambda x: x, lambda f: f)
+    return Functor("inversion", m, m, lambda x: x, lambda f: f)
 
 
-def z2_shift(m: Multicategory) -> MultiFunctor:
+def z2_shift(m: Multicategory) -> Functor:
     """The non-identity automorphism of the z2 multicategory: a morphism
     of arity n is translated by (n+1) times the generator, which preserves
     identities and all compositions."""
@@ -307,7 +306,7 @@ def z2_shift(m: Multicategory) -> MultiFunctor:
             return MMor(f.dom, f.cod, _z2_add(f.raw, "s"))
         return f
 
-    return MultiFunctor("shift", m, m, lambda x: x, mor_map)
+    return Functor("shift", m, m, lambda x: x, mor_map)
 
 
 @dataclass(frozen=True)

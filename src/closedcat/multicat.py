@@ -20,7 +20,9 @@ from .core import (
     DEFAULT_BOUNDS,
     Bounds,
     Category,
+    Functor,
     MorId,
+    NaturalTransformation,
     ObjId,
     guard_hom,
     hom_entry,
@@ -340,9 +342,6 @@ class MonoidalMulticategory(Multicategory):
     def cod(self, f: MMor):
         return f.cod
 
-    def show_mor(self, f: MMor):
-        return str(f)
-
 
 def from_strict_monoidal(
     smc: StrictMonoidalCategory, name: str
@@ -353,44 +352,6 @@ def from_strict_monoidal(
             "; ".join(it.line() for it in strict.failures())
         )
     return MonoidalMulticategory(smc, name)
-
-
-@dataclass(frozen=True)
-class MultiFunctor:
-    name: str
-    source: Multicategory
-    target: Multicategory
-    obj_map: Callable[[ObjId], ObjId]
-    mor_map: Callable[[MorId], MorId]
-
-    @staticmethod
-    def identity(m: Multicategory) -> "MultiFunctor":
-        return MultiFunctor("id", m, m, lambda x: x, lambda f: f)
-
-    def then(self, other: "MultiFunctor") -> "MultiFunctor":
-        if other.source is not self.target:
-            raise ValueError("multifunctor endpoints do not match")
-        return MultiFunctor(
-            f"{self.name};{other.name}",
-            self.source,
-            other.target,
-            lambda x: other.obj_map(self.obj_map(x)),
-            lambda f: other.mor_map(self.mor_map(f)),
-        )
-
-
-@dataclass(frozen=True)
-class MultiNat:
-    name: str
-    source: MultiFunctor
-    target: MultiFunctor
-    components: Callable[[ObjId], MorId]
-
-    @staticmethod
-    def identity(F: MultiFunctor) -> "MultiNat":
-        return MultiNat(
-            "id", F, F, lambda x: F.target.identity(F.obj_map(x))
-        )
 
 
 def _walk_table(m: Multicategory, bounds: Bounds, hom=None):
@@ -619,9 +580,7 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
     return True
 
 
-def check_multifunctor(
-    F: MultiFunctor, bounds: Bounds = DEFAULT_BOUNDS
-) -> Report:
+def check_multifunctor(F: Functor, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
     rep = Report(f"multifunctor: {F.name}")
     src, tgt = F.source, F.target
 
@@ -652,7 +611,9 @@ def check_multifunctor(
     return rep
 
 
-def check_multinat(r: MultiNat, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
+def check_multinat(
+    r: NaturalTransformation, bounds: Bounds = DEFAULT_BOUNDS
+) -> Report:
     rep = Report(f"multinatural transformation: {r.name}")
     F, G = r.source, r.target
     src, tgt = F.source, F.target

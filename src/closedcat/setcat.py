@@ -244,9 +244,6 @@ class FinSetCategory(Category):
     def show_obj(self, x):
         return hf.pretty(x) if isinstance(x, hf.HF) else repr(x)
 
-    def show_mor(self, f: SetMor):
-        return str(f)
-
 
 def build_finset_closed(max_size: int) -> ClosedStructure:
     cat = FinSetCategory(max_size)

@@ -25,7 +25,13 @@ from closedcat.closedmc import (
     curry,
     verify_internal_lemmas,
 )
-from closedcat.core import Bounds, check_category_axioms, tabularize
+from closedcat.core import (
+    Bounds,
+    Functor,
+    NaturalTransformation,
+    check_category_axioms,
+    tabularize,
+)
 from closedcat.correspond import (
     build_representing_multicategory,
     check_2cell_transfer,
@@ -41,12 +47,7 @@ from closedcat.correspond import (
 )
 from closedcat.enriched import build_underlying_V_category, pushforward
 from closedcat.closed import build_E_functor
-from closedcat.multicat import (
-    MultiFunctor,
-    MultiNat,
-    check_multicategory_axioms,
-    tabularize_multicat,
-)
+from closedcat.multicat import check_multicategory_axioms, tabularize_multicat
 from closedcat.setcat import FinSetCategory, build_finset_closed, table_apply
 from closedcat import hf
 
@@ -90,7 +91,7 @@ def test_criterion_2_derived_suites_and_negative_fixtures():
         r0 = check_internal_category(w, CAPS)
         r1 = verify_internal_lemmas(w, CAPS)
         r2 = check_cf_axioms(
-            underlying_closed_functor(MultiFunctor.identity(m), w, w, CAPS), CAPS
+            underlying_closed_functor(Functor.identity(m), w, w, CAPS), CAPS
         )
         for r in (r0, r1, r2):
             ok &= r.ok
@@ -158,7 +159,7 @@ def test_criterion_4_round_trips():
     for iname, fname in cases:
         m, w = instances.get(iname).build()
         F = (
-            MultiFunctor.identity(m)
+            Functor.identity(m)
             if fname == "identity"
             else instances.FUNCTORS[fname][1](m)
         )
@@ -168,7 +169,7 @@ def test_criterion_4_round_trips():
         UL = underlying_closed_functor(lifted, w, w, CAPS)
         eq2, l2 = closed_functors_equal(UL, UF)
         inj = check_injectivity(F, lifted, UF, UL, CAPS)
-        cell = check_2cell_transfer(MultiNat.identity(F), UF, UF, CAPS)
+        cell = check_2cell_transfer(NaturalTransformation.identity(F), UF, UF, CAPS)
         if not (eq1 and eq2 and inj.ok and cell.ok):
             ok = False
             details.append(f"{iname}/{fname}: {l1} {l2}")

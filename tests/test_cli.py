@@ -198,7 +198,12 @@ def test_unknown_instance_exits_two(tmp_path):
     "argv,message",
     [
         (lambda d: ("check", f"file:{d}"), "Is a directory"),
-        (lambda d: ("check", f"file:{d / 'bytes.json'}"), "can't decode byte 0xff"),
+        (
+            lambda d: (
+                "check", "file:fixtures/broken-j.json", f"file:{d / 'bytes.json'}"
+            ),
+            "bytes.json: 'utf-8' codec can't decode byte 0xff",
+        ),
         (lambda d: ("instance", "list", "--out", str(d)), "Is a directory"),
     ],
     ids=["read-a-directory", "read-non-utf8", "write-to-a-directory"],

@@ -24,8 +24,8 @@ from closedcat.closedmc import (
     verify_internal_lemmas,
 )
 from closedcat.errors import NotBijective, NotUnique, NoUnitFound
-from closedcat.core import Bounds
-from closedcat.multicat import MMor, MultiFunctor
+from closedcat.core import Bounds, Functor
+from closedcat.multicat import MMor
 
 CAPS = Bounds(3)
 
@@ -174,7 +174,7 @@ def test_mu_left_unit_law_is_one_predicate_of_both_suites(monkeypatch, hey):
 
 def test_closing_transformation_identity(z2):
     m, w = z2
-    F = MultiFunctor.identity(m)
+    F = Functor.identity(m)
     for xs, z in m.signatures(Bounds(2)):
         t = closing_transformation(w, w, F, xs, z, CAPS)
         assert t == m.identity(w.hom_obj(xs, z))

@@ -26,14 +26,8 @@ from closedcat.correspond import (
     underlying_closed_transformation,
     verify_u_construction,
 )
-from closedcat.core import Bounds
-from closedcat.multicat import (
-    MMor,
-    MultiFunctor,
-    MultiNat,
-    check_multifunctor,
-    check_multinat,
-)
+from closedcat.core import Bounds, Functor, NaturalTransformation, check_functor
+from closedcat.multicat import MMor, check_multifunctor, check_multinat
 
 CAPS = Bounds(3)
 
@@ -111,7 +105,7 @@ def test_underlying_heyting_matches_heyting2(hey, hey_ucs):
 def test_underlying_closed_functors_pass(z2, z2_ucs):
     m, w = z2
     for F in (
-        MultiFunctor.identity(m),
+        Functor.identity(m),
         instances.z2_inversion(m),
         instances.z2_shift(m),
     ):
@@ -136,7 +130,7 @@ def test_nullary_lift_formula(z2, z2_ucs):
 def test_unary_lift_is_phi(z2, z2_ucs):
     # on one input the reconstruction agrees with the underlying functor
     m, w = z2
-    for F in (MultiFunctor.identity(m), instances.z2_shift(m)):
+    for F in (Functor.identity(m), instances.z2_shift(m)):
         UF = underlying_closed_functor(F, w, w, CAPS)
         lifted = lift_closed_functor(UF, w, w, CAPS)
         for f in m.hom(("g",), "g"):
@@ -147,7 +141,7 @@ def test_unary_lift_is_phi(z2, z2_ucs):
 def test_roundtrip_lift_after_U_on_z2(fname, z2, z2_ucs):
     m, w = z2
     F = (
-        MultiFunctor.identity(m)
+        Functor.identity(m)
         if fname == "identity"
         else instances.FUNCTORS[fname][1](m)
     )
@@ -162,7 +156,7 @@ def test_roundtrip_lift_after_U_on_z2(fname, z2, z2_ucs):
 
 def test_roundtrip_identity_on_heyting(hey, hey_ucs):
     m, w = hey
-    F = MultiFunctor.identity(m)
+    F = Functor.identity(m)
     UF = underlying_closed_functor(F, w, w, CAPS)
     assert check_cf_axioms(UF).ok
     lifted = lift_closed_functor(UF, w, w, CAPS)
@@ -172,7 +166,7 @@ def test_roundtrip_identity_on_heyting(hey, hey_ucs):
 
 def test_injectivity_and_contrapositive(z2, z2_ucs):
     m, w = z2
-    Fi = MultiFunctor.identity(m)
+    Fi = Functor.identity(m)
     Fs = instances.z2_shift(m)
     Ui = underlying_closed_functor(Fi, w, w, CAPS)
     Us = underlying_closed_functor(Fs, w, w, CAPS)
@@ -181,7 +175,7 @@ def test_injectivity_and_contrapositive(z2, z2_ucs):
     assert not eq
     assert not multifunctors_equal(Fi, Fs, CAPS)[0]
     # equal images force equal multifunctors
-    rep = check_injectivity(Fi, MultiFunctor.identity(m), Ui, Ui, CAPS)
+    rep = check_injectivity(Fi, Functor.identity(m), Ui, Ui, CAPS)
     assert rep.ok
 
 
@@ -189,23 +183,46 @@ def test_U_preserves_composition_and_identities(z2, z2_ucs):
     m, w = z2
     Fs = instances.z2_shift(m)
     comp = Fs.then(Fs)
-    assert multifunctors_equal(comp, MultiFunctor.identity(m), CAPS)[0]
+    assert multifunctors_equal(comp, Functor.identity(m), CAPS)[0]
     Us = underlying_closed_functor(Fs, w, w, CAPS)
     Ucomp = underlying_closed_functor(comp, w, w, CAPS)
     eq, locus = closed_functors_equal(Ucomp, compose_closed_functors(Us, Us))
     assert eq, locus
-    Uid = underlying_closed_functor(MultiFunctor.identity(m), w, w, CAPS)
+    Uid = underlying_closed_functor(Functor.identity(m), w, w, CAPS)
     from closedcat.closed import ClosedFunctor
 
     eq2, locus2 = closed_functors_equal(Uid, ClosedFunctor.identity(z2_ucs))
     assert eq2, locus2
 
 
+def test_one_functor_type_serves_both_levels(z2):
+    # a functor is a multifunctor whose morphisms are all unary, so one
+    # type is checked against the laws of either level
+    m, _ = z2
+    assert check_multifunctor(Functor.identity(m), CAPS).ok
+    cat = instances.get("heyting2").build().cat
+    assert check_functor(Functor.identity(cat), CAPS).ok
+    Fs = instances.z2_shift(m)
+    assert Fs.then(Fs).name == "shift;shift"
+    assert multifunctors_equal(Fs.then(Fs), Functor.identity(m), CAPS)[0]
+
+
+def test_closed_cells_are_named_by_what_they_wrap(z2, z2_ucs):
+    m, w = z2
+    Us = underlying_closed_functor(instances.z2_shift(m), w, w, CAPS)
+    assert Us.name == Us.phi.name == "U(shift)"
+    assert compose_closed_functors(Us, Us).name == "U(shift);U(shift)"
+    r = NaturalTransformation.identity(Functor.identity(m))
+    Ui = underlying_closed_functor(Functor.identity(m), w, w, CAPS)
+    ct = underlying_closed_transformation(r, Ui, Ui)
+    assert ct.name == ct.eta.name == "U(id)"
+
+
 def test_2cell_transfer_and_bijection(z2, z2_ucs):
     m, w = z2
-    Fi = MultiFunctor.identity(m)
+    Fi = Functor.identity(m)
     Ui = underlying_closed_functor(Fi, w, w, CAPS)
-    r = MultiNat.identity(Fi)
+    r = NaturalTransformation.identity(Fi)
     rep = check_2cell_transfer(r, Ui, Ui, CAPS)
     assert rep.ok
 
@@ -214,7 +231,7 @@ def test_2cell_transfer_and_bijection(z2, z2_ucs):
     # axioms between the induced closed functors
     multinat, closednat = [], []
     for cand in m.hom(("g",), "g"):
-        fam = MultiNat("cand", Fi, Fi, lambda x, c=cand: c)
+        fam = NaturalTransformation("cand", Fi, Fi, lambda x, c=cand: c)
         if check_multinat(fam, CAPS).ok:
             multinat.append(cand.raw)
         ct = underlying_closed_transformation(fam, Ui, Ui)
@@ -236,7 +253,7 @@ def test_every_multifunctor_among_the_z2_maps_induces_a_closed_functor(z2):
         def mor_map(f, images=images):
             return MMor(f.dom, f.cod, images[len(f.dom)]["es".index(f.raw)])
 
-        F = MultiFunctor(str(images), m, m, lambda x: x, mor_map)
+        F = Functor(str(images), m, m, lambda x: x, mor_map)
         if check_multifunctor(F, CAPS).ok:
             multifunctors.append(F)
     assert len(multifunctors) == 4
@@ -265,7 +282,7 @@ def test_induced_functors_run_between_the_witnesses_own_categories(z2):
     # U(M) is one object per witness and bounds, so induced closed
     # functors compose without a category passed in
     m, w = z2
-    F, G = instances.z2_shift(m), MultiFunctor.identity(m)
+    F, G = instances.z2_shift(m), Functor.identity(m)
     UF = underlying_closed_functor(F, w, w, CAPS)
     assert UF.source is UF.target is w.underlying(CAPS)
     UG = underlying_closed_functor(G, w, w, CAPS)

@@ -6,12 +6,10 @@ import itertools
 import pytest
 
 from closedcat import instances, multicat
-from closedcat.core import Bounds, TabularCategory
+from closedcat.core import Bounds, Functor, NaturalTransformation, TabularCategory
 from closedcat.errors import BudgetExceeded, StrictnessError
 from closedcat.multicat import (
     MMor,
-    MultiFunctor,
-    MultiNat,
     StrictMonoidalCategory,
     TabularMulticategory,
     check_multicategory_axioms,
@@ -175,7 +173,7 @@ def test_freemon3_cap_behavior():
 def test_multifunctors_on_z2(z2):
     m, _ = z2
     for F in [
-        MultiFunctor.identity(m),
+        Functor.identity(m),
         instances.z2_inversion(m),
         instances.z2_shift(m),
     ]:
@@ -189,7 +187,7 @@ def test_broken_multifunctor_fails(z2):
         # flip everything: does not preserve identities
         return MMor(f.dom, f.cod, "s" if f.raw == "e" else "e")
 
-    F = MultiFunctor("flip", m, m, lambda x: x, mor_map)
+    F = Functor("flip", m, m, lambda x: x, mor_map)
     rep = check_multifunctor(F, CAPS)
     assert not rep.ok
     assert "mf/identity" in {it.check for it in rep.failures()}
@@ -197,17 +195,17 @@ def test_broken_multifunctor_fails(z2):
 
 def test_identity_multinat_passes(z2):
     m, _ = z2
-    F = MultiFunctor.identity(m)
-    assert check_multinat(MultiNat.identity(F), CAPS).ok
+    F = Functor.identity(m)
+    assert check_multinat(NaturalTransformation.identity(F), CAPS).ok
 
 
 def test_only_trivial_multinat_on_identity(z2):
     # the equation forces the component to be neutral: r = n.r + r for all n
     m, _ = z2
-    F = MultiFunctor.identity(m)
+    F = Functor.identity(m)
     good, bad = [], []
     for cand in m.hom(("g",), "g"):
-        r = MultiNat("cand", F, F, lambda x, c=cand: c)
+        r = NaturalTransformation("cand", F, F, lambda x, c=cand: c)
         (good if check_multinat(r, CAPS).ok else bad).append(cand.raw)
     assert good == ["e"] and bad == ["s"]
 

@@ -309,7 +309,6 @@ def test_underlying_of_representation_isomorphic_to_base():
 
         phi = Functor("L", w.cat, ucs.cat, lambda x: x, l_of)
         lfun = ClosedFunctor(
-            "L",
             w,
             ucs,
             phi,

@@ -293,7 +293,6 @@ def test_finset1_degenerates_to_terminal():
         lambda f: cat.identity(unit),
     )
     embed = ClosedFunctor(
-        "embed",
         term,
         cs1,
         phi,

@@ -43,12 +43,9 @@ UNCALLED = {
     "compose_cn_vertical": _TWO_CELLS,
     "underlying_closed_transformation": _TWO_CELLS,
     "Functor.then": _TWO_CELLS,
-    "MultiFunctor.then": _TWO_CELLS,
-    "Functor.identity": _TWO_CELLS,
     "NaturalTransformation.identity": _TWO_CELLS,
     "ClosedFunctor.identity": _TWO_CELLS,
     "ClosedTransformation.identity": _TWO_CELLS,
-    "MultiNat.identity": _TWO_CELLS,
     # the enriched layer and unit search (ROADMAP items 6 and 12)
     "check_v_category": "enriched categories such as a pushforward",
     "find_unit_object": "whether a multicategory file has a unit",
