@@ -83,7 +83,7 @@ class ClosedStructure:
         # embedding E = hom(1,-) and of the normalization's V: p's printed
         # name, printed once per point.
         def point_atom(p: MorId) -> hf.HF:
-            return hf.atom(self.cat.show_mor(p))
+            return hf.atom(str(p))
 
         object.__setattr__(self, "_gamma", functools.cache(_gamma))
         object.__setattr__(self, "gamma_table", functools.cache(table))
@@ -167,21 +167,16 @@ def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
         f = cs.gamma_inv(g, x, y)
         if gamma(cs, f) != g:
             raise NotBijective(
-                f"{cs.name}: supplied gamma inverse of {cs.cat.show_mor(g)} "
-                f"in hom({cs.cat.show_obj(x)},{cs.cat.show_obj(y)}) disagrees with gamma"
+                f"{cs.name}: supplied gamma inverse of {g} "
+                f"in hom({x},{y}) disagrees with gamma"
             )
         return f
     hits = cs.gamma_table(x, y).get(g, ())
     if len(hits) != 1:
         raise NotBijective(
-            f"{cs.name}: gamma has {len(hits)} preimages of "
-            f"{cs.cat.show_mor(g)} in hom({cs.cat.show_obj(x)},{cs.cat.show_obj(y)})"
+            f"{cs.name}: gamma has {len(hits)} preimages of {g} in hom({x},{y})"
         )
     return hits[0]
-
-
-def _pairs_locus(cs: ClosedStructure, *objs: ObjId) -> str:
-    return ",".join(cs.cat.show_obj(o) for o in objs)
 
 
 def v_category_failures(
@@ -190,7 +185,6 @@ def v_category_failures(
     hom_obj: Callable[[ObjId, ObjId], ObjId],
     j: Callable[[ObjId], MorId],
     L: Callable[[ObjId, ObjId, ObjId], MorId],
-    locus: Callable[..., str],
 ) -> tuple[list[str], list[str], list[str]]:
     """The failing loci of the laws of a category enriched in cs, with the
     given objects, hom objects, identities j and composition L: the left
@@ -203,14 +197,14 @@ def v_category_failures(
     for x in objects:
         for y in objects:
             if cat.compose(j(y), L(x, y, y)) != cs.j(hom_obj(x, y)):
-                unit_left.append(locus(x, y))
+                unit_left.append(entry_name((x, y)))
 
     unit_right = []
     for x in objects:
         for y in objects:
             lhs = cat.compose(L(x, x, y), cs.contra(j(x), hom_obj(x, y)))
             if lhs != cs.i(hom_obj(x, y)):
-                unit_right.append(locus(x, y))
+                unit_right.append(entry_name((x, y)))
 
     pentagon = []
     for x, y, uu, v in itertools.product(objects, repeat=4):
@@ -221,7 +215,7 @@ def v_category_failures(
             cs.contra(L(x, y, uu), cs.hom2_obj(hom_obj(x, y), hom_obj(x, v))),
         )
         if top != bottom:
-            pentagon.append(locus(x, y, uu, v))
+            pentagon.append(entry_name((x, y, uu, v)))
     return unit_left, unit_right, pentagon
 
 
@@ -241,7 +235,7 @@ def check_cc_axioms(
         if cat.compose(fwd, back) != cat.identity(x) or cat.compose(
             back, fwd
         ) != cat.identity(cs.hom2_obj(u, x)):
-            bad.append(cat.show_obj(x))
+            bad.append(str(x))
     rep.law("cc/i-iso", "i two-sided inverse", bad)
 
     bad = []
@@ -249,7 +243,7 @@ def check_cc_axioms(
         for y in objs:
             for f in cat.hom(x, y):
                 if cat.compose(cs.i(x), cs.cov(u, f)) != cat.compose(f, cs.i(y)):
-                    bad.append(f"f={cat.show_mor(f)}")
+                    bad.append(f"f={f}")
     rep.law("cc/i-natural", "naturality of i", bad)
 
     bad = []
@@ -259,7 +253,7 @@ def check_cc_axioms(
                 lhs = cat.compose(cs.j(x), cs.cov(x, f))
                 rhs = cat.compose(cs.j(y), cs.contra(f, y))
                 if lhs != rhs:
-                    bad.append(f"f={cat.show_mor(f)}")
+                    bad.append(f"f={f}")
     rep.law("cc/j-dinatural", "dinaturality of j", bad)
 
     bad = []
@@ -267,7 +261,7 @@ def check_cc_axioms(
         if cs.hom2_mor(cat.identity(x), cat.identity(x)) != cat.identity(
             cs.hom2_obj(x, x)
         ):
-            bad.append(cat.show_obj(x))
+            bad.append(str(x))
     rep.law("cc/hom2-identity", "und(1,1)=1", bad)
 
     bad = []
@@ -278,7 +272,7 @@ def check_cc_axioms(
                 route1 = cat.compose(cs.contra(f, c), cs.cov(b, g))
                 route2 = cat.compose(cs.cov(a, g), cs.contra(f, d))
                 if both != route1 or both != route2:
-                    bad.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
+                    bad.append(f"f={f} g={g}")
     rep.law("cc/hom2-exchange", "und(f,g)=und(f,1);und(1,g)", bad)
 
     bad = []
@@ -290,15 +284,11 @@ def check_cc_axioms(
                         for w in objs:
                             lhs = cat.compose(cs.cov(w, g), cs.cov(w, g2))
                             if lhs != cs.cov(w, cat.compose(g, g2)):
-                                bad.append(
-                                    f"cov w={cat.show_obj(w)} g={cat.show_mor(g)}"
-                                )
+                                bad.append(f"cov w={w} g={g}")
                         for w in objs:
                             lhs = cat.compose(cs.contra(g2, w), cs.contra(g, w))
                             if lhs != cs.contra(cat.compose(g, g2), w):
-                                bad.append(
-                                    f"contra w={cat.show_obj(w)} g={cat.show_mor(g)}"
-                                )
+                                bad.append(f"contra w={w} g={g}")
     rep.law("cc/hom2-compose", "functoriality of und(-,-)", bad)
 
     bad = []
@@ -308,7 +298,7 @@ def check_cc_axioms(
             lhs = cat.compose(cs.L(x, y, z), cs.cov(hy, cs.cov(x, g)))
             rhs = cat.compose(cs.cov(y, g), cs.L(x, y, z2))
             if lhs != rhs:
-                bad.append(f"X={cat.show_obj(x)} g={cat.show_mor(g)}")
+                bad.append(f"X={x} g={g}")
     rep.law("cc/L-natural-cov", "naturality of L in Z", bad)
 
     bad = []
@@ -319,7 +309,7 @@ def check_cc_axioms(
                 cs.L(x, y2, z), cs.contra(cs.cov(x, f), cs.hom2_obj(x, z))
             )
             if lhs != rhs:
-                bad.append(f"X={cat.show_obj(x)} f={cat.show_mor(f)}")
+                bad.append(f"X={x} f={f}")
     rep.law("cc/L-natural-contra", "naturality of L in Y", bad)
 
     bad = []
@@ -337,12 +327,10 @@ def check_cc_axioms(
                             cs.cov(cs.hom2_obj(x2, y), cs.contra(h, z)),
                         )
                         if lhs != rhs:
-                            bad.append(f"h={cat.show_mor(h)} Y={cat.show_obj(y)}")
+                            bad.append(f"h={h} Y={y}")
     rep.law("cc/L-dinatural", "dinaturality of L in X", bad)
 
-    cc1, cc2, cc3 = v_category_failures(
-        cs, objs, cs.hom2_obj, cs.j, cs.L, functools.partial(_pairs_locus, cs)
-    )
+    cc1, cc2, cc3 = v_category_failures(cs, objs, cs.hom2_obj, cs.j, cs.L)
     rep.law("cc/CC1", "CC1", cc1)
     rep.law("cc/CC2", "CC2", cc2)
     rep.law("cc/CC3", "CC3", cc3)
@@ -354,7 +342,7 @@ def check_cc_axioms(
                 cs.L(u, y, z), cs.contra(cs.i(y), cs.hom2_obj(u, z))
             )
             if lhs != cs.cov(y, cs.i(z)):
-                bad.append(_pairs_locus(cs, y, z))
+                bad.append(entry_name((y, z)))
     rep.law("cc/CC4", "CC4", bad)
 
     bad = []
@@ -363,7 +351,7 @@ def check_cc_axioms(
             table = cs.gamma_table(x, y)
             target = cat.hom(u, cs.hom2_obj(x, y))
             if not bijective(table, target):
-                bad.append(_pairs_locus(cs, x, y))
+                bad.append(entry_name((x, y)))
     rep.law("cc/CC5", "CC5 (gamma bijective)", bad)
 
     return rep
@@ -383,7 +371,7 @@ def verify_derived_cc_theorems(
     bad = []
     for x in objs:
         if cs.i(cs.hom2_obj(u, x)) != cs.cov(u, cs.i(x)):
-            bad.append(cat.show_obj(x))
+            bad.append(str(x))
     rep.law("derived/i-on-unit-hom", "i on und(1,X)", bad)
 
     rep.law(
@@ -396,7 +384,7 @@ def verify_derived_cc_theorems(
     for x in objs:
         for f in cat.hom(u, x):
             if cat.compose(gamma(cs, f), cs.i_inv(x)) != f:
-                bad.append(f"f={cat.show_mor(f)}")
+                bad.append(f"f={f}")
     rep.law("derived/gamma-section", "gamma then post-inverse-i", bad)
 
     bad = []
@@ -406,7 +394,7 @@ def verify_derived_cc_theorems(
                 for f in cat.hom(y, z):
                     lhs = cat.compose(gamma(cs, f), cs.L(x, y, z))
                     if lhs != gamma(cs, cs.cov(x, f)):
-                        bad.append(f"X={cat.show_obj(x)} f={cat.show_mor(f)}")
+                        bad.append(f"X={x} f={f}")
     rep.law("derived/gamma-L-square", "gamma/L square", bad)
 
     bad_cov, bad_contra = [], []
@@ -415,9 +403,9 @@ def verify_derived_cc_theorems(
             for g in cat.hom(y, z):
                 gf = gamma(cs, cat.compose(f, g))
                 if gf != cat.compose(gamma(cs, f), cs.cov(x, g)):
-                    bad_cov.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
+                    bad_cov.append(f"f={f} g={g}")
                 if gf != cat.compose(gamma(cs, g), cs.contra(f, z)):
-                    bad_contra.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
+                    bad_contra.append(f"f={f} g={g}")
     rep.law("derived/gamma-compose-cov", "gamma(f.g)=gamma(f);und(1,g)", bad_cov)
     rep.law("derived/gamma-compose-contra", "gamma(f.g)=gamma(g);und(f,1)", bad_contra)
 
@@ -490,7 +478,7 @@ def check_cf_axioms(F: ClosedFunctor, bounds: Bounds = DEFAULT_BOUNDS) -> Report
                     D.hom2_mor(F.phi.mor_map(f), F.phi.mor_map(g)),
                 )
                 if lhs != rhs:
-                    bad.append(f"f={C.cat.show_mor(f)} g={C.cat.show_mor(g)}")
+                    bad.append(f"f={f} g={g}")
     rep.law("cf/phi-hat-natural", "naturality of phi-hat", bad)
 
     bad = []
@@ -499,7 +487,7 @@ def check_cf_axioms(F: ClosedFunctor, bounds: Bounds = DEFAULT_BOUNDS) -> Report
             F.phi0, F.phi.mor_map(C.j(x)), F.phi_hat(x, x)
         )
         if lhs != D.j(F.phi.obj_map(x)):
-            bad.append(C.cat.show_obj(x))
+            bad.append(str(x))
     rep.law("cf/CF1", "CF1", bad)
 
     bad = []
@@ -510,7 +498,7 @@ def check_cf_axioms(F: ClosedFunctor, bounds: Bounds = DEFAULT_BOUNDS) -> Report
             D.hom2_mor(F.phi0, D.cat.identity(F.phi.obj_map(x))),
         )
         if lhs != D.i(F.phi.obj_map(x)):
-            bad.append(C.cat.show_obj(x))
+            bad.append(str(x))
     rep.law("cf/CF2", "CF2", bad)
 
     bad = []
@@ -527,7 +515,7 @@ def check_cf_axioms(F: ClosedFunctor, bounds: Bounds = DEFAULT_BOUNDS) -> Report
             D.contra(F.phi_hat(x, y), D.hom2_obj(px, pz)),
         )
         if lhs != rhs:
-            bad.append(_pairs_locus(C, x, y, z))
+            bad.append(entry_name((x, y, z)))
     rep.law("cf/CF3", "CF3", bad)
     return rep
 
@@ -557,7 +545,7 @@ def check_cn_axioms(
                 D.contra(t.eta.components(x), G.phi.obj_map(y)),
             )
             if lhs != rhs:
-                bad.append(_pairs_locus(C, x, y))
+                bad.append(entry_name((x, y)))
     rep.law("cn/CN2", "CN2", bad)
     return rep
 
@@ -695,6 +683,11 @@ class WMor:
     point: MorId  # a morphism 1 -> und(dom,cod) of the base
 
     def __str__(self) -> str:
+        return f"<{self.point}>"
+
+    # Two points may share a name, so a message about a pair of
+    # morphisms names their endpoints too.
+    def __repr__(self) -> str:
         return f"<{self.point}:{self.dom}->{self.cod}>"
 
 
@@ -795,7 +788,7 @@ class _WCategory(Category):
         # ever enters the cache.
         def compose(f: WMor, g: WMor) -> WMor:
             if f.cod != g.dom:
-                raise NotComposable(f"cannot compose {f} with {g}")
+                raise NotComposable(f"cannot compose {f!r} with {g!r}")
             return compose_rule(f, g)
 
         self._compose = functools.cache(compose)
@@ -815,20 +808,8 @@ class _WCategory(Category):
     def compose(self, f: WMor, g: WMor) -> WMor:
         return self._compose(f, g)
 
-    def dom(self, f: WMor):
-        return f.dom
-
-    def cod(self, f: WMor):
-        return f.cod
-
     def obj_key(self, x):
         return self._base.obj_key(x)
-
-    def show_obj(self, x):
-        return self._base.show_obj(x)
-
-    def show_mor(self, f: WMor):
-        return f"<{self._base.show_mor(f.point)}>"
 
 
 def check_ek_axioms(
@@ -848,7 +829,7 @@ def check_ek_axioms(
             via_c = ek.C_functor.obj_map(w.hom2_obj(x, y))
             direct = hf.fset(ek.elt_atom(m) for m in cat.hom(x, y))
             if via_c != direct:
-                bad.append(_pairs_locus(w, x, y))
+                bad.append(entry_name((x, y)))
     rep.law("ek/CC0-objects", "CC0 on objects", bad)
 
     bad = []
@@ -863,7 +844,7 @@ def check_ek_axioms(
                     for m in cat.hom(y, uu)
                 }
                 if dict(via_c.mapping()) != table:
-                    bad.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
+                    bad.append(f"f={f} g={g}")
     rep.law("ek/CC0-morphisms", "CC0 on morphisms", bad)
 
     bad = []
@@ -871,7 +852,7 @@ def check_ek_axioms(
         i_img = ek.C_functor.mor_map(w.i(w.hom2_obj(x, x)))
         got = i_img.apply(ek.elt_atom(cat.identity(x)))
         if got != ek.elt_atom(w.j(x)):
-            bad.append(cat.show_obj(x))
+            bad.append(str(x))
     rep.law("ek/CC5'", "CC5' (identity goes to j)", bad)
 
     # Composition in the normalized category is implemented by
@@ -885,7 +866,7 @@ def check_ek_axioms(
                 gl = base.cat.compose(g.point, base.L(x, y, z))
                 step = gamma_inverse(base, gl, base.hom2_obj(x, y), base.hom2_obj(x, z))
                 if cat.compose(f, g).point != base.cat.compose(f.point, step):
-                    bad.append(f"f={cat.show_mor(f)} g={cat.show_mor(g)}")
+                    bad.append(f"f={f} g={g}")
     rep.law("ek/compose-formula", "composition via gamma-inverse of g.L", bad)
 
     rep.extend(check_functor(ek.C_functor, bounds))

@@ -40,7 +40,7 @@ from .core import (
     guard_hom,
     preimages,
 )
-from .errors import NoUnitFound, NotBijective, NotUnique
+from .errors import NoUnitFound, NotBijective
 from .multicat import Multicategory, Profile, _composables
 from .report import Report
 
@@ -161,9 +161,7 @@ def curry(
         return f
     hits = w.curry_table(dom[:split], dom[split:], m.cod(f), bounds).get(f, ())
     if len(hits) != 1:
-        raise NotBijective(
-            f"{m.name}: {len(hits)} curryings of {m.show_mor(f)} at split {split}"
-        )
+        raise NotBijective(f"{m.name}: {len(hits)} curryings of {f} at split {split}")
     return hits[0]
 
 
@@ -178,7 +176,7 @@ def check_closedness(
     bad = []
     for z in m.objects():
         if w.hom_obj((), z) != z or w.ev((), z) != m.identity(z):
-            bad.append(m.show_obj(z))
+            bad.append(str(z))
     rep.law("closed/nullary-convention", "und(;Z)=Z, ev=1", bad)
 
     bad = []
@@ -210,7 +208,7 @@ def check_nary_factorization(
                 one = uncurry(w, g, (last,), inner)
                 two = uncurry(w, one, head, z)
                 if two != uncurry(w, g, xs, z):
-                    bad.append(f"g={m.show_mor(g)} xs={xs}")
+                    bad.append(f"g={g} xs={xs}")
     rep.law("closed/phi-factorization", "staged currying agrees", bad)
     return rep
 
@@ -354,11 +352,11 @@ def verify_internal_lemmas(
         if k1 == 0:
             got = m.compose((tail,), hom_action_contra(w, f1, z, bounds))
             if got != whole:
-                bad_a.append(f"g={m.show_mor(g)}")
+                bad_a.append(f"g={g}")
         elif k1 == 1:
             got = m.compose((tail,), hom_action_contra(w, f1, z, bounds))
             if got != curry(w, whole, 1, bounds):
-                bad_b.append(f"g={m.show_mor(g)}")
+                bad_b.append(f"g={g}")
         if k1 >= 1:
             x11 = m.dom(f1)[0]
             y1 = m.cod(f1)
@@ -366,14 +364,14 @@ def verify_internal_lemmas(
             step2 = m.plug(ic.mu[(x11, y1, z)], 1, curry(w, g, 1, bounds))
             got = m.compose(step1, step2)
             if got != curry(w, whole, 1, bounds):
-                bad_c.append(f"g={m.show_mor(g)}")
+                bad_c.append(f"g={g}")
         if len(fs) == 1 and k1 >= 1:
             got = m.compose(
                 (curry(w, f1, 1, bounds),),
                 hom_action_cov(w, (m.dom(f1)[0],), g, bounds),
             )
             if got != curry(w, whole, 1, bounds):
-                bad_d.append(f"g={m.show_mor(g)}")
+                bad_d.append(f"g={g}")
     rep.law("lemma/curry-split-nullary", "curried composite, nullary head", bad_a)
     rep.law("lemma/curry-split-unary", "curried composite, unary head", bad_b)
     rep.law("lemma/curry-split-general", "curried composite via mu", bad_c)
@@ -397,7 +395,7 @@ def verify_internal_lemmas(
                     hom_action_cov(w, (v,), g, bounds),
                 )
                 if lhs != rhs:
-                    bad.append(f"f={m.show_mor(f)} g={m.show_mor(g)}")
+                    bad.append(f"f={f} g={g}")
     rep.law("lemma/hom-cov-compose", "und(W;f.g)=und(W;f);und(W;g)", bad)
 
     bad = []
@@ -412,7 +410,7 @@ def verify_internal_lemmas(
                     hom_action_contra(w, f, z, bounds),
                 )
                 if lhs != rhs:
-                    bad.append(f"f={m.show_mor(f)} g={m.show_mor(g)}")
+                    bad.append(f"f={f} g={g}")
     rep.law("lemma/hom-contra-compose", "und(f.g;Z)=und(g;Z);und(f;Z)", bad)
 
     bad = []
@@ -429,7 +427,7 @@ def verify_internal_lemmas(
                 hom_action_contra(w, f, zz, bounds),
             )
             if lhs != rhs:
-                bad.append(f"f={m.show_mor(f)} g={m.show_mor(g)}")
+                bad.append(f"f={f} g={g}")
     rep.law("lemma/hom-mixed", "contravariant and covariant actions commute", bad)
 
     rep.law(
@@ -500,7 +498,7 @@ def check_unit_object(w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS) -> 
     for x in m.objects():
         inv = contraction_inverses(w, x, bounds)
         if len(inv) != 1:
-            bad.append(f"X={m.show_obj(x)} ({len(inv)} inverses)")
+            bad.append(f"X={x} ({len(inv)} inverses)")
     rep.law("unit/contraction-iso", "evaluation against u invertible", bad)
     return rep
 
@@ -521,13 +519,13 @@ def find_unit_object(
 
 def bar(w: ClosednessWitness, f: MorId, bounds: Bounds = DEFAULT_BOUNDS) -> MorId:
     """The unique morphism unit -> X with u then it equal to the given
-    nullary morphism, read from the witness's factorization table."""
+    nullary morphism, read from the witness's factorization table.
+    Precomposition with u on hom(unit; X) must be a bijection, so zero
+    or several factorizations raise NotBijective."""
     m = w.m
     if m.dom(f) != ():
         raise ValueError("bar expects a nullary morphism")
     hits = w.unit_table(m.cod(f), bounds).get(f, ())
     if len(hits) != 1:
-        raise NotUnique(
-            f"{m.name}: {len(hits)} factorizations of {m.show_mor(f)} through u"
-        )
+        raise NotBijective(f"{m.name}: {len(hits)} factorizations of {f} through u")
     return hits[0]

@@ -99,12 +99,6 @@ class UnderlyingCategory(Category):
     def cod(self, f):
         return self._m.cod(f)
 
-    def show_obj(self, x):
-        return self._m.show_obj(x)
-
-    def show_mor(self, f):
-        return self._m.show_mor(f)
-
 
 def underlying_closed_category(
     w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
@@ -124,8 +118,7 @@ def underlying_closed_category(
         hits = contraction_inverses(w, x, bounds)
         if len(hits) != 1:
             raise NotBijective(
-                f"{m.name}: unit contraction at {m.show_obj(x)} "
-                f"has {len(hits)} inverses"
+                f"{m.name}: unit contraction at {x} has {len(hits)} inverses"
             )
         i[x] = hits[0]
     i_inv = {x: unit_contraction(w, x) for x in objs}
@@ -206,7 +199,7 @@ def verify_u_construction(
                 nullary = m.compose((uw.u,), g)
                 back = uncurry(w, nullary, (x,), y)
                 if back != f:
-                    bad.append(f"f={m.show_mor(f)}")
+                    bad.append(f"f={f}")
     rep.law("u/CC5-gamma-factorization", "CC5 via the currying factorization", bad)
     return rep
 
@@ -274,14 +267,14 @@ def closed_functors_equal(
     objs = guard_objects(cat, bounds)
     for x in objs:
         if A.phi.obj_map(x) != B.phi.obj_map(x):
-            return False, f"object {cat.show_obj(x)}"
+            return False, f"object {x}"
     for x in objs:
         for y in objs:
             for f in cat.hom(x, y):
                 if A.phi.mor_map(f) != B.phi.mor_map(f):
-                    return False, f"morphism {cat.show_mor(f)}"
+                    return False, f"morphism {f}"
             if A.phi_hat(x, y) != B.phi_hat(x, y):
-                return False, f"hom comparison at {cat.show_obj(x)},{cat.show_obj(y)}"
+                return False, f"hom comparison at {x},{y}"
     if A.phi0 != B.phi0:
         return False, "unit comparison"
     return True, ""
@@ -293,11 +286,11 @@ def multifunctors_equal(
     m = F.source
     for x in m.objects():
         if F.obj_map(x) != G.obj_map(x):
-            return False, f"object {m.show_obj(x)}"
+            return False, f"object {x}"
     for xs, y in m.signatures(bounds):
         for f in guard_hom(m, xs, y, bounds):
             if F.mor_map(f) != G.mor_map(f):
-                return False, f"morphism {m.show_mor(f)}"
+                return False, f"morphism {f}"
     return True, ""
 
 
@@ -598,15 +591,6 @@ class RepresentingMulticat(Multicategory):
                         continue
                     yield fs, g, out
 
-    def dom(self, f: RepresentingMorphism):
-        return f.dom
-
-    def cod(self, f: RepresentingMorphism):
-        return f.cod
-
-    def show_obj(self, x):
-        return self.base.cat.show_obj(x)
-
 
 def build_representing_multicategory(
     cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS
@@ -660,7 +644,7 @@ def check_representation(
             for g in guard_hom(mcv, ys, h, bounds):
                 img = uncurry(rw, g, (x,), z)
                 if img.gamma_name != g.gamma_name:
-                    bad.append(f"g={mcv.show_mor(g)}")
+                    bad.append(f"g={g}")
     rep.law("repr/gamma-currying", "bijection commutes with currying", bad)
     return rep
 

@@ -77,7 +77,7 @@ def build_underlying_V_category(cs: ClosedStructure) -> VCategory:
 def check_v_category(A: VCategory) -> Report:
     rep = Report(f"enriched category axioms: {A.name}")
     unit_left, unit_right, pentagon = v_category_failures(
-        A.base, A.objects, A.hom_obj, A.j, A.L, lambda *xs: ",".join(map(str, xs))
+        A.base, A.objects, A.hom_obj, A.j, A.L
     )
     rep.law("vc/unit-left", "j then L lands on base j", unit_left)
     rep.law("vc/unit-right", "L against j lands on i", unit_right)

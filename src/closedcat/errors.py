@@ -23,10 +23,6 @@ class NoUnitFound(KernelError):
     pass
 
 
-class NotUnique(KernelError):
-    """A morphism required to be unique has zero or several solutions."""
-
-
 class StrictnessError(KernelError):
     """Input monoidal data is not strictly associative/unital."""
 

@@ -59,17 +59,13 @@ class Multicategory:
         nullary."""
         raise NotImplementedError
 
+    # A morphism value that carries its endpoints answers them; a
+    # multicategory of named morphisms keeps a signature table instead.
     def dom(self, f: MorId) -> Profile:
-        raise NotImplementedError
+        return f.dom
 
     def cod(self, f: MorId) -> ObjId:
-        raise NotImplementedError
-
-    def show_obj(self, x) -> str:
-        return str(x)
-
-    def show_mor(self, f) -> str:
-        return str(f)
+        return f.cod
 
     def profiles(self, max_len: int):
         objs = self.objects()
@@ -213,7 +209,7 @@ def check_strict_monoidal(smc: StrictMonoidalCategory) -> Report:
     bad = []
     for x in objs:
         if smc.tensor_obj(smc.unit, x) != x or smc.tensor_obj(x, smc.unit) != x:
-            bad.append(cat.show_obj(x))
+            bad.append(str(x))
     rep.law("monoidal/unit-strict", "unit strictness on objects", bad)
 
     bad = []
@@ -222,7 +218,7 @@ def check_strict_monoidal(smc: StrictMonoidalCategory) -> Report:
         for y in objs:
             for f in cat.hom(x, y):
                 if smc.tensor_mor(one, f) != f or smc.tensor_mor(f, one) != f:
-                    bad.append(cat.show_mor(f))
+                    bad.append(str(f))
     rep.law("monoidal/unit-strict-mor", "unit strictness on morphisms", bad)
 
     bad = []
@@ -262,9 +258,7 @@ def check_strict_monoidal(smc: StrictMonoidalCategory) -> Report:
                                     smc.tensor_mor(f, g), smc.tensor_mor(f2, g2)
                                 )
                                 if lhs != rhs:
-                                    bad.append(
-                                        f"f={cat.show_mor(f)} g={cat.show_mor(g)}"
-                                    )
+                                    bad.append(f"f={f} g={g}")
     rep.law("monoidal/interchange", "tensor functoriality", bad)
     return rep
 
@@ -335,12 +329,6 @@ class MonoidalMulticategory(Multicategory):
             raw = self.smc.tensor_mor(raw, f.raw)
         dom = tuple(x for f in fs for x in f.dom)
         return MMor(dom, g.cod, cat.compose(raw, g.raw))
-
-    def dom(self, f: MMor):
-        return f.dom
-
-    def cod(self, f: MMor):
-        return f.cod
 
 
 def from_strict_monoidal(
@@ -435,21 +423,21 @@ def check_multicategory_axioms(
     for xs, y in m.signatures(bounds):
         for f in guard_hom(m, xs, y, bounds):
             if m.dom(f) != xs or m.cod(f) != y:
-                bad.append(m.show_mor(f))
+                bad.append(str(f))
     ends_bad = rep.law("mc/endpoints", "dom/cod", bad)
 
     bad = []
     for xs, y in m.signatures(bounds):
         for f in guard_hom(m, xs, y, bounds):
             if m.compose(m.identities_for(xs), f) != f:
-                bad.append(f"(1,..,1).{m.show_mor(f)}")
+                bad.append(f"(1,..,1).{f}")
     inner_bad = rep.law("mc/identity-inner", "(1,...,1).g = g", bad)
 
     bad = []
     for xs, y in m.signatures(bounds):
         for f in guard_hom(m, xs, y, bounds):
             if m.compose((f,), m.identity(y)) != f:
-                bad.append(f"{m.show_mor(f)}.1")
+                bad.append(f"{f}.1")
     outer_bad = rep.law("mc/identity-outer", "(f).1 = f", bad)
 
     try:
@@ -479,7 +467,7 @@ def _assoc_loci(m: Multicategory, bounds: Bounds) -> list[str]:
                 inner = tuple(m.compose(hs[a:b], f) for a, b, f in blocks)
                 if lhs != m.compose(inner, g):
                     bad.append(
-                        f"g={m.show_mor(g)} fs=" + ",".join(map(m.show_mor, fs))
+                        f"g={g} fs=" + ",".join(map(str, fs))
                     )
     return bad
 
@@ -590,13 +578,13 @@ def check_multifunctor(F: Functor, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
             ff = F.mor_map(f)
             want_dom = tuple(F.obj_map(x) for x in xs)
             if tgt.dom(ff) != want_dom or tgt.cod(ff) != F.obj_map(y):
-                bad.append(src.show_mor(f))
+                bad.append(str(f))
     rep.law("mf/endpoints", "F(f):FX1,..,FXn->FY", bad)
 
     bad = []
     for x in src.objects():
         if F.mor_map(src.identity(x)) != tgt.identity(F.obj_map(x)):
-            bad.append(src.show_obj(x))
+            bad.append(str(x))
     rep.law("mf/identity", "F(1)=1", bad)
 
     bad = []
@@ -605,7 +593,7 @@ def check_multifunctor(F: Functor, bounds: Bounds = DEFAULT_BOUNDS) -> Report:
         rhs = tgt.compose(tuple(F.mor_map(f) for f in fs), F.mor_map(g))
         if lhs != rhs:
             bad.append(
-                f"g={src.show_mor(g)} fs=" + ",".join(map(src.show_mor, fs))
+                f"g={g} fs=" + ",".join(map(str, fs))
             )
     rep.law("mf/compose", "F((fs).g)=(F(fs)).F(g)", bad)
     return rep
@@ -626,7 +614,7 @@ def check_multinat(
                 tuple(r.components(x) for x in xs), G.mor_map(f)
             )
             if lhs != rhs:
-                bad.append(src.show_mor(f))
+                bad.append(str(f))
     rep.law("mn/square", "Ff.r = (r,...,r).Gf", bad)
     return rep
 

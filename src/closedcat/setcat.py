@@ -232,17 +232,8 @@ class FinSetCategory(Category):
             )
         return SetMor.from_rule(f.dom, g.cod, lambda v: g.apply(f.apply(v)))
 
-    def dom(self, f: SetMor):
-        return f.dom
-
-    def cod(self, f: SetMor):
-        return f.cod
-
     def obj_key(self, x):
         return hf.hf_key(x)
-
-    def show_obj(self, x):
-        return hf.pretty(x) if isinstance(x, hf.HF) else repr(x)
 
 
 def build_finset_closed(max_size: int) -> ClosedStructure:

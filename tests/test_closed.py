@@ -26,7 +26,7 @@ from closedcat.closed import (
     verify_derived_cc_theorems,
 )
 from closedcat.core import check_category_axioms
-from closedcat.errors import NotBijective
+from closedcat.errors import NotBijective, NotComposable
 from closedcat.setcat import SetMor, build_finset_closed, elements
 
 A0, A1 = hf.atom("a0"), hf.atom("a1")
@@ -167,7 +167,7 @@ def _phi_hat_oracle(cs, sets, x, y):
     cat, u = cs.cat, cs.unit
 
     def point_name(m):
-        return hf.atom(cat.show_mor(m))
+        return hf.atom(str(m))
 
     def e_obj(z):
         return hf.fset(point_name(p) for p in cat.hom(u, z))
@@ -273,6 +273,16 @@ def test_ek_normalize_interns_every_morphism(name):
                 assert member[(x, z, h.point)] is h
 
 
+def test_normalized_compose_refusal_names_each_point_with_its_endpoints():
+    # the points of hom(0,1) and hom(0,0) of ek(heyting2) both print <1<=1>
+    wcat = ek_normalize(instances.get("heyting2").build())[0].closed.cat
+    (f,), (g,) = wcat.hom("0", "1"), wcat.hom("0", "0")
+    assert str(f) == str(g) == "<1<=1>"
+    msg = "cannot compose <1<=1:0->1> with <1<=1:0->0>"
+    with pytest.raises(NotComposable, match=f"^{re.escape(msg)}$"):
+        wcat.compose(f, g)
+
+
 def _v_oracle(cs):
     """The normalization's set-valued functor written out without E: a
     point named by its printed name, an object sent to its set of points
@@ -280,7 +290,7 @@ def _v_oracle(cs):
     cat, u = cs.cat, cs.unit
 
     def point_name(m):
-        return hf.atom(cat.show_mor(m))
+        return hf.atom(str(m))
 
     def c_obj(x):
         return hf.fset(point_name(p) for p in cat.hom(u, x))
@@ -358,10 +368,7 @@ def test_gamma_inverse_rejects_a_closed_form_that_disagrees_with_gamma(sets2):
     wrong = dataclasses.replace(
         sets2, gamma_inv=lambda g, x, y: sets2.cat.identity(sets2.unit)
     )
-    at = (
-        f"of {sets2.cat.show_mor(point)} in hom({sets2.cat.show_obj(x)},"
-        f"{sets2.cat.show_obj(y)}) disagrees"
-    )
+    at = f"of {point} in hom({x},{y}) disagrees"
     with pytest.raises(NotBijective, match=re.escape(at)):
         gamma_inverse(wrong, point, x, y)
     # the second call is answered from gamma's memo and is checked again

@@ -23,7 +23,7 @@ from closedcat.closedmc import (
     unit_contraction,
     verify_internal_lemmas,
 )
-from closedcat.errors import NotBijective, NotUnique, NoUnitFound
+from closedcat.errors import NotBijective, NoUnitFound
 from closedcat.core import Bounds, Functor
 from closedcat.multicat import MMor
 
@@ -209,7 +209,7 @@ def test_non_unit_candidate_fails():
     assert check_closedness(w, CAPS).ok
     rep = check_unit_object(w, CAPS)
     assert {it.check for it in rep.failures()} == {"unit/contraction-iso"}
-    with pytest.raises(NotUnique):
+    with pytest.raises(NotBijective):
         # u = t1 cannot factor the nullary t0 (no subtraction)
         bar(w, m.hom((), "g")[0], CAPS)
 

@@ -11,7 +11,7 @@ from closedcat.closed import gamma, gamma_inverse
 from closedcat.closedmc import bar, curry, uncurry
 from closedcat.core import Bounds, bijective, guard_hom, preimages
 from closedcat.correspond import build_representing_multicategory
-from closedcat.errors import NotBijective, NotUnique
+from closedcat.errors import NotBijective
 
 CAPS = Bounds(2)
 
@@ -52,7 +52,7 @@ def _scan_curry(w, f, split, bounds):
     ]
     if len(hits) != 1:
         raise NotBijective(
-            f"{m.name}: {len(hits)} curryings of {m.show_mor(f)} at split {split}"
+            f"{m.name}: {len(hits)} curryings of {f} at split {split}"
         )
     return hits[0]
 
@@ -67,9 +67,7 @@ def _scan_bar(w, f, bounds):
         if m.compose((uw.u,), g) == f
     ]
     if len(hits) != 1:
-        raise NotUnique(
-            f"{m.name}: {len(hits)} factorizations of {m.show_mor(f)} through u"
-        )
+        raise NotBijective(f"{m.name}: {len(hits)} factorizations of {f} through u")
     return hits[0]
 
 
@@ -77,8 +75,7 @@ def _scan_gamma_inverse(cs, g, x, y):
     hits = [f for f in cs.cat.hom(x, y) if gamma(cs, f) == g]
     if len(hits) != 1:
         raise NotBijective(
-            f"{cs.name}: gamma has {len(hits)} preimages of "
-            f"{cs.cat.show_mor(g)} in hom({cs.cat.show_obj(x)},{cs.cat.show_obj(y)})"
+            f"{cs.name}: gamma has {len(hits)} preimages of {g} in hom({x},{y})"
         )
     return hits[0]
 

@@ -31,6 +31,7 @@ UNCALLED = {
     "Category.obj_key": "set-bridge: the ek summary sorts objects by it",
     "FinSetCategory.obj_key": "set-bridge: the ek summary sorts objects by it",
     "_WCategory.obj_key": "set-bridge: the ek summary sorts objects by it",
+    "Category.show_obj": "set-bridge: the ek summary prints objects with it",
     # the 2-cell layer, for a check of the 2-equivalence (ROADMAP item 5)
     "check_multifunctor": _TWO_CELLS,
     "check_multinat": _TWO_CELLS,
