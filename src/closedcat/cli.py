@@ -165,13 +165,11 @@ def cmd_construct(args) -> int:
         if w is None or w.unit is None:
             raise FormatError("multicategory lacks a closedness witness or unit")
         doc = interchange.closed_to_json(w.underlying(bounds), bounds)
-    elif args.what == "ek":
+    else:  # "ek": argparse refuses any other construction
         if kind != "closed":
             raise FormatError("construct ek expects a closed category")
         ek, iso = ek_normalize(payload, bounds)
         doc = interchange.closed_to_json(ek.closed, bounds)
-    else:
-        raise FormatError(f"unknown construction {args.what!r}")
     _write(interchange.dumps(doc), args.out)
     return 0
 

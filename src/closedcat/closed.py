@@ -67,17 +67,19 @@ class ClosedStructure:
     gamma_inv: Callable[[MorId, ObjId, ObjId], MorId] | None = None
 
     def __post_init__(self):
-        # gamma of each morphism, read through closed.gamma.  A SetMor key
-        # hashes by its table over dom, the enumeration gamma makes too, so
-        # a virtual domain raises the same BudgetExceeded either way.
-        def _gamma(f: MorId) -> MorId:
+        # The passage from external to internal morphisms, one value per
+        # morphism: f : X -> Y goes to j_X ; und(1,f) : 1 -> und(X,Y).  A
+        # SetMor key hashes by its table over dom, the enumeration gamma
+        # makes too, so a virtual domain raises the same BudgetExceeded
+        # either way.
+        def gamma(f: MorId) -> MorId:
             x = self.cat.dom(f)
             return self.cat.compose(self.j(x), self.cov(x, f))
 
         # gamma on each hom-set (X, Y), inverted: read by gamma_inverse and
         # CC5.  Both are built on first use and freed with the structure.
         def table(x: ObjId, y: ObjId) -> dict:
-            return preimages(self.cat.hom(x, y), self._gamma)
+            return preimages(self.cat.hom(x, y), self.gamma)
 
         # The atom that names a point p : 1 -> X inside the sets of the hom
         # embedding E = hom(1,-) and of the normalization's V: p's printed
@@ -85,7 +87,7 @@ class ClosedStructure:
         def point_atom(p: MorId) -> hf.HF:
             return hf.atom(str(p))
 
-        object.__setattr__(self, "_gamma", functools.cache(_gamma))
+        object.__setattr__(self, "gamma", functools.cache(gamma))
         object.__setattr__(self, "gamma_table", functools.cache(table))
         object.__setattr__(self, "point_atom", functools.cache(point_atom))
 
@@ -146,12 +148,6 @@ class _Table(dict):
         )
 
 
-def gamma(cs: ClosedStructure, f: MorId) -> MorId:
-    """The passage from external to internal morphisms: f : X -> Y goes to
-    j_X ; und(1,f) : 1 -> und(X,Y)."""
-    return cs._gamma(f)
-
-
 def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
     """The unique f in hom(X,Y) with gamma(f) = g.
 
@@ -165,7 +161,7 @@ def gamma_inverse(cs: ClosedStructure, g: MorId, x: ObjId, y: ObjId) -> MorId:
     """
     if cs.gamma_inv is not None:
         f = cs.gamma_inv(g, x, y)
-        if gamma(cs, f) != g:
+        if cs.gamma(f) != g:
             raise NotBijective(
                 f"{cs.name}: supplied gamma inverse of {g} "
                 f"in hom({x},{y}) disagrees with gamma"
@@ -383,7 +379,7 @@ def verify_derived_cc_theorems(
     bad = []
     for x in objs:
         for f in cat.hom(u, x):
-            if cat.compose(gamma(cs, f), cs.i_inv(x)) != f:
+            if cat.compose(cs.gamma(f), cs.i_inv(x)) != f:
                 bad.append(f"f={f}")
     rep.law("derived/gamma-section", "gamma then post-inverse-i", bad)
 
@@ -392,8 +388,8 @@ def verify_derived_cc_theorems(
         for y in objs:
             for z in objs:
                 for f in cat.hom(y, z):
-                    lhs = cat.compose(gamma(cs, f), cs.L(x, y, z))
-                    if lhs != gamma(cs, cs.cov(x, f)):
+                    lhs = cat.compose(cs.gamma(f), cs.L(x, y, z))
+                    if lhs != cs.gamma(cs.cov(x, f)):
                         bad.append(f"X={x} f={f}")
     rep.law("derived/gamma-L-square", "gamma/L square", bad)
 
@@ -401,10 +397,10 @@ def verify_derived_cc_theorems(
     for x, y, z in itertools.product(objs, repeat=3):
         for f in cat.hom(x, y):
             for g in cat.hom(y, z):
-                gf = gamma(cs, cat.compose(f, g))
-                if gf != cat.compose(gamma(cs, f), cs.cov(x, g)):
+                gf = cs.gamma(cat.compose(f, g))
+                if gf != cat.compose(cs.gamma(f), cs.cov(x, g)):
                     bad_cov.append(f"f={f} g={g}")
-                if gf != cat.compose(gamma(cs, g), cs.contra(f, z)):
+                if gf != cat.compose(cs.gamma(g), cs.contra(f, z)):
                     bad_contra.append(f"f={f} g={g}")
     rep.law("derived/gamma-compose-cov", "gamma(f.g)=gamma(f);und(1,g)", bad_cov)
     rep.law("derived/gamma-compose-contra", "gamma(f.g)=gamma(g);und(f,1)", bad_contra)
@@ -631,7 +627,7 @@ def build_E_functor(cs: ClosedStructure, sets: ClosedStructure) -> ClosedFunctor
     def e_mor(f: MorId) -> SetMor:
         x, y = cat.dom(f), cat.cod(f)
         table = {elt(h): elt(cat.compose(h, f)) for h in cat.hom(u, x)}
-        return SetMor.from_table(e_obj(x), e_obj(y), table)
+        return SetMor(e_obj(x), e_obj(y), mapping=table)
 
     phi = Functor(f"E({cs.name})", cat, sets.cat, e_obj, e_mor)
 
@@ -643,13 +639,9 @@ def build_E_functor(cs: ClosedStructure, sets: ClosedStructure) -> ClosedFunctor
             elt(h): e_mor(gamma_inverse(cs, h, x, y)).table_value()
             for h in cat.hom(u, hxy)
         }
-        return SetMor.from_table(
-            e_obj(hxy), sets.hom2_obj(e_obj(x), e_obj(y)), table
-        )
+        return SetMor(e_obj(hxy), sets.hom2_obj(e_obj(x), e_obj(y)), mapping=table)
 
-    phi0 = SetMor.from_table(
-        sets.unit, e_obj(u), {hf.atom("*"): elt(cat.identity(u))}
-    )
+    phi0 = SetMor(sets.unit, e_obj(u), mapping={hf.atom("*"): elt(cat.identity(u))})
     return ClosedFunctor(cs, sets, phi, phi_hat, phi0)
 
 
@@ -727,19 +719,19 @@ def ek_normalize(
         return gamma_inverse(cs, m.point, m.dom, m.cod)
 
     def lift(m: MorId) -> WMor:
-        return wmor(cat.dom(m), cat.cod(m), gamma(cs, m))
+        return wmor(cat.dom(m), cat.cod(m), cs.gamma(m))
 
     def compose_rule(f: WMor, g: WMor) -> WMor:
         # Composition by transport along gamma.  The defining formula
         # (f, g) -> f . gamma^{-1}(g . L) agrees with this wherever the
         # intermediate hom-set is enumerable; check_ek_axioms re-checks
         # that agreement over the enumerated objects.
-        return wmor(f.dom, g.cod, gamma(cs, cat.compose(g_inv(f), g_inv(g))))
+        return wmor(f.dom, g.cod, cs.gamma(cat.compose(g_inv(f), g_inv(g))))
 
     def identity_rule(x: ObjId) -> WMor:
         return lift(cat.identity(x))
 
-    wcat = _WCategory(f"ek({cs.name})", cat, objs, homs, compose_rule, identity_rule)
+    wcat = _WCategory(f"ek({cs.name})", objs, homs, compose_rule, identity_rule)
 
     def hom2_mor(f: WMor, g: WMor) -> WMor:
         return lift(cs.hom2_mor(g_inv(f), g_inv(g)))
@@ -778,9 +770,8 @@ class _WCategory(Category):
     coincide as objects, so endpoints live on the morphisms.  Objects and
     points come in the base's order."""
 
-    def __init__(self, name, base: Category, objs, homs, compose_rule, identity_rule):
+    def __init__(self, name, objs, homs, compose_rule, identity_rule):
         self.name = name
-        self._base = base
         self._objects = tuple(objs)
         self._homs = {k: tuple(v) for k, v in homs.items()}
 
@@ -807,9 +798,6 @@ class _WCategory(Category):
 
     def compose(self, f: WMor, g: WMor) -> WMor:
         return self._compose(f, g)
-
-    def obj_key(self, x):
-        return self._base.obj_key(x)
 
 
 def check_ek_axioms(

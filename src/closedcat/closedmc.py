@@ -1,6 +1,7 @@
 """Closed multicategories: internal hom objects, currying, the internal
-hom-category with its composition, closing transformations, and unit
-objects.
+hom-category with its composition, closing transformations, unit
+objects, and the underlying closed category U(M) of a closed
+multicategory with a unit object, which its witness caches per bounds.
 
 The witness carries the unary hom objects and evaluations declared by an
 instance; n-ary hom data is derived by peeling the last argument, and the
@@ -30,9 +31,11 @@ import functools
 import itertools
 from dataclasses import dataclass, replace
 
+from .closed import ClosedStructure
 from .core import (
     DEFAULT_BOUNDS,
     Bounds,
+    Category,
     Functor,
     MorId,
     ObjId,
@@ -76,7 +79,9 @@ class ClosednessWitness:
         self.curry_table = functools.cache(self._uncurry_preimages)
         self.unit_table = functools.cache(self._unit_preimages)
         self.internal_category = functools.cache(self._internal_category)
-        self.underlying = functools.cache(self._underlying)
+        self.underlying = functools.cache(
+            functools.partial(underlying_closed_category, self)
+        )
 
     def declared_unit(self) -> UnitWitness:
         """The unit, or NoUnitFound when the witness declares none."""
@@ -128,11 +133,6 @@ class ClosednessWitness:
             mu[(x, y, z)] = curry(self, two_step, 1, bounds)
             LX[(x, y, z)] = curry(self, mu[(x, y, z)], 1, bounds)
         return InternalCategory(mu, unit1, LX)
-
-    def _underlying(self, bounds: Bounds):
-        from .correspond import underlying_closed_category
-
-        return underlying_closed_category(self, bounds)
 
 
 def uncurry(
@@ -529,3 +529,72 @@ def bar(w: ClosednessWitness, f: MorId, bounds: Bounds = DEFAULT_BOUNDS) -> MorI
     if len(hits) != 1:
         raise NotBijective(f"{m.name}: {len(hits)} factorizations of {f} through u")
     return hits[0]
+
+
+class UnderlyingCategory(Category):
+    """The category of unary morphisms of a multicategory."""
+
+    def __init__(self, m: Multicategory):
+        self._m = m
+        self.name = f"U({m.name})"
+
+    def objects(self):
+        return self._m.objects()
+
+    def hom(self, x, y):
+        return self._m.hom((x,), y)
+
+    def identity(self, x):
+        return self._m.identity(x)
+
+    def compose(self, f, g):
+        return self._m.compose((f,), g)
+
+    def dom(self, f):
+        return self._m.dom(f)[0]
+
+    def cod(self, f):
+        return self._m.cod(f)
+
+
+def underlying_closed_category(
+    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
+) -> ClosedStructure:
+    """The underlying closed category of a closed multicategory with a
+    unit object.  i inverts the unit contraction, j factors the internal
+    identity through u, and L curries the internal composition.  The
+    witness keeps one per bounds, ``w.underlying(bounds)``."""
+    m = w.m
+    uw = w.declared_unit()
+    ic = w.internal_category(bounds)
+    cat = UnderlyingCategory(m)
+    objs = cat.objects()
+
+    i = {}
+    for x in objs:
+        hits = contraction_inverses(w, x, bounds)
+        if len(hits) != 1:
+            raise NotBijective(
+                f"{m.name}: unit contraction at {x} has {len(hits)} inverses"
+            )
+        i[x] = hits[0]
+    i_inv = {x: unit_contraction(w, x) for x in objs}
+    j = {x: bar(w, ic.unit1[x], bounds) for x in objs}
+
+    @functools.cache
+    def hom2_mor(f: MorId, g: MorId) -> MorId:
+        step1 = hom_action_contra(w, f, m.dom(g)[0], bounds)
+        step2 = hom_action_cov(w, (m.dom(f)[0],), g, bounds)
+        return m.compose((step1,), step2)
+
+    return ClosedStructure(
+        f"U({m.name})",
+        cat,
+        uw.unit,
+        lambda x, y: w.hom_obj((x,), y),
+        hom2_mor,
+        i.__getitem__,
+        i_inv.__getitem__,
+        j.__getitem__,
+        lambda x, y, z: ic.LX[(x, y, z)],
+    )

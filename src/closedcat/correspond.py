@@ -4,8 +4,9 @@ categories, in both directions.
 Forward: a closed multicategory with a unit object has an underlying
 closed category (unary homs, internal hom objects, i from the unit
 contraction, j from the internal identities, L from currying the internal
-composition); multifunctors induce closed functors via closing
-transformations; multinatural transformations keep their components.
+composition), which ``closedmc`` builds and this module verifies;
+multifunctors induce closed functors via closing transformations;
+multinatural transformations keep their components.
 
 Backward: a closed functor between underlying closed categories lifts to
 a multifunctor by recursion on arity, and every finite closed category is
@@ -29,7 +30,6 @@ from .closed import (
     check_cn_axioms,
     compose_closed_functors,
     ek_normalize,
-    gamma,
 )
 from .closedmc import (
     ClosednessWitness,
@@ -38,18 +38,17 @@ from .closedmc import (
     UnitWitness,
     bar,
     closing_transformation,
-    contraction_inverses,
     curry,
     hom_action_contra,
     hom_action_cov,
     mu_left_unit_holds,
+    underlying_closed_category,
     unit_contraction,
     uncurry,
 )
 from .core import (
     DEFAULT_BOUNDS,
     Bounds,
-    Category,
     Functor,
     MorId,
     NaturalTransformation,
@@ -72,75 +71,6 @@ from .enriched import (
 from .errors import BudgetExceeded, FormatError, KernelError, NotBijective
 from .multicat import Multicategory, Profile, _walk_table, check_multinat
 from .report import Report
-
-
-class UnderlyingCategory(Category):
-    """The category of unary morphisms of a multicategory."""
-
-    def __init__(self, m: Multicategory):
-        self._m = m
-        self.name = f"U({m.name})"
-
-    def objects(self):
-        return self._m.objects()
-
-    def hom(self, x, y):
-        return self._m.hom((x,), y)
-
-    def identity(self, x):
-        return self._m.identity(x)
-
-    def compose(self, f, g):
-        return self._m.compose((f,), g)
-
-    def dom(self, f):
-        return self._m.dom(f)[0]
-
-    def cod(self, f):
-        return self._m.cod(f)
-
-
-def underlying_closed_category(
-    w: ClosednessWitness, bounds: Bounds = DEFAULT_BOUNDS
-) -> ClosedStructure:
-    """The underlying closed category of a closed multicategory with a
-    unit object.  i inverts the unit contraction, j factors the internal
-    identity through u, and L curries the internal composition.  The
-    witness keeps one per bounds, ``w.underlying(bounds)``."""
-    m = w.m
-    uw = w.declared_unit()
-    ic = w.internal_category(bounds)
-    cat = UnderlyingCategory(m)
-    objs = cat.objects()
-
-    i = {}
-    for x in objs:
-        hits = contraction_inverses(w, x, bounds)
-        if len(hits) != 1:
-            raise NotBijective(
-                f"{m.name}: unit contraction at {x} has {len(hits)} inverses"
-            )
-        i[x] = hits[0]
-    i_inv = {x: unit_contraction(w, x) for x in objs}
-    j = {x: bar(w, ic.unit1[x], bounds) for x in objs}
-
-    @functools.cache
-    def hom2_mor(f: MorId, g: MorId) -> MorId:
-        step1 = hom_action_contra(w, f, m.dom(g)[0], bounds)
-        step2 = hom_action_cov(w, (m.dom(f)[0],), g, bounds)
-        return m.compose((step1,), step2)
-
-    return ClosedStructure(
-        f"U({m.name})",
-        cat,
-        uw.unit,
-        lambda x, y: w.hom_obj((x,), y),
-        hom2_mor,
-        i.__getitem__,
-        i_inv.__getitem__,
-        j.__getitem__,
-        lambda x, y, z: ic.LX[(x, y, z)],
-    )
 
 
 def verify_u_construction(
@@ -195,7 +125,7 @@ def verify_u_construction(
     for x in objs:
         for y in objs:
             for f in guard_hom(m, (x,), y, bounds):
-                g = gamma(ucs, f)
+                g = ucs.gamma(f)
                 nullary = m.compose((uw.u,), g)
                 back = uncurry(w, nullary, (x,), y)
                 if back != f:

@@ -266,6 +266,16 @@ def closed_to_json(cs: ClosedStructure, bounds: Bounds = DEFAULT_BOUNDS) -> dict
     return doc
 
 
+def _only_params(params: dict, ref: str, *takes: str) -> None:
+    """A reference's params name only the keys it takes."""
+    for key in params:
+        if key not in takes:
+            raise FormatError(
+                f"params has unknown key {json.dumps(key)}; "
+                f"{ref} takes {', '.join(takes) or 'no params'}"
+            )
+
+
 def closed_from_json(doc: dict) -> ClosedStructure:
     if "ref" in doc:
         from .setcat import build_finset_closed
@@ -275,6 +285,7 @@ def closed_from_json(doc: dict) -> ClosedStructure:
         if not isinstance(params, dict):
             raise FormatError(f"params must be an object, got {json.dumps(params)}")
         if name == "finset":
+            _only_params(params, name, "max_size")
             size = params.get("max_size", 2)
             if type(size) is not int or size < 1:
                 raise FormatError(
@@ -287,6 +298,7 @@ def closed_from_json(doc: dict) -> ClosedStructure:
         info = instances.get(name)
         if info.kind != "closed":
             raise FormatError(f"referenced instance {name!r} is not closed")
+        _only_params(params, name)
         return info.build()
     cat = category_from_json(doc)
     try:

@@ -415,53 +415,57 @@ def check_multicategory_axioms(
 
     ``mc/assoc`` passes without the exhaustive walk only when the
     endpoints and both unit laws hold and ``_assoc_holds`` decides that
-    every walk equation does; otherwise the walk ``_assoc_loci`` lists the failing loci (or raises
-    what it raises), so the report is the walk's on every input."""
+    every walk equation does; otherwise the walk ``_assoc_loci`` lists
+    the failing loci (or raises what it raises), so the report is the
+    walk's on every input.  Every law reads one walk table, which fetches
+    each hom-set once, in signature order."""
     rep = Report(f"multicategory axioms: {m.name}")
+    table = _walk_table(m, bounds)
+    homs = table[0]
 
     bad = []
-    for xs, y in m.signatures(bounds):
-        for f in guard_hom(m, xs, y, bounds):
+    for (xs, y), fs in homs.items():
+        for f in fs:
             if m.dom(f) != xs or m.cod(f) != y:
                 bad.append(str(f))
     ends_bad = rep.law("mc/endpoints", "dom/cod", bad)
 
     bad = []
-    for xs, y in m.signatures(bounds):
-        for f in guard_hom(m, xs, y, bounds):
+    for (xs, y), fs in homs.items():
+        for f in fs:
             if m.compose(m.identities_for(xs), f) != f:
                 bad.append(f"(1,..,1).{f}")
     inner_bad = rep.law("mc/identity-inner", "(1,...,1).g = g", bad)
 
     bad = []
-    for xs, y in m.signatures(bounds):
-        for f in guard_hom(m, xs, y, bounds):
+    for (xs, y), fs in homs.items():
+        for f in fs:
             if m.compose((f,), m.identity(y)) != f:
                 bad.append(f"{f}.1")
     outer_bad = rep.law("mc/identity-outer", "(f).1 = f", bad)
 
+    n = bounds.max_arity
     try:
-        holds = not (ends_bad or inner_bad or outer_bad) and _assoc_holds(m, bounds)
+        holds = not (ends_bad or inner_bad or outer_bad) and _assoc_holds(m, table, n)
     except (KernelError, ValueError):
         holds = False
-    bad = [] if holds else _assoc_loci(m, bounds)
+    bad = [] if holds else _assoc_loci(m, table, n)
     rep.law("mc/assoc", "two-level associativity", bad)
     return rep
 
 
-def _assoc_loci(m: Multicategory, bounds: Bounds) -> list[str]:
-    """Exhaustive two-level associativity: every (g, fs, hs) within bounds,
-    one locus per failing triple, in canonical order.  Both levels read
-    one walk table."""
-    table = _walk_table(m, bounds)
+def _assoc_loci(m: Multicategory, table, n: int) -> list[str]:
+    """Exhaustive two-level associativity: every (g, fs, hs) of the walk
+    table within arity n, one locus per failing triple, in canonical
+    order.  Both levels read the one table."""
     slots = table[2]
     bad = []
-    for g, doms, fs in _walk(table, bounds.max_arity):
+    for g, doms, fs in _walk(table, n):
         mid = m.compose(fs, g)
         flat_xs = tuple(x for d in doms for x in d)
         ends = tuple(itertools.accumulate(map(len, doms)))
         blocks = tuple(zip((0,) + ends, ends, fs))  # f_i and its hs slice
-        for _, hs_choices in slots(flat_xs, bounds.max_arity):
+        for _, hs_choices in slots(flat_xs, n):
             for hs in itertools.product(*hs_choices):
                 lhs = m.compose(hs, mid)
                 inner = tuple(m.compose(hs[a:b], f) for a, b, f in blocks)
@@ -472,7 +476,7 @@ def _assoc_loci(m: Multicategory, bounds: Bounds) -> list[str]:
     return bad
 
 
-def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
+def _assoc_holds(m: Multicategory, table, n: int) -> bool:
     """Decide the equations of ``_assoc_loci`` through partial composition
     (Leinster, *Higher Operads, Higher Categories*, 2004; Markl, *Operads
     and PROPs*, 2008), given that the endpoints and both unit laws hold
@@ -480,7 +484,7 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
     composite the walk takes succeeds; False (or an exception) means the
     walk must decide.
 
-    Write n for ``bounds.max_arity``, C for the typed pairs (fs, g) with
+    Write n for the walk's arity bound, C for the typed pairs (fs, g) with
     |g| <= n and sum |f_i| <= n (the walk composes exactly these), and
     a o_p f = ``m.plug(a, p, f)`` for plugging f into input p of a, with
     identities on the other inputs of ``m.dom(a)``.  Checked:
@@ -521,8 +525,7 @@ def _assoc_holds(m: Multicategory, bounds: Bounds) -> bool:
        the h of one block arrive in that block's own (a) order, so each
        f_i ends as (split_i).f_i and the left side is the right side.
     """
-    n = bounds.max_arity
-    homs, trie, slots = _walk_table(m, bounds)
+    homs, trie, slots = table
     elems = {sig: set(fs) for sig, fs in homs.items()}
     one = {x: m.identity(x) for x in m.objects()}
     if n and any(one[x] not in elems[((x,), x)] for x in one):

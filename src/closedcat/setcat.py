@@ -56,10 +56,6 @@ def elements(o: SetObj) -> tuple[hf.HF, ...]:
     raise BudgetExceeded(f"cannot enumerate virtual hom object {o!r}")
 
 
-def table_apply(t: hf.HF, k: hf.HF) -> hf.HF:
-    return t.lookup[k]
-
-
 class SetMor:
     """A morphism of the lazy sets category: a rule with stated endpoints.
 
@@ -76,14 +72,6 @@ class SetMor:
         self._rule = rule
         self._map = dict(mapping) if mapping is not None else None
         self._hash = None
-
-    @staticmethod
-    def from_table(dom: SetObj, cod: SetObj, mapping) -> "SetMor":
-        return SetMor(dom, cod, mapping=mapping)
-
-    @staticmethod
-    def from_rule(dom: SetObj, cod: SetObj, rule: Callable) -> "SetMor":
-        return SetMor(dom, cod, rule=rule)
 
     def apply(self, v: hf.HF) -> hf.HF:
         if self._map is not None:
@@ -194,12 +182,10 @@ class FinSetCategory(Category):
         h = self.make_hom(x, y)
         if isinstance(h, HomObj):
             raise BudgetExceeded(f"{self.name}: hom({x!r},{y!r}) over budget")
-        return tuple(
-            SetMor.from_table(x, y, t.lookup) for t in hf.sorted_elements(h)
-        )
+        return tuple(SetMor(x, y, mapping=t.lookup) for t in hf.sorted_elements(h))
 
     def _identity(self, x: SetObj):
-        return SetMor.from_table(x, x, {e: e for e in elements(x)})
+        return SetMor(x, x, mapping={e: e for e in elements(x)})
 
     def table(self, a: SetObj, b: SetObj, image: Callable) -> hf.HF:
         """The function table a -> b that sends x to image(x).
@@ -227,13 +213,10 @@ class FinSetCategory(Category):
         if f.cod != g.dom:
             raise NotComposable(f"cannot compose {f} with {g}")
         if f._map is not None:
-            return SetMor.from_table(
-                f.dom, g.cod, {k: g.apply(v) for k, v in f._map.items()}
+            return SetMor(
+                f.dom, g.cod, mapping={k: g.apply(v) for k, v in f._map.items()}
             )
-        return SetMor.from_rule(f.dom, g.cod, lambda v: g.apply(f.apply(v)))
-
-    def obj_key(self, x):
-        return hf.hf_key(x)
+        return SetMor(f.dom, g.cod, lambda v: g.apply(f.apply(v)))
 
 
 def build_finset_closed(max_size: int) -> ClosedStructure:
@@ -245,27 +228,23 @@ def build_finset_closed(max_size: int) -> ClosedStructure:
         a2, b2 = f.dom, g.cod
 
         def rule(t: hf.HF) -> hf.HF:
-            return cat.table(a2, b2, lambda x: g.apply(table_apply(t, f.apply(x))))
+            return cat.table(a2, b2, lambda x: g.apply(t.lookup[f.apply(x)]))
 
-        return SetMor.from_rule(
-            cat.make_hom(f.cod, g.dom), cat.make_hom(f.dom, g.cod), rule
-        )
+        return SetMor(cat.make_hom(f.cod, g.dom), cat.make_hom(f.dom, g.cod), rule)
 
     def i(x: SetObj) -> SetMor:
-        return SetMor.from_table(
+        return SetMor(
             x,
             cat.make_hom(cat.unit, x),
-            {e: cat.table(cat.unit, x, lambda _: e) for e in elements(x)},
+            mapping={e: cat.table(cat.unit, x, lambda _: e) for e in elements(x)},
         )
 
     def i_inv(x: SetObj) -> SetMor:
-        return SetMor.from_rule(
-            cat.make_hom(cat.unit, x), x, lambda t: table_apply(t, STAR)
-        )
+        return SetMor(cat.make_hom(cat.unit, x), x, lambda t: t.lookup[STAR])
 
     def j(x: SetObj) -> SetMor:
         ident = cat.table(x, x, lambda e: e)
-        return SetMor.from_table(cat.unit, cat.make_hom(x, x), {STAR: ident})
+        return SetMor(cat.unit, cat.make_hom(x, x), mapping={STAR: ident})
 
     @functools.cache
     def L(x: SetObj, y: SetObj, z: SetObj) -> SetMor:
@@ -279,13 +258,13 @@ def build_finset_closed(max_size: int) -> ClosedStructure:
 
             return cat.table(hxy, hxz, then_g)
 
-        return SetMor.from_rule(cat.make_hom(y, z), cat.make_hom(hxy, hxz), rule)
+        return SetMor(cat.make_hom(y, z), cat.make_hom(hxy, hxz), rule)
 
     def gamma_inv(point: SetMor, x: SetObj, y: SetObj) -> SetMor:
         # A point of und(X,Y) is a one-entry table holding the function
         # table of the morphism it names; unfold it.
         tbl = point.apply(STAR)
-        return SetMor.from_rule(x, y, lambda v: table_apply(tbl, v))
+        return SetMor(x, y, lambda v: tbl.lookup[v])
 
     return ClosedStructure(
         cat.name,

@@ -48,7 +48,7 @@ from closedcat.correspond import (
 from closedcat.enriched import build_underlying_V_category, pushforward
 from closedcat.closed import build_E_functor
 from closedcat.multicat import check_multicategory_axioms, tabularize_multicat
-from closedcat.setcat import FinSetCategory, build_finset_closed, table_apply
+from closedcat.setcat import FinSetCategory, build_finset_closed
 from closedcat import hf
 
 CAPS = Bounds(3)
@@ -235,7 +235,7 @@ def test_criterion_6_ek_bridge():
                     for g in w.cat.hom(y, z):
                         tbl = Lm.apply(ek.elt_atom(g))
                         for f in w.cat.hom(x, y):
-                            got = table_apply(tbl, ek.elt_atom(f)).name
+                            got = tbl.lookup[ek.elt_atom(f)].name
                             if got != ek.elt_atom(w.cat.compose(f, g)).name:
                                 ok = False
                                 details.append(f"{name}: compose mismatch")

@@ -354,6 +354,15 @@ def test_construct_ek(tmp_path):
     assert out2.returncode == 0, out2.stdout
 
 
+def test_construct_refuses_an_unknown_construction_as_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "bogus", "instance:z2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: closedcat construct")
+    assert "argument what: invalid choice: 'bogus'" in err
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -722,26 +731,34 @@ def test_non_string_name_exits_two_naming_it(tmp_path, fixture):
     assert out.stderr.splitlines() == ["error: name must be a name, got 7"]
 
 
+# Each case edits the reference of fixtures/finset.json: its params, and
+# in the last case its ref too.
 @pytest.mark.parametrize(
     "params,message",
     [
-        ([1], "params must be an object, got [1]"),
-        ({"max_size": "abc"}, 'got "abc"'),
-        ({"max_size": 0}, "got 0"),
-        ({"max_size": 1.5}, "got 1.5"),
-        ({"max_size": True}, "got true"),
+        ({"params": [1]}, "params must be an object, got [1]"),
+        ({"params": {"max_size": "abc"}}, 'got "abc"'),
+        ({"params": {"max_size": 0}}, "got 0"),
+        ({"params": {"max_size": 1.5}}, "got 1.5"),
+        ({"params": {"max_size": True}}, "got true"),
+        (
+            {"params": {"max_sise": 3}},
+            'params has unknown key "max_sise"; finset takes max_size',
+        ),
+        (
+            {"ref": "heyting2", "params": {"max_size": 2}},
+            'params has unknown key "max_size"; heyting2 takes no params',
+        ),
     ],
 )
 def test_bad_reference_parameters_exit_two_naming_them(tmp_path, params, message):
-    target = _edited_fixture(
-        tmp_path, "finset.json", lambda doc: doc.update(params=params)
-    )
+    target = _edited_fixture(tmp_path, "finset.json", lambda doc: doc.update(params))
     out = run_cli("check", f"file:{target}")
     assert out.returncode == 2, out.stdout + out.stderr
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
     assert message in lines[0]
-    if isinstance(params, dict):
+    if message.startswith("got "):
         assert "params.max_size must be an integer of at least 1" in lines[0]
 
 

@@ -21,7 +21,6 @@ from closedcat.closed import (
     compose_cn_vertical,
     compose_closed_functors,
     ek_normalize,
-    gamma,
     gamma_inverse,
     verify_derived_cc_theorems,
 )
@@ -58,7 +57,7 @@ def test_gamma_of_identity_is_j():
     for name in all_positive_closed():
         cs = instances.get(name).build()
         for x in cs.cat.objects():
-            assert gamma(cs, cs.cat.identity(x)) == cs.j(x)
+            assert cs.gamma(cs.cat.identity(x)) == cs.j(x)
 
 
 def test_gamma_point_on_singleton_sets(sets2):
@@ -66,14 +65,14 @@ def test_gamma_point_on_singleton_sets(sets2):
     # holding its table
     x, y = hf.fset([A0]), hf.fset([A1])
     (f,) = sets2.cat.hom(x, y)
-    g = gamma(sets2, f)
+    g = sets2.gamma(f)
     assert g.dom == sets2.unit
     assert g.apply(hf.atom("*")) == f.table_value()
 
 
 def test_gamma_terminal_unique():
     cs = instances.get("terminal").build()
-    assert gamma(cs, "1") == "1"
+    assert cs.gamma("1") == "1"
 
 
 def test_gamma_inverse_roundtrip(sets2):
@@ -82,19 +81,19 @@ def test_gamma_inverse_roundtrip(sets2):
         for x in cs.cat.objects():
             for y in cs.cat.objects():
                 for f in cs.cat.hom(x, y):
-                    assert gamma_inverse(cs, gamma(cs, f), x, y) == f
+                    assert gamma_inverse(cs, cs.gamma(f), x, y) == f
 
 
 def test_gamma_inverse_heyting_unique_witness():
     cs = instances.get("heyting2").build()
-    g = gamma(cs, "0<=1")
+    g = cs.gamma("0<=1")
     assert gamma_inverse(cs, g, "0", "1") == "0<=1"
 
 
 def test_gamma_inverse_not_bijective_on_corrupted_structure():
     cs = instances.get("broken-hom2").build()
     # both morphisms now map to the same point
-    g = gamma(cs, "e")
+    g = cs.gamma("e")
     with pytest.raises(NotBijective):
         gamma_inverse(cs, g, "g", "g")
 
@@ -179,7 +178,7 @@ def _phi_hat_oracle(cs, sets, x, y):
             (point_name(k), point_name(cat.compose(k, f))) for k in cat.hom(u, x)
         )
     cod = sets.hom2_obj(e_obj(x), e_obj(y))
-    return SetMor.from_table(e_obj(cs.hom2_obj(x, y)), cod, table)
+    return SetMor(e_obj(cs.hom2_obj(x, y)), cod, mapping=table)
 
 
 @pytest.mark.parametrize("name", ["terminal", "heyting2", "z2closed", "finset"])
@@ -246,7 +245,7 @@ def test_ek_normalize_finset(finset_cs):
     # CC5' anchor value: gamma sends the identity to j
     w = ek.closed
     for x in w.cat.objects():
-        assert w.cat.identity(x).point == gamma(finset_cs, finset_cs.cat.identity(x))
+        assert w.cat.identity(x).point == finset_cs.gamma(finset_cs.cat.identity(x))
 
 
 @pytest.mark.parametrize("name", ["heyting2", "z2closed", "terminal", "finset"])
@@ -298,7 +297,7 @@ def _v_oracle(cs):
     def c_mor(f):
         r = gamma_inverse(cs, f.point, f.dom, f.cod)
         table = {point_name(h): point_name(cat.compose(h, r)) for h in cat.hom(u, f.dom)}
-        return SetMor.from_table(c_obj(f.dom), c_obj(f.cod), table)
+        return SetMor(c_obj(f.dom), c_obj(f.cod), mapping=table)
 
     return point_name, c_obj, c_mor
 
@@ -372,7 +371,7 @@ def test_gamma_inverse_rejects_a_closed_form_that_disagrees_with_gamma(sets2):
     with pytest.raises(NotBijective, match=re.escape(at)):
         gamma_inverse(wrong, point, x, y)
     # the second call is answered from gamma's memo and is checked again
-    assert wrong._gamma.cache_info().currsize > 0
+    assert wrong.gamma.cache_info().currsize > 0
     with pytest.raises(NotBijective, match=re.escape(at)):
         gamma_inverse(wrong, point, x, y)
 
@@ -390,16 +389,16 @@ def test_memoized_gamma_equals_gamma_evaluated_afresh():
         for x, y in itertools.product(objs, repeat=2):
             for f in cs.cat.hom(x, y):
                 # twice: the first call fills the memo, the second reads it
-                assert gamma(cs, f) == cs._gamma.__wrapped__(f), name
-                assert gamma(cs, f) == cs._gamma.__wrapped__(f), name
-        assert cs._gamma.cache_info().hits > 0, name
+                assert cs.gamma(f) == cs.gamma.__wrapped__(f), name
+                assert cs.gamma(f) == cs.gamma.__wrapped__(f), name
+        assert cs.gamma.cache_info().hits > 0, name
 
 
 def test_a_replaced_hom_action_gets_its_own_gamma_memo(sets2):
     # und(1,f) sent to a constant map makes gamma constant on each hom-set
     def flat(f, g):
         h = sets2.hom2_mor(f, g)
-        return SetMor.from_rule(h.dom, h.cod, lambda t: elements(h.cod)[0])
+        return SetMor(h.dom, h.cod, lambda t: elements(h.cod)[0])
 
     flattened = dataclasses.replace(sets2, hom2_mor=flat)
     x, y = next(
@@ -408,11 +407,11 @@ def test_a_replaced_hom_action_gets_its_own_gamma_memo(sets2):
         if len(sets2.cat.hom(x, y)) > 1
     )
     f, f2 = sets2.cat.hom(x, y)[:2]
-    before = [gamma(sets2, f), gamma(sets2, f2)]
+    before = [sets2.gamma(f), sets2.gamma(f2)]
     assert before[0] != before[1]
-    assert gamma(flattened, f) == gamma(flattened, f2)
-    assert [gamma(flattened, f), gamma(flattened, f2)] != before
-    assert flattened._gamma is not sets2._gamma
+    assert flattened.gamma(f) == flattened.gamma(f2)
+    assert [flattened.gamma(f), flattened.gamma(f2)] != before
+    assert flattened.gamma is not sets2.gamma
 
 
 def test_ek_checks_of_the_corrupted_structure_raise_not_bijective():

@@ -16,7 +16,7 @@ from closedcat.enriched import (
     gamma_repr,
     pushforward,
 )
-from closedcat.setcat import build_finset_closed, table_apply
+from closedcat.setcat import build_finset_closed
 
 POSITIVE = ["terminal", "heyting2", "z2closed"]
 
@@ -176,7 +176,7 @@ def _structural_match(cs, sets):
                 for g in wcat.hom(y, z):
                     tbl = Lmor.apply(ek.elt_atom(g))
                     for f in wcat.hom(x, y):
-                        got = table_apply(tbl, ek.elt_atom(f)).name
+                        got = tbl.lookup[ek.elt_atom(f)].name
                         want = ek.elt_atom(wcat.compose(f, g)).name
                         assert got == want, (x, y, z)
     for x in wcat.objects():

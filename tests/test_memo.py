@@ -49,7 +49,7 @@ def test_finset_and_its_normalization_are_freed_after_their_memos_hit():
     cs = instances.get("finset").build()
     ek, iso = ek_normalize(cs)
     assert check_cf_axioms(iso).ok
-    assert cs._gamma.cache_info().hits >= 1
+    assert cs.gamma.cache_info().hits >= 1
     w = ek.closed
     f = w.cat.hom(*w.cat.objects()[-2:])[-1]
     assert ek.C_functor.mor_map(f) is ek.C_functor.mor_map(f)
@@ -288,5 +288,5 @@ def test_set_bridge_outputs_match_the_benchmark_digests(monkeypatch):
         assert list(op.verdict(out)) == [], op.name
         got = {k: worker.sha(v) for k, v in op.outputs(out).items()}
         assert got == golden[op.name], op.name
-    assert 0 < ctx["cs"]._gamma.cache_info().misses <= 900
+    assert 0 < ctx["cs"].gamma.cache_info().misses <= 900
     assert 0 < len(shown) <= 400

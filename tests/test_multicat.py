@@ -324,7 +324,7 @@ def _assert_gate_matches_walk(m, caps):
     mc/assoc comes from the exhaustive walk alone."""
     gated = check_multicategory_axioms(m, caps).render_text()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multicat, "_assoc_holds", lambda m, caps: False)
+        mp.setattr(multicat, "_assoc_holds", lambda m, table, n: False)
         walked = check_multicategory_axioms(m, caps).render_text()
     assert gated == walked
 
@@ -357,6 +357,34 @@ def _single_entry_corruptions(tab: TabularMulticategory, keys):
                     {**tab._compose, key: alt},
                     tab._identity,
                 )
+
+
+@pytest.mark.parametrize(
+    "name,count",
+    [
+        ("z2mc-badcompose", 4),
+        ("z2", 4),
+        ("truncadd-badev", 4),
+        ("heyting2mc", 30),
+        ("freemon3", 20),
+    ],
+)
+def test_axiom_check_fetches_each_hom_set_once_in_signature_order(name, count):
+    # One walk table serves every law, the failing walk of mc/assoc too
+    # (z2mc-badcompose, truncadd-badev), at the instance's own horizon.
+    info = instances.get(name)
+    m, caps = info.build()[0], Bounds(info.max_arity)
+    guard, fetched = multicat.guard_hom, []
+
+    def counted(m, xs, y, bounds):
+        fetched.append((xs, y))
+        return guard(m, xs, y, bounds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multicat, "guard_hom", counted)
+        check_multicategory_axioms(m, caps)
+    assert len(fetched) == count
+    assert fetched == list(m.signatures(caps))
 
 
 @pytest.mark.parametrize("name,count", [("z2", 62), ("truncadd-badev", 384)])

@@ -83,11 +83,11 @@ def test_failure_loci_of_an_eleven_object_category_come_in_name_key_order():
 
 # -- ratchet: no consumer-side sort keys --------------------------------------
 
-# Category.obj_key, and the two that refine it, stay: the benchmark's ek
-# summary (perfbench/worker.py) sorts a normalized category's objects by
-# ``w.cat.obj_key`` and that output is golden-digested.  _WCategory's
-# delegates to its base, and FinSetCategory's is the hf_key of its seeds.
-OBJ_KEY_OWNERS = {"Category.obj_key", "_WCategory.obj_key", "FinSetCategory.obj_key"}
+# Category.obj_key stays: the benchmark's ek summary (perfbench/worker.py)
+# sorts a normalized category's objects by ``w.cat.obj_key`` and that
+# output is golden-digested.  It is the position in objects(), which is
+# the canonical order of every category, so no category refines it.
+OBJ_KEY_OWNERS = {"Category.obj_key"}
 
 
 def _sort_key_uses(source: str) -> set[str]:
@@ -126,7 +126,7 @@ from .core import obj_key
 
 class Category:
     def obj_key(self, x):
-        return name_key(x)
+        return self.objects().index(x)
 
 class _WCategory(Category):
     def obj_key(self, x):
@@ -150,6 +150,7 @@ def fine(cat):
 '''
     assert _sort_key_uses(source) == {
         "<module>",
+        "_WCategory.obj_key",
         "Other.obj_key",
         "Other.mor_key",
         "consumer",

@@ -7,7 +7,7 @@ message."""
 import pytest
 
 from closedcat import instances
-from closedcat.closed import gamma, gamma_inverse
+from closedcat.closed import gamma_inverse
 from closedcat.closedmc import bar, curry, uncurry
 from closedcat.core import Bounds, bijective, guard_hom, preimages
 from closedcat.correspond import build_representing_multicategory
@@ -72,7 +72,7 @@ def _scan_bar(w, f, bounds):
 
 
 def _scan_gamma_inverse(cs, g, x, y):
-    hits = [f for f in cs.cat.hom(x, y) if gamma(cs, f) == g]
+    hits = [f for f in cs.cat.hom(x, y) if cs.gamma(f) == g]
     if len(hits) != 1:
         raise NotBijective(
             f"{cs.name}: gamma has {len(hits)} preimages of {g} in hom({x},{y})"

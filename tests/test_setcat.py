@@ -234,7 +234,7 @@ def test_tables_outside_a_materialized_hom_object_are_built(sets2):
     stray = hf.atom("b0")
     # an image outside the codomain: the oracle's table, in no hom object
     f = cat.identity(two)
-    g = SetMor.from_rule(two, two, lambda v: stray)
+    g = SetMor(two, two, lambda v: stray)
     act = sets2.hom2_mor(f, g)
     for t in hf.sorted_elements(act.dom):
         got = act.apply(t)
@@ -249,7 +249,7 @@ def test_tables_outside_a_materialized_hom_object_are_built(sets2):
     # a virtual hom object: 2**13 tables on 13 points
     big = hf.fset(hf.atom(f"b{k}") for k in range(13))
     one = hf.fset([A0])
-    f = SetMor.from_rule(big, one, lambda v: A0)
+    f = SetMor(big, one, lambda v: A0)
     g = cat.identity(two)
     act = sets2.hom2_mor(f, g)
     assert isinstance(act.cod, HomObj)
@@ -260,7 +260,7 @@ def test_tables_outside_a_materialized_hom_object_are_built(sets2):
 def test_setmor_equality_is_pointwise(sets2):
     cat = sets2.cat
     x = hf.fset([A0])
-    f1 = SetMor.from_rule(x, x, lambda v: v)
+    f1 = SetMor(x, x, lambda v: v)
     f2 = cat.identity(x)
     assert f1 == f2
     assert hash(f1) == hash(f2)
@@ -318,7 +318,7 @@ def test_rule_backed_and_table_backed_copies_hash_equal(sets2, monkeypatch):
     # hf_key is forbidden.
     x = hf.fset([A0, A1])
     pairs = [
-        (f, SetMor.from_table(f.dom, f.cod, f.mapping()))
+        (f, SetMor(f.dom, f.cod, mapping=f.mapping()))
         for f in (sets2.L(x, x, x), sets2.i(x))
     ]
     _forbid_hf_key(monkeypatch)
@@ -331,7 +331,7 @@ def test_rule_backed_and_table_backed_copies_hash_equal(sets2, monkeypatch):
 def test_a_second_hash_hashes_no_table(sets2, monkeypatch):
     x = hf.fset([A0, A1])
     f = sets2.L(x, x, x)
-    copy = SetMor.from_table(f.dom, f.cod, f.mapping())
+    copy = SetMor(f.dom, f.cod, mapping=f.mapping())
     first = hash(f)
     hashed = []
     real = hf.HF.__hash__
@@ -350,8 +350,8 @@ def test_a_second_hash_hashes_no_table(sets2, monkeypatch):
 
 def test_equal_tables_with_other_codomain_are_distinct(monkeypatch):
     one = hf.fset([A0])
-    f = SetMor.from_table(one, one, {A0: A0})
-    g = SetMor.from_table(one, hf.fset([A0, A1]), {A0: A0})
+    f = SetMor(one, one, mapping={A0: A0})
+    g = SetMor(one, hf.fset([A0, A1]), mapping={A0: A0})
     _forbid_hf_key(monkeypatch)
     assert f.mapping() == g.mapping()
     assert f != g

@@ -29,8 +29,6 @@ UNCALLED = {
     "check_ek_axioms": "set-bridge: CC0 and CC5' of the normalization",
     "pushforward": "set-bridge: base change along the hom embedding",
     "Category.obj_key": "set-bridge: the ek summary sorts objects by it",
-    "FinSetCategory.obj_key": "set-bridge: the ek summary sorts objects by it",
-    "_WCategory.obj_key": "set-bridge: the ek summary sorts objects by it",
     "Category.show_obj": "set-bridge: the ek summary prints objects with it",
     # the 2-cell layer, for a check of the 2-equivalence (ROADMAP item 5)
     "check_multifunctor": _TWO_CELLS,
