@@ -733,6 +733,8 @@ def ek_normalize(
 
     wcat = _WCategory(f"ek({cs.name})", objs, homs, compose_rule, identity_rule)
 
+    # The transported structure, one value per interned WMor or object,
+    # memoized like wcat's compose and freed with it.
     def hom2_mor(f: WMor, g: WMor) -> WMor:
         return lift(cs.hom2_mor(g_inv(f), g_inv(g)))
 
@@ -741,11 +743,11 @@ def ek_normalize(
         wcat,
         u,
         cs.hom2_obj,
-        hom2_mor,
-        lambda x: lift(cs.i(x)),
-        lambda x: lift(cs.i_inv(x)),
-        lambda x: lift(cs.j(x)),
-        lambda x, y, z: lift(cs.L(x, y, z)),
+        functools.cache(hom2_mor),
+        functools.cache(lambda x: lift(cs.i(x))),
+        functools.cache(lambda x: lift(cs.i_inv(x))),
+        functools.cache(lambda x: lift(cs.j(x))),
+        functools.cache(lambda x, y, z: lift(cs.L(x, y, z))),
     )
 
     sets = build_finset_closed(1)

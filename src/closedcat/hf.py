@@ -12,7 +12,6 @@ built, so iterating it in that order never sorts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 ATOM = "atom"
@@ -22,33 +21,41 @@ TABLE = "table"
 _KIND_RANK = {ATOM: 0, SET: 1, TABLE: 2}
 
 
-@dataclass(frozen=True, eq=False)
 class HF:
-    """One hereditarily finite value. Construct via atom/fset/ftable."""
+    """One hereditarily finite value. Construct via atom/fset/ftable.
 
-    kind: str
-    payload: object
-    # A table's entries as a key -> value dict, kept from ftable's
-    # single-valuedness check; None for the other kinds.
-    lookup: dict | None = None
-    # A set's elements in hf_key order, fixed when the set is built;
-    # None for the other kinds.
-    order: tuple["HF", ...] | None = None
+    Immutable: setting or deleting an attribute raises."""
 
-    def __post_init__(self):
+    # kind and payload; a table's entries as a key -> value dict, kept
+    # from ftable's single-valuedness check (lookup); a set's elements in
+    # hf_key order, fixed when the set is built (order); the hash.  lookup
+    # and order are None for the other kinds.
+    __slots__ = ("kind", "payload", "lookup", "order", "_hash")
+
+    def __init__(self, kind: str, payload: object, lookup=None, order=None):
         # Values are compared constantly in the checkers; caching the hash
         # at construction keeps deep-table comparisons cheap.
-        object.__setattr__(self, "_hash", hash((self.kind, self.payload)))
+        _set_kind(self, kind)
+        _set_payload(self, payload)
+        _set_lookup(self, lookup)
+        _set_order(self, order)
+        _set_hash(self, hash((kind, payload)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HF values are immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"HF values are immutable: cannot delete {name}")
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, HF):
             return NotImplemented
-        if self._hash != other._hash:  # type: ignore[attr-defined]
+        if self._hash != other._hash:
             return False
         return self.kind == other.kind and self.payload == other.payload
 
@@ -82,6 +89,12 @@ class HF:
         if v is None:
             raise KeyError(f"{pretty(arg)} not in domain of {pretty(self)}")
         return v
+
+
+# The slots' own setters, which __init__ writes through past __setattr__.
+_set_kind, _set_payload, _set_lookup, _set_order, _set_hash = (
+    getattr(HF, slot).__set__ for slot in HF.__slots__
+)
 
 
 def atom(name: str) -> HF:

@@ -222,7 +222,7 @@ class FinSetCategory(Category):
 def build_finset_closed(max_size: int) -> ClosedStructure:
     cat = FinSetCategory(max_size)
 
-    def hom2_mor(f: SetMor, g: SetMor) -> SetMor:
+    def hom2_action(f: SetMor, g: SetMor) -> SetMor:
         # f : A' -> A, g : B -> B'; the action sends t : A -> B to
         # f then t then g, a table on A'.
         a2, b2 = f.dom, g.cod
@@ -231,6 +231,15 @@ def build_finset_closed(max_size: int) -> ClosedStructure:
             return cat.table(a2, b2, lambda x: g.apply(t.lookup[f.apply(x)]))
 
         return SetMor(cat.make_hom(f.cod, g.dom), cat.make_hom(f.dom, g.cod), rule)
+
+    # One action per pair of tables, shared by equal pairs.  A lazy
+    # argument would be hashed by running its rule, so it is not looked up.
+    shared = functools.cache(hom2_action)
+
+    def hom2_mor(f: SetMor, g: SetMor) -> SetMor:
+        if f._map is None or g._map is None:
+            return hom2_action(f, g)
+        return shared(f, g)
 
     def i(x: SetObj) -> SetMor:
         return SetMor(
@@ -250,6 +259,8 @@ def build_finset_closed(max_size: int) -> ClosedStructure:
     def L(x: SetObj, y: SetObj, z: SetObj) -> SetMor:
         hxy, hxz = cat.make_hom(x, y), cat.make_hom(x, z)
 
+        # Each point g is asked for again and again: its table is kept.
+        @functools.cache
         def rule(g: hf.HF) -> hf.HF:
             gd = g.lookup
 
@@ -260,6 +271,9 @@ def build_finset_closed(max_size: int) -> ClosedStructure:
 
         return SetMor(cat.make_hom(y, z), cat.make_hom(hxy, hxz), rule)
 
+    # One closed form per point, so gamma_inverse's check of it against
+    # gamma reads the hash the first check stored.
+    @functools.cache
     def gamma_inv(point: SetMor, x: SetObj, y: SetObj) -> SetMor:
         # A point of und(X,Y) is a one-entry table holding the function
         # table of the morphism it names; unfold it.

@@ -62,6 +62,19 @@ def test_kinds_are_disjoint():
     assert hf.fset([]) != hf.ftable([])
 
 
+def test_values_are_immutable():
+    a = hf.atom("a")
+    t = hf.ftable([(a, a)])
+    for v in (a, hf.fset([a, t]), t):
+        before = (v.kind, v.payload, v.lookup, v.order, hash(v))
+        for name in ("kind", "payload", "lookup", "order", "_hash", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        assert (v.kind, v.payload, v.lookup, v.order, hash(v)) == before
+
+
 @given(hf_values())
 @settings(max_examples=200)
 def test_equality_reflexive(v):

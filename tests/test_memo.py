@@ -9,14 +9,17 @@ embedding and the lazy sets category to the benchmark's digests."""
 
 import ast
 import gc
-import importlib.util
 import json
-import sys
 import weakref
 from pathlib import Path
 
 from closedcat import instances
-from closedcat.closed import check_cc_axioms, check_cf_axioms, ek_normalize
+from closedcat.closed import (
+    check_cc_axioms,
+    check_cf_axioms,
+    ek_normalize,
+    gamma_inverse,
+)
 from closedcat.closedmc import bar, check_closedness, check_internal_category
 from closedcat.correspond import (
     build_representing_multicategory,
@@ -253,23 +256,50 @@ def test_finset_category_is_freed_after_make_hom():
     assert all(_freed(r) for r in refs)
 
 
-def _load_worker():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_worker", ROOT / "perfbench" / "worker.py"
-    )
-    worker = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = worker  # its dataclasses resolve through it
-    spec.loader.exec_module(worker)
-    return worker
+def test_finset_is_freed_after_its_shared_actions_points_and_closed_forms_hit():
+    cs = build_finset_closed(2)
+    cat = cs.cat
+    a, b = cat.objects()[-2:]
+    f, g = cat.hom(a, b)[-1], cat.hom(b, a)[-1]
+    # an equal pair of tables is a hit: the action is the same value
+    act = cs.hom2_mor(f, g)
+    assert cs.hom2_mor(SetMor(a, b, mapping=f.mapping()), g) is act
+    # a lazy argument is not looked up
+    assert cs.hom2_mor(SetMor(a, b, f.apply), g) is not act
+    L = cs.L(b, a, a)
+    t = cat.hom(a, a)[-1].table_value()
+    assert L.apply(t) is L.apply(t)
+    assert L._rule.cache_info().hits >= 1
+    (point, *_) = cat.hom(cs.unit, cs.hom2_obj(a, b))
+    assert gamma_inverse(cs, point, a, b) is gamma_inverse(cs, point, a, b)
+    assert cs.gamma_inv.cache_info().hits >= 1
+    refs = [weakref.ref(x) for x in (cs, cat, cs.hom2_mor, L._rule, cs.gamma_inv)]
+    del cs, cat, f, g, act, L, point
+    assert all(_freed(r) for r in refs)
 
 
-def test_set_bridge_outputs_match_the_benchmark_digests(monkeypatch):
+def test_the_transported_structure_is_freed_after_its_memos_hit():
+    ek, iso = ek_normalize(instances.get("heyting2").build())
+    w = ek.closed
+    x, y = w.cat.objects()[:2]
+    f, g = w.cat.hom(x, y)[0], w.cat.hom(y, y)[0]
+    assert w.hom2_mor(f, g) is w.hom2_mor(f, g)
+    assert w.i(x) is w.i(x) and w.i_inv(x) is w.i_inv(x) and w.j(x) is w.j(x)
+    assert w.L(x, y, x) is w.L(x, y, x)
+    caches = (w.hom2_mor, w.i, w.i_inv, w.j, w.L)
+    assert all(c.cache_info().hits >= 1 for c in caches)
+    refs = [weakref.ref(w), *map(weakref.ref, caches)]
+    del ek, iso, w, f, g, caches
+    assert all(_freed(r) for r in refs)
+
+
+def test_set_bridge_outputs_match_the_benchmark_digests(bench_worker, monkeypatch):
     """The five set-bridge operations of the benchmark, run through its
     own set-up and operation list, pass their verdicts and are
     byte-identical to the digests it records for them.  gamma is
     evaluated once per morphism (837 of them), and naming the morphisms
     prints 383 of them rather than 13,151."""
-    worker = _load_worker()
+    worker = bench_worker
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["set-bridge"]
     shown = []
     real = SetMor.__str__

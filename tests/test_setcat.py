@@ -1,15 +1,20 @@
 """The lazy finite-sets closed structure: the defining tables, the axiom
 suites, and budget behavior."""
 
+import cProfile
+import dataclasses
 import itertools
+import re
+import types
+from collections import Counter
 
 import pytest
 
-from closedcat import hf
+from closedcat import cli, closed, hf
 from closedcat.closed import check_cc_axioms, check_cf_axioms, verify_derived_cc_theorems
-from closedcat.closed import ClosedFunctor
+from closedcat.closed import ClosedFunctor, gamma_inverse
 from closedcat.core import Functor
-from closedcat.errors import BudgetExceeded
+from closedcat.errors import BudgetExceeded, NotBijective
 from closedcat.setcat import (
     MATERIALIZE_LIMIT,
     MAX_DEPTH,
@@ -368,3 +373,101 @@ def test_a_morphism_prints_its_table_without_building_a_table_value(sets2, monke
     assert built == []
     monkeypatch.undo()
     assert printed == [hf.pretty(f.table_value()) for f in mors]
+
+
+def _finset_bodies() -> dict[str, types.CodeType]:
+    """The code of each function defined inside build_finset_closed, by
+    its path of names below it ("hom2_action.rule")."""
+    found, stack = {}, [("", build_finset_closed.__code__)]
+    while stack:
+        path, code = stack.pop()
+        for c in code.co_consts:
+            if isinstance(c, types.CodeType):
+                name = f"{path}.{c.co_name}" if path else c.co_name
+                found[name] = c
+                stack.append((name, c))
+    return found
+
+
+def _body_calls(run) -> dict[str, int]:
+    """How often each function defined inside build_finset_closed ran
+    during run(), as cProfile counts calls."""
+    prof = cProfile.Profile()
+    prof.runcall(run)
+    calls = Counter()
+    for entry in prof.getstats():
+        calls[entry.code] += entry.callcount
+    return {name: calls[code] for name, code in _finset_bodies().items()}
+
+
+def test_the_finset_check_derives_each_action_and_point_once(capsys):
+    # hom2_mor is asked 17,102 times over 894 distinct pairs, and each L
+    # for its points 8,407 times over 672 distinct ones
+    calls = _body_calls(
+        lambda: cli.main(["check", "--suite", "all", "instance:finset"])
+    )
+    assert "FAIL" not in capsys.readouterr().out
+    assert calls["hom2_mor"] > 4 * calls["hom2_action"]
+    assert calls["hom2_action"] <= 3666
+    assert calls["hom2_action.rule"] <= 7065
+    assert calls["L.rule"] <= 672
+
+
+def test_set_bridge_builds_each_closed_form_once_and_checks_every_use(
+    bench_worker, monkeypatch
+):
+    ctx: dict = {}
+    bench_worker.setup_set_bridge(ctx)
+    cs = ctx["cs"]
+    gamma, asked = cs.gamma, []
+    object.__setattr__(cs, "gamma", lambda f: asked.append(f) or gamma(f))
+    real, checked = closed.gamma_inverse, []
+
+    def counted(s, g, x, y):
+        before = len(asked)
+        f = real(s, g, x, y)
+        if s.gamma_inv is not None:
+            checked.append((s is cs, len(asked) > before))
+        return f
+
+    monkeypatch.setattr(closed, "gamma_inverse", counted)
+    ops = bench_worker.set_bridge_ops()
+    calls = _body_calls(lambda: [op.run(ctx) for op in ops])
+    assert 0 < calls["gamma_inv"] <= 837 < len(checked)
+    assert set(checked) == {(True, True)}
+
+
+def test_a_cached_closed_form_that_disagrees_with_gamma_is_refused_every_time(sets2):
+    x = y = hf.fset([A0, A1])
+    p, q = sets2.cat.hom(sets2.unit, sets2.hom2_obj(x, y))[:2]
+    # each point is answered with the stored closed form of the other
+    swapped = dataclasses.replace(
+        sets2, gamma_inv=lambda g, x, y: sets2.gamma_inv(q if g == p else p, x, y)
+    )
+    at = re.escape(f"of {p} in hom({x},{y}) disagrees")
+    hits = sets2.gamma_inv.cache_info().hits
+    for _ in range(3):
+        with pytest.raises(NotBijective, match=at):
+            gamma_inverse(swapped, p, x, y)
+    assert sets2.gamma_inv.cache_info().hits >= hits + 2
+
+
+def test_a_refusal_inside_a_cached_action_or_point_is_refused_again(sets2):
+    cat = sets2.cat
+    # a materialized pair whose hom objects hold tables deeper than MAX_DEPTH
+    h = hf.fset([A0])
+    for _ in range(MAX_DEPTH):
+        h = cat.make_hom(h, h)
+    f = cat.identity(h)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match="exceeds depth"):
+            sets2.hom2_mor(f, f)
+    # a point of L whose composites range over a virtual hom object
+    two = hf.fset([A0, A1])
+    big = hf.fset(hf.atom(f"b{k}") for k in range(13))
+    L = sets2.L(big, two, two)
+    g = cat.identity(two).table_value()
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded, match="cannot enumerate virtual"):
+            L.apply(g)
+    assert L._rule.cache_info().currsize == 0
