@@ -469,57 +469,59 @@ class RepresentingMulticat(Multicategory):
             target, g.cod, self.base.cat.compose(g.components[k][1], m)
         )
 
-    def composites(self, bounds: Bounds, hom=None):
-        """The composites of the base walk, without one compose per
-        composite.  Each signature (ys, z) is filled depth first along
-        the trie of its walk table: a prefix of inner families carries
-        compose's codomain chain (the step value m and the position p)
-        and the target profile, so each prefix is stepped once.  Then
-        each g costs one composition and one index lookup per leaf.  A
+    def keyed_composites(self, bounds: Bounds, hom, name):
+        """The keys of the base walk grouped by composite, without one
+        compose per composite.  A walk-local cache ``fill`` keeps, for
+        each state of compose's codomain chain (the inputs left, the
+        arity room, the position p and the step value m), the keys
+        "f_i,...,f_n" of every way to fill those inputs along the trie of
+        the walk table, one key a line, grouped by the target profile and
+        the final m: each state is stepped once, however many prefixes
+        reach it, and a parent adds its name to every key at once.  Then
+        each g costs one composition and one index lookup per group.  A
         composite that compose would refuse is left out in the same way,
-        and a KernelError propagates."""
-        n = bounds.max_arity
+        and a KernelError propagates.  No name holds a line break."""
         homs, trie, _ = _walk_table(self, bounds, hom)
         step, lpos, index = self._step, self._lpos, self._index
         compose = self.base.cat.compose
         refused = (ValueError, BudgetExceeded, FormatError)
 
-        def fill(ys, i, node, p, m, target, prefix, leaves):
-            """Append (fs, target, m) to leaves for each way to fill slots
-            i.. of ys along node, the trie of those slots."""
-            last = i + 1 == len(ys)
-            q = lpos[ys[i]][p]
-            for d, fs, rest in node:
-                t = target + d
+        @functools.cache  # per walk: freed when the walk ends
+        def fill(ys, room, p, m):
+            groups: dict = {}
+            q = lpos[ys[0]][p]
+            for d, fs, rest in trie(ys, room):
                 for f in fs:
                     try:
                         fm = step(f, p, m)
                     except refused:
                         continue
-                    if last:
-                        leaves.append((prefix + (f,), t, fm))
-                    else:
-                        fill(ys, i + 1, rest, q, fm, t, prefix + (f,), leaves)
+                    head = name(f)
+                    if not rest:
+                        groups.setdefault((d, fm), []).append(head)
+                        continue
+                    for (t, last), keys in fill(ys[1:], room - len(d), q, fm).items():
+                        keys = head + "," + keys.replace("\n", "\n" + head + ",")
+                        groups.setdefault((d + t, last), []).append(keys)
+            return {at: "\n".join(keys) for at, keys in groups.items()}
 
         for (ys, z), gs in homs.items():
             if not gs:
                 continue
             k = self._pos[z]
-            leaves = [((), (), self._units[k])]
-            if ys:
-                leaves = []
-                fill(ys, 0, trie(ys, n), k, self._units[k], (), (), leaves)
+            m = self._units[k]
+            groups = fill(ys, bounds.max_arity, k, m) if ys else {((), m): ""}
             for g in gs:
-                head = g.components[k][1]
-                for fs, target, m in leaves:
+                head, bar = g.components[k][1], "|" + name(g)
+                for (target, last), keys in groups.items():
                     try:
-                        c = compose(head, m)
+                        c = compose(head, last)
                         out = index.get((target, z, c))
                         if out is None:
                             out = self._member(target, z, c)
                     except refused:
                         continue
-                    yield fs, g, out
+                    yield (keys.replace("\n", bar + "\n") + bar).split("\n"), out
 
 
 def build_representing_multicategory(

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 
 from .closed import ClosedStructure, tabular_closed
 from .closedmc import ClosednessWitness, UnitWitness
@@ -164,25 +163,20 @@ def _profile_keyed(table: dict, label: str, sep: str) -> dict:
     return out
 
 
-# A line of joined compose keys without a "|".
-_BARLESS_LINE = re.compile(r"\n[^|\n]*\n")
-
-
 def _compose_keyed(table: dict) -> dict:
     """The compose table of a multicategory file as the file holds it,
     keyed "f1,...,fn|g", once its keys pass the grammar that
     ``_profile_keyed`` checks.  A dump holds tens of thousands of keys, so
-    they are checked in one pass in C over their text, one key a line:
-    there are as many "|" as keys and every line holds one, so no key
-    holds a line break or a second "|"; and no line holds ",,", ",|" or
-    a leading ",".  Only a table that this pass flags is walked key by
-    key, and that walk alone raises, naming the first bad key; a flagged
-    table that the walk accepts (",," in the outer name, say) is kept as
-    it stands."""
-    text = "\n" + "\n".join(table) + "\n"
+    they are checked in C: every key holds a "|" and there are as many
+    "|" as keys, so each holds exactly one; and their text, a line break
+    before each key, holds no ",,", ",|" or line break before a ",".
+    Only a table that this pass flags is walked key by key, and that walk
+    alone raises, naming the first bad key; a flagged table that the walk
+    accepts (",," in the outer name, say) is kept as it stands."""
+    text = "\n" + "\n".join(table)
     if (
         text.count("|") != len(table)
-        or _BARLESS_LINE.search(text)
+        or not all(map(str.__contains__, table, itertools.repeat("|")))
         or ",," in text
         or ",|" in text
         or "\n," in text
@@ -337,12 +331,23 @@ def multicat_to_json(
         if not fs:
             continue  # empty hom-sets stay implicit
         hom[hom_entry((tuple(map(oname, xs)), oname(y)))] = [mname(f) for f in fs]
-    compose = {}
     names = mname.names
-    for fs, g, out in m.composites(bounds, hom_within):
+
+    def declared(label, entry, f) -> str:
+        """The name of f, which a witness entry may use only once the hom
+        section declares it, or the loader refuses the file."""
+        if f not in names:
+            raise FormatError(
+                f'{m.name}: {label} entry "{entry}" names a morphism of arity '
+                f"{len(m.dom(f))} that the file, written to arity "
+                f"{bounds.max_arity}, does not declare"
+            )
+        return names[f]
+
+    compose = {}
+    for keys, out in m.keyed_composites(bounds, hom_within, names.__getitem__):
         if out in names:
-            key = ",".join(map(names.__getitem__, fs)) + "|" + names[g]
-            compose[key] = names[out]
+            compose.update(dict.fromkeys(keys, names[out]))
     doc = {
         "kind": "multicategory",
         "name": m.name,
@@ -358,15 +363,15 @@ def multicat_to_json(
             for z in objs
             if (x, z) in witness.hom_obj1
         }
-        doc["ev"] = {
-            f"{oname(x)};{oname(z)}": mname(witness.ev1[(x, z)])
-            for x in objs
-            for z in objs
-            if (x, z) in witness.ev1
-        }
+        doc["ev"] = ev = {}
+        for x, z in itertools.product(objs, repeat=2):
+            if (x, z) in witness.ev1:
+                entry = f"{oname(x)};{oname(z)}"
+                ev[entry] = declared("ev", entry, witness.ev1[(x, z)])
         if witness.unit is not None:
             unit = witness.unit
-            doc["unit"] = {"unit": oname(unit.unit), "u": mname(unit.u)}
+            u = declared("unit", "u", unit.u)
+            doc["unit"] = {"unit": oname(unit.unit), "u": u}
     return doc
 
 

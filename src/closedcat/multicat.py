@@ -98,6 +98,15 @@ class Multicategory:
                 continue
             yield fs, g, out
 
+    def keyed_composites(self, bounds: Bounds, hom, name):
+        """(keys, out) for the composites of ``composites(bounds, hom)``:
+        a list of the file's compose keys "f1,...,fn|g", each morphism
+        written ``name(f)``, whose composite is out.  Here each list holds
+        the key of one composable; an override may group them, yielding
+        the same keys, each once, with equal outs."""
+        for fs, g, out in self.composites(bounds, hom):
+            yield [",".join(map(name, fs)) + "|" + name(g)], out
+
 
 def _compose_entry(key) -> str:
     """A composite's key (fs, g) in the file's syntax "f1,f2|g"."""

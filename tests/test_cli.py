@@ -383,6 +383,28 @@ def test_kernel_error_outside_a_check_exits_two_with_one_line(tmp_path, argv, me
 
 
 @pytest.mark.parametrize(
+    "argv,name",
+    [
+        (("represent", "instance:heyting2"), "rep(ek(heyting2))"),
+        (("instance", "dump", "z2"), "z2"),
+    ],
+)
+def test_witness_past_the_written_arity_exits_two_naming_the_entry(
+    tmp_path, argv, name
+):
+    # at --arity-cap 0 the file stops at arity 1, where ev, of arity 2, is
+    # not declared: a file that named it anyway fails its own check
+    target = tmp_path / "out.json"
+    out = run_cli(*argv, "--arity-cap", "0", "--out", str(target))
+    _assert_one_error_line(out, "o0;o0")
+    assert out.stderr == (
+        f'error: {name}: ev entry "o0;o0" names a morphism of arity 2 that '
+        "the file, written to arity 1, does not declare\n"
+    )
+    assert out.stdout == "" and not target.exists()
+
+
+@pytest.mark.parametrize(
     "fixture,edit,message",
     [
         (

@@ -7,7 +7,8 @@ from which fillings are built.  The rest list signatures or read
 profiles for a law's own quantifier, not for filling slots.  Likewise
 only the functions in COMPOSABLES_READERS call ``_composables(``; every
 table of composites, such as a file or a tabulated fixture, comes from
-``Multicategory.composites``."""
+``Multicategory.composites``, or for a representing multicategory's file
+from the trie walk of its ``keyed_composites``."""
 
 import ast
 from pathlib import Path

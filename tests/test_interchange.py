@@ -331,6 +331,22 @@ def test_compose_key_check_is_the_per_key_walk(compose):
         assert m._compose is compose
 
 
+def test_dump_refuses_a_unit_its_hom_section_does_not_declare(monkeypatch):
+    # a hom-set the dump lists as empty leaves u undeclared, and a file
+    # naming it would fail its own check
+    m, w = instances.get("z2").build()
+    real = type(m).hom
+    monkeypatch.setattr(
+        type(m), "hom", lambda self, xs, y: real(self, xs, y) if xs else ()
+    )
+    with pytest.raises(FormatError) as got:
+        interchange.multicat_to_json(m, Bounds(3), w)
+    assert str(got.value) == (
+        'z2: unit entry "u" names a morphism of arity 0 that the file, '
+        "written to arity 3, does not declare"
+    )
+
+
 def test_loader_retains_a_fifth_of_the_tuple_keyed_parse():
     doc = _represent_doc(3)
     assert len(doc["compose"]) == 5971

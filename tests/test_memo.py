@@ -100,6 +100,24 @@ def test_representing_multicategory_is_freed_after_a_dump():
     assert all(_freed(r) for r in refs)
 
 
+def test_representing_multicategory_is_freed_after_a_keyed_dump():
+    # the walk-local cache of keyed_composites goes with its walk, whether
+    # the walk runs to its end or is dropped after its first group
+    bounds = Bounds(2)
+    mcv = build_representing_multicategory(
+        instances.get("heyting2").build(), bounds
+    ).m
+    assert sum(len(keys) for keys, _ in mcv.keyed_composites(bounds, None, str))
+    assert mcv._step.cache_info().hits >= 1
+    walk = mcv.keyed_composites(bounds, None, str)
+    keys, out = next(walk)
+    ref = weakref.ref(mcv)
+    del mcv, out
+    assert not _freed(ref)  # the suspended walk holds it
+    del walk
+    assert _freed(ref)
+
+
 def test_witness_of_a_registry_instance_is_freed_after_ev():
     m, w = instances.get("z2").build()
     w.ev(("g", "g", "g"), "g")

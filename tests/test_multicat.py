@@ -524,6 +524,8 @@ def test_multicat_to_json_through_nested_walk(representing):
     doc = interchange.multicat_to_json(m, CAPS)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multicat, "_composables", _nested_walk)
-        mp.setattr(type(m), "composites", multicat.Multicategory.composites)
+        mp.setattr(
+            type(m), "keyed_composites", multicat.Multicategory.keyed_composites
+        )
         assert interchange.multicat_to_json(m, CAPS) == doc
     assert len(doc["compose"]) > 0

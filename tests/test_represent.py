@@ -3,7 +3,7 @@ comparison isomorphism with its underlying closed category."""
 
 import pytest
 
-from closedcat import instances
+from closedcat import instances, interchange
 from closedcat.closedmc import check_closedness, check_unit_object
 from closedcat.correspond import (
     RepresentingMorphism,
@@ -433,26 +433,34 @@ def test_codomain_chain_matches_on_the_dump_horizon():
     assert _agrees_with_oracles(mcv, walk) > 0
 
 
-def _composite_table(triples):
-    """{(fs, g): (fs).g} of the composites a walk yields, each once."""
+def _keyed_table(groups):
+    """{key: out} of the keyed composites a walk yields, each key once."""
     table = {}
-    for fs, g, out in triples:
-        assert (fs, g) not in table, (fs, g)
-        table[(fs, g)] = out
+    for keys, out in groups:
+        for key in keys:
+            assert key not in table, key
+            table[key] = out
     return table
 
 
 def _matches_the_base_walk(mcv, bounds, hom=None):
-    # the base class's walk, one compose per composite, is the oracle
-    want = _composite_table(Multicategory.composites(mcv, bounds, hom))
+    # the base class's keys, one compose per composite, are the oracle
+    name = interchange._Namer("m")
+    want = _keyed_table(Multicategory.keyed_composites(mcv, bounds, hom, name))
     assert want
-    assert _composite_table(mcv.composites(bounds, hom)) == want
+    assert _keyed_table(mcv.keyed_composites(bounds, hom, name)) == want
+
+
+def _dump_horizon(mcv):
+    """The bounds and hom-sets of the dump of `represent --arity-cap 4`."""
+    dump = Bounds(5)
+    return dump, lambda xs, y: guard_hom(mcv, xs, y, dump, partial=True)
 
 
 @pytest.mark.parametrize("name", ["heyting2", "z2closed", "terminal", PRODUCT])
 def test_composites_share_prefixes_exactly(name):
-    # walking each signature's fillers slot by slot, with the codomain
-    # chain carried along the prefix, yields the composites of the walk
+    # caching the keys of each state of the codomain chain, and adding a
+    # name to every key of a state at once, yields the keys of the walk
     caps = Bounds(4)
     mcv = build_representing_multicategory(_closed(name), caps).m
     _matches_the_base_walk(mcv, caps)
@@ -466,30 +474,66 @@ def test_composites_share_prefixes_exactly_on_the_dump_horizon():
     mcv = build_representing_multicategory(
         instances.get("heyting2").build(), Bounds(4)
     ).m
-    dump = Bounds(5)
-    _matches_the_base_walk(
-        mcv, dump, lambda xs, y: guard_hom(mcv, xs, y, dump, partial=True)
-    )
+    _matches_the_base_walk(mcv, *_dump_horizon(mcv))
 
 
 def test_composites_step_each_prefix_once():
-    # the dump of `represent --arity-cap 4` steps each prefix of the trie
-    # of slot fillings once, shared by every domain tuple that extends it;
-    # walking each domain tuple's fillings on their own makes 268,739
-    # lookups
+    # the dump of `represent --arity-cap 4` steps each state of the codomain
+    # chain once, however many prefixes reach it; stepping each prefix of
+    # the trie of slot fillings once made 108,047 lookups, and walking each
+    # domain tuple's fillings on their own 268,739
     mcv = build_representing_multicategory(
         instances.get("heyting2").build(), Bounds(4)
     ).m
-    dump = Bounds(5)
     before = mcv._step.cache_info()
-    for _ in mcv.composites(
-        dump, lambda xs, y: guard_hom(mcv, xs, y, dump, partial=True)
-    ):
+    for _ in mcv.keyed_composites(*_dump_horizon(mcv), interchange._Namer("m")):
         pass
     after = mcv._step.cache_info()
     misses = after.misses - before.misses
-    assert after.hits - before.hits + misses == 108047
+    assert after.hits - before.hits + misses == 4358
     assert misses == 249
+
+
+def test_keyed_composites_keep_the_text_of_a_kernel_error():
+    # a composite family missing from its hom-set raises from _member as
+    # compose raises it, not a refusal that leaves the composite out
+    mcv = build_representing_multicategory(
+        instances.get("heyting2").build(), Bounds(2)
+    ).m
+    x = mcv.objects()[0]
+    want = str(mcv._not_natural((x, x), x))
+    for key in [key for key in mcv._index if key[:2] == ((x, x), x)]:
+        del mcv._index[key]
+    with pytest.raises(KernelError) as got:
+        list(mcv.keyed_composites(Bounds(2), None, interchange._Namer("m")))
+    assert str(got.value) == want
+
+
+def _represent_file(w, cap):
+    """The text of the file `represent --arity-cap <cap>` writes for w."""
+    return interchange.dumps(interchange.multicat_to_json(w.m, Bounds(cap + 1), w))
+
+
+def _matches_the_base_file(monkeypatch, w, cap):
+    got = _represent_file(w, cap)
+    with monkeypatch.context() as mp:
+        mp.setattr(
+            RepresentingMulticat, "keyed_composites", Multicategory.keyed_composites
+        )
+        assert got == _represent_file(w, cap)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_represent_file_is_the_one_the_base_walk_writes(monkeypatch, cap):
+    w = build_representing_multicategory(instances.get("heyting2").build(), Bounds(cap))
+    _matches_the_base_file(monkeypatch, w, cap)
+
+
+@pytest.mark.parametrize("name", [ZERO, PRODUCT])
+def test_represent_file_is_the_one_the_base_walk_writes_on(
+    monkeypatch, witnesses, name
+):
+    _matches_the_base_file(monkeypatch, witnesses[name], CAPS.max_arity)
 
 
 def test_represent_composes_once_per_check_not_per_composite(monkeypatch, tmp_path):
