@@ -37,6 +37,7 @@ from .core import (
     guard_objects,
     preimages,
     require_declared,
+    require_declared_keys,
 )
 from .errors import BudgetExceeded, FormatError, NotBijective, NotComposable
 from .report import Report
@@ -113,8 +114,13 @@ def tabular_closed(
     objects = set(cat.objects())
     if unit not in objects:
         raise FormatError(f'{name}: unit names undeclared object "{unit}"')
-    require_declared(name, "hom2.obj", hom2_obj, objects, what="object")
     declared = set(cat.all_morphisms())
+    for label, table in {"hom2.obj": hom2_obj, "L": L}.items():
+        require_declared_keys(name, label, table, objects)
+    for label, table in {"i": i, "i_inv": i_inv, "j": j}.items():
+        require_declared_keys(name, label, table, objects, lambda x: (x,))
+    require_declared_keys(name, "hom2.mor", hom2_mor, declared, what="morphism")
+    require_declared(name, "hom2.obj", hom2_obj, objects, what="object")
     tables = {"hom2.mor": hom2_mor, "i": i, "i_inv": i_inv, "j": j, "L": L}
     for label, table in tables.items():
         require_declared(name, label, table, declared)

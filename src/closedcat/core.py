@@ -153,19 +153,25 @@ def require_declared(
 
 
 def require_declared_keys(
-    name: str, label: str, table: dict, objects: set, parts=tuple, show=entry_name
+    name: str,
+    label: str,
+    table: dict,
+    declared,
+    parts=tuple,
+    show=entry_name,
+    what="object",
 ) -> None:
-    """Every object ``parts(key)`` lists for a key of ``table`` is
-    declared; otherwise raise a FormatError naming the first key with an
-    undeclared object, written by ``show``.  A table that passes costs
-    one membership pass over its keys."""
-    if all(objects.issuperset(parts(key)) for key in table):
+    """Every object (or ``what``) ``parts(key)`` lists for a key of
+    ``table`` is declared; otherwise raise a FormatError naming the first
+    key with an undeclared one, written by ``show``.  A table that passes
+    costs one membership pass over its keys."""
+    if all(declared.issuperset(parts(key)) for key in table):
         return
     for key in table:
         for x in parts(key):
-            if x not in objects:
+            if x not in declared:
                 raise FormatError(
-                    f'{name}: {label} key "{show(key)}" names undeclared object "{x}"'
+                    f'{name}: {label} key "{show(key)}" names undeclared {what} "{x}"'
                 )
 
 
@@ -205,9 +211,11 @@ class TabularCategory(Category):
                 if f in self._ends:
                     raise ValueError(f"morphism id {f!r} used in two hom-sets")
                 self._ends[f] = (x, y)
-        require_declared(
-            name, "compose", self._compose, self._ends, lambda k: f"{k[0]};{k[1]}"
+        show = "{0[0]};{0[1]}".format
+        require_declared_keys(
+            name, "compose", self._compose, set(self._ends), show=show, what="morphism"
         )
+        require_declared(name, "compose", self._compose, self._ends, show)
         require_declared_identities(
             name, self._objects, self._identity, self._ends
         )

@@ -8,22 +8,10 @@ now, so this test builds the traced run's metrics on a fresh tracer with
 no calls made, the way ``perfbench/worker.py`` builds them after a pass.
 """
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
-    )
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses resolve through it
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def _zero_call_metrics(tracer_mod, worker) -> dict:
@@ -44,8 +32,8 @@ def _zero_call_metrics(tracer_mod, worker) -> dict:
     return m
 
 
-def test_a_traced_run_produces_every_per_layer_metric():
-    tracer_mod, worker, run = (_load(n) for n in ("tracer", "worker", "run"))
+def test_a_traced_run_produces_every_per_layer_metric(perfbench_module):
+    tracer_mod, worker, run = map(perfbench_module, ("tracer", "worker", "run"))
     trace = _zero_call_metrics(tracer_mod, worker)
     values, _ = run.traced_metrics({"trace": trace, "wall_s": 1.0, "op_s": {}})
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -432,6 +432,36 @@ def test_witness_past_the_written_arity_exits_two_naming_the_entry(
             lambda doc: doc["hom"].update({"o0,o9;o0": []}),
             'hom key "o0,o9;o0" names undeclared object "o9"',
         ),
+        (
+            "broken-compose.json",
+            lambda doc: doc["compose"].update({"zz;m0": "m0"}),
+            'compose key "zz;m0" names undeclared morphism "zz"',
+        ),
+        (
+            "broken-j.json",
+            lambda doc: doc["compose"].update({"m7;m0": "m0"}),
+            'compose key "m7;m0" names undeclared morphism "m7"',
+        ),
+        (
+            "broken-j.json",
+            lambda doc: doc["hom2"]["mor"].update({"m9,m0": "m0"}),
+            'hom2.mor key "m9,m0" names undeclared morphism "m9"',
+        ),
+        (
+            "broken-j.json",
+            lambda doc: doc["L"].update({"o0,o0,o9": "m0"}),
+            'L key "o0,o0,o9" names undeclared object "o9"',
+        ),
+        (
+            "broken-j.json",
+            lambda doc: doc["hom2"]["obj"].update({"o9,o0": "o0"}),
+            'hom2.obj key "o9,o0" names undeclared object "o9"',
+        ),
+        (
+            "broken-j.json",
+            lambda doc: doc["j"].update({"o9": "m0"}),
+            'j key "o9" names undeclared object "o9"',
+        ),
     ],
 )
 def test_undeclared_object_exits_two_naming_the_field(tmp_path, fixture, edit, message):

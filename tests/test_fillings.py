@@ -1,118 +1,13 @@
 """Slot fillings are enumerated once: the trie of ``multicat._walk_table``
 holds, for inputs ys and an arity room, every way to fill the slots of ys
-with non-empty hom-sets, and every walk over composables reads it.  A
-walk of the source keeps a second enumeration from coming back: only the
-functions in PROFILE_READERS call ``.profiles(``, the domain profiles
-from which fillings are built.  The rest list signatures or read
-profiles for a law's own quantifier, not for filling slots.  Likewise
-only the functions in COMPOSABLES_READERS call ``_composables(``; every
-table of composites, such as a file or a tabulated fixture, comes from
-``Multicategory.composites``, or for a representing multicategory's file
-from the trie walk of its ``keyed_composites``."""
-
-import ast
-from pathlib import Path
+with non-empty hom-sets, and every walk over composables reads it.  The
+``profile-readers`` and ``composables-readers`` rules of
+``tests/policy.py`` keep a second enumeration from coming back."""
 
 import pytest
 
 from closedcat import instances, multicat
 from closedcat.core import Bounds, guard_hom
-
-SRC = Path(__file__).resolve().parents[1] / "src" / "closedcat"
-
-PROFILE_READERS = {
-    "multicat.Multicategory.signatures",
-    "multicat._walk_table",
-    "closedmc.check_closedness",
-    "closedmc.check_nary_factorization",
-    "correspond.RepresentingMulticat.__init__",
-    "correspond.check_representation",
-}
-
-COMPOSABLES_READERS = {
-    "multicat.Multicategory.composites",
-    "multicat.check_multifunctor",
-    "closedmc.verify_internal_lemmas",
-}
-
-
-def _callers(source: str, name: str) -> set[str]:
-    """The qualified name of each function or class around a call of
-    ``name`` in ``source`` ("<module>" at top level): a method call
-    ``x.name(`` or, for a function, ``name(``."""
-    found = set()
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call) and name in (
-            getattr(node.func, "attr", None),
-            getattr(node.func, "id", None),
-        ):
-            found.add(scope or "<module>")
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
-    return found
-
-
-def _found_in_src(name: str) -> set[str]:
-    return {
-        f"{path.stem}.{where}"
-        for path in sorted(SRC.glob("*.py"))
-        for where in _callers(path.read_text(), name)
-    }
-
-
-def test_the_walk_finds_profile_readers():
-    source = """
-class M:
-    def profiles(self, n):
-        return ()
-
-    def signatures(self, bounds):
-        return list(self.profiles(bounds.max_arity))
-
-def fill(m, ys, n):
-    def inner(room):
-        return [d for d in m.profiles(room)]
-    return inner(n)
-
-profiles = None
-x = M().profiles(2)
-
-def reads_a_name(profiles):
-    return profiles
-"""
-    assert _callers(source, "profiles") == {"M.signatures", "fill.inner", "<module>"}
-
-
-def test_only_the_named_functions_read_profiles():
-    assert _found_in_src("profiles") == PROFILE_READERS
-
-
-def test_the_walk_finds_composables_callers():
-    source = """
-from .multicat import _composables
-import multicat
-
-class M:
-    def composites(self, bounds):
-        return list(_composables(self, bounds))
-
-def check(m, bounds):
-    return [g for g, _, fs in multicat._composables(m, bounds)]
-
-def passes_it_on(m, bounds):
-    walk = _composables
-    return walk
-"""
-    assert _callers(source, "_composables") == {"M.composites", "check"}
-
-
-def test_only_the_named_functions_walk_composables():
-    assert _found_in_src("_composables") == COMPOSABLES_READERS
 
 
 def _fillings(m, ys, room, bounds):

@@ -1,13 +1,12 @@
 """Every memo is a cache that its structure creates when it is built and
 that is freed with it: once the last reference to a structure is dropped
 and the cycle collector has run, nothing else keeps it alive.  A cache on
-a module-level function or on a class-level method would keep it, and a
-walk of the source rejects one.
+a module-level function or on a class-level method would keep it, and the
+``static-caches`` rule of ``tests/policy.py`` rejects one.
 
 The set-bridge test pins the cached paths of normalization, the hom
 embedding and the lazy sets category to the benchmark's digests."""
 
-import ast
 import gc
 import json
 import weakref
@@ -182,77 +181,6 @@ def test_witness_is_freed_after_its_underlying_category_hits():
     refs = [weakref.ref(w), weakref.ref(ucs)]
     del m, w, ucs
     assert all(_freed(r) for r in refs)
-
-
-CACHES = {"cache", "lru_cache", "cached_property"}
-
-
-def _is_cache(node) -> bool:
-    """functools.cache, cache, lru_cache and the like, by name."""
-    name = getattr(node, "attr", None) or getattr(node, "id", None)
-    return name in CACHES
-
-
-def _static_caches(source: str) -> list[int]:
-    """Lines where a cache decorates or wraps a function at module or
-    class level, where it outlives every structure."""
-    found = []
-
-    def scan(body):
-        for stmt in body:
-            if isinstance(stmt, ast.ClassDef):
-                scan(stmt.body)
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.extend(
-                    d.lineno
-                    for d in stmt.decorator_list
-                    if _is_cache(d.func if isinstance(d, ast.Call) else d)
-                )
-            else:
-                found.extend(
-                    n.lineno
-                    for n in ast.walk(stmt)
-                    if isinstance(n, ast.Call) and _is_cache(n.func)
-                )
-
-    scan(ast.parse(source).body)
-    return found
-
-
-def test_the_guard_finds_static_caches_and_passes_nested_ones():
-    source = """
-import functools
-from functools import lru_cache
-
-@functools.cache
-def a(x): return x
-
-b = lru_cache(maxsize=8)(a)
-
-class C:
-    @functools.cached_property
-    def d(self): return 1
-
-    e = functools.cache(len)
-
-    def __init__(self):
-        self.f = functools.cache(self.g)
-
-def builder():
-    @functools.cache
-    def h(x): return x
-    return h
-"""
-    assert _static_caches(source) == [5, 8, 11, 14]
-
-
-def test_no_cache_lives_at_module_or_class_level():
-    found = {
-        f"{path.name}:{line}"
-        for path in sorted((ROOT / "src" / "closedcat").glob("*.py"))
-        for line in _static_caches(path.read_text())
-    }
-    assert not found
 
 
 def test_finset_category_is_freed_after_make_hom():

@@ -2,11 +2,8 @@
 in its canonical order, fixed when it is built, so no consumer sorts them
 again.  Tabular structures read from a file take ``name_key`` order
 (length, then text) whatever order the file lists, which is the order a
-dump writes.  A walk of the source keeps the per-consumer sort keys from
-coming back."""
-
-import ast
-from pathlib import Path
+dump writes.  The ``sort-keys`` rule of ``tests/policy.py`` keeps the
+per-consumer sort keys from coming back."""
 
 from closedcat.core import Bounds, check_category_axioms
 from closedcat.interchange import (
@@ -14,8 +11,6 @@ from closedcat.interchange import (
     category_to_json,
     multicat_from_json,
 )
-
-SRC = Path(__file__).resolve().parents[1] / "src" / "closedcat"
 
 NAMES = [f"o{k}" for k in range(11)]
 SHUFFLED = sorted(NAMES, reverse=True)  # o9, o8, ..., o10, o1, o0
@@ -79,89 +74,3 @@ def test_failure_loci_of_an_eleven_object_category_come_in_name_key_order():
     loci = [it.locus for it in rep.failures()]
     assert loci == [f"endpoints {x}" for x in objs[1:]]
     assert {it.check for it in rep.failures()} == {"category/identity"}
-
-
-# -- ratchet: no consumer-side sort keys --------------------------------------
-
-# Category.obj_key stays: the benchmark's ek summary (perfbench/worker.py)
-# sorts a normalized category's objects by ``w.cat.obj_key`` and that
-# output is golden-digested.  It is the position in objects(), which is
-# the canonical order of every category, so no category refines it.
-OBJ_KEY_OWNERS = {"Category.obj_key"}
-
-
-def _sort_key_uses(source: str) -> set[str]:
-    """Where ``source`` names mor_key at all, or defines or reads obj_key
-    outside OBJ_KEY_OWNERS: the qualified name of the enclosing function or
-    class, or "<module>"."""
-    found = set()
-
-    def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            inner = f"{scope}.{node.name}" if scope else node.name
-            if node.name == "mor_key" or (
-                node.name == "obj_key" and inner not in OBJ_KEY_OWNERS
-            ):
-                found.add(inner)
-            scope = inner
-        name = None
-        if isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.alias):
-            name = node.asname or node.name
-        if name == "mor_key" or (name == "obj_key" and scope not in OBJ_KEY_OWNERS):
-            found.add(scope or "<module>")
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "")
-    return found
-
-
-def test_the_walk_finds_sort_keys():
-    source = '''
-from .core import obj_key
-
-class Category:
-    def obj_key(self, x):
-        return self.objects().index(x)
-
-class _WCategory(Category):
-    def obj_key(self, x):
-        return self._base.obj_key(x)
-
-class Other(Category):
-    def obj_key(self, x):
-        return x
-
-    def mor_key(self, f):
-        return f
-
-def consumer(cat):
-    return sorted(cat.objects(), key=cat.obj_key)
-
-def bijection(table, target, cat):
-    return bijective(table, target, cat.mor_key)
-
-def fine(cat):
-    return cat.objects()
-'''
-    assert _sort_key_uses(source) == {
-        "<module>",
-        "_WCategory.obj_key",
-        "Other.obj_key",
-        "Other.mor_key",
-        "consumer",
-        "bijection",
-    }
-
-
-def test_no_consumer_sorts_by_a_structure_key():
-    found = {
-        f"{path.name}:{where}"
-        for path in sorted(SRC.glob("*.py"))
-        for where in _sort_key_uses(path.read_text())
-    }
-    assert not found
