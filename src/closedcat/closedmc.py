@@ -43,7 +43,7 @@ from .core import (
     guard_hom,
     preimages,
 )
-from .errors import NoUnitFound, NotBijective
+from .errors import NoUnitFound, NotBijective, NotComposable
 from .multicat import Multicategory, Profile, _composables
 from .report import Report
 
@@ -156,7 +156,8 @@ def curry(
     m = w.m
     dom = tuple(m.dom(f))
     if split < 0 or split > len(dom):
-        raise ValueError("bad split")
+        msg = f"cannot curry {split} inputs off {f}, of arity {len(dom)}"
+        raise NotComposable(f"{m.name}: {msg}")
     if split == 0:
         return f
     hits = w.curry_table(dom[:split], dom[split:], m.cod(f), bounds).get(f, ())

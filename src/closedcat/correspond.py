@@ -59,16 +59,14 @@ from .core import (
     hom_entry,
     preimages,
 )
-from .enriched import (
-    VFunctor,
-    build_LX,
-    build_underlying_V_category,
-    compose_v_functors,
-    enumerate_vnat_families,
-    gamma_repr,
-    identity_v_functor,
+from .enriched import VFunctor, enumerate_vnat_families, gamma_repr
+from .errors import (
+    BudgetExceeded,
+    FormatError,
+    KernelError,
+    NotBijective,
+    NotComposable,
 )
-from .errors import BudgetExceeded, FormatError, KernelError, NotBijective
 from .multicat import Multicategory, Profile, _walk_table, check_multinat
 from .report import Report
 
@@ -305,8 +303,8 @@ class RepresentingMorphism:
     under the representation bijection.
 
     ``RepresentingMulticat`` builds exactly one per family, so equality
-    and hashing are identity.  ``components`` lists (object, morphism)
-    pairs in the multicategory's object order."""
+    and hashing are identity.  ``components`` lists the family's
+    morphisms in the multicategory's object order."""
 
     dom: Profile
     cod: ObjId
@@ -343,8 +341,6 @@ class RepresentingMulticat(Multicategory):
         self._objs = objs
         self._pos = {x: k for k, x in enumerate(objs)}
         self._units = tuple(wcat.identity(x) for x in objs)
-        self._und_v = build_underlying_V_category(w)
-        self._lx = {x: build_LX(w, x) for x in objs}
         # Keyed by the component at the codomain.
         self._index: dict[tuple[Profile, ObjId, MorId], RepresentingMorphism] = {}
         # The composite left hom functor at (y1..yk, y) applies L^y last,
@@ -352,13 +348,15 @@ class RepresentingMulticat(Multicategory):
         self._lpos = {
             y: tuple(self._pos[w.hom2_obj(y, a)] for a in objs) for y in objs
         }
-        self._functor = functools.cache(self._compose_lx)
         self._homset = functools.cache(self._enumerate)
+        # The multicategory laws ask for identities far more often than
+        # there are objects: each family is found once.
+        self.identity = functools.cache(self._identity)
         # One step of compose: f's component at position p after m
         # whiskered by f's domain.  Composites revisit few such triples.
         self._step = functools.cache(
             lambda f, p, m: wcat.compose(
-                f.components[p][1], self.functor_of(f.dom).mor_action(m)
+                f.components[p], self.functor_of(f.dom).mor_action(m)
             )
         )
         for xs in self.profiles(bounds.max_arity):
@@ -378,24 +376,15 @@ class RepresentingMulticat(Multicategory):
         u = self._find((), w.unit, tuple(map(w.i_inv, objs)))
         self.witness = ClosednessWitness(self, hom_obj1, ev1, UnitWitness(w.unit, u))
 
-    # -- functor calculus ---------------------------------------------------
-
     def functor_of(self, xs: Profile) -> VFunctor:
-        return self._functor(tuple(xs))
-
-    def _compose_lx(self, xs: Profile) -> VFunctor:
-        acc = identity_v_functor(self._und_v)
-        for x in xs:
-            acc = compose_v_functors(acc, self._lx[x])
-        return acc
+        return VFunctor(self.base, tuple(xs))
 
     def _enumerate(self, xs: Profile, y: ObjId) -> tuple[RepresentingMorphism, ...]:
-        T = self.functor_of(xs)
-        ly = self._lx[y]
-        fams = enumerate_vnat_families(ly, T, self.bounds)
+        F, T = self.functor_of((y,)), self.functor_of(xs)
+        fams = enumerate_vnat_families(F, T, self.bounds)
         reps = []
         for comp in fams:
-            comps = tuple((a, comp[a]) for a in self._objs)
+            comps = tuple(comp[a] for a in self._objs)
             g = gamma_repr(self.ek, y, comp[y])
             reps.append(RepresentingMorphism(xs, y, comps, g))
         reps.sort(key=lambda r: r.gamma_name)
@@ -403,7 +392,7 @@ class RepresentingMulticat(Multicategory):
         # point determines the family, so that component is its key.
         k = self._pos[y]
         for r in reps:
-            key = (xs, y, r.components[k][1])
+            key = (xs, y, r.components[k])
             if key in self._index:
                 raise KernelError(
                     f"{self.name}: two families of hom({hom_entry((xs, y))}) "
@@ -425,7 +414,7 @@ class RepresentingMulticat(Multicategory):
         """The morphism xs -> y whose components, in the order of
         ``objects()``, are mors."""
         r = self._member(xs, y, mors[self._pos[y]])
-        if tuple(m for _, m in r.components) != mors:
+        if r.components != mors:
             raise self._not_natural(xs, y)
         return r
 
@@ -443,7 +432,7 @@ class RepresentingMulticat(Multicategory):
     def hom(self, xs, y):
         return self._homset(tuple(xs), y)
 
-    def identity(self, x):
+    def _identity(self, x):
         w = self.base
         return self._find(
             (x,), x, tuple(w.cat.identity(w.hom2_obj(x, a)) for a in self._objs)
@@ -451,7 +440,8 @@ class RepresentingMulticat(Multicategory):
 
     def compose(self, fs, g: RepresentingMorphism):
         if tuple(f.cod for f in fs) != g.dom:
-            raise ValueError("profile mismatch")
+            inner = ", ".join(map(str, fs))
+            raise NotComposable(f"{self.name}: cannot compose {inner} into {g}")
         step, lpos = self._step, self._lpos
         # Tensor the inner families left to right, then compose vertically
         # after g, following only the component at the codomain: it keys
@@ -466,7 +456,7 @@ class RepresentingMulticat(Multicategory):
             p = lpos[f.cod][p]
             target += f.dom
         return self._member(
-            target, g.cod, self.base.cat.compose(g.components[k][1], m)
+            target, g.cod, self.base.cat.compose(g.components[k], m)
         )
 
     def keyed_composites(self, bounds: Bounds, hom, name):
@@ -512,7 +502,7 @@ class RepresentingMulticat(Multicategory):
             m = self._units[k]
             groups = fill(ys, bounds.max_arity, k, m) if ys else {((), m): ""}
             for g in gs:
-                head, bar = g.components[k][1], "|" + name(g)
+                head, bar = g.components[k], "|" + name(g)
                 for (target, last), keys in groups.items():
                     try:
                         c = compose(head, last)

@@ -22,6 +22,7 @@ representing multicategory is built on it
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,17 +49,35 @@ class VCategory:
 
 @dataclass(frozen=True)
 class VFunctor:
-    """Enriched functor into a target V-category.  ``apply_mor`` is the
-    underlying ordinary action on base morphisms, needed for whiskering."""
+    """The composite left hom functor of the profile xs on the
+    self-enrichment of cs, with L^x1 applied first: Y goes to
+    und(xn, ... und(x1, Y)).  The empty profile is the identity functor."""
 
-    source: VCategory
-    target: VCategory
-    obj_map: Callable[[ObjId], ObjId]
-    hom_map: Callable[[ObjId, ObjId], MorId]
-    apply_mor: Callable[[MorId], MorId]
+    cs: ClosedStructure
+    xs: tuple
+
+    def obj_map(self, y: ObjId) -> ObjId:
+        for x in self.xs:
+            y = self.cs.hom2_obj(x, y)
+        return y
 
     def mor_action(self, f: MorId) -> MorId:
-        return self.apply_mor(f)
+        """The underlying ordinary action on base morphisms, which
+        whiskers a family by the functor."""
+        for x in self.xs:
+            f = self.cs.cov(x, f)
+        return f
+
+    def hom_map(self, a: ObjId, b: ObjId) -> MorId:
+        """L(x1, a, b) ; L(x2, und(x1, a), und(x1, b)) ; ..."""
+        cs = self.cs
+        chain = []
+        for x in self.xs:
+            chain.append(cs.L(x, a, b))
+            a, b = cs.hom2_obj(x, a), cs.hom2_obj(x, b)
+        if not chain:
+            return cs.cat.identity(cs.hom2_obj(a, b))
+        return functools.reduce(cs.cat.compose, chain)
 
 
 def build_underlying_V_category(cs: ClosedStructure) -> VCategory:
@@ -86,51 +105,11 @@ def check_v_category(A: VCategory) -> Report:
 
 
 def _vnat_square_ok(F: VFunctor, G: VFunctor, comp: dict, a, b) -> bool:
-    cs = F.target.base
+    cs = F.cs
     cat = cs.cat
     lhs = cat.compose(F.hom_map(a, b), cs.cov(F.obj_map(a), comp[b]))
     rhs = cat.compose(G.hom_map(a, b), cs.contra(comp[a], G.obj_map(b)))
     return lhs == rhs
-
-
-def identity_v_functor(A: VCategory) -> VFunctor:
-    return VFunctor(
-        A,
-        A,
-        lambda x: x,
-        lambda x, y: A.base.cat.identity(A.hom_obj(x, y)),
-        apply_mor=lambda f: f,
-    )
-
-
-def compose_v_functors(F: VFunctor, G: VFunctor) -> VFunctor:
-    """Composite enriched functor, F applied first."""
-    cs = F.source.base
-
-    def hom_map(x, y):
-        return cs.cat.compose(
-            F.hom_map(x, y), G.hom_map(F.obj_map(x), F.obj_map(y))
-        )
-
-    return VFunctor(
-        F.source,
-        G.target,
-        lambda x: G.obj_map(F.obj_map(x)),
-        hom_map,
-        apply_mor=lambda f: G.apply_mor(F.apply_mor(f)),
-    )
-
-
-def build_LX(cs: ClosedStructure, x: ObjId) -> VFunctor:
-    """The left hom functor on the self-enrichment: Y goes to und(X,Y)."""
-    und_v = build_underlying_V_category(cs)
-    return VFunctor(
-        und_v,
-        und_v,
-        lambda y: cs.hom2_obj(x, y),
-        lambda y, z: cs.L(x, y, z),
-        apply_mor=lambda f: cs.cov(x, f),
-    )
 
 
 def pushforward(F: ClosedFunctor, A: VCategory) -> VCategory:
@@ -168,8 +147,8 @@ def enumerate_vnat_families(
     """All component families F -> G satisfying the enriched naturality
     square, generated object by object in canonical order with early
     pruning on every failed square."""
-    cat = F.target.base.cat
-    objs = F.source.objects
+    cat = F.cs.cat
+    objs = tuple(cat.objects())
     out: list[dict] = []
 
     def extend(idx: int, partial: dict) -> None:

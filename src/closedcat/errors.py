@@ -10,9 +10,10 @@ class BudgetExceeded(KernelError):
 
 
 class NotComposable(KernelError, ValueError):
-    """Two morphisms whose endpoints do not meet were composed, as when a
-    structure file names a morphism of the wrong hom-set.  Inside
-    ``check`` it is a FAIL line of the suite that composed them."""
+    """Two morphisms whose endpoints do not meet were composed, or a
+    morphism was curried off more inputs than it has, as when a structure
+    file names a morphism of the wrong hom-set.  Inside ``check`` it is a
+    FAIL line of the suite that raised it."""
 
 
 class NotBijective(KernelError):

@@ -308,6 +308,8 @@ ORACLES = {
 BENCHMARK = {
     "closed.check_ek_axioms": "set-bridge: CC0 and CC5' of the normalization",
     "enriched.pushforward": "set-bridge: base change along the hom embedding",
+    "enriched.build_underlying_V_category":
+        "set-bridge: the self-enrichment it pushes forward along E",
     "core.Category.obj_key": "set-bridge: the ek summary sorts objects by it",
     "core.Category.show_obj": "set-bridge: the ek summary prints objects with it",
 }

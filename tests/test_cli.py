@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, formats, file targets, and the
 published report schema."""
 
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import re
 import subprocess
 import sys
@@ -294,6 +296,38 @@ def test_closed_category_with_a_wrong_typed_identity_fails_without_raising(
     ]
 
 
+def _dump(name, capsys):
+    assert cli.main(["instance", "dump", name]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _one_entry_edits(doc, fields, values):
+    """Each entry of each of ``fields``, a dotted path to a table or to
+    one entry, set to each other value that ``values(field)`` lists, one
+    edit at a time, with its label."""
+    for field in fields:
+        path = field.split(".")
+        table = functools.reduce(operator.getitem, path, doc)
+        if not isinstance(table, dict):
+            path, table = path[:-1], {path[-1]: table}
+        for key, v in itertools.product(sorted(table), values(field)):
+            if table[key] != v:
+                edited = json.loads(json.dumps(doc))
+                functools.reduce(operator.getitem, path, edited)[key] = v
+                yield f"{'.'.join(path)}[{key}]={v}", edited
+
+
+def _exits_with_a_report(argv, capsys):
+    """The exit code and output of one in-process call, which returns 0,
+    1 or 2, raises nothing, and on 2 prints one error line."""
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    return code, out, err
+
+
 def test_every_identity_edit_of_a_dump_exits_with_a_report(tmp_path, capsys):
     # Each object's identity in each tabular category and closed-category
     # dump set to each declared morphism in turn, the unchanged one
@@ -302,8 +336,7 @@ def test_every_identity_edit_of_a_dump_exits_with_a_report(tmp_path, capsys):
     for name in sorted(instances.REGISTRY):
         if instances.get(name).kind not in ("category", "closed"):
             continue
-        assert cli.main(["instance", "dump", name]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = _dump(name, capsys)
         if "hom" not in doc:  # a lazy structure, dumped by reference
             continue
         morphisms = sorted({m for ms in doc["hom"].values() for m in ms})
@@ -312,12 +345,57 @@ def test_every_identity_edit_of_a_dump_exits_with_a_report(tmp_path, capsys):
             edited["id"][x] = m
             target = tmp_path / f"{name}-{x}-{m}.json"
             target.write_text(json.dumps(edited))
-            code = cli.main(["check", "--suite", "all", f"file:{target}"])
-            out, err = capsys.readouterr()
-            assert code in (0, 1, 2), (name, x, m)
+            argv = ["check", "--suite", "all", f"file:{target}"]
+            code, out, _ = _exits_with_a_report(argv, capsys)
             assert code == 2 or out.startswith("== check =="), (name, x, m)
             edits += 1
     assert edits == 16
+
+    # Every one-entry edit of the data of two closed-category dumps, and
+    # of the identity, evaluation and unit of the z2 multicategory dump,
+    # through each verb that reads such a file, at FILE.
+    out = str(tmp_path / "out.json")
+    closed_verbs = (
+        ("check", "--suite", "all", "FILE"),
+        ("represent", "FILE", "--out", out),
+        ("construct", "ek", "FILE", "--out", out),
+    )
+    multicat_verbs = (
+        ("construct", "underlying", "FILE", "--out", out),
+        ("roundtrip", "FILE", "functor:identity"),
+    )
+    closed_fields = ("id", "i", "i_inv", "j", "L", "hom2.obj", "hom2.mor")
+    errors, counts = {}, {}
+    for name in ("heyting2", "z2closed", "z2"):
+        doc = _dump(name, capsys)
+        morphisms = sorted({m for ms in doc["hom"].values() for m in ms})
+        if name == "z2":
+            fields, verbs = ("id", "ev", "unit.u"), multicat_verbs
+        else:
+            fields, verbs = closed_fields, closed_verbs
+        edits = _one_entry_edits(
+            doc, fields, lambda f: doc["objects"] if f == "hom2.obj" else morphisms
+        )
+        counts[name] = 0
+        for label, edited in edits:
+            target = tmp_path / "edited.json"
+            target.write_text(json.dumps(edited))
+            for verb in verbs:
+                argv = [f"file:{target}" if a == "FILE" else a for a in verb]
+                _, _, err = _exits_with_a_report(argv, capsys)
+                errors[(name, label, verb[0])] = err
+            counts[name] += 1
+    assert counts == {"heyting2": 54, "z2closed": 9, "z2": 27}
+    # a composite of families whose profile does not meet, and a currying
+    # off a nullary morphism, exit 2 where they raised a ValueError
+    assert errors[("heyting2", "i[o0]=m1", "represent")] == (
+        "error: NotComposable: rep(ek(heyting2)): "
+        "cannot compose rep[m2]:o0->o1 into rep[m2]:o0->o0\n"
+    )
+    for verb in ("construct", "roundtrip"):
+        assert errors[("z2", "id[o0]=m0", verb)] == (
+            "error: NotComposable: z2: cannot curry 1 inputs off m0, of arity 0\n"
+        )
 
 
 def test_roundtrip_verb():

@@ -3,13 +3,14 @@ hom functors, pushforward, and the representation map."""
 
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from closedcat import hf, instances
 from closedcat.closed import build_E_functor, check_cc_axioms, ek_normalize
 from closedcat.enriched import (
-    build_LX,
+    VFunctor,
     build_underlying_V_category,
     check_v_category,
     enumerate_vnat_families,
@@ -203,7 +204,7 @@ def test_gamma_repr_identity_family_gives_identity_element():
     ek, _ = ek_normalize(cs)
     w = ek.closed
     for x in w.cat.objects():
-        lx = build_LX(w, x)
+        lx = VFunctor(w, (x,))
         comps = {a: w.cat.identity(w.hom2_obj(x, a)) for a in w.cat.objects()}
         assert comps in enumerate_vnat_families(lx, lx)
         got = gamma_repr(ek, x, comps[x])
@@ -219,6 +220,52 @@ def test_gamma_repr_of_Lf_is_f(name):
     for f in list(w.cat.all_morphisms()):
         x, y = w.cat.dom(f), w.cat.cod(f)
         lf_comps = {a: w.hom2_mor(f, w.cat.identity(a)) for a in w.cat.objects()}
-        lx, ly = build_LX(w, x), build_LX(w, y)
+        lx, ly = VFunctor(w, (x,)), VFunctor(w, (y,))
         assert lf_comps in enumerate_vnat_families(ly, lx)
         assert gamma_repr(ek, y, lf_comps[y]) == ek.elt_atom(f).name
+
+
+def _folded_left_hom_functor(cs, xs):
+    """The composite left hom functor of xs as a fold: the identity
+    functor on the self-enrichment, then the left hom functor at each x in
+    turn, each composite's hom map the previous one's followed by L."""
+    cat = cs.cat
+    F = SimpleNamespace(
+        cs=cs,
+        obj_map=lambda y: y,
+        hom_map=lambda a, b: cat.identity(cs.hom2_obj(a, b)),
+        mor_action=lambda f: f,
+    )
+    for x in xs:
+        F = SimpleNamespace(
+            cs=cs,
+            obj_map=lambda y, F=F, x=x: cs.hom2_obj(x, F.obj_map(y)),
+            hom_map=lambda a, b, F=F, x=x: cat.compose(
+                F.hom_map(a, b), cs.L(x, F.obj_map(a), F.obj_map(b))
+            ),
+            mor_action=lambda f, F=F, x=x: cs.cov(x, F.mor_action(f)),
+        )
+    return F
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_left_hom_functor_of_a_profile_is_the_folded_composite(name):
+    # on every profile of length at most 3, the same object map, hom map
+    # and action on morphisms as the fold, and the same families from
+    # each left hom functor into it, in the same order
+    ek, _ = ek_normalize(instances.get(name).build())
+    w = ek.closed
+    objs = w.cat.objects()
+    mors = list(w.cat.all_morphisms())
+    for n in range(4):
+        for xs in itertools.product(objs, repeat=n):
+            F, oracle = VFunctor(w, xs), _folded_left_hom_functor(w, xs)
+            for a, b in itertools.product(objs, repeat=2):
+                assert F.obj_map(a) == oracle.obj_map(a), (xs, a)
+                assert F.hom_map(a, b) == oracle.hom_map(a, b), (xs, a, b)
+            for f in mors:
+                assert F.mor_action(f) == oracle.mor_action(f), (xs, f)
+            for y in objs:
+                ly = VFunctor(w, (y,))
+                want = enumerate_vnat_families(ly, oracle)
+                assert enumerate_vnat_families(ly, F) == want, (xs, y)

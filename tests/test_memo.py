@@ -67,6 +67,8 @@ def test_representing_multicategory_and_its_witness_are_freed():
     x = mcv.objects()[0]
     ev = w.ev((x,), x)
     assert mcv.compose(tuple(map(mcv.identity, mcv.dom(ev))), ev) is ev
+    assert mcv.identity(x) is mcv.identity(x)
+    assert mcv.identity.cache_info().hits >= 1
     assert w.ev((x, x), x) is w.ev((x, x), x)
     assert w._ev.cache_info().hits >= 1
     refs = [weakref.ref(mcv), weakref.ref(w)]

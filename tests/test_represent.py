@@ -283,7 +283,7 @@ def test_unit_family_is_inverse_i(witnesses):
     for name in NAMES:
         rw = witnesses[name]
         w = rw.m.base
-        comps = dict(rw.unit.u.components)
+        comps = dict(zip(rw.m.objects(), rw.unit.u.components))
         for a in rw.m.objects():
             assert comps[a] == w.i_inv(a)
 
@@ -342,10 +342,6 @@ def test_step_table_changes_no_composite(witnesses):
     assert interchange.multicat_to_json(fresh, CAPS) == doc
 
 
-def _components(r):
-    return tuple(m for _, m in r.components)
-
-
 def whole_tuple_compose(mcv, fs, g):
     """The composite of fs after g with every component computed: each
     inner family whiskered and composed pointwise at every object, then
@@ -359,13 +355,13 @@ def whole_tuple_compose(mcv, fs, g):
         image = mcv.functor_of(acc_profile).obj_map
         whisker = mcv.functor_of(f.dom).mor_action
         acc = tuple(
-            compose(f.components[pos[image(a)]][1], whisker(m))
+            compose(f.components[pos[image(a)]], whisker(m))
             for a, m in zip(objs, acc)
         )
         acc_profile += (f.cod,)
         acc_target += f.dom
-    mors = tuple(compose(t, m) for (_, t), m in zip(g.components, acc))
-    (hit,) = [r for r in mcv.hom(acc_target, g.cod) if _components(r) == mors]
+    mors = tuple(compose(t, m) for t, m in zip(g.components, acc))
+    (hit,) = [r for r in mcv.hom(acc_target, g.cod) if r.components == mors]
     return hit
 
 
@@ -384,11 +380,11 @@ def codomain_chain_compose(mcv, fs, g):
     for f in fs:
         image = mcv.functor_of(acc_profile).obj_map(g.cod)
         whisker = mcv.functor_of(f.dom).mor_action
-        m = compose(f.components[pos[image]][1], whisker(m))
+        m = compose(f.components[pos[image]], whisker(m))
         acc_profile += (f.cod,)
         acc_target += f.dom
-    m = compose(g.components[k][1], m)
-    (hit,) = [r for r in mcv.hom(acc_target, g.cod) if r.components[k][1] == m]
+    m = compose(g.components[k], m)
+    (hit,) = [r for r in mcv.hom(acc_target, g.cod) if r.components[k] == m]
     return hit
 
 
@@ -556,6 +552,19 @@ def test_represent_composes_once_per_check_not_per_composite(monkeypatch, tmp_pa
     assert 0 < len(calls) <= 200
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_each_identity_family_is_found_once(name):
+    # the multicategory laws ask for identities thousands of times; the
+    # structure finds the family of each object once and keeps it
+    mcv = build_representing_multicategory(instances.get(name).build(), CAPS).m
+    assert check_multicategory_axioms(mcv, CAPS).ok
+    info = mcv.identity.cache_info()
+    assert info.misses == len(mcv.objects())
+    assert info.hits > 100 * info.misses
+    for x in mcv.objects():
+        assert mcv.identity(x) is mcv._identity(x)
+
+
 @pytest.mark.parametrize(
     "at_0,at_1",
     [
@@ -569,7 +578,7 @@ def test_represent_composes_once_per_check_not_per_composite(monkeypatch, tmp_pa
 def test_find_requires_every_component(witnesses, at_0, at_1):
     mcv = witnesses["heyting2"].m
     ident = mcv.base.cat.identity
-    assert _components(mcv.identity("1")) == (ident("0"), ident("1"))
+    assert mcv.identity("1").components == (ident("0"), ident("1"))
     with pytest.raises(KernelError, match=r"missing from hom\(1;1\)"):
         mcv._find(("1",), "1", (ident(at_0), ident(at_1)))
 
