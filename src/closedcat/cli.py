@@ -186,7 +186,8 @@ def cmd_represent(args) -> int:
     dump = Bounds(bounds.max_arity + 1, bounds.max_homset)
     doc = interchange.multicat_to_json(w.m, dump, w)
     _write(interchange.dumps(doc), args.out)
-    sys.stdout.write(_render(rep, args))
+    # without --out the file alone goes to stdout, so it reads back
+    (sys.stdout if args.out else sys.stderr).write(_render(rep, args))
     return 0 if rep.ok else 1
 
 

@@ -511,7 +511,7 @@ class RepresentingMulticat(Multicategory):
                             out = self._member(target, z, c)
                     except refused:
                         continue
-                    yield (keys.replace("\n", bar + "\n") + bar).split("\n"), out
+                    yield keys.replace("\n", bar + "\n") + bar, out
 
 
 def build_representing_multicategory(

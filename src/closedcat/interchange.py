@@ -344,10 +344,10 @@ def multicat_to_json(
             )
         return names[f]
 
-    compose = {}
+    compose = _KeyGroups()
     for keys, out in m.keyed_composites(bounds, hom_within, names.__getitem__):
         if out in names:
-            compose.update(dict.fromkeys(keys, names[out]))
+            compose.add(keys, names[out])
     doc = {
         "kind": "multicategory",
         "name": m.name,
@@ -447,9 +447,9 @@ def multicat_from_json(
 def dumps(doc: dict) -> str:
     """The text of ``json.dumps(doc, indent=2, sort_keys=True)`` and a
     newline, for a document of dicts with string keys, lists, strings,
-    ints, bools and None.  json.dumps runs its pure-Python encoder when it
-    indents, so the layout is written here and each string goes through
-    the C encoder."""
+    ints, bools, None and ``_KeyGroups``.  json.dumps runs its Python
+    encoder when it indents, so the layout is written here and each
+    string goes through the C encoder."""
     out: list[str] = []
     _encode(doc, "\n", out)
     out.append("\n")
@@ -457,6 +457,19 @@ def dumps(doc: dict) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
+
+
+class _KeyGroups(list):
+    """A multicategory file's compose section, one group per composite:
+    the text of its '"key": "name"' lines.  ``dumps`` alone reads it and
+    sorts the lines of every group.  The writer's names "m<k>" need no
+    JSON escape, and '"' sorts below every character of a key, so a line
+    sorts as its key does."""
+
+    def add(self, keys: str, name: str) -> None:
+        """Add the group of ``keys``, one a line, whose composite is
+        ``name``, written now so that the keys text is freed at once."""
+        self.append('"' + keys.replace("\n", f'": "{name}"\n"') + f'": "{name}"')
 
 
 def _encode(v, pad: str, out: list[str]) -> None:
@@ -472,6 +485,11 @@ def _encode(v, pad: str, out: list[str]) -> None:
         out.append("false")
     elif isinstance(v, int):
         out.append(int.__repr__(v))
+    elif isinstance(v, _KeyGroups):
+        lines = "\n".join(v).split("\n")
+        lines.sort()
+        inner = pad + "  "
+        out.append("{" + inner + ("," + inner).join(lines) + pad + "}" if v else "{}")
     elif isinstance(v, dict):
         if not v:
             out.append("{}")

@@ -100,12 +100,12 @@ class Multicategory:
 
     def keyed_composites(self, bounds: Bounds, hom, name):
         """(keys, out) for the composites of ``composites(bounds, hom)``:
-        a list of the file's compose keys "f1,...,fn|g", each morphism
-        written ``name(f)``, whose composite is out.  Here each list holds
-        the key of one composable; an override may group them, yielding
-        the same keys, each once, with equal outs."""
+        the text of the file's compose keys "f1,...,fn|g", one a line,
+        each morphism written ``name(f)``, whose composite is out.  Here
+        each text holds the key of one composable; an override may group
+        them, yielding the same keys, each once, with equal outs."""
         for fs, g, out in self.composites(bounds, hom):
-            yield [",".join(map(name, fs)) + "|" + name(g)], out
+            yield ",".join(map(name, fs)) + "|" + name(g), out
 
 
 def _compose_entry(key) -> str:
@@ -637,6 +637,6 @@ def tabularize_multicat(
     """Materialize hom-sets and single-level composition within bounds, as
     the multicategory file read back; the oracle twin for rule-backed
     multicategories."""
-    from .interchange import multicat_from_json, multicat_to_json
+    from .interchange import dumps, loads, multicat_from_json, multicat_to_json
 
-    return multicat_from_json(multicat_to_json(m, bounds))[0]
+    return multicat_from_json(loads(dumps(multicat_to_json(m, bounds))))[0]

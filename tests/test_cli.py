@@ -416,6 +416,17 @@ def test_represent_verb(tmp_path):
     assert out2.returncode == 0, out2.stdout
 
 
+def test_represent_without_out_writes_the_file_alone_to_stdout(tmp_path, capsys):
+    # the report goes to stderr, so the captured stdout reads back
+    assert cli.main(["represent", "instance:terminal"]) == 0
+    out, err = capsys.readouterr()
+    assert "== represent terminal ==" in err
+    target = tmp_path / "rep.json"
+    target.write_text(out)
+    assert cli.main(["check", f"file:{target}"]) == 0
+    assert "0 failed" in capsys.readouterr().out
+
+
 def test_construct_underlying(tmp_path):
     target = tmp_path / "u.json"
     out = run_cli("construct", "underlying", "instance:z2", "--out", str(target))

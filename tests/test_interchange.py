@@ -70,7 +70,7 @@ def test_multicat_roundtrip():
 
 def test_multicat_keys_shape():
     m, w = instances.get("z2").build()
-    doc = interchange.multicat_to_json(m, Bounds(2), w)
+    doc = roundtrip_doc(interchange.multicat_to_json(m, Bounds(2), w))
     assert ";" in next(iter(doc["hom"]))
     assert any("|" in k for k in doc["compose"])
     assert doc["unit"]["unit"] in doc["objects"]
@@ -222,19 +222,49 @@ def _oracle_multicat(doc: dict) -> TabularMulticategory:
     )
 
 
-def _represent_doc(cap: int) -> dict:
+def _represent_text(cap: int) -> str:
     """The file `represent instance:heyting2 --arity-cap <cap>` writes."""
     w = build_representing_multicategory(instances.get("heyting2").build(), Bounds(cap))
-    doc = interchange.multicat_to_json(w.m, Bounds(cap + 1), w)
-    return json.loads(interchange.dumps(doc))
+    return interchange.dumps(interchange.multicat_to_json(w.m, Bounds(cap + 1), w))
 
 
-def _instance_doc(name: str) -> dict:
+def _represent_doc(cap: int) -> dict:
+    return json.loads(_represent_text(cap))
+
+
+def _instance_text(name: str) -> str:
     """The file `instance dump <name>` writes."""
     info = instances.get(name)
     m, w = info.build()
-    doc = interchange.multicat_to_json(m, Bounds(info.max_arity + 1), w)
-    return json.loads(interchange.dumps(doc))
+    return interchange.dumps(
+        interchange.multicat_to_json(m, Bounds(info.max_arity + 1), w)
+    )
+
+
+def _instance_doc(name: str) -> dict:
+    return json.loads(_instance_text(name))
+
+
+MULTICATS = sorted(n for n, i in instances.REGISTRY.items() if i.kind == "multicat")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        *MULTICATS,
+        "represent-2",
+        "represent-3",
+        "represent-4",
+        pytest.param("represent-5", marks=pytest.mark.slow),
+    ],
+)
+def test_written_multicategory_file_is_json_dumps_text(source):
+    # the compose section, written a group of keys at a time (one key a
+    # group in an instance dump, many in a represent file), is the text
+    # json.dumps writes for the object of its entries
+    kind, _, cap = source.partition("-")
+    text = _represent_text(int(cap)) if kind == "represent" else _instance_text(source)
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
 
 
 def _missing_composites(oracle: TabularMulticategory):

@@ -9,6 +9,7 @@ embedding and the lazy sets category to the benchmark's digests."""
 
 import gc
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -94,11 +95,33 @@ def test_representing_multicategory_is_freed_after_a_dump():
 
     w = build_representing_multicategory(instances.get("heyting2").build(), Bounds(2))
     doc = interchange.multicat_to_json(w.m, Bounds(3), w)
-    assert doc["compose"]
+    assert json.loads(interchange.dumps(doc))["compose"]
     assert w.m._step.cache_info().hits >= 1
     refs = [weakref.ref(w.m), weakref.ref(w)]
     del w
     assert all(_freed(r) for r in refs)
+
+
+def test_compose_section_goes_with_its_doc():
+    # the structure keeps nothing of a dump's compose section: once the
+    # caches that the first dump fills are warm, a second dump leaves
+    # almost nothing behind when its doc is dropped
+    from closedcat import interchange
+
+    w = build_representing_multicategory(instances.get("heyting2").build(), Bounds(2))
+    interchange.multicat_to_json(w.m, Bounds(3), w)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        doc = interchange.multicat_to_json(w.m, Bounds(3), w)
+        held = tracemalloc.get_traced_memory()[0]
+        ref = weakref.ref(doc["compose"])
+        del doc
+        assert _freed(ref)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept * 20 < held, (kept, held)
 
 
 def test_representing_multicategory_is_freed_after_a_keyed_dump():
@@ -108,7 +131,8 @@ def test_representing_multicategory_is_freed_after_a_keyed_dump():
     mcv = build_representing_multicategory(
         instances.get("heyting2").build(), bounds
     ).m
-    assert sum(len(keys) for keys, _ in mcv.keyed_composites(bounds, None, str))
+    walk = mcv.keyed_composites(bounds, None, str)
+    assert sum(keys.count("\n") + 1 for keys, _ in walk)
     assert mcv._step.cache_info().hits >= 1
     walk = mcv.keyed_composites(bounds, None, str)
     keys, out = next(walk)

@@ -333,13 +333,13 @@ def test_step_table_changes_no_composite(witnesses):
     from closedcat import interchange
 
     mcv = witnesses["heyting2"].m
-    doc = interchange.multicat_to_json(mcv, CAPS)
+    text = interchange.dumps(interchange.multicat_to_json(mcv, CAPS))
     assert mcv._step.cache_info().hits > 0
     fresh = build_representing_multicategory(
         instances.get("heyting2").build(), CAPS
     ).m
     fresh._step = fresh._step.__wrapped__
-    assert interchange.multicat_to_json(fresh, CAPS) == doc
+    assert interchange.dumps(interchange.multicat_to_json(fresh, CAPS)) == text
 
 
 def whole_tuple_compose(mcv, fs, g):
@@ -433,7 +433,7 @@ def _keyed_table(groups):
     """{key: out} of the keyed composites a walk yields, each key once."""
     table = {}
     for keys, out in groups:
-        for key in keys:
+        for key in keys.split("\n"):
             assert key not in table, key
             table[key] = out
     return table
@@ -488,6 +488,23 @@ def test_composites_step_each_prefix_once():
     misses = after.misses - before.misses
     assert after.hits - before.hits + misses == 4358
     assert misses == 249
+
+
+def test_dump_groups_the_keys_of_each_composite():
+    # the dump of `represent --arity-cap 4` yields 4,452 groups holding
+    # 59,940 keys, each once, and the writer keeps them as those groups,
+    # with no table keyed by each key
+    mcv = build_representing_multicategory(
+        instances.get("heyting2").build(), Bounds(4)
+    ).m
+    dump, hom = _dump_horizon(mcv)
+    walk = mcv.keyed_composites(dump, hom, interchange._Namer("m"))
+    groups = [keys.split("\n") for keys, _ in walk]
+    assert len(groups) == 4452
+    assert sum(map(len, groups)) == len(set().union(*groups)) == 59940
+    doc = interchange.multicat_to_json(mcv, dump)
+    assert isinstance(doc["compose"], interchange._KeyGroups)
+    assert len(doc["compose"]) == 4452
 
 
 def test_keyed_composites_keep_the_text_of_a_kernel_error():
